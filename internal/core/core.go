@@ -27,6 +27,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"meshpram/internal/bitset"
@@ -235,9 +236,13 @@ type Simulator struct {
 	//detlint:ignore snapshotfields accounting spine, deliberately outside the memory image
 	ld *trace.Ledger // the step ledger, attached to M
 	//detlint:ignore snapshotfields recycled scratch buffers; content-free between steps
-	arena *pktArena // recycled per-processor packet buffers
+	arena *pktArena // recycled per-processor packet-handle buffers
 	//detlint:ignore snapshotfields persistent router; queues empty between calls
-	eng *route.Engine[pkt] // reused by every routeIn call
+	eng *route.Engine[int32] // reused by every routeIn call; routes packet handles
+	//detlint:ignore snapshotfields per-step packet table; rebuilt by every step, capacity kept
+	pk []pkt // the running step's packets, indexed by handle
+	//detlint:ignore snapshotfields per-step waypoint table; rebuilt by every step, capacity kept
+	wp []int32 // recorded waypoints, K+1 per handle (see pkt)
 	//detlint:ignore snapshotfields persistent router for repair scrubs; queues empty between calls
 	reng *route.Engine[rpkt]
 	//detlint:ignore snapshotfields recycled scrub delivery buffer; truncated between scrubs
@@ -312,7 +317,7 @@ func NewWithScheme(s *hmos.Scheme, cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Packet sort keys pack (child submesh, destination, sequence) into
+	// Packet sort keys pack (child submesh, destination, packet handle) into
 	// one uint64 with widths sized to this instance; the historical
 	// fixed layout capped meshes at 2^16 processors.
 	destBits := uint(bits.Len64(uint64(m.N - 1)))
@@ -363,7 +368,7 @@ func NewWithScheme(s *hmos.Scheme, cfg Config) (*Simulator, error) {
 		cfg:      cfg,
 		ld:       ld,
 		arena:    newPktArena(m.N),
-		eng:      route.NewEngine[pkt](m),
+		eng:      route.NewEngine[int32](m),
 		st:       newSlabStore(s),
 		faults:   live,
 		destBits: destBits,
@@ -433,21 +438,26 @@ func (sim *Simulator) Ledger() *trace.Ledger { return sim.ld }
 // Now returns the PRAM step counter.
 func (sim *Simulator) Now() int64 { return sim.now }
 
-// pkt is a copy-request packet traveling through the protocol.
+// pkt is a copy-request packet traveling through the protocol. A
+// step's packets live in the simulator's table sim.pk, indexed by an
+// int32 handle: the packet's creation order, unique within the step,
+// which also disambiguates sort keys so the sorting network and its
+// fast path order packets identically. Sorting, routing and the
+// per-processor lists move handles only; the payload stays put.
+//
+// Waypoints live beside the table in sim.wp, K+1 entries per handle h:
+// wp[h·(K+1)] = origin, and wp[h·(K+1)+j] = the packet's position after
+// forward stage K+2−j (j = 1 … K). Return leg ℓ routes back to entry
+// K−ℓ. Every surviving packet passes every stage, so the positions are
+// fixed and no per-packet length is kept.
 type pkt struct {
-	op  int32 // index into the step's op slice
-	seq int32 // unique per-step id; disambiguates sort keys so the
-	// sorting network and its fast path order packets identically
-	dest   int // processor storing the copy
-	origin int
-	slot   int64 // copy id in the destination module
+	op     int32 // index into the step's op slice
+	dest   int32 // processor storing the copy
+	origin int32
 	isW    bool
+	slot   int64 // copy id in the destination module
 	val    Word  // write payload / read result
 	ts     int64 // read result timestamp
-
-	// wp are recorded waypoints: wp[0] = origin, wp[j] = position after
-	// forward stage K+1−j+1 … ; used for the return journey.
-	wp []int32
 }
 
 // Step simulates one PRAM step. Variables must be pairwise distinct
@@ -534,26 +544,31 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 	// report them unservable.
 	var avail [][]bool
 	if f != nil {
+		qk := s.Redundant
+		flat := make([]bool, len(ops)*qk)
 		avail = make([][]bool, len(ops))
+		for i := range avail {
+			avail[i] = flat[i*qk : (i+1)*qk : (i+1)*qk]
+		}
+		path := make([]int, K)
 		buildAvail := func() (bool, error) {
 			degraded := false
 			sim.rep.DeadOrigins = 0
-			var cbuf []hmos.Copy
+			clear(flat)
 			for i, op := range ops {
-				mask := make([]bool, s.Redundant)
-				avail[i] = mask
+				mask := avail[i]
 				if f.NodeDead(op.Origin) {
 					sim.rep.DeadOrigins++
 					degraded = true
 					continue
 				}
-				cbuf = s.Copies(op.Var, cbuf[:0])
-				for leaf, c := range cbuf {
-					host, err := sim.resolveProc(c.Proc)
+				for leaf := range mask {
+					host, err := sim.resolveProc(s.CopyPath(op.Var, leaf, path))
 					if err != nil {
 						return false, err
 					}
-					mask[leaf] = !f.ModuleDead(host) && !sim.quarantined(c.Slot)
+					slot := int64(op.Var)*int64(qk) + int64(leaf)
+					mask[leaf] = !f.ModuleDead(host) && !sim.quarantined(slot)
 					if !mask[leaf] {
 						degraded = true
 					}
@@ -602,9 +617,16 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 	}
 	csp.End()
 
-	// 2. Build packets at their origins.
+	// 2. Build packets at their origins: one table entry per selected
+	// copy, its handle queued at the origin.
+	total := 0
+	for i := range ops {
+		total += len(sel.Selected[i])
+	}
+	stride := K + 1
+	sim.pk = slices.Grow(sim.pk[:0], total)
+	sim.wp = slices.Grow(sim.wp[:0], total*stride)[:total*stride]
 	pkts := sim.arena.get()
-	var seq int32
 	for i, op := range ops {
 		for _, c := range sel.Selected[i] {
 			dest, err := sim.resolveProc(c.Proc)
@@ -615,20 +637,20 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 				sim.arena.put(pkts)
 				return nil, nil, err
 			}
-			pkts[op.Origin] = append(pkts[op.Origin], pkt{
+			h := int32(len(sim.pk))
+			sim.pk = append(sim.pk, pkt{
 				op:     int32(i),
-				seq:    seq,
-				dest:   dest,
-				origin: op.Origin,
+				dest:   int32(dest),
+				origin: int32(op.Origin),
 				slot:   int64(op.Var)*int64(s.Redundant) + int64(c.Leaf),
 				isW:    op.IsWrite,
 				val:    op.Value,
-				wp:     []int32{int32(op.Origin)},
 			})
-			seq++
+			sim.wp[int(h)*stride] = int32(op.Origin)
+			pkts[op.Origin] = append(pkts[op.Origin], h)
 		}
 	}
-	step.AddPackets(int64(seq))
+	step.AddPackets(int64(total))
 
 	// 3. Forward journey.
 	if sim.cfg.DirectRouting {
@@ -662,8 +684,9 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 		}
 	}
 	for p := range pkts {
-		for _, pk := range pkts[p] {
-			if pk.origin != p {
+		for _, h := range pkts[p] {
+			pk := &sim.pk[h]
+			if int(pk.origin) != p {
 				panic("core: packet did not return home")
 			}
 			if pk.ts > best[pk.op] {
@@ -751,13 +774,15 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 // packets are sorted by destination child submesh, ranked, and routed
 // to balanced positions inside the child; stage 1 delivers each packet
 // to its final processor inside its level-1 submesh.
-func (sim *Simulator) routeStagedForward(pkts [][]pkt) {
+func (sim *Simulator) routeStagedForward(pkts [][]int32) {
 	s, m, ld := sim.S, sim.M, sim.ld
 	K := s.K
 	q := s.Q
 	for stage := K + 1; stage >= 2; stage-- {
 		pageN := sim.stagePages(stage)
 		childParts := sim.childParts(stage)
+		groupSeen := make([]int, childParts) // packets ranked so far per child
+		wpAt := K + 2 - stage                // this stage's waypoint entry
 
 		ssp := ld.BeginPar(fmt.Sprintf("stage-%d", stage), trace.PhaseOther)
 		ssp.SetAttr("stage", int64(stage))
@@ -770,12 +795,13 @@ func (sim *Simulator) routeStagedForward(pkts [][]pkt) {
 			if regionEmpty(m, parent, pkts) {
 				continue
 			}
-			// Sort by (child submesh, destination); seq makes the key
-			// unique so network and fast sorts agree exactly.
-			sorted, _, sortSteps := sim.sortSnake(parent, pkts, func(p pkt) uint64 {
-				child := parent.SubRegionIndex(m, q, childParts, p.dest)
+			// Sort by (child submesh, destination); the handle makes the
+			// key unique so network and fast sorts agree exactly.
+			sorted, _, sortSteps := sim.sortSnake(parent, pkts, func(h int32) uint64 {
+				dest := int(sim.pk[h].dest)
+				child := parent.SubRegionIndex(m, q, childParts, dest)
 				return uint64(child)<<(sim.destBits+sim.seqBits) |
-					uint64(p.dest)<<sim.seqBits | uint64(uint32(p.seq))
+					uint64(dest)<<sim.seqBits | uint64(uint32(h))
 			})
 			if sortSteps > maxSort {
 				maxSort = sortSteps
@@ -787,12 +813,12 @@ func (sim *Simulator) routeStagedForward(pkts [][]pkt) {
 			}
 			rsp := ld.Begin("rank", trace.PhaseRank)
 			rsp.Observe(rankSteps)
-			groupSeen := make(map[int]int, childParts)
+			clear(groupSeen)
 			for i := 0; i < parent.Size(); i++ {
 				p := parent.ProcAtSnake(m, i)
-				for j := range sorted[p] {
-					pk := &sorted[p][j]
-					child := parent.SubRegionIndex(m, q, childParts, pk.dest)
+				for _, h := range sorted[p] {
+					pk := &sim.pk[h]
+					child := parent.SubRegionIndex(m, q, childParts, int(pk.dest))
 					rank := groupSeen[child]
 					groupSeen[child] = rank + 1
 					reg := sim.childRegion(stage, pi, child)
@@ -800,17 +826,17 @@ func (sim *Simulator) routeStagedForward(pkts [][]pkt) {
 				}
 			}
 			rsp.End()
-			routed, cycles := sim.routeIn(parent, stage == K+1, sorted, func(p pkt) int { return int(p.ts) })
+			routed, cycles := sim.routeIn(parent, stage == K+1, sorted, func(h int32) int { return int(sim.pk[h].ts) })
 			if cycles > maxRoute {
 				maxRoute = cycles
 			}
 			// Record waypoints and merge back.
 			for i := 0; i < parent.Size(); i++ {
 				p := parent.ProcAtSnake(m, i)
-				for _, pk := range routed[p] {
-					pk.ts = 0
-					pk.wp = append(pk.wp, int32(p))
-					pkts[p] = append(pkts[p], pk)
+				for _, h := range routed[p] {
+					sim.pk[h].ts = 0
+					sim.wp[int(h)*(K+1)+wpAt] = int32(p)
+					pkts[p] = append(pkts[p], h)
 				}
 				routed[p] = routed[p][:0]
 			}
@@ -841,7 +867,7 @@ func (sim *Simulator) routeStagedForward(pkts [][]pkt) {
 		if regionEmpty(m, reg, pkts) {
 			continue
 		}
-		delivered, cycles := sim.routeIn(reg, false, pkts, func(p pkt) int { return p.dest })
+		delivered, cycles := sim.routeIn(reg, false, pkts, sim.destOf)
 		if cycles > maxRoute {
 			maxRoute = cycles
 		}
@@ -855,30 +881,24 @@ func (sim *Simulator) routeStagedForward(pkts [][]pkt) {
 }
 
 // routeDirect is the E12 ablation: one global sorted greedy routing.
-func (sim *Simulator) routeDirect(pkts [][]pkt) {
+func (sim *Simulator) routeDirect(pkts [][]int32) {
 	m, ld := sim.M, sim.ld
 	full := m.Full()
 	dsp := ld.BeginPar("direct", trace.PhaseOther)
 	dsp.SetAttr("stage", 1)
 	dsp.SetAttr("delta-index", int64(sim.S.K+1))
 	dsp.SetAttr("delta", int64(maxLoadAll(m, pkts)))
-	sorted, _, sortSteps := sim.sortSnake(full, pkts, func(p pkt) uint64 {
-		return uint64(p.dest)<<sim.seqBits | uint64(uint32(p.seq))
+	sorted, _, sortSteps := sim.sortSnake(full, pkts, func(h int32) uint64 {
+		return uint64(sim.pk[h].dest)<<sim.seqBits | uint64(uint32(h))
 	})
 	lf := ld.Begin("sort", trace.PhaseSort)
 	m.AddSteps(sortSteps)
 	lf.End()
-	delivered, cycles := sim.routeIn(full, true, sorted, func(p pkt) int { return p.dest })
+	delivered, cycles := sim.routeIn(full, true, sorted, sim.destOf)
 	lf = ld.Begin("forward", trace.PhaseForward)
 	m.AddSteps(cycles)
 	lf.End()
-	for p := range delivered {
-		for _, pk := range delivered[p] {
-			pk.wp = append(pk.wp, int32(pk.origin)) // direct return
-			pkts[p] = append(pkts[p], pk)
-		}
-		delivered[p] = delivered[p][:0]
-	}
+	mergeBack(m, full, pkts, delivered)
 	sim.arena.put(delivered)
 	dsp.End()
 }
@@ -892,14 +912,14 @@ func (sim *Simulator) routeDirect(pkts [][]pkt) {
 // when Workers > 1). No slot is both read and written in one step
 // (variables are pairwise distinct per step), so the reordering is
 // unobservable.
-func (sim *Simulator) access(pkts [][]pkt) {
+func (sim *Simulator) access(pkts [][]int32) {
 	maxPer := 0
 	for p := range pkts {
 		if len(pkts[p]) > maxPer {
 			maxPer = len(pkts[p])
 		}
-		for j := range pkts[p] {
-			pk := &pkts[p][j]
+		for _, h := range pkts[p] {
+			pk := &sim.pk[h]
 			if !pk.isW {
 				continue
 			}
@@ -915,9 +935,9 @@ func (sim *Simulator) access(pkts [][]pkt) {
 	asp.SetAttr("delta-index", 0)
 	asp.SetAttr("delta", int64(maxPer))
 	sim.M.ForEach(func(p int) {
-		for j := range pkts[p] {
-			pk := &pkts[p][j]
-			if pk.dest != p {
+		for _, h := range pkts[p] {
+			pk := &sim.pk[h]
+			if int(pk.dest) != p {
 				panic("core: packet accessed at wrong processor")
 			}
 			page, r1, home := sim.S.SlotPlace(pk.slot)
@@ -945,12 +965,12 @@ func (sim *Simulator) access(pkts [][]pkt) {
 
 // routeReturn retraces the waypoints in reverse: leg ℓ (0-based) routes
 // within the level-(ℓ+1) submeshes (full mesh on the last leg) from the
-// current position to waypoint wp[len−1−ℓ].
-func (sim *Simulator) routeReturn(pkts [][]pkt) {
+// current position to the packet's waypoint entry K−ℓ (see pkt).
+func (sim *Simulator) routeReturn(pkts [][]int32) {
 	s, m, ld := sim.S, sim.M, sim.ld
 	if sim.cfg.DirectRouting {
 		lsp := ld.Begin("return-leg-0", trace.PhaseOther)
-		delivered, cycles := sim.routeIn(m.Full(), true, pkts, func(p pkt) int { return p.origin })
+		delivered, cycles := sim.routeIn(m.Full(), true, pkts, func(h int32) int { return int(sim.pk[h].origin) })
 		lf := ld.Begin("return", trace.PhaseReturn)
 		m.AddSteps(cycles)
 		lf.End()
@@ -969,7 +989,8 @@ func (sim *Simulator) routeReturn(pkts [][]pkt) {
 			pages = s.PageCount(leg + 1)
 		}
 		lsp := ld.BeginPar(fmt.Sprintf("return-leg-%d", leg), trace.PhaseOther)
-		target := func(p pkt) int { return int(p.wp[len(p.wp)-1-leg]) }
+		at := K - leg // waypoint entry this leg returns to
+		target := func(h int32) int { return int(sim.wp[int(h)*(K+1)+at]) }
 		var maxCycles int64
 		for pg := 0; pg < pages; pg++ {
 			reg := m.Full()
@@ -1061,11 +1082,11 @@ func (sim *Simulator) selectReadOneWriteAll(ops []Op, avail [][]bool) *culling.R
 // queue and arrival storage is reused from step to step; the delivery
 // buffer comes from the simulator's arena; the caller must return it
 // via arena.put once its entries are drained and truncated.
-func (sim *Simulator) routeIn(r mesh.Region, fullMachine bool, items [][]pkt, dest func(pkt) int) ([][]pkt, int64) {
+func (sim *Simulator) routeIn(r mesh.Region, fullMachine bool, items [][]int32, dest func(int32) int) ([][]int32, int64) {
 	buf := sim.arena.get()
 	torus := sim.cfg.Torus && fullMachine
 	if sim.faults != nil {
-		var delivered [][]pkt
+		var delivered [][]int32
 		var cycles int64
 		var lost int
 		if torus {
@@ -1084,9 +1105,12 @@ func (sim *Simulator) routeIn(r mesh.Region, fullMachine bool, items [][]pkt, de
 	return sim.eng.Route(buf, r, items, dest)
 }
 
+// destOf returns the destination processor of packet handle h.
+func (sim *Simulator) destOf(h int32) int { return int(sim.pk[h].dest) }
+
 // sortSnake dispatches to the simulated sorting network or its
 // result-equivalent fast path per configuration.
-func (sim *Simulator) sortSnake(r mesh.Region, items [][]pkt, key func(pkt) uint64) ([][]pkt, int, int64) {
+func (sim *Simulator) sortSnake(r mesh.Region, items [][]int32, key func(int32) uint64) ([][]int32, int, int64) {
 	if sim.cfg.Sort == route.RotateSort && route.CanRotateSort(r) {
 		return route.SortSnakeWith(route.RotateSort, sim.M, r, items, key)
 	}
@@ -1129,7 +1153,7 @@ func (sim *Simulator) childRegion(stage, pi, c int) mesh.Region {
 	return sim.S.PageRegion(stage-1, pi*sim.childParts(stage)+c)
 }
 
-func maxLoadAll(m *mesh.Machine, pkts [][]pkt) int {
+func maxLoadAll(m *mesh.Machine, pkts [][]int32) int {
 	mx := 0
 	for p := range pkts {
 		if len(pkts[p]) > mx {
@@ -1139,7 +1163,7 @@ func maxLoadAll(m *mesh.Machine, pkts [][]pkt) int {
 	return mx
 }
 
-func regionEmpty(m *mesh.Machine, r mesh.Region, pkts [][]pkt) bool {
+func regionEmpty(m *mesh.Machine, r mesh.Region, pkts [][]int32) bool {
 	for row := r.R0; row < r.R0+r.H; row++ {
 		for col := r.C0; col < r.C0+r.W; col++ {
 			if len(pkts[m.IDOf(row, col)]) > 0 {
@@ -1152,7 +1176,7 @@ func regionEmpty(m *mesh.Machine, r mesh.Region, pkts [][]pkt) bool {
 
 // mergeBack drains delivered packets into pkts, truncating each drained
 // entry so the delivery buffer can go straight back to the arena.
-func mergeBack(m *mesh.Machine, r mesh.Region, pkts, delivered [][]pkt) {
+func mergeBack(m *mesh.Machine, r mesh.Region, pkts, delivered [][]int32) {
 	for row := r.R0; row < r.R0+r.H; row++ {
 		for col := r.C0; col < r.C0+r.W; col++ {
 			p := m.IDOf(row, col)

@@ -17,7 +17,7 @@ type MemReport struct {
 	Store     int64 // shared-memory cells: page slabs + foreign overflow
 	FaultSets int64 // fault map bitsets, quarantine, remap/pending/hostIdx
 	ViewLog   int64 // gossip state of the local fault view
-	Routing   int64 // routing engines and packet arena buffers
+	Routing   int64 // routing engines, packet/waypoint tables, handle arena
 }
 
 // Total sums every layer.
@@ -49,6 +49,7 @@ func (sim *Simulator) MemReport() MemReport {
 		r.ViewLog = sim.view.MemBytes()
 	}
 	r.Routing = sim.eng.MemBytes() + sim.arena.memBytes()
+	r.Routing += int64(cap(sim.pk))*int64(unsafe.Sizeof(pkt{})) + int64(cap(sim.wp))*4
 	if sim.reng != nil {
 		r.Routing += sim.reng.MemBytes()
 	}
@@ -59,13 +60,13 @@ func (sim *Simulator) MemReport() MemReport {
 	return r
 }
 
-// memBytes sums the arena's free-listed buffers (capacities).
+// memBytes sums the arena's free-listed handle buffers (capacities).
 func (a *pktArena) memBytes() int64 {
 	var b int64
 	for _, buf := range a.free {
 		b += int64(cap(buf)) * 24
 		for _, e := range buf {
-			b += int64(cap(e)) * int64(unsafe.Sizeof(pkt{}))
+			b += int64(cap(e)) * 4 // int32 handles
 		}
 	}
 	return b
@@ -102,12 +103,13 @@ func (sim *Simulator) LegacyStoreMemBytes() int64 {
 }
 
 // Compact drops every recycled buffer the simulator retains — the
-// packet arena's free list, the protocol engine's slabs and queues,
-// and the repair engine outright — returning the simulator to a
+// packet and waypoint tables, the packet arena's free list, the
+// protocol engine's slabs and queues, and the repair engine outright — returning the simulator to a
 // compact quiescent state. Everything regrows lazily on the next step,
 // so Compact is safe between steps and changes no observable behavior;
 // call it before checkpointing or measuring resident memory.
 func (sim *Simulator) Compact() {
+	sim.pk, sim.wp = nil, nil
 	sim.arena.free = nil
 	sim.eng.Release()
 	sim.reng = nil

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"meshpram/internal/hmos"
 )
@@ -98,7 +99,19 @@ func TestCompactKeepsIdentity(t *testing.T) {
 			if a.MemReport().Routing == 0 {
 				t.Fatal("routing bytes zero before Compact; nothing to test")
 			}
+			// The packet and waypoint tables keep their capacity between
+			// steps and are counted in the routing layer.
+			if cap(a.pk) == 0 || cap(a.wp) == 0 {
+				t.Fatalf("packet tables empty before Compact (cap pk %d, wp %d)", cap(a.pk), cap(a.wp))
+			}
+			tables := int64(cap(a.pk))*int64(unsafe.Sizeof(pkt{})) + int64(cap(a.wp))*4
+			if got := a.MemReport().Routing; got < tables {
+				t.Fatalf("routing bytes %d do not cover the packet tables' %d", got, tables)
+			}
 			a.Compact()
+			if a.pk != nil || a.wp != nil {
+				t.Fatal("Compact kept the packet tables")
+			}
 			if got := a.MemReport().Routing; got != 0 {
 				t.Fatalf("routing bytes %d after Compact, want 0", got)
 			}

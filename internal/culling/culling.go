@@ -15,7 +15,7 @@ package culling
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"meshpram/internal/hmos"
 	"meshpram/internal/mesh"
@@ -68,13 +68,6 @@ func (r *Result) MaxLoad(i int) (load, bound int) {
 	return load, r.Bound[i]
 }
 
-// copyRef identifies one candidate copy during the procedure.
-type copyRef struct {
-	req  int32 // request index
-	leaf int32 // leaf in T_{v_req}
-	page int32 // destination page at the current level
-}
-
 // Run executes CULLING for the given request set. Variables must be
 // distinct across requests (the PRAM step semantics of the paper; use
 // combining upstream for concurrent access). It panics on duplicate
@@ -92,118 +85,39 @@ func Run(s *hmos.Scheme, m *mesh.Machine, reqs []Request) *Result {
 // shrink (their set is already minimal) but still count toward page
 // loads and the congestion marking. Requests with no plain target set
 // at all are reported in Result.Unservable with a nil selection.
+//
+// Every per-copy table — leaf masks, marks, processors, page indexes —
+// is one flat slice indexed r·q^k + leaf, allocated once per call, so a
+// call makes O(K) allocations however many requests it has.
 func RunAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool) *Result {
 	n := m.N
 	qk := s.Redundant
-	seen := make(map[int]bool, len(reqs))
-	for _, r := range reqs {
-		if r.Var < 0 || r.Var >= s.Vars() {
-			panic(fmt.Sprintf("culling: variable %d out of range", r.Var))
-		}
-		if r.Origin < 0 || r.Origin >= n {
-			panic(fmt.Sprintf("culling: origin %d out of range", r.Origin))
-		}
-		if seen[r.Var] {
-			panic(fmt.Sprintf("culling: duplicate variable %d in request set", r.Var))
-		}
-		seen[r.Var] = true
-	}
-
-	// Precompute copy locations and page indexes per level.
-	copies := make([][]hmos.Copy, len(reqs))
-	pageAt := make([][][]int32, s.K+1) // pageAt[i][r][leaf]
-	for i := 1; i <= s.K; i++ {
-		pageAt[i] = make([][]int32, len(reqs))
-	}
-	for r, rq := range reqs {
-		copies[r] = s.Copies(rq.Var, nil)
-		for i := 1; i <= s.K; i++ {
-			pageAt[i][r] = make([]int32, qk)
-			for leaf, c := range copies[r] {
-				pageAt[i][r][leaf] = int32(s.PageIndex(i, c.Path))
-			}
-		}
-	}
-
-	res := &Result{
-		Selected: make([][]SelectedCopy, len(reqs)),
-		PageLoad: make([][]int, s.K+1),
-		Bound:    make([]int, s.K+1),
-		Steps:    0,
-	}
+	validate(s, n, reqs)
+	b := locate(s, reqs, avail)
+	res := newResult(s, n, len(reqs))
 
 	// C^0: minimal level-0 target sets over the available leaves.
 	// frozen[r]: the request's live leaves hold no level-0 set, only a
 	// plain one — its mask is already minimal and skips the shrink.
-	masks := make([][]bool, len(reqs))
 	frozen := make([]bool, len(reqs))
-	fullAvail := make([]bool, qk)
-	for i := range fullAvail {
-		fullAvail[i] = true
-	}
 	for r := range reqs {
-		av := fullAvail
-		if avail != nil && avail[r] != nil {
-			av = avail[r]
+		mask := b.masks[r*qk : (r+1)*qk]
+		av := b.availOf(avail, r)
+		if s.SelectTargetSet(0, av, nil, b.cost, mask) {
+			continue
 		}
-		sel, ok := s.SelectTargetSet(0, av, nil)
-		if !ok {
-			if sel, ok = s.SelectTargetSet(s.K, av, nil); !ok {
-				res.Unservable = append(res.Unservable, r)
-				masks[r] = make([]bool, qk) // empty: contributes nothing
-				frozen[r] = true
-				continue
-			}
-			frozen[r] = true
+		frozen[r] = true
+		if !s.SelectTargetSet(s.K, av, nil, b.cost, mask) {
+			res.Unservable = append(res.Unservable, r) // empty mask: contributes nothing
 		}
-		masks[r] = sel
 	}
 
+	marked := make([]bool, len(b.masks))
+	seen := make([]int, s.PageCount(1)) // level-1 pages are the most numerous
 	full := m.Full()
 	for i := 1; i <= s.K; i++ {
-		cap2 := capAtLevel(2, qk, n, i)
-		res.Bound[i] = capAtLevel(4, qk, n, i)
-
-		// Gather all currently selected copies, grouped by level-i page
-		// ("sort by destination page and rank"): deterministic order by
-		// (page, request, leaf).
-		var refs []copyRef
-		for r := range reqs {
-			for leaf, on := range masks[r] {
-				if on {
-					refs = append(refs, copyRef{req: int32(r), leaf: int32(leaf), page: pageAt[i][r][leaf]})
-				}
-			}
-		}
-		sort.Slice(refs, func(a, b int) bool {
-			if refs[a].page != refs[b].page {
-				return refs[a].page < refs[b].page
-			}
-			if refs[a].req != refs[b].req {
-				return refs[a].req < refs[b].req
-			}
-			return refs[a].leaf < refs[b].leaf
-		})
-
-		// Mark the first cap2 copies of every page.
-		marked := make([][]bool, len(reqs))
-		for r := range reqs {
-			marked[r] = make([]bool, qk)
-		}
-		for j := 0; j < len(refs); {
-			e := j
-			for e < len(refs) && refs[e].page == refs[j].page {
-				e++
-			}
-			lim := j + cap2
-			if lim > e {
-				lim = e
-			}
-			for t := j; t < lim; t++ {
-				marked[refs[t].req][refs[t].leaf] = true
-			}
-			j = e
-		}
+		// Mark the first 2q^k·n^{1−1/2^i} copies of every level-i page.
+		markFirst(b.masks, b.pagesAt(i), capAtLevel(2, qk, n, i), seen[:s.PageCount(i)], marked)
 
 		// Shrink each request's mask to a minimal level-i target set,
 		// preferring marked copies (the M_v^i / S_v^i split). Frozen
@@ -212,39 +126,23 @@ func RunAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool) *
 			if frozen[r] {
 				continue
 			}
-			sel, ok := s.SelectTargetSet(i, masks[r], marked[r])
-			if !ok {
-				// Cannot happen: masks[r] is a minimal level-(i-1)
+			mask := b.masks[r*qk : (r+1)*qk]
+			if !s.SelectTargetSet(i, mask, marked[r*qk:(r+1)*qk], b.cost, mask) {
+				// Cannot happen: the mask is a minimal level-(i-1)
 				// target set, which always contains a level-i set.
 				panic(fmt.Sprintf("culling: request %d lost its target set at level %d", r, i))
 			}
-			masks[r] = sel
 		}
 
 		// Record loads of ∪C^i per level-i page.
-		loads := make([]int, s.PageCount(i))
-		for r := range reqs {
-			for leaf, on := range masks[r] {
-				if on {
-					loads[pageAt[i][r][leaf]]++
-				}
-			}
-		}
-		res.PageLoad[i] = loads
+		res.PageLoad[i] = b.loads(i, s.PageCount(i))
 
 		// Charge the iteration: sort + rank + O(q^k) local extraction.
 		res.Steps += route.SortCost(full, qk)
 		res.Steps += 3*int64(full.W-1) + int64(full.H-1)
 		res.Steps += int64(qk)
 	}
-
-	for r := range reqs {
-		for leaf, on := range masks[r] {
-			if on {
-				res.Selected[r] = append(res.Selected[r], SelectedCopy{Leaf: leaf, Proc: copies[r][leaf].Proc})
-			}
-		}
-	}
+	b.collect(res)
 	return res
 }
 
@@ -259,41 +157,7 @@ func SelectWithoutCulling(s *hmos.Scheme, m *mesh.Machine, reqs []Request) *Resu
 // available copies (see RunAvail for the avail convention and the
 // Unservable reporting).
 func SelectWithoutCullingAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool) *Result {
-	qk := s.Redundant
-	res := &Result{
-		Selected: make([][]SelectedCopy, len(reqs)),
-		PageLoad: make([][]int, s.K+1),
-		Bound:    make([]int, s.K+1),
-	}
-	fullAvail := make([]bool, qk)
-	for i := range fullAvail {
-		fullAvail[i] = true
-	}
-	for i := 1; i <= s.K; i++ {
-		res.PageLoad[i] = make([]int, s.PageCount(i))
-		res.Bound[i] = capAtLevel(4, qk, m.N, i)
-	}
-	for r, rq := range reqs {
-		av := fullAvail
-		if avail != nil && avail[r] != nil {
-			av = avail[r]
-		}
-		sel, ok := s.SelectTargetSet(s.K, av, nil)
-		if !ok {
-			res.Unservable = append(res.Unservable, r)
-			continue
-		}
-		copies := s.Copies(rq.Var, nil)
-		for leaf, on := range sel {
-			if on {
-				res.Selected[r] = append(res.Selected[r], SelectedCopy{Leaf: leaf, Proc: copies[leaf].Proc})
-				for i := 1; i <= s.K; i++ {
-					res.PageLoad[i][s.PageIndex(i, copies[leaf].Path)]++
-				}
-			}
-		}
-	}
-	return res
+	return selectLocal(s, m, reqs, avail, s.K)
 }
 
 // SelectHardenedAvail selects, for each request, a minimal *level-0*
@@ -308,41 +172,180 @@ func SelectWithoutCullingAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, 
 // charges zero steps — the extra cost of a hardened step is its larger
 // packet count, which the routing phases charge naturally.
 func SelectHardenedAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool) *Result {
+	return selectLocal(s, m, reqs, avail, 0)
+}
+
+// selectLocal picks, per request and without congestion control, a
+// minimal level-`level` target set among the available leaves, falling
+// back to a minimal plain set; requests with neither are Unservable.
+// Page loads count the final selection at every level.
+func selectLocal(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool, level int) *Result {
 	qk := s.Redundant
+	b := locate(s, reqs, avail)
+	res := newResult(s, m.N, len(reqs))
+	for r := range reqs {
+		mask := b.masks[r*qk : (r+1)*qk]
+		av := b.availOf(avail, r)
+		if s.SelectTargetSet(level, av, nil, b.cost, mask) {
+			continue
+		}
+		if level == s.K || !s.SelectTargetSet(s.K, av, nil, b.cost, mask) {
+			res.Unservable = append(res.Unservable, r)
+		}
+	}
+	for i := 1; i <= s.K; i++ {
+		res.PageLoad[i] = b.loads(i, s.PageCount(i))
+	}
+	b.collect(res)
+	return res
+}
+
+// markFirst marks the first limit selected copies of every page, in
+// (page, request, leaf) order: the paper's "sort by destination page
+// and rank". Copies are listed in (request, leaf) order, so a stable
+// counting sort on the page index would produce exactly that order;
+// only each copy's rank within its page matters, and the sort's
+// counting pass alone yields it. seen (one counter per page) and marked
+// are scratch, overwritten here.
+func markFirst(masks []bool, pages []int32, limit int, seen []int, marked []bool) {
+	clear(seen)
+	clear(marked)
+	for idx, on := range masks {
+		if !on {
+			continue
+		}
+		pg := pages[idx]
+		if seen[pg] < limit {
+			marked[idx] = true
+		}
+		seen[pg]++
+	}
+}
+
+// validate panics on out-of-range or duplicate requests.
+func validate(s *hmos.Scheme, n int, reqs []Request) {
+	vars := make([]int, len(reqs))
+	for i, r := range reqs {
+		if r.Var < 0 || r.Var >= s.Vars() {
+			panic(fmt.Sprintf("culling: variable %d out of range", r.Var))
+		}
+		if r.Origin < 0 || r.Origin >= n {
+			panic(fmt.Sprintf("culling: origin %d out of range", r.Origin))
+		}
+		vars[i] = r.Var
+	}
+	slices.Sort(vars)
+	for i := 1; i < len(vars); i++ {
+		if vars[i] == vars[i-1] {
+			panic(fmt.Sprintf("culling: duplicate variable %d in request set", vars[i]))
+		}
+	}
+}
+
+// batch holds one call's flat per-copy tables. Entry r·q^k + leaf
+// describes request r's copy at that leaf of its copy tree.
+type batch struct {
+	qk    int
+	masks []bool  // the request's current selection
+	procs []int32 // processor storing the copy
+	pages []int32 // level-i page index at offset (i−1)·len(masks)
+	full  []bool  // all-live mask for requests without one
+	cost  []int64 // SelectTargetSet scratch
+}
+
+// locate walks every copy of every request once, recording its
+// processor and its page index at every level.
+func locate(s *hmos.Scheme, reqs []Request, avail [][]bool) *batch {
+	qk := s.Redundant
+	size := len(reqs) * qk
+	b := &batch{
+		qk:    qk,
+		masks: make([]bool, size),
+		procs: make([]int32, size),
+		pages: make([]int32, s.K*size),
+		full:  make([]bool, qk),
+		cost:  make([]int64, s.TargetSetScratch()),
+	}
+	for leaf := range b.full {
+		b.full[leaf] = true
+	}
+	var pbuf [8]int
+	path := pbuf[:]
+	if s.K > len(pbuf) {
+		path = make([]int, s.K)
+	}
+	for r, rq := range reqs {
+		for leaf := 0; leaf < qk; leaf++ {
+			idx := r*qk + leaf
+			b.procs[idx] = int32(s.CopyPath(rq.Var, leaf, path))
+			for i := 1; i <= s.K; i++ {
+				b.pages[(i-1)*size+idx] = int32(s.PageIndex(i, path))
+			}
+		}
+	}
+	return b
+}
+
+// availOf returns request r's availability mask (all live when the
+// caller supplied none).
+func (b *batch) availOf(avail [][]bool, r int) []bool {
+	if avail != nil && avail[r] != nil {
+		return avail[r]
+	}
+	return b.full
+}
+
+// pagesAt returns the level-i page index of every copy.
+func (b *batch) pagesAt(i int) []int32 {
+	size := len(b.masks)
+	return b.pages[(i-1)*size : i*size]
+}
+
+// loads counts the selected copies per level-i page.
+func (b *batch) loads(i, pageCount int) []int {
+	loads := make([]int, pageCount)
+	pages := b.pagesAt(i)
+	for idx, on := range b.masks {
+		if on {
+			loads[pages[idx]]++
+		}
+	}
+	return loads
+}
+
+// collect turns the final masks into Result.Selected, every request's
+// copies a window of one flat slice (nil for an empty selection).
+func (b *batch) collect(res *Result) {
+	total := 0
+	for _, on := range b.masks {
+		if on {
+			total++
+		}
+	}
+	flat := make([]SelectedCopy, 0, total)
+	for r := range res.Selected {
+		start := len(flat)
+		for leaf, on := range b.masks[r*b.qk : (r+1)*b.qk] {
+			if on {
+				flat = append(flat, SelectedCopy{Leaf: leaf, Proc: int(b.procs[r*b.qk+leaf])})
+			}
+		}
+		if len(flat) > start {
+			res.Selected[r] = flat[start:len(flat):len(flat)]
+		}
+	}
+}
+
+// newResult allocates a Result for count requests with the Theorem 3
+// bounds filled in.
+func newResult(s *hmos.Scheme, n, count int) *Result {
 	res := &Result{
-		Selected: make([][]SelectedCopy, len(reqs)),
+		Selected: make([][]SelectedCopy, count),
 		PageLoad: make([][]int, s.K+1),
 		Bound:    make([]int, s.K+1),
 	}
-	fullAvail := make([]bool, qk)
-	for i := range fullAvail {
-		fullAvail[i] = true
-	}
 	for i := 1; i <= s.K; i++ {
-		res.PageLoad[i] = make([]int, s.PageCount(i))
-		res.Bound[i] = capAtLevel(4, qk, m.N, i)
-	}
-	for r, rq := range reqs {
-		av := fullAvail
-		if avail != nil && avail[r] != nil {
-			av = avail[r]
-		}
-		sel, ok := s.SelectTargetSet(0, av, nil)
-		if !ok {
-			if sel, ok = s.SelectTargetSet(s.K, av, nil); !ok {
-				res.Unservable = append(res.Unservable, r)
-				continue
-			}
-		}
-		copies := s.Copies(rq.Var, nil)
-		for leaf, on := range sel {
-			if on {
-				res.Selected[r] = append(res.Selected[r], SelectedCopy{Leaf: leaf, Proc: copies[leaf].Proc})
-				for i := 1; i <= s.K; i++ {
-					res.PageLoad[i][s.PageIndex(i, copies[leaf].Path)]++
-				}
-			}
-		}
+		res.Bound[i] = capAtLevel(4, s.Redundant, n, i)
 	}
 	return res
 }

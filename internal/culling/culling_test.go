@@ -2,6 +2,7 @@ package culling
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"meshpram/internal/hmos"
@@ -211,5 +212,79 @@ func BenchmarkCullingFullMachine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(s, m, reqs)
+	}
+}
+
+// TestRunAllocsIndependentOfBatch pins RunAvail's allocation count to
+// O(K): a 10-request call and a full 729-request call at side 27 make
+// the same number of allocations, because every per-copy table is one
+// flat slice per call.
+func TestRunAllocsIndependentOfBatch(t *testing.T) {
+	s, m := scheme(t, hmos.Params{Side: 27, Q: 3, D: 5, K: 2})
+	rng := rand.New(rand.NewSource(6))
+	full := randomRequests(s, m.N, m.N, rng)
+	small := full[:10]
+	allocs := func(reqs []Request) float64 {
+		return testing.AllocsPerRun(5, func() { RunAvail(s, m, reqs, nil) })
+	}
+	a, b := allocs(small), allocs(full)
+	if a != b {
+		t.Fatalf("RunAvail allocates %v objects for 10 requests but %v for %d", a, b, len(full))
+	}
+	t.Logf("RunAvail: %v allocations per call at K=%d", a, s.K)
+}
+
+// TestMarkFirstMatchesSortedOrder pins the congestion marking against
+// its definition: sort the selected copies by (page, request, leaf) and
+// mark the first limit of every page. Full batches never reach the cap
+// (page loads stay far below 2q^k·n^{1−1/2^i}), so the marking is
+// checked here directly, with caps small enough to bind.
+func TestMarkFirstMatchesSortedOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		size, pageCount := 1+rng.Intn(200), 1+rng.Intn(12)
+		limit := rng.Intn(6)
+		masks := make([]bool, size)
+		pages := make([]int32, size)
+		for idx := range masks {
+			masks[idx] = rng.Intn(3) > 0
+			pages[idx] = int32(rng.Intn(pageCount))
+		}
+		// Reference: the (page, request, leaf) sort the procedure names;
+		// idx = request·q^k + leaf orders requests, then leaves.
+		var refs []int
+		for idx, on := range masks {
+			if on {
+				refs = append(refs, idx)
+			}
+		}
+		sort.Slice(refs, func(a, b int) bool {
+			if pages[refs[a]] != pages[refs[b]] {
+				return pages[refs[a]] < pages[refs[b]]
+			}
+			return refs[a] < refs[b]
+		})
+		want := make([]bool, size)
+		for j := 0; j < len(refs); {
+			e := j
+			for e < len(refs) && pages[refs[e]] == pages[refs[j]] {
+				e++
+			}
+			for t := j; t < min(j+limit, e); t++ {
+				want[refs[t]] = true
+			}
+			j = e
+		}
+		marked := make([]bool, size)
+		for idx := range marked {
+			marked[idx] = rng.Intn(2) == 0 // stale scratch must be overwritten
+		}
+		seen := make([]int, pageCount)
+		markFirst(masks, pages, limit, seen, marked)
+		for idx := range want {
+			if marked[idx] != want[idx] {
+				t.Fatalf("trial %d (limit %d): copy %d marked %v, want %v", trial, limit, idx, marked[idx], want[idx])
+			}
+		}
 	}
 }

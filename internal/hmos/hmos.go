@@ -234,23 +234,44 @@ func (s *Scheme) DigitsOf(leaf int) []int {
 
 // CopyAt locates the copy of variable v at the given leaf of T_v.
 func (s *Scheme) CopyAt(v, leaf int) Copy {
+	path := make([]int, s.K)
+	proc := s.CopyPath(v, leaf, path)
+	return Copy{Var: v, Leaf: leaf, Path: path, Proc: proc, Slot: int64(v)*int64(s.Redundant) + int64(leaf)}
+}
+
+// CopyPath walks T_v from variable v down to the copy at the given
+// leaf: it writes the copy's leaf-to-root module path into path
+// (path[i] = l_{i+1}, len(path) ≥ K) and returns the processor storing
+// the copy. It allocates nothing, so hot loops locate copies over one
+// reused path buffer instead of building a Copy each.
+func (s *Scheme) CopyPath(v, leaf int, path []int) (proc int) {
+	_, _, proc = s.place(v, leaf, path)
+	return proc
+}
+
+// place is the one path walk behind CopyPath and SlotPlace: it fills
+// path and returns the level-1 page holding the copy, the copy's rank
+// r1 among the page's p_1 copies, and the storing processor — copy
+// slot r1 sits at snake position r1 mod t_1 of the page's submesh, so
+// copies spread evenly over the page's processors (§3.3).
+func (s *Scheme) place(v, leaf int, path []int) (page, r1, proc int) {
 	if v < 0 || v >= s.M {
 		panic(fmt.Sprintf("hmos: variable %d out of range [0,%d)", v, s.M))
 	}
 	if leaf < 0 || leaf >= s.Redundant {
 		panic(fmt.Sprintf("hmos: leaf %d out of range [0,%d)", leaf, s.Redundant))
 	}
-	x := s.DigitsOf(leaf)
-	path := make([]int, s.K)
 	cur := v
 	for i := 0; i < s.K; i++ {
 		h, a, b := s.Graphs[i].Split(cur)
-		cur = s.Graphs[i].OutputAt(h, a, b, x[i])
+		xi := (leaf / s.qPowK[s.K-1-i]) % s.Q
+		cur = s.Graphs[i].OutputAt(h, a, b, xi)
 		path[i] = cur
 	}
-	c := Copy{Var: v, Leaf: leaf, Path: path, Slot: int64(v)*int64(s.Redundant) + int64(leaf)}
-	c.Proc = s.procOf(v, path)
-	return c
+	page = s.PageIndex(1, path)
+	r1 = s.Graphs[0].RankOfInput(path[0], v)
+	proc = s.PageRegion(1, page).ProcAtSnake(s.mach, r1%s.T[1])
+	return page, r1, proc
 }
 
 // Copies returns all q^k copies of variable v, appended to dst.
@@ -307,40 +328,17 @@ func (s *Scheme) PageRegion(level, idx int) mesh.Region {
 // (create their own mesh.Machine for accounting).
 func (s *Scheme) Mesh() *mesh.Machine { return s.mach }
 
-// procOf computes the processor storing the copy of v with the given
-// path: descend the tessellations to the level-1 page region, then
-// place copy slot r_1 = rank of v among the page's p_1 copies at snake
-// position r_1 mod t_1 (copies evenly distributed over the page's
-// processors, §3.3).
-func (s *Scheme) procOf(v int, path []int) int {
-	reg1 := s.PageRegion(1, s.PageIndex(1, path))
-	r1 := s.Graphs[0].RankOfInput(path[0], v)
-	return reg1.ProcAtSnake(s.mach, r1%s.T[1])
-}
-
 // SlotPlace locates copy slot id (= Var·q^k + Leaf) without building a
 // Copy: the level-1 page holding it, its rank r1 among the page's p_1
 // copies, and the storing processor — O(k) arithmetic, no allocation
 // for k ≤ 8.
 func (s *Scheme) SlotPlace(slot int64) (page, r1, proc int) {
-	v := int(slot / int64(s.Redundant))
-	leaf := int(slot % int64(s.Redundant))
 	var pbuf [8]int
 	path := pbuf[:]
 	if s.K > len(pbuf) {
 		path = make([]int, s.K)
 	}
-	cur := v
-	for i := 0; i < s.K; i++ {
-		h, a, b := s.Graphs[i].Split(cur)
-		xi := (leaf / s.qPowK[s.K-1-i]) % s.Q
-		cur = s.Graphs[i].OutputAt(h, a, b, xi)
-		path[i] = cur
-	}
-	page = s.PageIndex(1, path[:s.K])
-	r1 = s.Graphs[0].RankOfInput(path[0], v)
-	proc = s.PageRegion(1, page).ProcAtSnake(s.mach, r1%s.T[1])
-	return page, r1, proc
+	return s.place(int(slot/int64(s.Redundant)), int(slot%int64(s.Redundant)), path)
 }
 
 // SlotOfPageRank is the inverse of SlotPlace's (page, r1) pair: it

@@ -153,7 +153,7 @@ func TestQuickSelectWithRandomPreference(t *testing.T) {
 			avail[i] = rng.Intn(4) > 0
 			pref[i] = rng.Intn(2) == 0
 		}
-		sel, ok := s.SelectTargetSet(s.K, avail, pref)
+		sel, ok := selectTS(s, s.K, avail, pref)
 		if ok != s.IsTargetSet(s.K, avail) {
 			t.Fatal("ok inconsistent with availability")
 		}

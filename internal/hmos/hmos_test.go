@@ -239,7 +239,7 @@ func TestSelectTargetSetFullAvail(t *testing.T) {
 			avail[i] = true
 		}
 		for i := 0; i <= p.K; i++ {
-			sel, ok := s.SelectTargetSet(i, avail, nil)
+			sel, ok := selectTS(s, i, avail, nil)
 			if !ok {
 				t.Fatalf("%+v: no level-%d target set in full leaf set", p, i)
 			}
@@ -274,7 +274,7 @@ func TestSelectTargetSetRespectsAvailability(t *testing.T) {
 			avail[i] = rng.Intn(3) > 0
 		}
 		for lvl := 0; lvl <= s.K; lvl++ {
-			sel, ok := s.SelectTargetSet(lvl, avail, nil)
+			sel, ok := selectTS(s, lvl, avail, nil)
 			if ok != s.IsTargetSet(lvl, avail) {
 				t.Fatalf("ok=%v but avail target-set=%v", ok, s.IsTargetSet(lvl, avail))
 			}
@@ -301,11 +301,11 @@ func TestSelectTargetSetPrefersMarked(t *testing.T) {
 	}
 	// Mark a full minimal plain target set as preferred: the selection
 	// must then use preferred leaves only.
-	pref, ok := s.SelectTargetSet(s.K, avail, nil)
+	pref, ok := selectTS(s, s.K, avail, nil)
 	if !ok {
 		t.Fatal("setup failed")
 	}
-	sel, ok := s.SelectTargetSet(s.K, avail, pref)
+	sel, ok := selectTS(s, s.K, avail, pref)
 	if !ok {
 		t.Fatal("selection failed")
 	}
@@ -331,8 +331,8 @@ func TestTargetSetsIntersect(t *testing.T) {
 				prefA[i] = rng.Intn(2) == 0
 				prefB[i] = rng.Intn(2) == 0
 			}
-			a, _ := s.SelectTargetSet(s.K, avail, prefA)
-			b, _ := s.SelectTargetSet(s.K, avail, prefB)
+			a, _ := selectTS(s, s.K, avail, prefA)
+			b, _ := selectTS(s, s.K, avail, prefB)
 			inter := false
 			for l := range a {
 				if a[l] && b[l] {
@@ -355,7 +355,7 @@ func TestLevelTargetContainsPlainTarget(t *testing.T) {
 		avail[i] = true
 	}
 	for lvl := 0; lvl <= s.K; lvl++ {
-		sel, ok := s.SelectTargetSet(lvl, avail, nil)
+		sel, ok := selectTS(s, lvl, avail, nil)
 		if !ok {
 			t.Fatalf("level %d: no set", lvl)
 		}
@@ -429,7 +429,9 @@ func BenchmarkSelectTargetSet(b *testing.B) {
 	for i := range avail {
 		avail[i] = true
 	}
+	cost := make([]int64, s.TargetSetScratch())
+	sel := make([]bool, s.Redundant)
 	for i := 0; i < b.N; i++ {
-		s.SelectTargetSet(i%(s.K+1), avail, nil)
+		s.SelectTargetSet(i%(s.K+1), avail, nil, cost, sel)
 	}
 }

@@ -43,78 +43,113 @@ func MinTargetSetSize(q, k, i int) int {
 	return n
 }
 
-const inf = int64(1) << 60
+const (
+	inf    = int64(1) << 60
+	picked = int64(1) << 62 // flag on a cost entry: the node is in the selection
+)
+
+// TargetSetScratch returns the length of the cost buffer SelectTargetSet
+// needs: one entry per node of T_v, Σ_{j=0..k} q^j.
+func (s *Scheme) TargetSetScratch() int {
+	n := 0
+	for _, p := range s.qPowK {
+		n += p
+	}
+	return n
+}
 
 // SelectTargetSet extracts a minimal level-i target set for a variable
 // from the available leaves, preferring the leaves marked preferred
 // (CULLING's M_v^i): among all minimal level-i target sets contained in
-// avail it selects one using the fewest non-preferred leaves, via a
-// bottom-up cost DP over T_v. preferred may be nil (no preference). It
-// returns nil, false if avail contains no level-i target set.
+// avail it selects one using the fewest non-preferred leaves. preferred
+// may be nil (no preference). It reports false, with sel all false, if
+// avail contains no level-i target set.
 //
-// avail and preferred are indexed by leaf (length q^k); the result is a
-// fresh leaf mask.
-func (s *Scheme) SelectTargetSet(i int, avail, preferred []bool) ([]bool, bool) {
+// avail, preferred and the output sel are leaf masks of length q^k; sel
+// may alias avail or preferred. cost is caller scratch of at least
+// TargetSetScratch() entries, so a selection allocates nothing.
+//
+// The DP runs over cost laid out level by level: the q^j nodes of tree
+// level j start at offset Σ_{j'<j} q^{j'}, and node b's children are
+// nodes b·q … b·q+q−1 of level j+1 (leaf b of level k is leaf index b).
+// A bottom-up pass sets every node's cost to the sum of its t cheapest
+// children (t = the node's quorum), inf when fewer than t are
+// reachable; a top-down pass then flags the t cheapest children of each
+// flagged node, reusing those costs, ties going to the lower index.
+func (s *Scheme) SelectTargetSet(i int, avail, preferred []bool, cost []int64, sel []bool) bool {
 	q, k := s.Q, s.K
-	if len(avail) != s.Redundant {
-		panic(fmt.Sprintf("hmos: avail mask has length %d, want %d", len(avail), s.Redundant))
+	if len(avail) != s.Redundant || len(sel) != s.Redundant {
+		panic(fmt.Sprintf("hmos: masks have lengths %d and %d, want %d", len(avail), len(sel), s.Redundant))
 	}
-	var costFn func(j, base int) int64
-	costFn = func(j, base int) int64 {
-		if j == k {
-			if !avail[base] {
-				return inf
-			}
-			if preferred != nil && preferred[base] {
-				return 0
-			}
-			return 1
+	n := s.TargetSetScratch()
+	if len(cost) < n {
+		panic(fmt.Sprintf("hmos: cost scratch has length %d, want %d", len(cost), n))
+	}
+	off := n - s.Redundant // offset of the leaf level, then of level j+1
+	leaves := cost[off:n]
+	for b, on := range avail {
+		switch {
+		case !on:
+			leaves[b] = inf
+		case preferred != nil && preferred[b]:
+			leaves[b] = 0
+		default:
+			leaves[b] = 1
 		}
-		span := s.qPowK[k-j-1]
+	}
+	for j := k - 1; j >= 0; j-- {
+		lo := off - s.qPowK[j]
 		t := threshold(q, i, j)
-		costs := make([]int64, q)
-		for c := 0; c < q; c++ {
-			costs[c] = costFn(j+1, base+c*span)
-		}
-		return sumSmallest(costs, t)
-	}
-	if costFn(0, 0) >= inf {
-		return nil, false
-	}
-	sel := make([]bool, s.Redundant)
-	var pick func(j, base int)
-	pick = func(j, base int) {
-		if j == k {
-			sel[base] = true
-			return
-		}
-		span := s.qPowK[k-j-1]
-		t := threshold(q, i, j)
-		type cc struct {
-			c    int
-			cost int64
-		}
-		cs := make([]cc, q)
-		for c := 0; c < q; c++ {
-			cs[c] = cc{c, costFn(j+1, base+c*span)}
-		}
-		// Stable selection of the t cheapest children (ties by index).
-		for picked := 0; picked < t; picked++ {
-			best := -1
-			for c := 0; c < q; c++ {
-				if cs[c].cost >= inf || cs[c].c < 0 {
-					continue
-				}
-				if best == -1 || cs[c].cost < cs[best].cost {
-					best = c
-				}
+		for b := 0; b < s.qPowK[j]; b++ {
+			ch := cost[off+b*q : off+b*q+q]
+			cost[lo+b] = pickCheapest(ch, t)
+			for c := range ch {
+				ch[c] &^= picked
 			}
-			pick(j+1, base+cs[best].c*span)
-			cs[best].c = -1 // consumed
 		}
+		off = lo
 	}
-	pick(0, 0)
-	return sel, true
+	if cost[0] >= inf {
+		clear(sel)
+		return false
+	}
+	cost[0] |= picked
+	off = 0
+	for j := 0; j < k; j++ {
+		next := off + s.qPowK[j]
+		t := threshold(q, i, j)
+		for b := 0; b < s.qPowK[j]; b++ {
+			if cost[off+b]&picked != 0 {
+				pickCheapest(cost[next+b*q:next+b*q+q], t)
+			}
+		}
+		off = next
+	}
+	for b := range sel {
+		sel[b] = cost[off+b]&picked != 0
+	}
+	return true
+}
+
+// pickCheapest flags the t cheapest finite, unflagged entries of ch
+// (ties to the lower index) and returns their sum, or inf if fewer than
+// t are finite.
+func pickCheapest(ch []int64, t int) int64 {
+	var sum int64
+	for n := 0; n < t; n++ {
+		best := -1
+		for c, v := range ch {
+			if v < inf && (best < 0 || v < ch[best]) {
+				best = c
+			}
+		}
+		if best < 0 {
+			return inf
+		}
+		sum += ch[best]
+		ch[best] |= picked
+	}
+	return sum
 }
 
 // IsTargetSet reports whether the leaf mask grants the root extensive
@@ -142,25 +177,3 @@ func (s *Scheme) IsTargetSet(i int, sel []bool) bool {
 // the plain majority rule of Definition 2 (equivalent to IsTargetSet
 // with i = K).
 func (s *Scheme) AccessedRoot(sel []bool) bool { return s.IsTargetSet(s.K, sel) }
-
-// sumSmallest returns the sum of the t smallest values, or inf if fewer
-// than t are finite.
-func sumSmallest(costs []int64, t int) int64 {
-	// Insertion-select for tiny q.
-	tmp := append([]int64(nil), costs...)
-	for i := 0; i < len(tmp); i++ {
-		for j := i + 1; j < len(tmp); j++ {
-			if tmp[j] < tmp[i] {
-				tmp[i], tmp[j] = tmp[j], tmp[i]
-			}
-		}
-	}
-	var sum int64
-	for i := 0; i < t; i++ {
-		if tmp[i] >= inf {
-			return inf
-		}
-		sum += tmp[i]
-	}
-	return sum
-}

@@ -82,17 +82,16 @@ type Engine[T any] struct {
 	csd  []bool         // per-shard contested flag for the last sweep
 	cuts []int32        // shard boundaries (worklist indexes) of the last plan
 
-	mode                       EngineMode
-	hsrc                       HorizonSource
-	vbkt                       [][]uint64  // per-line packed trajectory-segment buckets (2·side lines)
-	vtouch                     []int32     // lines touched by the current horizon attempt
-	trjH                       []int32     // per-slot horizontal hops, cached by skipHorizon
-	trjV                       []int8      // per-slot vertical direction, cached by skipHorizon
-	delq                       []engDel    // batched deliveries, sorted into cycle order
-	haz                        []engHazard // fault hazards of the current routeFault call
-	hbuf                       []fault.LinkHazard
-	execs                      int64 // executed iterations (sweeps + batches) of the last call
-	dbgBatch, dbgSweep, dbgTry int64
+	mode   EngineMode
+	hsrc   HorizonSource
+	vbkt   [][]uint64  // per-line packed trajectory-segment buckets (2·side lines)
+	vtouch []int32     // lines touched by the current horizon attempt
+	trjH   []int32     // per-slot horizontal hops, cached by skipHorizon
+	trjV   []int8      // per-slot vertical direction, cached by skipHorizon
+	delq   []engDel    // batched deliveries, sorted into cycle order
+	haz    []engHazard // fault hazards of the current routeFault call
+	hbuf   []fault.LinkHazard
+	execs  int64 // executed iterations (sweeps + batches) of the last call
 
 	lastContested bool
 	// wlUnsorted marks a worklist left in first-occurrence order by a

@@ -141,7 +141,9 @@ func SortSnake[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (
 // SortSnakeFast computes the identical result and cost of SortSnake
 // without simulating the network: it sorts all items of the region
 // globally and redistributes them into snake-ordered blocks of length
-// blockLen = max initial load.
+// blockLen = max initial load. The sort moves (key, input index) pairs,
+// not the items: the index breaks key ties, so the order is the stable
+// order of the network, and the values are gathered once at the end.
 func SortSnakeFast[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
 	sp := m.Ledger().Begin("sortsnake", trace.PhaseSort)
 	defer func() {
@@ -152,7 +154,9 @@ func SortSnakeFast[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T
 	if L == 0 {
 		return items, 0, 0
 	}
-	all := make([]elem[T], 0, totalLoad(m, r, items))
+	total := totalLoad(m, r, items)
+	vals := make([]T, 0, total)
+	order := make([]keyIdx, 0, total)
 	for row := r.R0; row < r.R0+r.H; row++ {
 		for col := r.C0; col < r.C0+r.W; col++ {
 			p := m.IDOf(row, col)
@@ -161,18 +165,31 @@ func SortSnakeFast[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T
 				if k == MaxKey {
 					panic("route: item key equals MaxKey (reserved)")
 				}
-				all = append(all, elem[T]{k, v})
+				order = append(order, keyIdx{k, len(vals)})
+				vals = append(vals, v)
 			}
 			items[p] = items[p][:0]
 		}
 	}
-	slices.SortStableFunc(all, func(a, b elem[T]) int { return cmp.Compare(a.key, b.key) })
+	slices.SortFunc(order, func(a, b keyIdx) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 	out = items
-	for rank, e := range all {
+	for rank, e := range order {
 		p := r.ProcAtSnake(m, rank/L)
-		out[p] = append(out[p], e.val)
+		out[p] = append(out[p], vals[e.idx])
 	}
 	return out, L, SortCost(r, L)
+}
+
+// keyIdx is SortSnakeFast's sort record: an item's key and its index
+// in collection order.
+type keyIdx struct {
+	key uint64
+	idx int
 }
 
 // loadBlocks builds padded, locally sorted blocks of exactly L slots.

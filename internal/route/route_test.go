@@ -1,7 +1,9 @@
 package route
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -106,6 +108,44 @@ func TestSortSnakeFastEquivalence(t *testing.T) {
 					if a[p][j] != b[p][j] {
 						t.Fatalf("region %v proc %d slot %d: %v vs %v", r, p, j, a[p][j], b[p][j])
 					}
+				}
+			}
+		}
+	}
+
+	// Repeated keys (baseline and staged routing sort on destinations
+	// alone): the fast path must keep the stable order, i.e. match a
+	// stable sort of the items in row-major collection order dealt into
+	// snake-ordered blocks of the maximum initial load.
+	for _, r := range []mesh.Region{m.Full(), {R0: 1, C0: 1, H: 4, W: 2}, {R0: 0, C0: 0, H: 1, W: 6}} {
+		for trial := 0; trial < 20; trial++ {
+			items := scatterItems(m, r, 1+rng.Intn(80), rng)
+			var all []item
+			L := 0
+			for row := r.R0; row < r.R0+r.H; row++ {
+				for col := r.C0; col < r.C0+r.W; col++ {
+					p := m.IDOf(row, col)
+					for j := range items[p] {
+						items[p][j].key = uint64(rng.Intn(1 + trial%6))
+					}
+					all = append(all, items[p]...)
+					L = max(L, len(items[p]))
+				}
+			}
+			slices.SortStableFunc(all, func(x, y item) int { return cmp.Compare(x.key, y.key) })
+			want := make([][]item, m.N)
+			for rank, v := range all {
+				p := r.ProcAtSnake(m, rank/L)
+				want[p] = append(want[p], v)
+			}
+			got, lb, _ := SortSnakeFast(m, r, items, func(v item) uint64 { return v.key })
+			if lb != L {
+				t.Fatalf("region %v: block length %d, want %d", r, lb, L)
+			}
+			for i := 0; i < r.Size(); i++ {
+				p := r.ProcAtSnake(m, i)
+				if !slices.Equal(got[p], want[p]) {
+					t.Fatalf("region %v proc %d (repeated keys): %v, want %v", r, p, got[p], want[p])
 				}
 			}
 		}
