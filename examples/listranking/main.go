@@ -33,7 +33,7 @@ func main() {
 	next[terminal] = terminal
 
 	prog := &pram.ListRank{Succ: next, NextBase: 0, RankBase: n}
-	scfg, err := sim.New(sim.Side(9), sim.Q(3), sim.D(3), sim.K(2))
+	scfg, err := sim.FromScenario(sim.DefaultScenario()) // 9×9 mesh, q = 3, d = 3, k = 2
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,7 +38,9 @@ func main() {
 	}
 
 	// M = f(3,4) = 1080 ≥ r·c + c + r = 624 cells.
-	scfg, err := sim.New(sim.Side(27), sim.Q(3), sim.D(4), sim.K(2))
+	sc := sim.DefaultScenario()
+	sc.Side, sc.D = 27, 4
+	scfg, err := sim.FromScenario(sc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,13 @@ func main() {
 	}
 
 	// Ideal PRAM.
-	ideal, err := pram.NewBackend(pram.BackendIdeal, sim.MustNew(sim.IdealMemory(256)))
+	sc := sim.DefaultScenario() // 9×9 mesh, q = 3, d = 3, k = 2
+	sc.IdealMemory = 256
+	scfg, err := sim.FromScenario(sc)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ideal, err := pram.NewBackend(pram.BackendIdeal, scfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,10 +52,6 @@ func main() {
 		idealPRAMSteps, len(in))
 
 	// Mesh simulation: 81 processors, memory f(3,3)=117 ≥ 81 cells.
-	scfg, err := sim.New(sim.Side(9), sim.Q(3), sim.D(3), sim.K(2))
-	if err != nil {
-		log.Fatal(err)
-	}
 	mb, err := pram.NewBackend(pram.BackendMesh, scfg)
 	if err != nil {
 		log.Fatal(err)

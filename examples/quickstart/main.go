@@ -20,12 +20,12 @@ import (
 )
 
 func main() {
-	scfg, err := sim.New(
-		sim.Side(9), // 9×9 mesh, n = 81 processors
-		sim.Q(3),    // each module replicated into q = 3 copies per level
-		sim.D(3),    // shared memory M = f(3,3) = 117 variables
-		sim.K(2),    // two levels of logical modules
-	)
+	sc := sim.DefaultScenario()
+	sc.Side = 9 // 9×9 mesh, n = 81 processors
+	sc.Q = 3    // each module replicated into q = 3 copies per level
+	sc.D = 3    // shared memory M = f(3,3) = 117 variables
+	sc.K = 2    // two levels of logical modules
+	scfg, err := sim.FromScenario(sc)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func main() {
 	want := append([]pram.Word(nil), in...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
-	scfg, err := sim.New(sim.Side(9), sim.Q(3), sim.D(3), sim.K(2))
+	scfg, err := sim.FromScenario(sim.DefaultScenario()) // 9×9 mesh, q = 3, d = 3, k = 2
 	if err != nil {
 		log.Fatal(err)
 	}

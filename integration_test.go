@@ -9,6 +9,7 @@ import (
 	"meshpram/internal/hmos"
 	"meshpram/internal/mpc"
 	"meshpram/internal/pram"
+	"meshpram/internal/sim"
 	"meshpram/internal/workload"
 )
 
@@ -39,11 +40,23 @@ func TestIntegrationQuickstartFlow(t *testing.T) {
 	}
 }
 
-func TestIntegrationAllProgramsOnMesh(t *testing.T) {
-	mb, err := pram.NewMesh(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{}, nil)
+// meshBackend builds the default scenario's mesh backend (9×9 mesh,
+// q = 3, d = 3, k = 2).
+func meshBackend(t *testing.T) pram.Backend {
+	t.Helper()
+	cfg, err := sim.FromScenario(sim.DefaultScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
+	b, err := pram.NewBackend(pram.BackendMesh, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestIntegrationAllProgramsOnMesh(t *testing.T) {
+	mb := meshBackend(t)
 	rng := rand.New(rand.NewSource(50))
 
 	// Prefix sums.
@@ -64,7 +77,7 @@ func TestIntegrationAllProgramsOnMesh(t *testing.T) {
 	}
 
 	// Sorting (fresh backend: address space reuse).
-	mb2, _ := pram.NewMesh(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{}, nil)
+	mb2 := meshBackend(t)
 	keys := make([]pram.Word, 24)
 	for i := range keys {
 		keys[i] = pram.Word(rng.Intn(100))

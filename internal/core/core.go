@@ -92,7 +92,7 @@ type Config struct {
 	// square regions with integer √side, falls back elsewhere;
 	// experiment E17).
 	Sort route.SortAlgo
-	// Workers configures the mesh engine parallelism (0 = GOMAXPROCS,
+	// Workers sets the routing engine's sweep width (0 = GOMAXPROCS,
 	// ≤1 sequential).
 	Workers int
 	// EngineMode selects the routing engine's execution strategy
@@ -904,13 +904,11 @@ func (sim *Simulator) routeDirect(pkts [][]int32) {
 }
 
 // access performs the local read/write of every delivered packet. A
-// sequential prepass allocates the slabs the writes will land in (and
-// applies the rare foreign writes, which would shift the shared
-// overflow); the parallel loop then only writes preallocated slab
-// entries of distinct ranks — per-processor work touches disjoint
-// state, so it runs through the machine's execution engine (parallel
-// when Workers > 1). No slot is both read and written in one step
-// (variables are pairwise distinct per step), so the reordering is
+// prepass allocates the slabs the writes will land in and applies the
+// rare foreign writes, which would shift the shared overflow; the main
+// loop then only writes preallocated slab entries and reads. No slot
+// is both read and written in one step (variables are pairwise
+// distinct per step), so applying the foreign writes first is
 // unobservable.
 func (sim *Simulator) access(pkts [][]int32) {
 	maxPer := 0
@@ -934,8 +932,8 @@ func (sim *Simulator) access(pkts [][]int32) {
 	asp := sim.ld.Begin("access", trace.PhaseAccess)
 	asp.SetAttr("delta-index", 0)
 	asp.SetAttr("delta", int64(maxPer))
-	sim.M.ForEach(func(p int) {
-		for _, h := range pkts[p] {
+	for p, hs := range pkts {
+		for _, h := range hs {
 			pk := &sim.pk[h]
 			if int(pk.dest) != p {
 				panic("core: packet accessed at wrong processor")
@@ -958,7 +956,7 @@ func (sim *Simulator) access(pkts [][]int32) {
 				pk.val, pk.ts = c.val, c.ts
 			}
 		}
-	})
+	}
 	sim.M.AddSteps(int64(maxPer))
 	asp.End()
 }

@@ -37,8 +37,7 @@ type fcell struct {
 }
 
 // slabStore holds the simulated shared memory. Not safe for concurrent
-// mutation; the parallel access path in access() only writes
-// preallocated slab entries of distinct ranks (see the prepass there).
+// mutation.
 type slabStore struct {
 	sch *hmos.Scheme
 	// slabs[pg] holds the cells of level-1 page pg, indexed by copy

@@ -12,8 +12,8 @@ import (
 //
 //   - a select with two or more communication cases commits whichever
 //     operation is ready first — scheduler order, not program order;
-//     a single case plus default (the non-blocking poll the actor
-//     router uses) is deterministic and allowed;
+//     a single case plus default (a non-blocking poll) is
+//     deterministic and allowed;
 //   - ranging over a channel consumes values in completion order;
 //   - merging worker results in completion order inside a loop — an
 //     append whose element is received from a channel, directly or via

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"meshpram/internal/core"
-	"meshpram/internal/fault"
 	"meshpram/internal/sim"
 	"meshpram/internal/stats"
 	"meshpram/internal/trace"
@@ -13,9 +13,9 @@ import (
 )
 
 // faultRates is the sweep of the FAULT experiment: link and module
-// fault probabilities. Rate 0 runs with a non-nil (empty) fault map,
-// pinning the fault-aware code path to the healthy accounting; the
-// "none" baseline row runs with no map at all.
+// fault probabilities, drawn by a seeded `rand:` fault spec. Rate 0
+// draws no fault, so its row must equal the "none" baseline, which
+// runs with no spec at all.
 var faultRates = []float64{0, 0.02, 0.05, 0.10, 0.20}
 
 // faultRateKey renders a rate as the stable key used in BENCH_FAULT
@@ -30,14 +30,15 @@ func faultRateKey(r float64) string { return fmt.Sprintf("%.2f", r) }
 // copies one by one and reports how many deaths the majority rule
 // absorbed before the variable became unrecoverable.
 func RunFault(w io.Writer, cfg Config) error {
-	opts := []sim.Option{sim.Side(9), sim.Q(3), sim.D(3), sim.K(2), sim.Workers(cfg.Workers)}
+	sc := sim.DefaultScenario()
+	sc.Workers = cfg.Workers
 	if cfg.Big {
-		opts = []sim.Option{sim.Side(27), sim.Q(3), sim.D(5), sim.K(2), sim.Workers(cfg.Workers)}
+		sc.Side, sc.D = 27, 5
 	}
 	reps := 2
 
 	// Healthy baseline: no fault map installed at all.
-	base, err := runFaultCell(opts, nil, cfg, reps)
+	base, err := runFaultCell(sc, cfg, reps)
 	if err != nil {
 		return err
 	}
@@ -49,8 +50,9 @@ func RunFault(w io.Writer, cfg Config) error {
 
 	var lastTree *trace.Node
 	for _, rate := range faultRates {
-		model := &fault.Model{LinkRate: rate, ModuleRate: rate, Seed: cfg.Seed}
-		cell, err := runFaultCell(opts, model, cfg, reps)
+		rs := strconv.FormatFloat(rate, 'g', -1, 64)
+		sc.Faults = fmt.Sprintf("rand:link=%s,module=%s,seed=%d", rs, rs, cfg.Seed)
+		cell, err := runFaultCell(sc, cfg, reps)
 		if err != nil {
 			return err
 		}
@@ -69,7 +71,8 @@ func RunFault(w io.Writer, cfg Config) error {
 
 	// Targeted deaths: how many of one variable's host modules can die
 	// before its live copies hold no plain target set.
-	cfgSim, err := sim.New(opts...)
+	sc.Faults = ""
+	cfgSim, err := sim.FromScenario(sc)
 	if err != nil {
 		return err
 	}
@@ -86,13 +89,16 @@ func RunFault(w io.Writer, cfg Config) error {
 			hosts = append(hosts, c.Proc)
 		}
 	}
-	// The builder map stays private and mutable; each simulator gets its
-	// own clone, since installation freezes the installed map.
+	// Each step kills one more host: the spec lists the first i+1.
 	survived := 0
-	f := fault.NewMap(cfgSim.Params.Side)
+	spec := "module:"
 	for i, h := range hosts {
-		f.KillModule(h)
-		killed, err := sim.New(append(opts, sim.Faults(f.Clone()))...)
+		if i > 0 {
+			spec += ","
+		}
+		spec += strconv.Itoa(h)
+		sc.Faults = spec
+		killed, err := sim.FromScenario(sc, sim.UseScheme(scheme))
 		if err != nil {
 			return err
 		}
@@ -127,13 +133,11 @@ type faultCell struct {
 	tree          *trace.Node
 }
 
-// runFaultCell runs `reps` full-machine mixed batches under the given
-// fault model (nil = healthy, no map) and sums the measurements.
-func runFaultCell(opts []sim.Option, model *fault.Model, cfg Config, reps int) (faultCell, error) {
-	if model != nil {
-		opts = append(append([]sim.Option(nil), opts...), sim.FaultModel(*model))
-	}
-	c, err := sim.New(opts...)
+// runFaultCell runs `reps` full-machine mixed batches under the
+// scenario's faults (empty = healthy, no map) and sums the
+// measurements.
+func runFaultCell(sc sim.Scenario, cfg Config, reps int) (faultCell, error) {
+	c, err := sim.FromScenario(sc)
 	if err != nil {
 		return faultCell{}, err
 	}

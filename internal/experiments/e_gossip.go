@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"meshpram/internal/core"
-	"meshpram/internal/fault"
 	"meshpram/internal/faultview"
 	"meshpram/internal/sim"
 	"meshpram/internal/stats"
@@ -39,17 +38,17 @@ func RunGossip(w io.Writer, cfg Config) error {
 	var lastTree *trace.Node
 	for i, rate := range gossipRates {
 		key := churnKey(rate)
-		sch := fault.Churn{
-			ModuleRate: rate,
-			Repair:     repairAfter,
-			Horizon:    int64(steps),
-			Seed:       cfg.Seed,
-		}.Build(side)
-		glob, err := runGossipCell(side, d, cfg, sch, faultview.Global, steps)
+		sc := sim.DefaultScenario()
+		sc.Side, sc.D, sc.Workers, sc.Seed = side, d, cfg.Workers, cfg.Seed
+		sc.FaultSchedule = churnSpec(rate, repairAfter, steps, cfg.Seed)
+		sc.Repair = "eager"
+		sc.FaultView = "global"
+		glob, err := runGossipCell(sc, steps)
 		if err != nil {
 			return err
 		}
-		loc, err := runGossipCell(side, d, cfg, sch, faultview.Local, steps)
+		sc.FaultView = "local"
+		loc, err := runGossipCell(sc, steps)
 		if err != nil {
 			return err
 		}
@@ -103,14 +102,11 @@ type gossipCell struct {
 }
 
 // runGossipCell plays `steps` full-machine mixed batches against the
-// given schedule under eager repair and the given fault-knowledge
-// model, summing the measurements.
-func runGossipCell(side, d int, cfg Config, sch *fault.Schedule, view faultview.Mode, steps int) (gossipCell, error) {
-	c, err := sim.New(
-		sim.Side(side), sim.Q(3), sim.D(d), sim.K(2), sim.Workers(cfg.Workers),
-		sim.FaultSchedule(sch), sim.Repair(core.RepairEager),
-		sim.FaultView(view), sim.FaultViewSeed(cfg.Seed),
-	)
+// scenario's fault schedule under its repair policy and fault-knowledge
+// model, summing the measurements. The scenario seed seeds both the
+// workload and the local view's witness tie-breaks.
+func runGossipCell(sc sim.Scenario, steps int) (gossipCell, error) {
+	c, err := sim.FromScenario(sc)
 	if err != nil {
 		return gossipCell{}, err
 	}
@@ -121,7 +117,7 @@ func runGossipCell(side, d int, cfg Config, sch *fault.Schedule, view faultview.
 	var cell gossipCell
 	n := s.Mesh().N
 	for r := 0; r < steps; r++ {
-		vars := workload.RandomDistinct(s.Scheme().Vars(), n, cfg.Seed+int64(r))
+		vars := workload.RandomDistinct(s.Scheme().Vars(), n, sc.Seed+int64(r))
 		_, st, err := s.StepChecked(vars.Mixed(1000))
 		if err != nil {
 			return gossipCell{}, err

@@ -46,8 +46,9 @@ func RunE15(w io.Writer, cfg Config) error {
 		n := p.Side * p.Side
 		size := n / 2
 		for _, pg := range mkPrograms(size) {
-			scfg, err := sim.New(sim.Side(p.Side), sim.Q(p.Q), sim.D(p.D), sim.K(p.K),
-				sim.Workers(cfg.Workers))
+			sc := sim.DefaultScenario()
+			sc.Side, sc.Q, sc.D, sc.K, sc.Workers = p.Side, p.Q, p.D, p.K, cfg.Workers
+			scfg, err := sim.FromScenario(sc)
 			if err != nil {
 				return err
 			}

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"meshpram/internal/core"
-	"meshpram/internal/fault"
 	"meshpram/internal/sim"
 	"meshpram/internal/stats"
 	"meshpram/internal/trace"
@@ -42,17 +42,16 @@ func RunRecover(w io.Writer, cfg Config) error {
 	tb.Add("churn", "deaths", "scrubs", "repaired", "residual", "repair steps", "unrec eager", "unrec off")
 	var lastTree *trace.Node
 	for i, rate := range churnRates {
-		sch := fault.Churn{
-			ModuleRate: rate,
-			Repair:     repairAfter,
-			Horizon:    int64(steps),
-			Seed:       cfg.Seed,
-		}.Build(side)
-		eager, err := runRecoverCell(side, d, cfg, sch, core.RepairEager, steps)
+		sc := sim.DefaultScenario()
+		sc.Side, sc.D, sc.Workers = side, d, cfg.Workers
+		sc.FaultSchedule = churnSpec(rate, repairAfter, steps, cfg.Seed)
+		sc.Repair = "eager"
+		eager, err := runRecoverCell(sc, cfg, steps)
 		if err != nil {
 			return err
 		}
-		off, err := runRecoverCell(side, d, cfg, sch, core.RepairOff, steps)
+		sc.Repair = "off"
+		off, err := runRecoverCell(sc, cfg, steps)
 		if err != nil {
 			return err
 		}
@@ -89,14 +88,19 @@ type recoverCell struct {
 	tree          *trace.Node
 }
 
+// churnSpec is the fault-schedule spec of a seeded module-churn
+// timeline: deaths at the given per-step rate through step `until`,
+// each revived `repair` steps later.
+func churnSpec(rate float64, repair, until int, seed int64) string {
+	return fmt.Sprintf("churn:module=%s,repair=%d,until=%d,seed=%d",
+		strconv.FormatFloat(rate, 'g', -1, 64), repair, until, seed)
+}
+
 // runRecoverCell plays `steps` full-machine mixed batches against the
-// given schedule under the given repair policy and sums the
+// scenario's fault schedule under its repair policy and sums the
 // measurements.
-func runRecoverCell(side, d int, cfg Config, sch *fault.Schedule, policy core.RepairPolicy, steps int) (recoverCell, error) {
-	c, err := sim.New(
-		sim.Side(side), sim.Q(3), sim.D(d), sim.K(2), sim.Workers(cfg.Workers),
-		sim.FaultSchedule(sch), sim.Repair(policy),
-	)
+func runRecoverCell(sc sim.Scenario, cfg Config, steps int) (recoverCell, error) {
+	c, err := sim.FromScenario(sc)
 	if err != nil {
 		return recoverCell{}, err
 	}

@@ -91,6 +91,20 @@ func New(p Params) (*Scheme, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hmos: %w", err)
 	}
+	// The level-1 pages number q^(d+k−1) (the per-level page counts
+	// below telescope) and must tile n. Checking that first keeps an
+	// oversized d or k from overflowing f(q, d) or sizing allocations.
+	pages := 1
+	for i := 1; i < p.D && pages <= m.N; i++ {
+		pages *= p.Q
+	}
+	for i := 0; i < p.K && pages <= m.N; i++ {
+		pages *= p.Q
+	}
+	if pages > m.N || m.N%pages != 0 {
+		return nil, fmt.Errorf("hmos: the q^(d+k-1) level-1 pages (q=%d, d=%d, k=%d) do not tile n=%d",
+			p.Q, p.D, p.K, m.N)
+	}
 	s := &Scheme{Params: p, F: f, N: m.N, mach: m}
 
 	// Level dimensions d_1..d_k and module counts m_0..m_k.

@@ -2,12 +2,12 @@
 // n-node square mesh where each processor owns a local memory module
 // and is connected to at most four neighbors by point-to-point links.
 //
-// The package provides the machine (step accounting + an optional
-// goroutine-parallel execution engine) and the geometry: rectangular
-// regions (submeshes), snake-order indexing inside a region, and the
-// recursive q-ary tessellations that carry the HMOS levels (§3.3 of the
-// paper: "different levels correspond to different tessellations of the
-// mesh into disjoint submeshes").
+// The package provides the machine (step accounting and the worker
+// width the routing engine shards its sweeps over) and the geometry:
+// rectangular regions (submeshes), snake-order indexing inside a
+// region, and the recursive q-ary tessellations that carry the HMOS
+// levels (§3.3 of the paper: "different levels correspond to different
+// tessellations of the mesh into disjoint submeshes").
 //
 // Cost model (see DESIGN.md §6): one step = every processor may do O(1)
 // local work and exchange one word with each neighbor. Algorithms in
@@ -25,7 +25,6 @@ package mesh
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"meshpram/internal/fault"
@@ -41,7 +40,7 @@ type Machine struct {
 	ledger *trace.Ledger // optional phase-span accounting; nil = counter only
 	faults *fault.Map    // optional static fault map; nil = healthy
 
-	workers int // parallel engine width; ≤ 1 means sequential
+	workers int // routing sweep width; ≤ 1 means sequential
 }
 
 // New creates a mesh with the given side length (s ≥ 1).
@@ -61,10 +60,10 @@ func MustNew(side int) *Machine {
 	return m
 }
 
-// SetParallel configures the execution engine: workers ≤ 1 selects the
-// deterministic sequential engine; workers > 1 runs ForEach supersteps
-// on that many goroutines (workers = 0 picks GOMAXPROCS). Step counts
-// are identical in both engines; only wall-clock time differs.
+// SetParallel sets the worker width the routing engine (route.Engine)
+// shards its selection sweeps over: workers ≤ 1 is sequential,
+// workers = 0 picks GOMAXPROCS. Step counts and delivered traffic are
+// identical at every width; only wall-clock time differs.
 func (m *Machine) SetParallel(workers int) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -72,7 +71,7 @@ func (m *Machine) SetParallel(workers int) {
 	m.workers = workers
 }
 
-// Workers returns the configured engine width.
+// Workers returns the configured worker width.
 func (m *Machine) Workers() int { return m.workers }
 
 // AttachLedger installs the machine's cost ledger: subsequent AddSteps
@@ -152,45 +151,3 @@ func (m *Machine) Dist(p, r int) int {
 
 // Full returns the region covering the whole mesh.
 func (m *Machine) Full() Region { return Region{R0: 0, C0: 0, H: m.Side, W: m.Side} }
-
-// ForEach runs fn(p) for every processor p in [0, N), using the
-// configured engine. fn invocations must touch disjoint per-processor
-// state (the superstep discipline); the parallel engine does not order
-// them.
-func (m *Machine) ForEach(fn func(p int)) {
-	m.ForRange(0, m.N, fn)
-}
-
-// ForRange runs fn(i) for i in [lo, hi) using the configured engine.
-func (m *Machine) ForRange(lo, hi int, fn func(i int)) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	if m.workers <= 1 || n < 256 {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + m.workers - 1) / m.workers
-	for w := 0; w < m.workers; w++ {
-		a := lo + w*chunk
-		b := a + chunk
-		if a >= hi {
-			break
-		}
-		if b > hi {
-			b = hi
-		}
-		wg.Add(1)
-		go func(a, b int) {
-			defer wg.Done()
-			for i := a; i < b; i++ {
-				fn(i)
-			}
-		}(a, b)
-	}
-	wg.Wait()
-}

@@ -1,7 +1,6 @@
 package mesh
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -221,34 +220,6 @@ func TestRowColLines(t *testing.T) {
 	}
 }
 
-func TestForEachEnginesAgree(t *testing.T) {
-	m := MustNew(32)
-	seq := make([]int64, m.N)
-	m.ForEach(func(p int) { seq[p] = int64(p * p) })
-
-	m.SetParallel(8)
-	if m.Workers() != 8 {
-		t.Fatalf("Workers=%d", m.Workers())
-	}
-	par := make([]int64, m.N)
-	m.ForEach(func(p int) { par[p] = int64(p * p) })
-	for p := range seq {
-		if seq[p] != par[p] {
-			t.Fatalf("engines disagree at %d", p)
-		}
-	}
-}
-
-func TestForEachParallelCoversAll(t *testing.T) {
-	m := MustNew(40)
-	m.SetParallel(0) // GOMAXPROCS
-	var count atomic.Int64
-	m.ForEach(func(p int) { count.Add(1) })
-	if count.Load() != int64(m.N) {
-		t.Fatalf("parallel ForEach invoked %d times, want %d", count.Load(), m.N)
-	}
-}
-
 func TestQuickSnakeBijection(t *testing.T) {
 	m := MustNew(20)
 	r := Region{R0: 3, C0: 4, H: 8, W: 12}
@@ -269,22 +240,5 @@ func TestContains(t *testing.T) {
 	}
 	if r.Contains(m, m.IDOf(1, 2)) || r.Contains(m, m.IDOf(2, 5)) || r.Contains(m, m.IDOf(5, 2)) {
 		t.Fatal("outside point contained")
-	}
-}
-
-func BenchmarkForEachSequential(b *testing.B) {
-	m := MustNew(128)
-	buf := make([]int64, m.N)
-	for i := 0; i < b.N; i++ {
-		m.ForEach(func(p int) { buf[p]++ })
-	}
-}
-
-func BenchmarkForEachParallel(b *testing.B) {
-	m := MustNew(128)
-	m.SetParallel(0)
-	buf := make([]int64, m.N)
-	for i := 0; i < b.N; i++ {
-		m.ForEach(func(p int) { buf[p]++ })
 	}
 }

@@ -1,16 +1,17 @@
 package pram
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"meshpram/internal/core"
-	"meshpram/internal/fault"
 	"meshpram/internal/hmos"
 	"meshpram/internal/sim"
 )
 
 func TestMeshBackendIdleStep(t *testing.T) {
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	before := mb.Steps()
 	res, err := mb.ExecStep(make([]Op, 10)) // all Kind None
 	if err != nil {
@@ -27,14 +28,14 @@ func TestMeshBackendIdleStep(t *testing.T) {
 }
 
 func TestMeshBackendUnknownKind(t *testing.T) {
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	if _, err := mb.ExecStep([]Op{{Kind: Kind(99), Addr: 1}}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
 
 func TestMeshBackendAddressValidation(t *testing.T) {
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	if _, err := mb.ExecStep([]Op{{Kind: Read, Addr: mb.Vars()}}); err == nil {
 		t.Fatal("read out of range accepted")
 	}
@@ -44,7 +45,7 @@ func TestMeshBackendAddressValidation(t *testing.T) {
 }
 
 func TestMeshBackendMaxWriteCombine(t *testing.T) {
-	mb := newMesh(t, MaxWrite)
+	mb := testMesh(t, MaxWrite)
 	mb.ExecStep([]Op{
 		{Kind: Write, Addr: 4, Value: 30},
 		{Kind: Write, Addr: 4, Value: 90},
@@ -75,10 +76,10 @@ func TestMeshBackendManyDistinctSingleRound(t *testing.T) {
 		}
 		return ops
 	}
-	mb1, _ := NewMesh(p, core.Config{}, nil)
+	mb1, _ := newMesh(p, core.Config{}, nil)
 	mb1.ExecStep(mkOps(false))
 	single := mb1.Steps()
-	mb2, _ := NewMesh(p, core.Config{}, nil)
+	mb2, _ := newMesh(p, core.Config{}, nil)
 	mb2.ExecStep(mkOps(true))
 	double := mb2.Steps()
 	if double <= single {
@@ -86,8 +87,23 @@ func TestMeshBackendManyDistinctSingleRound(t *testing.T) {
 	}
 }
 
+// defaultConfig resolves DefaultScenario, after edit (if any), with
+// the given hooks.
+func defaultConfig(t testing.TB, edit func(*sim.Scenario), hooks ...sim.Option) sim.Config {
+	t.Helper()
+	sc := sim.DefaultScenario()
+	if edit != nil {
+		edit(&sc)
+	}
+	cfg, err := sim.FromScenario(sc, hooks...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 func TestNewBackendKinds(t *testing.T) {
-	cfg := sim.MustNew(sim.Workers(1))
+	cfg := defaultConfig(t, func(sc *sim.Scenario) { sc.IdealMemory = 0 })
 	ideal, err := NewBackend(BackendIdeal, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +112,8 @@ func TestNewBackendKinds(t *testing.T) {
 	if got := ideal.Vars(); got != v {
 		t.Errorf("ideal memory defaulted to %d words, want the scheme's M = %d", got, v)
 	}
-	if b, err := NewBackend(BackendIdeal, sim.MustNew(sim.IdealMemory(123))); err != nil || b.Vars() != 123 {
+	small := defaultConfig(t, func(sc *sim.Scenario) { sc.IdealMemory = 123 })
+	if b, err := NewBackend(BackendIdeal, small); err != nil || b.Vars() != 123 {
 		t.Errorf("IdealMemory override: Vars=%d err=%v", b.Vars(), err)
 	}
 	mb, err := NewBackend(BackendMesh, cfg)
@@ -119,7 +136,7 @@ func TestNewBackendCombine(t *testing.T) {
 	// hand it through to both backends. Exercised with SumWrite on the
 	// mesh — three concurrent writes combine additively.
 	for _, kind := range []BackendKind{BackendIdeal, BackendMesh} {
-		b, err := NewBackend(kind, sim.MustNew(sim.Workers(1), sim.Combine(SumWrite)))
+		b, err := NewBackend(kind, defaultConfig(t, nil, sim.Combine(SumWrite)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,14 +160,13 @@ func TestMeshBackendDegradationReports(t *testing.T) {
 	// unrecoverable and surface through LastReport (per step, with batch
 	// indexes translated back to variable addresses) and TotalReport
 	// (run-cumulative).
-	cfg := sim.MustNew(sim.Workers(1))
-	scheme, _ := cfg.Scheme()
-	f := fault.NewMap(cfg.Params.Side)
+	scheme, _ := defaultConfig(t, nil).Scheme()
+	var hosts []string
 	for _, c := range scheme.Copies(0, nil) {
-		f.KillModule(c.Proc)
+		hosts = append(hosts, strconv.Itoa(c.Proc))
 	}
-	cfg2 := sim.MustNew(sim.Workers(1), sim.Faults(f))
-	b, err := NewBackend(BackendMesh, cfg2)
+	cfg := defaultConfig(t, func(sc *sim.Scenario) { sc.Faults = "module:" + strings.Join(hosts, ",") })
+	b, err := NewBackend(BackendMesh, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +194,7 @@ func TestMeshBackendDegradationReports(t *testing.T) {
 
 	// A healthy mesh stays clean: LastReport non-nil but undegraded
 	// whenever a fault map is installed, nil without one.
-	clean := newMesh(t, nil)
+	clean := testMesh(t, nil)
 	clean.ExecStep([]Op{{Kind: Read, Addr: 0}})
 	if clean.LastReport() != nil {
 		t.Error("faultless mesh produced a degradation report")
@@ -186,7 +202,7 @@ func TestMeshBackendDegradationReports(t *testing.T) {
 }
 
 func TestRunStepLimitGuard(t *testing.T) {
-	id := NewIdeal(4, nil)
+	id := newIdeal(4, nil)
 	if _, err := Run(&foreverProgram{}, id); err == nil {
 		t.Fatal("runaway program not stopped")
 	}

@@ -51,3 +51,38 @@ func TestBuildProgramSeeded(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramWordsFit pins the address space Scenario.Validate
+// reserves for each program: the smallest ideal_memory it accepts is
+// exactly the memory the program needs to run.
+func TestProgramWordsFit(t *testing.T) {
+	const size = 8
+	for _, name := range sim.Programs {
+		sc := sim.DefaultScenario()
+		sc.Backend, sc.Program, sc.Size = sim.BackendIdeal, name, size
+		words := 0
+		for w := 1; w <= 1024 && words == 0; w++ {
+			if sc.IdealMemory = w; sc.Validate() == nil {
+				words = w
+			}
+		}
+		if words == 0 {
+			t.Errorf("%s: no ideal memory up to 1024 words accepted", name)
+			continue
+		}
+		run := func(mem int) error {
+			prog, err := BuildProgram(name, size, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Run(prog, newIdeal(mem, nil))
+			return err
+		}
+		if err := run(words); err != nil {
+			t.Errorf("%s: does not run in the %d words Validate accepts: %v", name, words, err)
+		}
+		if err := run(words - 1); err == nil {
+			t.Errorf("%s: runs in %d words, less than Validate demands", name, words-1)
+		}
+	}
+}

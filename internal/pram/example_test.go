@@ -3,15 +3,26 @@ package pram_test
 import (
 	"fmt"
 
-	"meshpram/internal/core"
-	"meshpram/internal/hmos"
 	"meshpram/internal/pram"
+	"meshpram/internal/sim"
 )
 
 // ExampleRun executes the recursive-doubling prefix-sum program on the
 // ideal PRAM and reads back the total.
 func ExampleRun() {
-	id := pram.NewIdeal(16, nil)
+	sc := sim.DefaultScenario()
+	sc.Backend, sc.Size, sc.IdealMemory = sim.BackendIdeal, 8, 16
+	cfg, err := sim.FromScenario(sc)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	b, err := pram.NewBackend(pram.BackendIdeal, cfg)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	id := b.(*pram.Ideal)
 	in := []pram.Word{1, 2, 3, 4, 5, 6, 7, 8}
 	steps, err := pram.Run(&pram.PrefixSum{In: in}, id)
 	if err != nil {
@@ -25,10 +36,15 @@ func ExampleRun() {
 	// prefix total: 36
 }
 
-// ExampleNewMesh runs the same program through the paper's mesh
+// ExampleNewBackend runs the same program through the paper's mesh
 // simulation: identical results, mesh-step cost reported.
-func ExampleNewMesh() {
-	mb, err := pram.NewMesh(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{}, nil)
+func ExampleNewBackend() {
+	cfg, err := sim.FromScenario(sim.DefaultScenario()) // 9×9 mesh, q = 3, d = 3, k = 2
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	mb, err := pram.NewBackend(pram.BackendMesh, cfg)
 	if err != nil {
 		fmt.Println(err)
 		return

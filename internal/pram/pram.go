@@ -21,7 +21,6 @@ import (
 
 	"meshpram/internal/core"
 	"meshpram/internal/fault"
-	"meshpram/internal/hmos"
 	"meshpram/internal/mesh"
 	"meshpram/internal/route"
 	"meshpram/internal/sim"
@@ -127,10 +126,10 @@ func NewBackend(kind BackendKind, cfg sim.Config) (Backend, error) {
 			}
 			words = v
 		}
-		return NewIdeal(words, combine), nil
+		return newIdeal(words, combine), nil
 	case BackendMesh:
-		// Build through cfg.NewSimulator so the scheme constructed (or
-		// installed via sim.UseScheme) during sim.New is reused and the
+		// Build through cfg.NewSimulator so the scheme built (or
+		// installed via sim.UseScheme) by sim.FromScenario is reused and the
 		// config's trace sinks are wired exactly once.
 		s, err := cfg.NewSimulator()
 		if err != nil {
@@ -183,13 +182,9 @@ type Ideal struct {
 	combine CombinePolicy
 }
 
-// NewIdeal creates an ideal PRAM with the given memory size.
-//
-// Deprecated: construct backends through NewBackend(BackendIdeal, cfg)
-// with a sim.Config built by sim.New, so every entry point shares one
-// validated configuration surface. NewIdeal remains for tests and
-// internal use.
-func NewIdeal(vars int, combine CombinePolicy) *Ideal {
+// newIdeal creates an ideal PRAM with the given memory size. Callers
+// outside the package construct it through NewBackend(BackendIdeal, cfg).
+func newIdeal(vars int, combine CombinePolicy) *Ideal {
 	if combine == nil {
 		combine = ArbitraryWrite
 	}
@@ -260,23 +255,6 @@ type RecoveryStats struct {
 	Recovered int   // steps that ended clean only thanks to a retry
 	Exhausted int   // steps still degraded after the full per-step budget
 	Capped    int   // steps denied (further) retries by the run-wide rollback cap
-}
-
-// NewMesh wraps a core simulator as a PRAM backend.
-//
-// Deprecated: construct backends through NewBackend(BackendMesh, cfg)
-// with a sim.Config built by sim.New, so every entry point shares one
-// validated configuration surface. NewMesh remains for tests and
-// internal use.
-func NewMesh(p hmos.Params, cfg core.Config, combine CombinePolicy) (*Mesh, error) {
-	sim, err := core.New(p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if combine == nil {
-		combine = ArbitraryWrite
-	}
-	return &Mesh{Sim: sim, combine: combine, m: sim.Mesh()}, nil
 }
 
 // Vars implements Backend.

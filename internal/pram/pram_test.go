@@ -10,9 +10,22 @@ import (
 
 var meshParams = hmos.Params{Side: 9, Q: 3, D: 3, K: 2} // n=81, M=117
 
-func newMesh(t testing.TB, combine CombinePolicy) *Mesh {
+// newMesh builds a mesh backend straight from HMOS parameters and a
+// core configuration; code outside the tests goes through NewBackend.
+func newMesh(p hmos.Params, cfg core.Config, combine CombinePolicy) (*Mesh, error) {
+	sim, err := core.New(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if combine == nil {
+		combine = ArbitraryWrite
+	}
+	return &Mesh{Sim: sim, combine: combine, m: sim.Mesh()}, nil
+}
+
+func testMesh(t testing.TB, combine CombinePolicy) *Mesh {
 	t.Helper()
-	mb, err := NewMesh(meshParams, core.Config{}, combine)
+	mb, err := newMesh(meshParams, core.Config{}, combine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +33,7 @@ func newMesh(t testing.TB, combine CombinePolicy) *Mesh {
 }
 
 func TestIdealSemantics(t *testing.T) {
-	id := NewIdeal(10, nil)
+	id := newIdeal(10, nil)
 	// Write then read in separate steps.
 	if _, err := id.ExecStep([]Op{{Kind: Write, Addr: 3, Value: 7}}); err != nil {
 		t.Fatal(err)
@@ -51,7 +64,7 @@ func TestIdealCombinePolicies(t *testing.T) {
 		{ArbitraryWrite, 5}, {MaxWrite, 9}, {SumWrite, 21},
 	}
 	for i, c := range cases {
-		id := NewIdeal(4, c.policy)
+		id := newIdeal(4, c.policy)
 		id.ExecStep([]Op{
 			{Kind: Write, Addr: 0, Value: 5},
 			{Kind: Write, Addr: 0, Value: 9},
@@ -65,7 +78,7 @@ func TestIdealCombinePolicies(t *testing.T) {
 }
 
 func TestIdealAddressValidation(t *testing.T) {
-	id := NewIdeal(4, nil)
+	id := newIdeal(4, nil)
 	if _, err := id.ExecStep([]Op{{Kind: Read, Addr: 4}}); err == nil {
 		t.Error("read out of range accepted")
 	}
@@ -75,7 +88,7 @@ func TestIdealAddressValidation(t *testing.T) {
 }
 
 func TestMeshBackendBasic(t *testing.T) {
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	if _, err := mb.ExecStep([]Op{{Kind: Write, Addr: 5, Value: 123}}); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +102,7 @@ func TestMeshBackendBasic(t *testing.T) {
 }
 
 func TestMeshConcurrentReads(t *testing.T) {
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	mb.ExecStep([]Op{{Kind: Write, Addr: 7, Value: 55}})
 	ops := make([]Op, 20)
 	for i := range ops {
@@ -107,7 +120,7 @@ func TestMeshConcurrentReads(t *testing.T) {
 }
 
 func TestMeshConcurrentWritesCombine(t *testing.T) {
-	mb := newMesh(t, SumWrite)
+	mb := testMesh(t, SumWrite)
 	mb.ExecStep([]Op{
 		{Kind: Write, Addr: 2, Value: 10},
 		{Kind: Write, Addr: 2, Value: 20},
@@ -120,7 +133,7 @@ func TestMeshConcurrentWritesCombine(t *testing.T) {
 }
 
 func TestMeshReadWriteOverlapSplits(t *testing.T) {
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	mb.ExecStep([]Op{{Kind: Write, Addr: 9, Value: 1}})
 	// Same step reads and writes addr 9: read must see the old value.
 	res, err := mb.ExecStep([]Op{
@@ -157,7 +170,7 @@ func TestPrefixSumIdealAndMesh(t *testing.T) {
 	}
 	want := refPrefix(in)
 
-	id := NewIdeal(128, nil)
+	id := newIdeal(128, nil)
 	if _, err := Run(&PrefixSum{In: in}, id); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +180,7 @@ func TestPrefixSumIdealAndMesh(t *testing.T) {
 		}
 	}
 
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	if _, err := Run(&PrefixSum{In: in}, mb); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +220,7 @@ func TestListRankIdealAndMesh(t *testing.T) {
 	next[order[n-1]] = order[n-1]
 	want := refListRank(next)
 
-	id := NewIdeal(2*n, nil)
+	id := newIdeal(2*n, nil)
 	if _, err := Run(&ListRank{Succ: next, NextBase: 0, RankBase: n}, id); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +230,7 @@ func TestListRankIdealAndMesh(t *testing.T) {
 		}
 	}
 
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	if _, err := Run(&ListRank{Succ: next, NextBase: 0, RankBase: n}, mb); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +267,7 @@ func TestMatVecIdealAndMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	id := NewIdeal(r*c+c+r, nil)
+	id := newIdeal(r*c+c+r, nil)
 	if _, err := Run(prog, id); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +277,7 @@ func TestMatVecIdealAndMesh(t *testing.T) {
 		}
 	}
 
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	prog2 := &MatVec{A: A, X: x, ABase: 0, XBase: r * c, YBase: r*c + c}
 	if _, err := Run(prog2, mb); err != nil {
 		t.Fatal(err)
@@ -285,7 +298,7 @@ func TestMatVecValidate(t *testing.T) {
 }
 
 func TestRunOpsLengthMismatch(t *testing.T) {
-	id := NewIdeal(4, nil)
+	id := newIdeal(4, nil)
 	bad := &badProgram{}
 	if _, err := Run(bad, id); err == nil {
 		t.Fatal("mismatched ops length accepted")
@@ -305,7 +318,7 @@ func BenchmarkPrefixSumMesh(b *testing.B) {
 		in[i] = Word(i)
 	}
 	for i := 0; i < b.N; i++ {
-		mb, _ := NewMesh(meshParams, core.Config{}, nil)
+		mb, _ := newMesh(meshParams, core.Config{}, nil)
 		Run(&PrefixSum{In: in}, mb)
 	}
 }

@@ -14,14 +14,14 @@ func TestReduceIdealAndMesh(t *testing.T) {
 		in[i] = Word(rng.Intn(1000) - 500)
 		want += in[i]
 	}
-	id := NewIdeal(64, nil)
+	id := newIdeal(64, nil)
 	if _, err := Run(&Reduce{In: in}, id); err != nil {
 		t.Fatal(err)
 	}
 	if id.Mem()[0] != want {
 		t.Fatalf("ideal reduce = %d, want %d", id.Mem()[0], want)
 	}
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	if _, err := Run(&Reduce{In: in}, mb); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestReduceSizes(t *testing.T) {
 			in[i] = Word(i*i - 3)
 			want += in[i]
 		}
-		id := NewIdeal(64, nil)
+		id := newIdeal(64, nil)
 		if _, err := Run(&Reduce{In: in}, id); err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestOddEvenSortIdealAndMesh(t *testing.T) {
 	want := append([]Word(nil), in...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
-	id := NewIdeal(64, nil)
+	id := newIdeal(64, nil)
 	if _, err := Run(&OddEvenSort{In: in}, id); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestOddEvenSortIdealAndMesh(t *testing.T) {
 		}
 	}
 
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	if _, err := Run(&OddEvenSort{In: in}, mb); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestOddEvenSortAdversarialInputs(t *testing.T) {
 	for ci, in := range cases {
 		want := append([]Word(nil), in...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		id := NewIdeal(32, nil)
+		id := newIdeal(32, nil)
 		if _, err := Run(&OddEvenSort{In: append([]Word(nil), in...)}, id); err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestCompactIdealAndMesh(t *testing.T) {
 	prog := func() *Compact {
 		return &Compact{In: in, FlagBase: 0, OutBase: n, CountAddr: 2 * n}
 	}
-	id := NewIdeal(32, nil)
+	id := newIdeal(32, nil)
 	if _, err := Run(prog(), id); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCompactIdealAndMesh(t *testing.T) {
 		}
 	}
 
-	mb := newMesh(t, nil)
+	mb := testMesh(t, nil)
 	if _, err := Run(prog(), mb); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCompactEdgeCases(t *testing.T) {
 	}
 	for ci, c := range cases {
 		n := len(c.in)
-		id := NewIdeal(32, nil)
+		id := newIdeal(32, nil)
 		if _, err := Run(&Compact{In: c.in, FlagBase: 0, OutBase: n, CountAddr: 2 * n}, id); err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func isolateModule(f *fault.Map, side, p int) {
 func TestRetryRecoversLostPackets(t *testing.T) {
 	f := fault.NewMap(meshParams.Side)
 	isolateModule(f, meshParams.Side, 9)
-	mb, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,13 +77,13 @@ func TestRetryRecoversLostPackets(t *testing.T) {
 // rollback plus eager repair cannot help, the budget runs out, and the
 // step is reported unrecoverable with the attempts accounted.
 func TestRetryExhaustsOnUnhealableLoss(t *testing.T) {
-	probe := newMesh(t, nil)
+	probe := testMesh(t, nil)
 	hosts := moduleHostsOf(t, probe, 0)
 	f := fault.NewMap(meshParams.Side)
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +113,13 @@ func TestRetryExhaustsOnUnhealableLoss(t *testing.T) {
 // third is denied any rollback — and RecoveryStats reports the capped
 // steps distinctly from budget-exhausted ones.
 func TestRollbackCapStopsLivelock(t *testing.T) {
-	probe := newMesh(t, nil)
+	probe := testMesh(t, nil)
 	hosts := moduleHostsOf(t, probe, 0)
 	f := fault.NewMap(meshParams.Side)
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRollbackCapStopsLivelock(t *testing.T) {
 
 	// The default cap follows the budget; an explicit override sticks
 	// until the next SetRetryBudget.
-	mb2, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: fault.NewMap(meshParams.Side)}, nil)
+	mb2, err := newMesh(meshParams, core.Config{Workers: 1, Faults: fault.NewMap(meshParams.Side)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,13 +176,13 @@ func TestRollbackCapStopsLivelock(t *testing.T) {
 // budget the wrapper must not checkpoint, retry, or touch the
 // recovery counters even when a step fails.
 func TestRetryBudgetZeroNeverSnapshots(t *testing.T) {
-	probe := newMesh(t, nil)
+	probe := testMesh(t, nil)
 	hosts := moduleHostsOf(t, probe, 0)
 	f := fault.NewMap(meshParams.Side)
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := NewMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

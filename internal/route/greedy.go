@@ -4,16 +4,6 @@ import (
 	"meshpram/internal/mesh"
 )
 
-// gpkt is a packet in flight inside the actor-model router. (The
-// cycle-accurate greedy router itself stores packets in the Engine's
-// struct-of-arrays slab; see engine.go.)
-type gpkt[T any] struct {
-	val  T
-	dest int
-	seq  int32 // injection order, deterministic tie-break
-	from int32 // previous hop (-1 at injection)
-}
-
 // topology abstracts the link structure the greedy router moves packets
 // over: the plain mesh (dimension-ordered XY inside a region) or the
 // torus (wrap-around links, shorter-way-first per axis).
@@ -101,7 +91,7 @@ func (t torusTopo) dist(p, dest int) int {
 // It returns the delivered items per processor and the number of cycles
 // (= machine steps) the routing took.
 //
-// GreedyRoute and the other package-level entry points below are
+// GreedyRoute and GreedyRouteTorus (below) are
 // one-shot conveniences over route.Engine; hot loops should hold a
 // persistent Engine instead so queue and arrival storage is reused
 // across calls.
@@ -109,29 +99,9 @@ func GreedyRoute[T any](m *mesh.Machine, r mesh.Region, items [][]T, dest func(T
 	return NewEngine[T](m).Route(nil, r, items, dest)
 }
 
-// GreedyRouteInto is GreedyRoute delivering into a caller-provided
-// buffer of per-processor slices (len m.N, region entries empty) so hot
-// loops can reuse arena memory instead of reallocating; dst may be nil,
-// which allocates as GreedyRoute does.
-func GreedyRouteInto[T any](dst [][]T, m *mesh.Machine, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
-	return NewEngine[T](m).Route(dst, r, items, dest)
-}
-
 // GreedyRouteTorus is GreedyRoute on the full machine with wrap-around
 // links (the torus extension; experiment E16). The region is always the
 // whole mesh — wrap paths cannot be confined to a submesh.
 func GreedyRouteTorus[T any](m *mesh.Machine, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
 	return NewEngine[T](m).RouteTorus(nil, items, dest)
-}
-
-// GreedyRouteTorusInto is GreedyRouteTorus with a reusable delivery
-// buffer (see GreedyRouteInto).
-func GreedyRouteTorusInto[T any](dst [][]T, m *mesh.Machine, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
-	return NewEngine[T](m).RouteTorus(dst, items, dest)
-}
-
-// nextHop keeps the historical package-internal entry point used by the
-// actor engine (plain mesh topology).
-func nextHop(m *mesh.Machine, p, dest int) (dir, to int) {
-	return meshTopo{m}.next(p, dest)
 }

@@ -25,16 +25,10 @@ import (
 // bit-identical decisions to GreedyRoute: the preferred direction is
 // always usable, no packet waits, and the budget never triggers.
 //
-// These are one-shot conveniences over route.Engine (RouteFault /
-// RouteTorusFault); hot loops should hold a persistent Engine.
-//
-// GreedyRouteFaultInto routes within a region over the plain mesh.
+// GreedyRouteFaultInto is a one-shot convenience over
+// Engine.RouteFault (Engine.RouteTorusFault is the torus flavor); hot
+// loops should hold a persistent Engine. It routes within a region
+// over the plain mesh.
 func GreedyRouteFaultInto[T any](dst [][]T, m *mesh.Machine, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
 	return NewEngine[T](m).RouteFault(dst, r, items, dest)
-}
-
-// GreedyRouteTorusFaultInto is GreedyRouteFaultInto on the full machine
-// with wrap-around links.
-func GreedyRouteTorusFaultInto[T any](dst [][]T, m *mesh.Machine, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return NewEngine[T](m).RouteTorusFault(dst, items, dest)
 }

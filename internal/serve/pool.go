@@ -66,6 +66,8 @@ func (j *job) markRunning() {
 	j.mu.Unlock()
 }
 
+// finish records the job's outcome; the worker closes j.done only
+// after the completion callback has cached and accounted it.
 func (j *job) finish(body []byte, err error) {
 	j.mu.Lock()
 	if err != nil {
@@ -76,7 +78,6 @@ func (j *job) finish(body []byte, err error) {
 		j.body = body
 	}
 	j.mu.Unlock()
-	close(j.done)
 }
 
 // state returns a consistent (status, body, err) snapshot.
@@ -142,6 +143,9 @@ func (p *pool) work() {
 		if p.onDone != nil {
 			p.onDone(j)
 		}
+		// Publish last: a client that sees the job done must also see it
+		// cached and counted, or an identical follow-up request could miss.
+		close(j.done)
 		p.busy.Add(-1)
 	}
 }

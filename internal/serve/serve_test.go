@@ -343,6 +343,46 @@ func TestRejectionsSurfaceFieldNames(t *testing.T) {
 	}
 }
 
+// TestOversizedScenarioRejected checks that field values which would
+// allocate without bound are refused with a 400 naming the field, and
+// that the server keeps serving afterwards.
+func TestOversizedScenarioRejected(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	huge := func(edit func(*sim.Scenario)) sim.Scenario {
+		sc := testScenario()
+		sc.Backend = sim.BackendIdeal
+		edit(&sc)
+		return sc
+	}
+	cases := []struct {
+		name  string
+		sc    sim.Scenario
+		field string
+	}{
+		{"ideal memory", huge(func(sc *sim.Scenario) { sc.IdealMemory = 1 << 62 }), "ideal_memory"},
+		{"ideal size", huge(func(sc *sim.Scenario) { sc.Size = 1 << 62 }), "size"},
+		{"matvec size", huge(func(sc *sim.Scenario) { sc.Program, sc.Size = "matvec", 1<<31 }), "size"},
+	}
+	for _, tc := range cases {
+		resp := postScenario(t, ts.URL+"/v1/simulate", tc.sc)
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.name, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), tc.field) {
+			t.Errorf("%s: error body %s does not name field %q", tc.name, body, tc.field)
+		}
+	}
+	resp := postScenario(t, ts.URL+"/v1/simulate", testScenario())
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow-up request: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestAdmissionControl checks the token bucket rejects with 429 and a
 // Retry-After header once the burst is spent.
 func TestAdmissionControl(t *testing.T) {

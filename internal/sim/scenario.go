@@ -1,13 +1,11 @@
 package sim
 
-// Scenario is the wire-format twin of the functional-options builder:
-// a flat, JSON-round-trippable description of one simulation run
-// covering the full option surface of New plus the run-level knobs
-// (program, size, seed, backend) the CLIs and the scenario service
-// need. Options remain the Go-native construction path; Scenario is
-// the serialization, comparison and cache-key path. FromScenario
-// bridges a Scenario onto the options, so both spell exactly the same
-// configuration space.
+// Scenario is the one configuration surface: a flat,
+// JSON-round-trippable description of one simulation run covering
+// every machine knob plus the run-level ones (program, size, seed,
+// backend, trace) the CLIs and the scenario service need. FromScenario
+// resolves it into a Config; Canonical and Key make it the comparison
+// and cache-key path too.
 //
 // Determinism contract: Canonical returns a byte-deterministic
 // encoding (fixed key order, no maps, quoted strings) of the
@@ -146,73 +144,169 @@ func fieldErrf(field, format string, args ...any) error {
 	return &fieldError{Field: field, Err: fmt.Errorf(format, args...)}
 }
 
+// Scenario bounds. They keep every size Validate accepts allocatable,
+// so no field value can crash a CLI run or a pramserve request.
+const (
+	// MaxSide bounds the mesh side (n ≤ 2^24 processors), which bounds
+	// fault maps, mesh programs and every word count derived from n.
+	MaxSide = 1 << 12
+	// MaxIdealMemory bounds the memory of a scenario's ideal backend in
+	// words (32 MiB), whether set by ideal_memory or defaulted to the
+	// scheme's M.
+	MaxIdealMemory = 1 << 22
+)
+
 // Validate checks the scenario without constructing a machine: enum
-// spellings, structural parameter bounds, and the fault specs (parsed
-// against the mesh side). Errors name the offending JSON field.
-// Parameter combinations that only the full HMOS construction can
-// judge (prime powers, tessellation divisibility) surface from
-// FromScenario.
+// spellings, structural parameter bounds, that the program's inputs
+// fit each backend's memory, and the fault specs (parsed against the
+// mesh side). Errors name the offending JSON field. Parameter
+// combinations that only the full HMOS construction can judge (prime
+// powers, tessellation divisibility) surface from FromScenario.
 func (sc Scenario) Validate() error {
+	_, err := sc.resolve()
+	return err
+}
+
+// resolve is the one pass from a Scenario to a Config, shared by
+// Validate and FromScenario: it normalizes the scenario, checks every
+// field, and parses each enum and fault spec once straight into
+// core.Config. It builds no HMOS scheme.
+func (sc Scenario) resolve() (Config, error) {
 	sc = sc.Normalized()
-	if sc.Side < 1 {
-		return fieldErrf("side", "mesh side %d must be ≥ 1", sc.Side)
+	if sc.Side < 1 || sc.Side > MaxSide {
+		return Config{}, fieldErrf("side", "mesh side %d must be in [1, %d]", sc.Side, MaxSide)
 	}
 	if sc.Q < 3 {
-		return fieldErrf("q", "replication arity %d must be ≥ 3 (majority quorum needs ⌊q/2⌋+2 ≤ q)", sc.Q)
+		return Config{}, fieldErrf("q", "replication arity %d must be ≥ 3 (majority quorum needs ⌊q/2⌋+2 ≤ q)", sc.Q)
 	}
 	if sc.D < 2 {
-		return fieldErrf("d", "memory dimension %d must be ≥ 2", sc.D)
+		return Config{}, fieldErrf("d", "memory dimension %d must be ≥ 2", sc.D)
 	}
 	if sc.K < 1 {
-		return fieldErrf("k", "level count %d must be ≥ 1", sc.K)
+		return Config{}, fieldErrf("k", "level count %d must be ≥ 1", sc.K)
 	}
 	if !knownProgram(sc.Program) {
-		return fieldErrf("program", "unknown program %q (want one of %s)", sc.Program, strings.Join(Programs, ", "))
+		return Config{}, fieldErrf("program", "unknown program %q (want one of %s)", sc.Program, strings.Join(Programs, ", "))
 	}
 	if sc.Size < 1 {
-		return fieldErrf("size", "problem size %d must be ≥ 1", sc.Size)
+		return Config{}, fieldErrf("size", "problem size %d must be ≥ 1", sc.Size)
 	}
 	if sc.Backend != BackendBoth && sc.Backend != BackendIdeal && sc.Backend != BackendMesh {
-		return fieldErrf("backend", "unknown backend %q (want both, ideal or mesh)", sc.Backend)
+		return Config{}, fieldErrf("backend", "unknown backend %q (want both, ideal or mesh)", sc.Backend)
 	}
 	if sc.Backend != BackendIdeal && sc.Size > sc.Side*sc.Side {
-		return fieldErrf("size", "problem size %d exceeds the %d mesh processors (side %d)", sc.Size, sc.Side*sc.Side, sc.Side)
+		return Config{}, fieldErrf("size", "problem size %d exceeds the %d mesh processors (side %d)", sc.Size, sc.Side*sc.Side, sc.Side)
 	}
-	if _, err := parsePolicy(sc.Policy); err != nil {
-		return &fieldError{Field: "policy", Err: err}
+	c := Config{Params: sc.Params(), IdealMemory: sc.IdealMemory, Retry: sc.Retry}
+	cc := &c.Core
+	var err error
+	if cc.Policy, err = parsePolicy(sc.Policy); err != nil {
+		return Config{}, &fieldError{Field: "policy", Err: err}
 	}
-	if _, err := parseSortAlgo(sc.Sort); err != nil {
-		return &fieldError{Field: "sort", Err: err}
+	if cc.Sort, err = parseSortAlgo(sc.Sort); err != nil {
+		return Config{}, &fieldError{Field: "sort", Err: err}
 	}
-	if _, err := faultview.ParseMode(sc.FaultView); err != nil {
-		return &fieldError{Field: "fault_view", Err: err}
+	if cc.FaultView, err = faultview.ParseMode(sc.FaultView); err != nil {
+		return Config{}, &fieldError{Field: "fault_view", Err: err}
 	}
-	if _, err := core.ParseRepairPolicy(sc.Repair); err != nil {
-		return &fieldError{Field: "repair", Err: err}
+	if cc.Repair, err = core.ParseRepairPolicy(sc.Repair); err != nil {
+		return Config{}, &fieldError{Field: "repair", Err: err}
 	}
-	if _, err := parseEngineMode(sc.Engine); err != nil {
-		return &fieldError{Field: "engine", Err: err}
+	if cc.EngineMode, err = parseEngineMode(sc.Engine); err != nil {
+		return Config{}, &fieldError{Field: "engine", Err: err}
 	}
 	if sc.Retry < 0 {
-		return fieldErrf("retry", "retry budget %d must be ≥ 0", sc.Retry)
+		return Config{}, fieldErrf("retry", "retry budget %d must be ≥ 0", sc.Retry)
 	}
 	if sc.Workers < 0 {
-		return fieldErrf("workers", "worker count %d must be ≥ 0", sc.Workers)
+		return Config{}, fieldErrf("workers", "worker count %d must be ≥ 0", sc.Workers)
 	}
-	if sc.IdealMemory < 0 {
-		return fieldErrf("ideal_memory", "ideal memory %d words must be ≥ 0", sc.IdealMemory)
+	if sc.IdealMemory < 0 || sc.IdealMemory > MaxIdealMemory {
+		return Config{}, fieldErrf("ideal_memory", "ideal memory %d words must be in [0, %d]", sc.IdealMemory, MaxIdealMemory)
 	}
-	if sc.Faults != "" {
-		if _, err := fault.Parse(sc.Side, sc.Faults); err != nil {
-			return &fieldError{Field: "faults", Err: err}
+	if err := sc.checkFit(); err != nil {
+		return Config{}, err
+	}
+	if cc.Faults, err = fault.Parse(sc.Side, sc.Faults); err != nil {
+		return Config{}, &fieldError{Field: "faults", Err: err}
+	}
+	if cc.Schedule, err = fault.ParseSchedule(sc.Side, sc.FaultSchedule); err != nil {
+		return Config{}, &fieldError{Field: "fault_schedule", Err: err}
+	}
+	cc.Torus = sc.Torus
+	cc.DisableCulling = sc.DisableCulling
+	cc.DirectRouting = sc.DirectRouting
+	cc.UseNetworkSort = sc.NetworkSort
+	cc.Workers = sc.Workers
+	// The local view's witness tie-breaks reuse the scenario seed, so
+	// one Scenario pins the whole timeline.
+	cc.FaultViewSeed = sc.Seed
+	return c, nil
+}
+
+// checkFit rejects a program whose inputs do not fit the memory of a
+// backend the scenario runs on: the ideal backend's ideal_memory words
+// (the scheme's M when zero), the mesh's M. The size bounds checked
+// before it keep every product here in range.
+func (sc Scenario) checkFit() error {
+	m := schemeVars(sc.Q, sc.D)
+	fit := func(words int, memory string) error {
+		if sc.Size > words || programWords(sc.Program, sc.Size) > words {
+			return fieldErrf("size", "program %s of size %d needs more than the %d words of the %s",
+				sc.Program, sc.Size, words, memory)
+		}
+		return nil
+	}
+	if sc.Backend != BackendMesh {
+		words := sc.IdealMemory
+		if words == 0 {
+			if m > MaxIdealMemory {
+				return fieldErrf("ideal_memory", "0 selects the scheme's M = %d words, above the %d-word ideal memory limit", m, MaxIdealMemory)
+			}
+			words = m
+		}
+		if err := fit(words, "ideal memory"); err != nil {
+			return err
 		}
 	}
-	if sc.FaultSchedule != "" {
-		if _, err := fault.ParseSchedule(sc.Side, sc.FaultSchedule); err != nil {
-			return &fieldError{Field: "fault_schedule", Err: err}
-		}
+	if sc.Backend != BackendIdeal {
+		return fit(m, "mesh's shared memory")
 	}
 	return nil
+}
+
+// programWords is the address space pram.BuildProgram's program of
+// the given size touches (pinned by pram's TestProgramWordsFit). The
+// caller bounds size by a memory size first.
+func programWords(program string, size int) int {
+	switch program {
+	case "listrank":
+		return 2 * size
+	case "compact":
+		return 2*size + 1
+	case "matvec":
+		return size*size + 2*size
+	}
+	return size
+}
+
+// schemeVars is the scheme's memory size M = q^(d−1)·(q^d−1)/(q−1),
+// saturated at 2^61: unlike bibd.F, which panics on overflow, it must
+// accept any d or q a scenario carries.
+func schemeVars(q, d int) int {
+	const limit = 1 << 61
+	top, sum := 1, 1 // q^i and Σ_{j≤i} q^j
+	for i := 1; i < d; i++ {
+		if top > limit/q {
+			return limit
+		}
+		top *= q
+		sum += top
+	}
+	if sum > limit/top {
+		return limit
+	}
+	return top * sum
 }
 
 func knownProgram(name string) bool {
@@ -276,63 +370,6 @@ func (sc Scenario) Key() string {
 // Params returns the HMOS parameters of the scenario.
 func (sc Scenario) Params() hmos.Params {
 	return hmos.Params{Side: sc.Side, Q: sc.Q, D: sc.D, K: sc.K}
-}
-
-// FromScenario bridges a Scenario onto the functional options and
-// builds the validated Config. The run-level fields (program, size,
-// seed, backend, trace) are not part of a Config — callers execute
-// them through pram.BuildProgram and pram.NewBackend. Extra options
-// are applied after the scenario's (e.g. UseScheme to reuse a cached
-// scheme, TraceSink to attach a ledger sink).
-func FromScenario(sc Scenario, extra ...Option) (Config, error) {
-	sc = sc.Normalized()
-	if err := sc.Validate(); err != nil {
-		return Config{}, err
-	}
-	policy, err := parsePolicy(sc.Policy)
-	if err != nil {
-		return Config{}, &fieldError{Field: "policy", Err: err}
-	}
-	algo, err := parseSortAlgo(sc.Sort)
-	if err != nil {
-		return Config{}, &fieldError{Field: "sort", Err: err}
-	}
-	repair, err := core.ParseRepairPolicy(sc.Repair)
-	if err != nil {
-		return Config{}, &fieldError{Field: "repair", Err: err}
-	}
-	mode, err := parseEngineMode(sc.Engine)
-	if err != nil {
-		return Config{}, &fieldError{Field: "engine", Err: err}
-	}
-	view, err := faultview.ParseMode(sc.FaultView)
-	if err != nil {
-		return Config{}, &fieldError{Field: "fault_view", Err: err}
-	}
-	opts := []Option{
-		Side(sc.Side), Q(sc.Q), D(sc.D), K(sc.K),
-		Policy(policy), SortAlgo(algo), Repair(repair), EngineMode(mode),
-		Workers(sc.Workers), Retry(sc.Retry),
-		FaultSpec(sc.Faults), FaultScheduleSpec(sc.FaultSchedule),
-		// The local view's witness tie-breaks reuse the scenario seed, so
-		// one Scenario pins the whole timeline.
-		FaultView(view), FaultViewSeed(sc.Seed),
-		IdealMemory(sc.IdealMemory),
-	}
-	if sc.Torus {
-		opts = append(opts, Torus())
-	}
-	if sc.DisableCulling {
-		opts = append(opts, DisableCulling())
-	}
-	if sc.DirectRouting {
-		opts = append(opts, DirectRouting())
-	}
-	if sc.NetworkSort {
-		opts = append(opts, NetworkSort())
-	}
-	opts = append(opts, extra...)
-	return New(opts...)
 }
 
 func parsePolicy(s string) (core.AccessPolicy, error) {

@@ -8,6 +8,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"meshpram/internal/bibd"
+	"meshpram/internal/core"
+	"meshpram/internal/faultview"
+	"meshpram/internal/route"
 )
 
 // goldenCanonical pins the canonical encoding of DefaultScenario. Any
@@ -175,6 +180,13 @@ func TestValidateRejections(t *testing.T) {
 		{"negative workers", mod(func(s *Scenario) { s.Workers = -1 }), "workers"},
 		{"negative ideal memory", mod(func(s *Scenario) { s.IdealMemory = -1 }), "ideal_memory"},
 		{"malformed faults", mod(func(s *Scenario) { s.Faults = "link:banana" }), "faults"},
+		{"side above limit", mod(func(s *Scenario) { s.Side = MaxSide + 1 }), "side"},
+		{"ideal memory above limit", mod(func(s *Scenario) { s.IdealMemory = MaxIdealMemory + 1 }), "ideal_memory"},
+		{"huge ideal memory", mod(func(s *Scenario) { s.Backend, s.IdealMemory = BackendIdeal, 1<<62 }), "ideal_memory"},
+		{"scheme M above ideal limit", mod(func(s *Scenario) { s.Backend, s.IdealMemory, s.D = BackendIdeal, 0, 8 }), "ideal_memory"},
+		{"huge ideal size", mod(func(s *Scenario) { s.Backend, s.Size = BackendIdeal, 1<<62 }), "size"},
+		{"matvec beyond ideal memory", mod(func(s *Scenario) { s.Backend, s.Program, s.Size = BackendIdeal, "matvec", 1024 }), "size"},
+		{"program beyond mesh memory", mod(func(s *Scenario) { s.Program = "listrank" }), "size"},
 		{"malformed fault schedule", mod(func(s *Scenario) { s.FaultSchedule = "@x module:40" }), "fault_schedule"},
 		{"fault schedule out of range", mod(func(s *Scenario) { s.FaultSchedule = "@3 module:999" }), "fault_schedule"},
 	}
@@ -205,34 +217,78 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// runLevelFields are the Scenario fields that do not reach a Config:
+// callers execute them through pram.BuildProgram and pram.NewBackend.
+var runLevelFields = []string{"program", "size", "backend", "trace"}
+
 func TestFromScenarioBridges(t *testing.T) {
-	sc := DefaultScenario()
-	sc.Policy = "rowa"
-	sc.Sort = "rotate"
-	sc.Engine = "cycle"
-	sc.Repair = "lazy"
-	sc.Retry = 3
-	sc.Workers = 2
-	sc.Torus = true
-	sc.DisableCulling = true
-	cfg, err := FromScenario(sc)
+	cases := []struct {
+		field string // JSON name of the bridged Scenario field
+		edit  func(*Scenario)
+		ok    func(Config) bool
+	}{
+		{"side", func(s *Scenario) { s.Side = 27 }, func(c Config) bool { return c.Params.Side == 27 }},
+		{"q", func(s *Scenario) { s.Side, s.Q = 25, 5 }, func(c Config) bool { return c.Params.Q == 5 }},
+		{"d", func(s *Scenario) { s.Side, s.D = 27, 4 }, func(c Config) bool { return c.Params.D == 4 }},
+		{"k", func(s *Scenario) { s.D, s.K = 4, 1 }, func(c Config) bool { return c.Params.K == 1 }},
+		{"seed", func(s *Scenario) { s.Seed = 42 }, func(c Config) bool { return c.Core.FaultViewSeed == 42 }},
+		{"policy", func(s *Scenario) { s.Policy = "rowa" }, func(c Config) bool { return c.Core.Policy == core.ReadOneWriteAllPolicy }},
+		{"torus", func(s *Scenario) { s.Torus = true }, func(c Config) bool { return c.Core.Torus }},
+		{"sort", func(s *Scenario) { s.Sort = "rotate" }, func(c Config) bool { return c.Core.Sort == route.RotateSort }},
+		{"disable_culling", func(s *Scenario) { s.DisableCulling = true }, func(c Config) bool { return c.Core.DisableCulling }},
+		{"direct_routing", func(s *Scenario) { s.DirectRouting = true }, func(c Config) bool { return c.Core.DirectRouting }},
+		{"network_sort", func(s *Scenario) { s.NetworkSort = true }, func(c Config) bool { return c.Core.UseNetworkSort }},
+		{"faults", func(s *Scenario) { s.Faults = "node:5" }, func(c Config) bool { return c.Core.Faults.NodeDead(5) }},
+		{"fault_schedule", func(s *Scenario) { s.FaultSchedule = "@3 module:40" }, func(c Config) bool { return c.Core.Schedule.Len() == 1 }},
+		{"fault_view", func(s *Scenario) { s.FaultView = "local" }, func(c Config) bool { return c.Core.FaultView == faultview.Local }},
+		{"repair", func(s *Scenario) { s.Repair = "lazy" }, func(c Config) bool { return c.Core.Repair == core.RepairLazy }},
+		{"retry", func(s *Scenario) { s.Retry = 3 }, func(c Config) bool { return c.Retry == 3 }},
+		{"engine", func(s *Scenario) { s.Engine = "cycle" }, func(c Config) bool { return c.Core.EngineMode == route.ModeCycle }},
+		{"workers", func(s *Scenario) { s.Workers = 2 }, func(c Config) bool { return c.Core.Workers == 2 }},
+		{"ideal_memory", func(s *Scenario) { s.IdealMemory = 4096 }, func(c Config) bool { return c.IdealMemory == 4096 }},
+	}
+	base, err := FromScenario(DefaultScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Params; got != sc.Params() {
-		t.Errorf("params %+v, want %+v", got, sc.Params())
+	covered := map[string]bool{}
+	for _, f := range runLevelFields {
+		covered[f] = true
 	}
-	if cfg.Retry != 3 {
-		t.Errorf("retry %d, want 3", cfg.Retry)
+	for _, tc := range cases {
+		if covered[tc.field] {
+			t.Errorf("field %q listed twice", tc.field)
+		}
+		covered[tc.field] = true
+		if tc.ok(base) {
+			t.Errorf("%s: the default scenario already passes the check", tc.field)
+			continue
+		}
+		sc := DefaultScenario()
+		tc.edit(&sc)
+		cfg, err := FromScenario(sc)
+		if err != nil {
+			t.Errorf("%s: %v", tc.field, err)
+			continue
+		}
+		if !tc.ok(cfg) {
+			t.Errorf("%s not bridged", tc.field)
+		}
+		if cfg.Params != sc.Params() {
+			t.Errorf("%s: params %+v, want %+v", tc.field, cfg.Params, sc.Params())
+		}
 	}
-	if !cfg.Core.Torus {
-		t.Error("torus not bridged")
+	// Every Scenario field is either bridged above or run-level.
+	rt := reflect.TypeOf(Scenario{})
+	for i := 0; i < rt.NumField(); i++ {
+		tag, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		if !covered[tag] {
+			t.Errorf("field %s (json %q) is neither bridged nor run-level", rt.Field(i).Name, tag)
+		}
+		delete(covered, tag)
 	}
-	if !cfg.Core.DisableCulling {
-		t.Error("disable_culling not bridged")
-	}
-	if cfg.Core.Workers != 2 {
-		t.Errorf("workers %d, want 2", cfg.Core.Workers)
+	for f := range covered {
+		t.Errorf("%q is not a Scenario field", f)
 	}
 
 	bad := DefaultScenario()
@@ -243,7 +299,7 @@ func TestFromScenarioBridges(t *testing.T) {
 }
 
 func TestUseSchemeParamMismatch(t *testing.T) {
-	cfg, err := New(Side(9), Q(3), D(3), K(2))
+	cfg, err := FromScenario(DefaultScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +307,28 @@ func TestUseSchemeParamMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Side(9), Q(3), D(3), K(1), UseScheme(s)); err == nil {
-		t.Error("New accepted a scheme built for different params")
+	other := DefaultScenario()
+	other.D, other.K = 4, 1
+	if _, err := FromScenario(other, UseScheme(s)); err == nil {
+		t.Error("FromScenario accepted a scheme built for different params")
 	}
-	if _, err := New(Side(9), Q(3), D(3), K(2), UseScheme(s)); err != nil {
-		t.Errorf("New rejected a matching scheme: %v", err)
+	if _, err := FromScenario(DefaultScenario(), UseScheme(s)); err != nil {
+		t.Errorf("FromScenario rejected a matching scheme: %v", err)
 	}
-	if _, err := New(UseScheme(nil)); err == nil {
-		t.Error("New accepted a nil scheme")
+	if _, err := FromScenario(DefaultScenario(), UseScheme(nil)); err == nil {
+		t.Error("FromScenario accepted a nil scheme")
+	}
+}
+
+// TestSchemeVars pins the saturating M against bibd.F.
+func TestSchemeVars(t *testing.T) {
+	for _, qd := range [][2]int{{3, 2}, {3, 3}, {3, 7}, {4, 5}, {5, 4}, {7, 3}, {9, 6}} {
+		if got, want := schemeVars(qd[0], qd[1]), bibd.F(qd[0], qd[1]); got != want {
+			t.Errorf("schemeVars(%d, %d) = %d, want %d", qd[0], qd[1], got, want)
+		}
+	}
+	if got := schemeVars(512, 1<<40); got != 1<<61 {
+		t.Errorf("schemeVars did not saturate: %d", got)
 	}
 }
 

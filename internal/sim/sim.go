@@ -1,16 +1,23 @@
-// Package sim is the single front door for constructing simulations:
-// a functional-options builder that assembles and validates the HMOS
-// parameters (internal/hmos), the protocol configuration
-// (internal/core), the combining policy, the static fault model
-// (internal/fault) and the trace sinks (internal/trace) into one
-// Config. Backends consume the Config through pram.NewBackend; code
-// that drives the core simulator directly builds it with
-// Config.NewSimulator. Both CLIs construct exclusively through this
-// package, so every knob has exactly one spelling.
+// Package sim is the single front door for constructing simulations.
+// A Scenario is the one declarative configuration: a flat,
+// JSON-round-trippable value naming the HMOS parameters
+// (internal/hmos), the protocol variant (internal/core), the fault
+// specs (internal/fault) and the run-level knobs. FromScenario checks
+// it, parses every enum and fault spec once, builds the HMOS scheme
+// and returns a Config. Backends consume the Config through
+// pram.NewBackend; code that drives the core simulator directly calls
+// Config.NewSimulator. The CLIs, the HTTP service, the experiments and
+// the benchmark all construct through FromScenario, so every machine
+// knob has exactly one spelling: its Scenario field.
 //
-//	cfg, err := sim.New(sim.Side(27), sim.K(2), sim.Workers(0),
-//	        sim.FaultSpec("rand:link=0.02,seed=7"))
+//	sc := sim.DefaultScenario()
+//	sc.Side, sc.D = 27, 5
+//	sc.Faults = "rand:link=0.02,seed=7"
+//	cfg, err := sim.FromScenario(sc)
 //	backend, err := pram.NewBackend(pram.BackendMesh, cfg)
+//
+// Options carry only what JSON cannot: a trace sink, a pre-built
+// scheme and a combining function.
 //
 // sim deliberately does not import internal/pram (pram imports sim),
 // so the Config carries the combining policy as a plain
@@ -22,20 +29,17 @@ import (
 	"fmt"
 
 	"meshpram/internal/core"
-	"meshpram/internal/fault"
-	"meshpram/internal/faultview"
 	"meshpram/internal/hmos"
-	"meshpram/internal/route"
 	"meshpram/internal/trace"
 )
 
 // Config is a validated simulation configuration. Obtain one through
-// New; the zero value is not usable.
+// FromScenario; the zero value is not usable.
 type Config struct {
 	// Params are the HMOS parameters (mesh side, q, d, k).
 	Params hmos.Params
 	// Core is the protocol configuration handed to core.New, including
-	// the fault map resolved from Faults/FaultSpec/FaultModel options.
+	// the fault map and schedule parsed from the scenario's specs.
 	Core core.Config
 	// Combine reduces concurrent writes to one value (nil = arbitrary,
 	// the lowest-pid winner). Underlying type of pram.CombinePolicy.
@@ -51,158 +55,17 @@ type Config struct {
 	// re-executed up to Retry times (0 = off; see pram.Mesh.SetRetryBudget).
 	Retry int
 
-	scheme       *hmos.Scheme
-	faultSpec    string
-	faultRand    *fault.Model
-	scheduleSpec string
+	scheme *hmos.Scheme
 }
 
-// Option configures one aspect of a simulation.
+// Option attaches a value a Scenario cannot serialize.
 type Option func(*Config) error
-
-// Side sets the mesh side length (n = side² processors).
-func Side(s int) Option {
-	return func(c *Config) error { c.Params.Side = s; return nil }
-}
-
-// Q sets the replication arity (prime power ≥ 3).
-func Q(q int) Option {
-	return func(c *Config) error { c.Params.Q = q; return nil }
-}
-
-// D sets the memory dimension: M = f(q, d) shared variables.
-func D(d int) Option {
-	return func(c *Config) error { c.Params.D = d; return nil }
-}
-
-// K sets the number of HMOS levels (q^k copies per variable).
-func K(k int) Option {
-	return func(c *Config) error { c.Params.K = k; return nil }
-}
-
-// Policy selects the copy-access discipline (default core.MajorityPolicy).
-func Policy(p core.AccessPolicy) Option {
-	return func(c *Config) error { c.Core.Policy = p; return nil }
-}
-
-// DisableCulling selects minimal target sets without congestion
-// control (the E2/E12 ablation).
-func DisableCulling() Option {
-	return func(c *Config) error { c.Core.DisableCulling = true; return nil }
-}
-
-// DirectRouting bypasses the staged protocol (the E12 ablation).
-func DirectRouting() Option {
-	return func(c *Config) error { c.Core.DirectRouting = true; return nil }
-}
-
-// NetworkSort runs the sorting network round by round instead of the
-// result-equivalent fast path.
-func NetworkSort() Option {
-	return func(c *Config) error { c.Core.UseNetworkSort = true; return nil }
-}
-
-// Torus adds wrap-around links to machine-spanning routing phases.
-func Torus() Option {
-	return func(c *Config) error { c.Core.Torus = true; return nil }
-}
-
-// SortAlgo selects the sorting network (route.ShearSort default).
-func SortAlgo(a route.SortAlgo) Option {
-	return func(c *Config) error { c.Core.Sort = a; return nil }
-}
-
-// Workers sets the mesh engine parallelism (0 = GOMAXPROCS, ≤1
-// sequential). The greedy routing engine shards its selection sweep
-// across the same width; delivered traffic is bit-identical at every
-// width, so this is a throughput knob only.
-func Workers(n int) Option {
-	return func(c *Config) error { c.Core.Workers = n; return nil }
-}
-
-// EngineMode selects the routing engine's execution strategy:
-// route.ModeEvent (default) fast-forwards contention-free stretches,
-// route.ModeCycle forces the cycle-stepped reference loop. Both are
-// bit-identical on every observable output.
-func EngineMode(m route.EngineMode) Option {
-	return func(c *Config) error { c.Core.EngineMode = m; return nil }
-}
 
 // Combine sets the concurrent-write combining policy. The argument's
 // underlying type matches pram.CombinePolicy, so pram.MaxWrite and
 // friends can be passed directly.
 func Combine(fn func(vals []int64) int64) Option {
 	return func(c *Config) error { c.Combine = fn; return nil }
-}
-
-// Faults installs an explicit static fault map. Overrides FaultSpec
-// and FaultModel.
-func Faults(f *fault.Map) Option {
-	return func(c *Config) error { c.Core.Faults = f; return nil }
-}
-
-// FaultSpec installs the fault map described by a textual spec (see
-// fault.Parse), resolved against the final mesh side once all options
-// are applied. The empty spec is a no-op, so a CLI can pass its
-// -faults flag value unconditionally.
-func FaultSpec(spec string) Option {
-	return func(c *Config) error { c.faultSpec = spec; return nil }
-}
-
-// FaultModel installs the fault map drawn by a seeded random model
-// (see fault.Model), built against the final mesh side once all
-// options are applied.
-func FaultModel(m fault.Model) Option {
-	return func(c *Config) error { c.faultRand = &m; return nil }
-}
-
-// FaultSchedule installs a dynamic fault schedule: a deterministic,
-// time-indexed event list the simulator applies to its live fault map
-// as the step clock advances (see fault.Schedule and core.Config).
-func FaultSchedule(s *fault.Schedule) Option {
-	return func(c *Config) error { c.Core.Schedule = s; return nil }
-}
-
-// FaultScheduleSpec installs the dynamic fault schedule described by a
-// textual spec (see fault.ParseSchedule), resolved against the final
-// mesh side once all options are applied. The empty spec is a no-op,
-// so a CLI can pass its -fault-schedule flag value unconditionally.
-func FaultScheduleSpec(spec string) Option {
-	return func(c *Config) error { c.scheduleSpec = spec; return nil }
-}
-
-// Repair selects the self-healing policy of the mesh backend (default
-// core.RepairOff; see core.RepairPolicy).
-func Repair(p core.RepairPolicy) Option {
-	return func(c *Config) error { c.Core.Repair = p; return nil }
-}
-
-// FaultView selects how routers and the repair trigger learn about
-// faults: faultview.Global (default) consults the live fault map with
-// zero latency; faultview.Local gives each node a gossip-updated view
-// with simulated propagation latency, stale-view detours and
-// notice-gated repair (see core.Config.FaultView).
-func FaultView(m faultview.Mode) Option {
-	return func(c *Config) error { c.Core.FaultView = m; return nil }
-}
-
-// FaultViewSeed seeds the local fault view's witness tie-breaks
-// (meaningful only with FaultView(faultview.Local)).
-func FaultViewSeed(seed int64) Option {
-	return func(c *Config) error { c.Core.FaultViewSeed = seed; return nil }
-}
-
-// Retry sets the checkpointed-retry budget of the mesh backend: how
-// many times a PRAM step ending with unrecoverable variables is rolled
-// back, repaired and re-executed (0 = off).
-func Retry(n int) Option {
-	return func(c *Config) error {
-		if n < 0 {
-			return fmt.Errorf("sim: retry budget %d must be ≥ 0", n)
-		}
-		c.Retry = n
-		return nil
-	}
 }
 
 // TraceSink registers a sink receiving every completed root span of
@@ -217,11 +80,11 @@ func TraceSink(s trace.Sink) Option {
 }
 
 // UseScheme installs a pre-constructed HMOS scheme, skipping the
-// (expensive, deterministic) hmos.New construction in New. The
-// scheme's parameters must match the configured Side/Q/D/K exactly —
-// a mismatch is a construction error, never a silent rebuild. Schemes
-// are immutable after construction, so a warm pool (internal/serve)
-// can reuse one across many simulator builds.
+// (expensive, deterministic) hmos.New construction in FromScenario.
+// The scheme's parameters must match the scenario's Side/Q/D/K exactly
+// — a mismatch is a construction error, never a silent rebuild.
+// Schemes are immutable after construction, so a warm pool
+// (internal/serve) can reuse one across many simulator builds.
 func UseScheme(s *hmos.Scheme) Option {
 	return func(c *Config) error {
 		if s == nil {
@@ -232,113 +95,57 @@ func UseScheme(s *hmos.Scheme) Option {
 	}
 }
 
-// IdealMemory sets the ideal backend's memory size in words; the mesh
-// backend ignores it. Use when a program's address space exceeds the
-// scheme's M on ideal-only runs.
-func IdealMemory(words int) Option {
-	return func(c *Config) error {
-		if words < 0 {
-			return fmt.Errorf("sim: ideal memory %d words must be ≥ 0", words)
-		}
-		c.IdealMemory = words
-		return nil
+// FromScenario checks the scenario, resolves it into a Config and
+// builds its HMOS scheme (unless a hook installs one with UseScheme).
+// The run-level fields (program, size, backend, trace) are not part of
+// a Config — callers execute them through pram.BuildProgram and
+// pram.NewBackend. The hooks are applied after the scenario's fields.
+func FromScenario(sc Scenario, hooks ...Option) (Config, error) {
+	c, err := sc.resolve()
+	if err != nil {
+		return Config{}, err
 	}
-}
-
-// New applies the options over the default configuration (side 9,
-// q 3, d 3, k 2 — the smallest two-level instance) and validates the
-// result: the HMOS parameters must construct, and the fault map (from
-// whichever of Faults/FaultSpec/FaultModel is present) must match the
-// mesh side.
-func New(opts ...Option) (Config, error) {
-	c := Config{Params: hmos.Params{Side: 9, Q: 3, D: 3, K: 2}}
-	for _, o := range opts {
+	for _, o := range hooks {
 		if err := o(&c); err != nil {
 			return Config{}, err
 		}
 	}
-	if c.Core.Faults == nil {
-		switch {
-		case c.faultSpec != "":
-			f, err := fault.Parse(c.Params.Side, c.faultSpec)
-			if err != nil {
-				return Config{}, fmt.Errorf("sim: %w", err)
-			}
-			c.Core.Faults = f
-		case c.faultRand != nil:
-			// A draw that hits nothing stays on the nil fast path, like
-			// fault.Parse on an all-healthy spec.
-			if f := c.faultRand.Build(c.Params.Side); !f.Empty() {
-				c.Core.Faults = f
-			}
-		}
-	}
-	if c.Core.Schedule == nil && c.scheduleSpec != "" {
-		sch, err := fault.ParseSchedule(c.Params.Side, c.scheduleSpec)
-		if err != nil {
+	if c.scheme == nil {
+		if c.scheme, err = hmos.New(c.Params); err != nil {
 			return Config{}, fmt.Errorf("sim: %w", err)
 		}
-		c.Core.Schedule = sch
-	}
-	if c.scheme != nil {
-		if c.scheme.Params != c.Params {
-			return Config{}, fmt.Errorf("sim: UseScheme params %+v do not match configured params %+v",
-				c.scheme.Params, c.Params)
-		}
-	} else {
-		s, err := hmos.New(c.Params)
-		if err != nil {
-			return Config{}, fmt.Errorf("sim: %w", err)
-		}
-		c.scheme = s
-	}
-	if f := c.Core.Faults; f != nil && f.Side() != c.Params.Side {
-		return Config{}, fmt.Errorf("sim: fault map side %d does not match mesh side %d",
-			f.Side(), c.Params.Side)
-	}
-	if sch := c.Core.Schedule; !sch.Empty() && sch.Side() != c.Params.Side {
-		return Config{}, fmt.Errorf("sim: fault schedule side %d does not match mesh side %d",
-			sch.Side(), c.Params.Side)
+	} else if c.scheme.Params != c.Params {
+		return Config{}, fmt.Errorf("sim: UseScheme params %+v do not match configured params %+v",
+			c.scheme.Params, c.Params)
 	}
 	return c, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(opts ...Option) Config {
-	c, err := New(opts...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Vars returns the shared-memory size M of the configured scheme.
 func (c Config) Vars() (int, error) {
-	s, err := c.schemeOf()
+	s, err := c.Scheme()
 	if err != nil {
 		return 0, err
 	}
 	return s.Vars(), nil
 }
 
-// Scheme returns the configured HMOS scheme (constructed during New,
-// or on demand for hand-assembled Configs).
-func (c Config) Scheme() (*hmos.Scheme, error) { return c.schemeOf() }
-
-func (c Config) schemeOf() (*hmos.Scheme, error) {
-	if c.scheme != nil {
-		return c.scheme, nil
+// Scheme returns the HMOS scheme built (or installed via UseScheme) by
+// FromScenario.
+func (c Config) Scheme() (*hmos.Scheme, error) {
+	if c.scheme == nil {
+		return nil, fmt.Errorf("sim: Config has no scheme (build it with FromScenario)")
 	}
-	return hmos.New(c.Params)
+	return c.scheme, nil
 }
 
 // NewSimulator builds the core protocol simulator for this
 // configuration and wires the registered trace sinks onto its ledger.
-// The scheme constructed (or installed via UseScheme) during New is
-// reused, so repeated simulator builds from one Config — or from
-// Configs sharing a UseScheme scheme — skip the HMOS construction.
+// The Config's scheme is reused, so repeated simulator builds from one
+// Config — or from Configs sharing a UseScheme scheme — skip the HMOS
+// construction.
 func (c Config) NewSimulator() (*core.Simulator, error) {
-	scheme, err := c.schemeOf()
+	scheme, err := c.Scheme()
 	if err != nil {
 		return nil, err
 	}

@@ -5,21 +5,32 @@ import (
 	"testing"
 
 	"meshpram/internal/core"
-	"meshpram/internal/fault"
 	"meshpram/internal/trace"
 )
 
-func TestNewDefaults(t *testing.T) {
-	c, err := New()
+// mustConfig resolves DefaultScenario, after edit (if any), with the
+// given hooks.
+func mustConfig(t testing.TB, edit func(*Scenario), hooks ...Option) Config {
+	t.Helper()
+	sc := DefaultScenario()
+	if edit != nil {
+		edit(&sc)
+	}
+	c, err := FromScenario(sc, hooks...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+func TestNewDefaults(t *testing.T) {
+	c := mustConfig(t, nil)
 	p := c.Params
 	if p.Side != 9 || p.Q != 3 || p.D != 3 || p.K != 2 {
 		t.Errorf("default params = %+v", p)
 	}
-	if c.Core.Faults != nil {
-		t.Error("default config carries a fault map")
+	if c.Core.Faults != nil || c.Core.Schedule != nil {
+		t.Error("default config carries a fault map or schedule")
 	}
 	v, err := c.Vars()
 	if err != nil || v <= 0 {
@@ -28,46 +39,55 @@ func TestNewDefaults(t *testing.T) {
 	if s, err := c.Scheme(); err != nil || s == nil {
 		t.Errorf("Scheme() = %v, %v", s, err)
 	}
+	if _, err := (Config{}).NewSimulator(); err == nil {
+		t.Error("zero Config built a simulator")
+	}
 }
 
+// TestOptionsApply checks the three hooks: values a Scenario cannot
+// carry.
 func TestOptionsApply(t *testing.T) {
-	c := MustNew(
-		Side(27), Q(3), D(5), K(2),
-		Policy(core.ReadOneWriteAllPolicy), DisableCulling(), Torus(),
-		Workers(3), IdealMemory(4096),
+	rec := &recordingSink{}
+	scheme, _ := mustConfig(t, nil).Scheme()
+	c := mustConfig(t, nil,
 		Combine(func(vals []int64) int64 { return vals[0] }),
-	)
-	if c.Params.Side != 27 || c.Params.D != 5 {
-		t.Errorf("params = %+v", c.Params)
+		TraceSink(rec), TraceSink(nil), UseScheme(scheme))
+	if c.Combine == nil {
+		t.Error("combine not applied")
 	}
-	if c.Core.Policy != core.ReadOneWriteAllPolicy || !c.Core.DisableCulling || !c.Core.Torus {
-		t.Errorf("core config = %+v", c.Core)
+	if len(c.Sinks) != 1 || c.Sinks[0] != rec {
+		t.Errorf("sinks = %v, want the one non-nil sink", c.Sinks)
 	}
-	if c.Core.Workers != 3 || c.IdealMemory != 4096 || c.Combine == nil {
-		t.Error("workers / ideal memory / combine not applied")
+	if s, _ := c.Scheme(); s != scheme {
+		t.Error("UseScheme scheme not installed")
 	}
 }
 
 func TestNewValidates(t *testing.T) {
-	if _, err := New(Side(10)); err == nil {
-		t.Error("invalid HMOS side accepted")
+	cases := []struct {
+		name string
+		edit func(*Scenario)
+	}{
+		{"invalid HMOS side", func(sc *Scenario) { sc.Side = 10 }},
+		{"negative ideal memory", func(sc *Scenario) { sc.IdealMemory = -1 }},
+		{"malformed fault spec", func(sc *Scenario) { sc.Faults = "node:" }},
+		// A spec is resolved against the scenario's own side: node 700
+		// exists at side 27 (TestFaultResolution) but not at side 9.
+		{"fault spec side mismatch", func(sc *Scenario) { sc.Faults = "node:700" }},
+		{"fault schedule side mismatch", func(sc *Scenario) { sc.FaultSchedule = "@1 node:700" }},
 	}
-	if _, err := New(IdealMemory(-1)); err == nil {
-		t.Error("negative ideal memory accepted")
-	}
-	if _, err := New(FaultSpec("node:")); err == nil {
-		t.Error("malformed fault spec accepted")
-	}
-	// An explicit map for the wrong side must be rejected against the
-	// final side, whatever the option order.
-	if _, err := New(Faults(fault.NewMap(9).KillNode(0)), Side(27)); err == nil {
-		t.Error("fault map side mismatch accepted")
+	for _, tc := range cases {
+		sc := DefaultScenario()
+		tc.edit(&sc)
+		if _, err := FromScenario(sc); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
 func TestFaultResolution(t *testing.T) {
-	// FaultSpec resolves against the final side, even when given first.
-	c := MustNew(FaultSpec("node:700"), Side(27))
+	// The spec resolves against the final side, set after the spec.
+	c := mustConfig(t, func(sc *Scenario) { sc.Faults = "node:700"; sc.Side = 27 })
 	if c.Core.Faults == nil || !c.Core.Faults.NodeDead(700) {
 		t.Fatalf("spec not resolved: %v", c.Core.Faults)
 	}
@@ -75,23 +95,16 @@ func TestFaultResolution(t *testing.T) {
 		t.Errorf("map built for side %d", c.Core.Faults.Side())
 	}
 
-	// Empty spec and all-healthy model leave the fast path (nil map).
-	if c := MustNew(FaultSpec("")); c.Core.Faults != nil {
+	// Empty spec and all-healthy random draw leave the fast path (nil map).
+	if c := mustConfig(t, func(sc *Scenario) { sc.Faults = "" }); c.Core.Faults != nil {
 		t.Error("empty spec produced a map")
 	}
-	if c := MustNew(FaultModel(fault.Model{Seed: 3})); c.Core.Faults != nil {
-		t.Error("zero-rate model produced a map")
+	if c := mustConfig(t, func(sc *Scenario) { sc.Faults = "rand:seed=3" }); c.Core.Faults != nil {
+		t.Error("zero-rate draw produced a map")
 	}
 
-	if c := MustNew(FaultModel(fault.Model{LinkRate: 0.5, Seed: 7})); c.Core.Faults.Empty() {
-		t.Error("lossy model built an empty map")
-	}
-
-	// An explicit map wins over both spec and model.
-	f := fault.NewMap(9).KillModule(11)
-	c = MustNew(FaultSpec("node:1"), FaultModel(fault.Model{LinkRate: 0.5, Seed: 1}), Faults(f))
-	if c.Core.Faults != f {
-		t.Error("explicit Faults map did not take precedence")
+	if c := mustConfig(t, func(sc *Scenario) { sc.Faults = "rand:link=0.5,seed=7" }); c.Core.Faults.Empty() {
+		t.Error("lossy draw built an empty map")
 	}
 }
 
@@ -101,7 +114,7 @@ func (r *recordingSink) Emit(root *trace.Span) { r.names = append(r.names, root.
 
 func TestNewSimulatorWiresSinks(t *testing.T) {
 	rec := &recordingSink{}
-	c := MustNew(Workers(1), TraceSink(rec), TraceSink(nil))
+	c := mustConfig(t, nil, TraceSink(rec), TraceSink(nil))
 	if len(c.Sinks) != 1 {
 		t.Fatalf("%d sinks registered, want 1 (nil dropped)", len(c.Sinks))
 	}
