@@ -1,23 +1,22 @@
 // Command pramserve runs the simulation as a long-lived HTTP/JSON
 // service (internal/serve): scenario submissions are validated, queued
-// behind token-bucket admission control, executed on a pool of warm
-// workers, and cached by the scenario's canonical key — determinism
-// makes every result perfectly cacheable, so a hit returns bytes
-// identical to recomputation.
+// behind one bounded queue, executed on a pool of warm workers, and
+// kept in one table keyed by the scenario's canonical key, which is
+// also the job id. Determinism makes every result perfectly cacheable,
+// so a hit returns bytes identical to recomputation.
 //
 // Usage:
 //
-//	pramserve [-addr :8080] [-pool N] [-queue 64] [-rate R] [-burst B]
+//	pramserve [-addr :8080] [-pool N] [-queue 64]
 //	          [-cache-entries 1024] [-cache-bytes N] [-timeout 60s] [-pprof]
 //
 // Endpoints:
 //
-//	POST /v1/simulate   run a sim.Scenario (JSON body), wait for the result
-//	POST /v1/jobs       enqueue a scenario, returns {"id": "j-1", ...}
-//	GET  /v1/jobs/{id}  poll an async job
-//	GET  /v1/healthz    liveness and drain state
-//	GET  /v1/stats      queue depth, cache hit rate, pool utilization,
-//	                    per-scenario cycle totals
+//	POST /v1/simulate    run a sim.Scenario (JSON body), wait for the result
+//	POST /v1/jobs        enqueue a scenario, returns {"id": "<key>", ...}
+//	GET  /v1/jobs/{key}  poll a job by scenario key
+//	GET  /v1/healthz     liveness and drain state
+//	GET  /v1/stats       queue depth, cache hit rate, pool utilization
 //
 // On SIGINT/SIGTERM the server stops admitting work, drains the queue
 // and the in-flight jobs, and exits cleanly.
@@ -42,10 +41,8 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	pool := flag.Int("pool", 2, "worker pool width (warm engines)")
 	queue := flag.Int("queue", 64, "job queue depth (full queue → 429)")
-	rate := flag.Float64("rate", 0, "admission rate in submissions/sec (0 = unlimited)")
-	burst := flag.Int("burst", 0, "admission burst (default: pool width)")
-	cacheEntries := flag.Int("cache-entries", 1024, "result cache entries (-1 disables)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "result cache byte bound (0 = unbounded)")
+	cacheEntries := flag.Int("cache-entries", 1024, "finished jobs kept in the result table")
+	cacheBytes := flag.Int64("cache-bytes", 0, "result table byte bound (0 = unbounded)")
 	timeout := flag.Duration("timeout", 60*time.Second, "sync request timeout")
 	pprofOn := flag.Bool("pprof", false, "expose Go profiling under /debug/pprof/ (opt-in; do not enable on untrusted networks)")
 	flag.Parse()
@@ -53,8 +50,6 @@ func main() {
 	srv := serve.New(serve.Config{
 		Workers:        *pool,
 		QueueDepth:     *queue,
-		Rate:           *rate,
-		Burst:          *burst,
 		CacheEntries:   *cacheEntries,
 		CacheBytes:     *cacheBytes,
 		RequestTimeout: *timeout,

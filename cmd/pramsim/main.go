@@ -28,7 +28,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -125,13 +124,15 @@ func indexByte(s string, b byte) int {
 	return -1
 }
 
-// loadScenario reads a JSON scenario file over the defaults.
+// loadScenario reads a JSON scenario file over the defaults, strictly:
+// an unknown field or trailing data fails instead of running defaults.
 func loadScenario(path string, sc *sim.Scenario) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(data, sc); err != nil {
+	defer f.Close() // read-only file: a close error loses nothing
+	if err := sim.DecodeScenario(f, sc); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil

@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -95,5 +97,35 @@ func TestScanScenarioPath(t *testing.T) {
 		if got := scanScenarioPath(tc.args); got != tc.want {
 			t.Errorf("scanScenarioPath(%v) = %q, want %q", tc.args, got, tc.want)
 		}
+	}
+}
+
+// TestLoadScenarioStrict checks a scenario file is decoded strictly: a
+// misspelled field fails and names itself instead of silently running
+// the default, trailing data fails, and a clean file loads over the
+// defaults.
+func TestLoadScenarioStrict(t *testing.T) {
+	dir := t.TempDir()
+	load := func(name, body string) (sim.Scenario, error) {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc := sim.DefaultScenario()
+		err := loadScenario(path, &sc)
+		return sc, err
+	}
+	if _, err := load("typo.json", `{"sied": 27}`); err == nil || !strings.Contains(err.Error(), "sied") {
+		t.Errorf("unknown field: err = %v, want an error naming \"sied\"", err)
+	}
+	if _, err := load("trailing.json", `{"side": 27} garbage`); err == nil {
+		t.Error("trailing data after the scenario was accepted")
+	}
+	sc, err := load("ok.json", "{\"side\": 27, \"d\": 5}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Side != 27 || sc.D != 5 || sc.Program != sim.DefaultScenario().Program {
+		t.Errorf("loaded %+v, want side 27, d 5 over the defaults", sc)
 	}
 }

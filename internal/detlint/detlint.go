@@ -118,10 +118,10 @@ func All() []*Analyzer {
 // must be bit-identical run to run: the protocol core and everything
 // it charges through, the scenario API, the gossip fault-view layer
 // and its wire format, the seeded workload generators, and the
-// service's execution/encoding layer (serve's admission and transport
-// layers carry explicit wallclock/chanorder suppressions — they never
-// feed charged costs or response bodies). Every package-restricted
-// analyzer references this list; per-check copies are not allowed.
+// service's execution/encoding layer (serve's transport layer carries
+// explicit chanorder suppressions — it never feeds charged costs or
+// response bodies). Every package-restricted analyzer references this
+// list; per-check copies are not allowed.
 var DetPackages = []string{
 	"core", "route", "culling", "mesh", "hmos", "fault", "trace",
 	"sim", "serve", "faultview", "workload",

@@ -1,43 +1,30 @@
 package serve
 
-// The deterministic result cache: an LRU over encoded response bodies
-// keyed by the scenario's canonical cache key. Determinism is what
-// makes this sound — a hit returns bytes identical to recomputation
-// (pinned by TestCacheIdentity), so eviction and capacity tuning are
-// pure performance knobs, never correctness ones.
+// The result table: an LRU of finished jobs keyed by the scenario's
+// canonical key. Determinism is what makes this sound — a stored body
+// is identical to recomputation (pinned by
+// TestServerColdWarmCacheIdentical), and so is a stored error — so
+// eviction and capacity tuning are pure performance knobs, never
+// correctness ones.
 
-import (
-	"container/list"
-	"sync"
-)
+import "container/list"
 
-type cacheEntry struct {
-	key  string
-	body []byte
-}
-
-// lruCache is a size-bounded (entries and bytes) LRU of response
-// bodies. The zero limits disable the respective bound; a nil cache
-// stores nothing.
+// lruCache is an LRU of finished jobs bounded by entry count and,
+// optionally, by summed body bytes. It has no lock of its own: the
+// Server guards it with Server.mu together with the in-flight map, so
+// a key is always in exactly one of the two, or in neither.
 type lruCache struct {
-	mu         sync.Mutex
 	maxEntries int
-	maxBytes   int64
+	maxBytes   int64 // 0 = unbounded
 
-	ll    *list.List // front = most recently used
+	ll    *list.List // of *job; front = most recently used
 	index map[string]*list.Element
 	bytes int64
 
 	hits, misses int64
 }
 
-// newCache returns an LRU bounded by maxEntries (> 0 required) and
-// optionally maxBytes (0 = unbounded bytes). maxEntries ≤ 0 disables
-// caching entirely (returns nil).
 func newCache(maxEntries int, maxBytes int64) *lruCache {
-	if maxEntries <= 0 {
-		return nil
-	}
 	return &lruCache{
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
@@ -46,13 +33,9 @@ func newCache(maxEntries int, maxBytes int64) *lruCache {
 	}
 }
 
-// get returns the cached body for key, marking it most recently used.
-func (c *lruCache) get(key string) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// get returns the finished job for key, marking it most recently used
+// and counting the lookup as a hit or a miss.
+func (c *lruCache) get(key string) (*job, bool) {
 	el, ok := c.index[key]
 	if !ok {
 		c.misses++
@@ -60,38 +43,32 @@ func (c *lruCache) get(key string) ([]byte, bool) {
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	return el.Value.(*cacheEntry).body, true
+	return el.Value.(*job), true
 }
 
-// put stores body under key, evicting least-recently-used entries
-// until both bounds hold. Bodies larger than maxBytes are not stored.
-func (c *lruCache) put(key string, body []byte) {
-	if c == nil {
+// peek returns the finished job for key without touching recency or
+// the hit counters (job polling).
+func (c *lruCache) peek(key string) (*job, bool) {
+	el, ok := c.index[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*job), true
+}
+
+// put stores the finished job j, whose key the table does not hold
+// yet, evicting least-recently-used entries until both bounds hold. A
+// body larger than maxBytes is not stored.
+func (c *lruCache) put(j *job) {
+	if c.maxBytes > 0 && int64(len(j.body)) > c.maxBytes {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.maxBytes > 0 && int64(len(body)) > c.maxBytes {
-		return
-	}
-	if el, ok := c.index[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.bytes += int64(len(body)) - int64(len(e.body))
-		e.body = body
-	} else {
-		c.index[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
-		c.bytes += int64(len(body))
-	}
+	c.index[j.key] = c.ll.PushFront(j)
+	c.bytes += int64(len(j.body))
 	for c.ll.Len() > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
-		oldest := c.ll.Back()
-		if oldest == nil {
-			break
-		}
-		e := oldest.Value.(*cacheEntry)
-		c.ll.Remove(oldest)
-		delete(c.index, e.key)
-		c.bytes -= int64(len(e.body))
+		old := c.ll.Remove(c.ll.Back()).(*job)
+		delete(c.index, old.key)
+		c.bytes -= int64(len(old.body))
 	}
 }
 
@@ -105,11 +82,6 @@ type cacheStats struct {
 }
 
 func (c *lruCache) snapshot() cacheStats {
-	if c == nil {
-		return cacheStats{}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := cacheStats{
 		Entries: c.ll.Len(),
 		Bytes:   c.bytes,

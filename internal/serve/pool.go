@@ -3,8 +3,8 @@ package serve
 // The warm engine pool: N persistent worker goroutines, each owning
 // one Runner (and therefore its own warm HMOS scheme cache — no
 // cross-worker sharing, no locks on the execution path). Jobs flow
-// through one bounded channel; the channel's free capacity is the
-// queue the admission layer protects.
+// through one bounded channel; its capacity is the server's one
+// admission gate.
 
 import (
 	"sync"
@@ -23,41 +23,29 @@ const (
 	statusFailed  jobStatus = "failed"
 )
 
-// job is one scenario submission. Sync and async requests share the
-// type: a sync request waits on done, an async one polls by id.
+// job is one computation of a scenario, identified by the scenario's
+// key. While queued or running it lives in the server's in-flight map;
+// once finished it moves to the result table, where its body or its
+// error answers every later submission of the same key.
 type job struct {
-	id       string
 	key      string
 	scenario sim.Scenario
 
 	done chan struct{} // closed exactly once, after body/err are set
 
-	mu        sync.Mutex
-	status    jobStatus
-	body      []byte
-	err       error
-	fromCache bool
-	meshSteps int64 // charged mesh steps of the computed run (stats)
+	mu     sync.Mutex
+	status jobStatus
+	body   []byte
+	err    error
 }
 
-func newJob(id string, sc sim.Scenario) *job {
+func newJob(sc sim.Scenario) *job {
 	return &job{
-		id:       id,
 		key:      sc.Key(),
 		scenario: sc,
 		done:     make(chan struct{}),
 		status:   statusQueued,
 	}
-}
-
-// completedJob returns an already-finished job (cache hits).
-func completedJob(id string, sc sim.Scenario, body []byte) *job {
-	j := newJob(id, sc)
-	j.status = statusDone
-	j.body = body
-	j.fromCache = true
-	close(j.done)
-	return j
 }
 
 func (j *job) markRunning() {
@@ -67,7 +55,7 @@ func (j *job) markRunning() {
 }
 
 // finish records the job's outcome; the worker closes j.done only
-// after the completion callback has cached and accounted it.
+// after the completion callback has moved it to the result table.
 func (j *job) finish(body []byte, err error) {
 	j.mu.Lock()
 	if err != nil {
@@ -87,19 +75,12 @@ func (j *job) state() (jobStatus, []byte, error) {
 	return j.status, j.body, j.err
 }
 
-// currentStatus returns just the lifecycle status.
-func (j *job) currentStatus() jobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
-}
-
 // pool runs jobs on persistent workers.
 type pool struct {
 	queue   chan *job
 	workers int
 	busy    atomic.Int64
-	onDone  func(*job) // invoked after finish, outside the job lock
+	onDone  func(*job) // invoked after finish, before done closes
 	wg      sync.WaitGroup
 
 	mu     sync.Mutex
@@ -127,42 +108,33 @@ func newPool(workers, depth int, onDone func(*job)) *pool {
 func (p *pool) work() {
 	defer p.wg.Done()
 	runner := NewRunner() // warm scheme cache, private to this worker
-	//detlint:ignore chanorder job intake only: each job is self-contained, keyed by its id, and publishes through its own done channel
+	//detlint:ignore chanorder job intake only: each job is self-contained, keyed by its scenario, and publishes through its own done channel
 	for j := range p.queue {
 		p.busy.Add(1)
 		j.markRunning()
-		var body []byte
-		res, err := runner.Run(j.scenario)
-		if err == nil {
-			if res.Mesh != nil {
-				j.meshSteps = res.Mesh.MeshSteps
-			}
-			body, err = EncodeResult(res)
-		}
-		j.finish(body, err)
-		if p.onDone != nil {
-			p.onDone(j)
-		}
+		j.finish(runner.RunBody(j.scenario))
+		p.onDone(j)
 		// Publish last: a client that sees the job done must also see it
-		// cached and counted, or an identical follow-up request could miss.
+		// in the result table, or an identical follow-up request could miss.
 		close(j.done)
 		p.busy.Add(-1)
 	}
 }
 
-// trySubmit enqueues without blocking. False means the queue is full
-// or the pool is draining.
-func (p *pool) trySubmit(j *job) bool {
+// trySubmit enqueues without blocking. It refuses with errDraining
+// once the pool is closed and with errQueueFull when every slot is
+// taken.
+func (p *pool) trySubmit(j *job) *submitError {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return false
+		return errDraining
 	}
 	select {
 	case p.queue <- j:
-		return true
+		return nil
 	default:
-		return false
+		return errQueueFull
 	}
 }
 

@@ -1,19 +1,19 @@
 // Package serve turns the deterministic simulation into a long-lived
 // service: a warm pool of workers executes sim.Scenario submissions
-// behind token-bucket admission control and a bounded queue, and a
-// size-bounded LRU caches the encoded result bodies keyed by the
-// scenario's canonical encoding. Because the simulation is fully
+// behind one bounded queue, and one table keyed by the scenario's
+// canonical key holds every job — in flight, or finished with its
+// encoded body or its error. Because the simulation is fully
 // deterministic — identical (scenario, seed) always yields identical
-// delivered words, cycle counts, verdicts and ledger spans — a cache
-// hit returns bytes identical to recomputation, which is what makes
-// the service scale: the expensive path runs once per distinct
-// scenario, no matter how many clients ask.
+// delivered words, cycle counts, verdicts and ledger spans — the key
+// is the job id, and a table hit returns bytes identical to
+// recomputation: the expensive path runs once per distinct scenario,
+// no matter how many clients ask.
 //
 // Determinism boundary: everything in this file — scenario execution
 // and result encoding — is deterministic and wall-clock free (detlint
-// gates the package). Wall-clock time exists only in the admission
-// and transport layers (admission.go, server.go), which never feed
-// charged-cost accounting or response bodies.
+// gates the package). Wall-clock time exists only in the HTTP request
+// timeout (server.go), which never feeds charged-cost accounting or
+// response bodies.
 package serve
 
 import (

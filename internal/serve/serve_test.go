@@ -132,16 +132,20 @@ func TestRunnerFaultReports(t *testing.T) {
 	}
 }
 
-// TestServerColdWarmCacheIdentical is the ISSUE's acceptance triple: a
-// cold run, a warm-pool rerun (cache disabled), and a cache hit all
-// return byte-identical bodies.
+// TestServerColdWarmCacheIdentical is the acceptance triple: a direct
+// Runner body, the server's cold miss and its cache hit are
+// byte-identical. (Warm-pool reruns are pinned by
+// TestRunnerWarmColdIdentical.)
 func TestServerColdWarmCacheIdentical(t *testing.T) {
 	sc := testScenario()
+	direct, err := NewRunner().RunBody(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Cache disabled: every POST recomputes, second run is warm-pool.
-	nocache := New(Config{Workers: 1, CacheEntries: -1})
-	defer nocache.Drain()
-	ts := httptest.NewServer(nocache.Handler())
+	srv := New(Config{Workers: 1})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	resp := postScenario(t, ts.URL+"/v1/simulate", sc)
@@ -149,34 +153,14 @@ func TestServerColdWarmCacheIdentical(t *testing.T) {
 		t.Fatalf("cold run: status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
 	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Errorf("cold run X-Cache = %q, want miss", got)
+		t.Errorf("first POST X-Cache = %q, want miss", got)
 	}
 	if got := resp.Header.Get("X-Scenario-Key"); got != sc.Key() {
 		t.Errorf("X-Scenario-Key = %q, want %q", got, sc.Key())
 	}
-	cold := readBody(t, resp)
+	miss := readBody(t, resp)
 
 	resp = postScenario(t, ts.URL+"/v1/simulate", sc)
-	warm := readBody(t, resp)
-	if resp.Header.Get("X-Cache") != "miss" {
-		t.Error("cache-disabled server reported a cache hit")
-	}
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("warm-pool rerun differs from cold run:\n%s\nvs\n%s", cold, warm)
-	}
-
-	// Caching server: miss then hit, both identical to the no-cache body.
-	cached := New(Config{Workers: 1})
-	defer cached.Drain()
-	ts2 := httptest.NewServer(cached.Handler())
-	defer ts2.Close()
-
-	resp = postScenario(t, ts2.URL+"/v1/simulate", sc)
-	miss := readBody(t, resp)
-	if got := resp.Header.Get("X-Cache"); got != "miss" {
-		t.Errorf("first POST X-Cache = %q, want miss", got)
-	}
-	resp = postScenario(t, ts2.URL+"/v1/simulate", sc)
 	hit := readBody(t, resp)
 	if got := resp.Header.Get("X-Cache"); got != "hit" {
 		t.Errorf("second POST X-Cache = %q, want hit", got)
@@ -184,8 +168,8 @@ func TestServerColdWarmCacheIdentical(t *testing.T) {
 	if !bytes.Equal(miss, hit) {
 		t.Fatalf("cache hit differs from cold miss:\n%s\nvs\n%s", miss, hit)
 	}
-	if !bytes.Equal(cold, hit) {
-		t.Fatalf("cached body differs from cache-disabled body")
+	if !bytes.Equal(direct, miss) {
+		t.Fatalf("served body differs from the direct Runner body:\n%s\nvs\n%s", direct, miss)
 	}
 }
 
@@ -325,6 +309,7 @@ func TestRejectionsSurfaceFieldNames(t *testing.T) {
 		{"malformed fault schedule", `{"side":9,"q":3,"d":3,"k":2,"program":"prefixsum","size":16,"seed":1,"fault_schedule":"@x module:40"}`, "fault_schedule"},
 		{"unknown field", `{"side":9,"q":3,"d":3,"k":2,"program":"prefixsum","size":16,"seed":1,"warp_drive":true}`, "warp_drive"},
 		{"unknown program", `{"side":9,"q":3,"d":3,"k":2,"program":"quicksort","size":16,"seed":1}`, "program"},
+		{"trailing data", `{"side":27,"q":3,"d":5,"k":2,"program":"prefixsum","size":16,"seed":1} garbage`, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -383,57 +368,33 @@ func TestOversizedScenarioRejected(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl checks the token bucket rejects with 429 and a
-// Retry-After header once the burst is spent.
-func TestAdmissionControl(t *testing.T) {
-	srv := New(Config{Workers: 1, Rate: 0.0001, Burst: 1})
-	defer srv.Drain()
+// stalledServer returns a server whose pool has a queue of depth
+// slots and no running workers, so queued jobs stay queued.
+func stalledServer(t *testing.T, depth int) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := New(Config{Workers: 1})
+	srv.pool.drain()
+	srv.pool = newPool(0, depth, srv.jobDone)
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp := postScenario(t, ts.URL+"/v1/jobs", testScenario())
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: status %d: %s", resp.StatusCode, readBody(t, resp))
-	}
-	readBody(t, resp)
-
-	// A different scenario (no cache hit, no coalescing) must be refused.
-	other := testScenario()
-	other.Seed = 99
-	resp = postScenario(t, ts.URL+"/v1/jobs", other)
-	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second submit: status %d, want 429: %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After header")
-	}
-
-	// An identical, already-computed scenario still serves from the
-	// cache without a token.
-	srv.pool.drain() // let the first job finish and fill the cache
-	resp = postScenario(t, ts.URL+"/v1/simulate", testScenario())
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("cache hit refused by admission: status %d: %s", resp.StatusCode, readBody(t, resp))
-	} else {
-		if resp.Header.Get("X-Cache") != "hit" {
-			t.Error("expected a cache hit")
-		}
-		readBody(t, resp)
-	}
+	t.Cleanup(ts.Close)
+	return srv, ts
 }
 
-// TestQueueFull checks a saturated queue rejects with 429.
+// TestQueueFull checks a full queue rejects a new scenario with 429 and
+// Retry-After, while an identical submission still joins its queued
+// job.
 func TestQueueFull(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 1})
-	// Stop the workers so the queue cannot drain, without marking the
-	// server as draining (trySubmit then fails on the closed pool).
-	srv.pool.drain()
+	srv, ts := stalledServer(t, 1)
 
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	sc := testScenario()
+	resp := postScenario(t, ts.URL+"/v1/jobs", sc)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: status %d, want 202: %s", resp.StatusCode, body)
+	}
 
-	resp := postScenario(t, ts.URL+"/v1/jobs", testScenario())
+	other := testScenario()
+	other.Seed = 2
+	resp = postScenario(t, ts.URL+"/v1/jobs", other)
 	body := readBody(t, resp)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
@@ -441,8 +402,36 @@ func TestQueueFull(t *testing.T) {
 	if !strings.Contains(string(body), "queue") {
 		t.Errorf("429 body %s does not mention the queue", body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After header")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q, want 1", got)
+	}
+
+	resp = postScenario(t, ts.URL+"/v1/jobs", sc)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusAccepted {
+		t.Errorf("identical submit on a full queue: status %d, want 202 (join): %s", resp.StatusCode, body)
+	}
+	if st := srv.StatsSnapshot(); st.Admitted != 1 || st.Rejected != 1 {
+		t.Errorf("admitted/rejected = %d/%d, want 1/1", st.Admitted, st.Rejected)
+	}
+}
+
+// TestSubmitRacingDrain checks a submission that passed the draining
+// check but met an already-closed pool is told the server is draining
+// (503, no Retry-After), not that the queue is full.
+func TestSubmitRacingDrain(t *testing.T) {
+	srv, ts := stalledServer(t, 4)
+	srv.pool.drain() // closed pool, draining flag not yet set
+
+	resp := postScenario(t, ts.URL+"/v1/jobs", testScenario())
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "draining") {
+		t.Errorf("503 body %s does not say the server is draining", body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "" {
+		t.Errorf("draining refusal carries Retry-After %q", got)
 	}
 }
 
@@ -469,8 +458,7 @@ func TestDrainRefuses(t *testing.T) {
 	}
 }
 
-// TestStats checks /v1/stats accounting: runs, cache hits, hit rate,
-// per-scenario mesh-step totals.
+// TestStats checks /v1/stats accounting: runs, cache hits, hit rate.
 func TestStats(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Drain()
@@ -503,150 +491,20 @@ func TestStats(t *testing.T) {
 	if st.Cache.HitRate <= 0 {
 		t.Errorf("hit rate = %v, want > 0", st.Cache.HitRate)
 	}
-	if len(st.Scenarios) != 1 {
-		t.Fatalf("scenario rows = %d, want 1", len(st.Scenarios))
-	}
-	row := st.Scenarios[0]
-	if row.Key != sc.Key() {
-		t.Errorf("scenario key %s, want %s", row.Key, sc.Key())
-	}
-	if row.Runs != 1 || row.CacheHits != 2 {
-		t.Errorf("scenario totals runs=%d hits=%d, want 1/2", row.Runs, row.CacheHits)
-	}
-	if row.MeshSteps <= 0 {
-		t.Errorf("scenario mesh steps = %d, want > 0", row.MeshSteps)
-	}
 }
 
-// TestJobRetentionEviction pins the async job map bound: completed
-// records beyond MaxJobs are evicted oldest-first, evicted ids answer
-// 404 with a retention reason (distinct from never-known ids), and
-// live jobs are never dropped by retention pressure.
-func TestJobRetentionEviction(t *testing.T) {
-	srv := New(Config{Workers: 1, MaxJobs: 2})
-	defer srv.Drain()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Fill the result cache so every async submission below completes
-	// instantly (completedJob) — eviction order then depends only on
-	// submission order, never on worker timing.
-	sc := testScenario()
-	resp := postScenario(t, ts.URL+"/v1/simulate", sc)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm-up run: status %d: %s", resp.StatusCode, readBody(t, resp))
-	}
-	readBody(t, resp)
-
-	const n = 5
-	ids := make([]string, n)
-	for i := range ids {
-		resp := postScenario(t, ts.URL+"/v1/jobs", sc)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, readBody(t, resp))
-		}
-		var v struct {
-			ID string `json:"id"`
-		}
-		if err := json.Unmarshal(readBody(t, resp), &v); err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = v.ID
-	}
-
-	srv.mu.Lock()
-	retained := len(srv.jobs)
-	srv.mu.Unlock()
-	if retained > 2 {
-		t.Errorf("job map holds %d records, want ≤ MaxJobs=2", retained)
-	}
-
-	// Newest two ids survive; everything older is evicted.
-	for i, id := range ids {
-		r, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := readBody(t, r)
-		if i >= n-2 {
-			if r.StatusCode != http.StatusOK {
-				t.Errorf("retained job %s: status %d, want 200: %s", id, r.StatusCode, body)
-			}
-			continue
-		}
-		if r.StatusCode != http.StatusNotFound {
-			t.Errorf("evicted job %s: status %d, want 404: %s", id, r.StatusCode, body)
-		}
-		if !strings.Contains(string(body), "evicted") || !strings.Contains(string(body), "retention") {
-			t.Errorf("evicted job %s: 404 body %s does not explain the retention eviction", id, body)
-		}
-	}
-
-	// A never-known id still gets the plain unknown-job 404.
-	r, err := http.Get(ts.URL + "/v1/jobs/j-never-submitted")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readBody(t, r)
-	if r.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: status %d, want 404", r.StatusCode)
-	}
-	if !strings.Contains(string(body), "unknown job") || strings.Contains(string(body), "evicted") {
-		t.Errorf("unknown job body %s should be the plain unknown-job reason", body)
-	}
-}
-
-// TestJobRetentionSkipsLiveJobs checks retention pressure walks past
-// queued/running records instead of dropping them or stalling: live
-// jobs survive, completed ones behind them are still evicted.
-func TestJobRetentionSkipsLiveJobs(t *testing.T) {
-	srv := New(Config{Workers: 1, MaxJobs: 1})
-	// No HTTP, no workers: drive rememberJob directly under the lock.
-	live := newJob("j-live", testScenario())
-
-	other := testScenario()
-	other.Seed = 2
-	doneA := completedJob("j-done-a", other, []byte("{}"))
-	doneB := completedJob("j-done-b", other, []byte("{}"))
-
-	srv.mu.Lock()
-	srv.rememberJob(doneA) // oldest
-	srv.rememberJob(live)
-	srv.rememberJob(doneB) // over bound: must evict doneA, then live blocks... skip to keep doneB
-	if _, ok := srv.jobs["j-done-a"]; ok {
-		t.Error("oldest completed job not evicted")
-	}
-	if !srv.evicted["j-done-a"] {
-		t.Error("evicted id not remembered")
-	}
-	if _, ok := srv.jobs["j-live"]; !ok {
-		t.Error("live job dropped by retention")
-	}
-	srv.mu.Unlock()
-
-	// The evicted-id memory is itself bounded (count-based, no clock).
-	srv.mu.Lock()
-	for i := 0; i < 3*evictedMemory; i++ {
-		srv.rememberEvicted(fmt.Sprintf("j-x-%d", i))
-	}
-	if got, want := len(srv.evictFIFO), evictedMemory*srv.cfg.MaxJobs; got > want {
-		t.Errorf("evicted-id memory holds %d ids, want ≤ %d", got, want)
-	}
-	if len(srv.evicted) != len(srv.evictFIFO) {
-		t.Errorf("evicted map (%d) and FIFO (%d) diverged", len(srv.evicted), len(srv.evictFIFO))
-	}
-	srv.mu.Unlock()
-}
-
-// TestLRUCache unit-tests the result cache bounds and counters.
+// TestLRUCache unit-tests the result table bounds and counters.
 func TestLRUCache(t *testing.T) {
+	finished := func(key, body string) *job {
+		return &job{key: key, status: statusDone, body: []byte(body)}
+	}
 	c := newCache(2, 0)
-	c.put("a", []byte("aaa"))
-	c.put("b", []byte("bbb"))
+	c.put(finished("a", "aaa"))
+	c.put(finished("b", "bbb"))
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", []byte("ccc")) // evicts b (a was just used)
+	c.put(finished("c", "ccc")) // evicts b (a was just used)
 	if _, ok := c.get("b"); ok {
 		t.Error("b not evicted")
 	}
@@ -660,27 +518,144 @@ func TestLRUCache(t *testing.T) {
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 2/1", st.Hits, st.Misses)
 	}
+	if _, ok := c.peek("c"); !ok || c.snapshot() != st {
+		t.Error("peek missed c or moved the counters")
+	}
 
 	// Byte bound: oversized bodies are skipped, small ones evict to fit.
 	cb := newCache(10, 4)
-	cb.put("big", []byte("12345"))
+	cb.put(finished("big", "12345"))
 	if _, ok := cb.get("big"); ok {
 		t.Error("oversized body cached")
 	}
-	cb.put("x", []byte("12"))
-	cb.put("y", []byte("34"))
-	cb.put("z", []byte("56")) // must evict x
+	cb.put(finished("x", "12"))
+	cb.put(finished("y", "34"))
+	cb.put(finished("z", "56")) // must evict x
 	if _, ok := cb.get("x"); ok {
 		t.Error("byte bound not enforced")
 	}
 	if st := cb.snapshot(); st.Bytes > 4 {
 		t.Errorf("cached bytes = %d, want ≤ 4", st.Bytes)
 	}
+}
 
-	// Disabled cache.
-	var nc *lruCache = newCache(0, 0)
-	nc.put("k", []byte("v"))
-	if _, ok := nc.get("k"); ok {
-		t.Error("disabled cache stored a body")
+// getJob polls GET /v1/jobs/{key} and decodes the job view.
+func getJob(t *testing.T, url, key string) (int, jobView) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v jobView
+	body := readBody(t, resp)
+	if resp.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, v
+}
+
+// TestJobIDIsScenarioKey pins the keyed job table: the job id is the
+// scenario key, identical submissions share one job and one run, the
+// finished result is retrievable by key, and a never-submitted key is
+// unknown.
+func TestJobIDIsScenarioKey(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	sc := testScenario()
+	key := sc.Key()
+	for i := 0; i < 2; i++ {
+		resp := postScenario(t, ts.URL+"/v1/jobs", sc)
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		var v jobView
+		if err := json.Unmarshal(body, &v); err != nil {
+			t.Fatal(err)
+		}
+		if v.ID != key || v.Key != key {
+			t.Fatalf("submit %d: id %q key %q, want both %q", i, v.ID, v.Key, key)
+		}
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	var v jobView
+	for {
+		code, got := getJob(t, ts.URL, key)
+		if code != http.StatusOK {
+			t.Fatalf("GET by key: status %d", code)
+		}
+		if v = got; v.Status == "done" || v.Status == "failed" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job stuck in status %q", v.Status)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if v.Status != "done" || v.ID != key {
+		t.Fatalf("finished view %+v, want status done and id %q", v, key)
+	}
+	want, err := NewRunner().RunBody(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotC, wantC bytes.Buffer
+	if err := json.Compact(&gotC, v.Result); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&wantC, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotC.Bytes(), wantC.Bytes()) {
+		t.Fatal("result by key differs from a direct run")
+	}
+
+	srv.Drain() // settle the worker before reading its counters
+	if st := srv.StatsSnapshot(); st.JobsDone != 1 {
+		t.Errorf("jobs done = %d, want 1 (identical submissions share one run)", st.JobsDone)
+	}
+	other := testScenario()
+	other.Seed = 7
+	if code, _ := getJob(t, ts.URL, other.Key()); code != http.StatusNotFound {
+		t.Errorf("never-submitted key: status %d, want 404", code)
+	}
+}
+
+// TestFailureCached checks a deterministic run failure is kept in the
+// result table like a body: the second identical submission answers
+// 422 from the table without rerunning, and GET reports it as failed.
+func TestFailureCached(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Drain()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	sc := testScenario()
+	sc.Q = 6 // passes Validate, fails in hmos.New: not a prime power
+	for _, want := range []string{"miss", "hit"} {
+		resp := postScenario(t, ts.URL+"/v1/simulate", sc)
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422: %s", want, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Errorf("X-Cache = %q, want %q", got, want)
+		}
+		if !strings.Contains(string(body), "prime power") {
+			t.Errorf("%s: 422 body %s does not carry the run error", want, body)
+		}
+	}
+	if st := srv.StatsSnapshot(); st.JobsFailed != 1 || st.JobsDone != 0 {
+		t.Errorf("jobs failed/done = %d/%d, want 1/0", st.JobsFailed, st.JobsDone)
+	}
+	code, v := getJob(t, ts.URL, sc.Key())
+	if code != http.StatusOK || v.Status != "failed" || !strings.Contains(v.Error, "prime power") {
+		t.Errorf("GET failed job: status %d view %+v, want failed with the run error", code, v)
 	}
 }

@@ -4,25 +4,25 @@ package serve
 // result retrieval, health and stats. Endpoints:
 //
 //	POST /v1/simulate     run a scenario, wait for the body (sync)
-//	POST /v1/jobs         enqueue a scenario, return a job id (async)
-//	GET  /v1/jobs/{id}    poll an async job
+//	POST /v1/jobs         enqueue a scenario, return its key as job id (async)
+//	GET  /v1/jobs/{key}   poll a job by scenario key
 //	GET  /v1/healthz      liveness and drain state
-//	GET  /v1/stats        queue, cache, pool and per-scenario totals
+//	GET  /v1/stats        queue, result table and pool counters
 //
-// A submission flows: decode → Normalized/Validate (400) → cache
-// (hit: bytes served verbatim) → in-flight coalescing (identical
-// concurrent submissions share one computation) → token-bucket
-// admission and bounded queue (429 + Retry-After) → worker pool.
+// A run's answer is a pure function of its scenario, so the scenario
+// key is the job id and the server keeps one job table: the in-flight
+// map (queued or running) plus the LRU of finished jobs (bodies and
+// deterministic errors alike). A submission flows: decode →
+// Normalized/Validate (400) → finished entry (served verbatim) →
+// in-flight entry (identical concurrent submissions share one
+// computation) → bounded queue (429 + Retry-After) → worker pool.
 // Overload never degrades results, only availability — a computed
 // body is byte-identical no matter how it was scheduled.
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,32 +30,26 @@ import (
 	"meshpram/internal/sim"
 )
 
+// maxBody caps request bodies in bytes.
+const maxBody = 1 << 20
+
 // Config sizes a Server. Zero values select the documented defaults.
 type Config struct {
 	// Workers is the pool width (default 2): persistent goroutines,
 	// each with its own warm scheme cache.
 	Workers int
-	// QueueDepth bounds the job queue (default 64). A full queue
-	// rejects with 429 + Retry-After.
+	// QueueDepth bounds the job queue (default 64), the one admission
+	// gate: a full queue rejects with 429 + Retry-After.
 	QueueDepth int
-	// Rate is the token-bucket refill in submissions/second; ≤ 0
-	// disables admission control. Burst is the bucket capacity
-	// (default: max(Workers, 1)).
-	Rate  float64
-	Burst int
-	// CacheEntries bounds the result cache (default 1024; negative
-	// disables caching). CacheBytes optionally bounds the cached body
-	// bytes (0 = unbounded).
+	// CacheEntries bounds the table of finished jobs (default 1024).
+	// CacheBytes optionally bounds their summed body bytes (0 =
+	// unbounded).
 	CacheEntries int
 	CacheBytes   int64
 	// RequestTimeout caps how long a sync request waits for its result
-	// (default 60s). The computation continues; the body remains
-	// retrievable via the async job endpoint and the cache.
+	// (default 60s). The computation continues; the result remains
+	// retrievable via GET /v1/jobs/{key}.
 	RequestTimeout time.Duration
-	// MaxJobs bounds retained async job records (default 1024).
-	MaxJobs int
-	// MaxBody caps request bodies in bytes (default 1 MiB).
-	MaxBody int64
 }
 
 func (c Config) withDefaults() Config {
@@ -65,57 +59,31 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.Burst <= 0 {
-		c.Burst = c.Workers
-	}
-	switch {
-	case c.CacheEntries < 0:
-		c.CacheEntries = 0 // disabled
-	case c.CacheEntries == 0:
+	if c.CacheEntries <= 0 {
 		c.CacheEntries = 1024
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
-	}
 	return c
-}
-
-// scenarioTotals accumulates per-scenario counters for /v1/stats.
-type scenarioTotals struct {
-	runs      int64
-	cacheHits int64
-	meshSteps int64 // charged mesh steps summed over computed runs
 }
 
 // Server is the simulation service. Construct with New, mount
 // Handler, and Drain on shutdown.
 type Server struct {
-	cfg   Config
-	pool  *pool
-	cache *lruCache
-	adm   *bucket
-	mux   *http.ServeMux
+	cfg  Config
+	pool *pool
+	mux  *http.ServeMux
 
 	draining atomic.Bool
-	jobSeq   atomic.Int64
 
-	mu        sync.Mutex
-	inflight  map[string]*job // cache key → running computation
-	jobs      map[string]*job // job id → record (bounded by MaxJobs)
-	jobAge    *list.List      // job ids, oldest at back
-	evicted   map[string]bool // ids evicted by retention (bounded FIFO)
-	evictFIFO []string        // eviction order of evicted ids
-	scen      map[string]*scenarioTotals
-	admitted  int64
-	rejected  int64
-	done      int64
-	failed    int64
+	mu       sync.Mutex
+	inflight map[string]*job // scenario key → queued or running job
+	cache    *lruCache       // scenario key → finished job
+	admitted int64
+	rejected int64
+	done     int64
+	failed   int64
 }
 
 // New builds and starts a Server (its worker pool runs immediately).
@@ -123,19 +91,14 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
-		cache:    newCache(cfg.CacheEntries, cfg.CacheBytes),
-		adm:      newBucket(cfg.Rate, cfg.Burst),
 		inflight: make(map[string]*job),
-		jobs:     make(map[string]*job),
-		jobAge:   list.New(),
-		evicted:  make(map[string]bool),
-		scen:     make(map[string]*scenarioTotals),
+		cache:    newCache(cfg.CacheEntries, cfg.CacheBytes),
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.jobDone)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
+	s.mux.HandleFunc("GET /v1/jobs/{key}", s.handleGetJob)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	return s
@@ -151,176 +114,68 @@ func (s *Server) Drain() {
 	s.pool.drain()
 }
 
-// jobDone is the pool's completion callback: fill the cache, account
-// the scenario, release the in-flight slot.
+// jobDone is the pool's completion callback: move the job from the
+// in-flight map to the result table and count it.
 func (s *Server) jobDone(j *job) {
-	_, body, err := j.state()
-	if err == nil {
-		s.cache.put(j.key, body)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
-	}
-	if err != nil {
+	delete(s.inflight, j.key)
+	s.cache.put(j)
+	if j.err != nil {
 		s.failed++
-		return
+	} else {
+		s.done++
 	}
-	s.done++
-	s.totalsFor(j.key).runs++
-	s.totalsFor(j.key).meshSteps += j.meshSteps
-}
-
-// totalsFor returns (creating on demand) the per-scenario counters.
-// Callers hold s.mu.
-func (s *Server) totalsFor(key string) *scenarioTotals {
-	t, ok := s.scen[key]
-	if !ok {
-		t = &scenarioTotals{}
-		s.scen[key] = t
-	}
-	return t
 }
 
 // submitError is an admission/validation refusal with an HTTP shape.
 type submitError struct {
 	status     int
 	msg        string
-	retryAfter int // seconds; 0 = no header
+	retryAfter bool // send Retry-After: 1
 }
 
 func (e *submitError) Error() string { return e.msg }
 
-// submit runs the full admission pipeline and returns either a job
-// (possibly already completed, on cache hit or coalesced join) or a
-// submitError.
-func (s *Server) submit(sc sim.Scenario) (*job, *submitError) {
+var (
+	errDraining  = &submitError{status: http.StatusServiceUnavailable, msg: "server is draining"}
+	errQueueFull = &submitError{status: http.StatusTooManyRequests, msg: "job queue is full", retryAfter: true}
+)
+
+// submit looks the scenario up in the job table and enqueues it only
+// when the key is neither finished nor in flight. It returns the job
+// (hit reports a finished entry served from the table) or a refusal.
+func (s *Server) submit(sc sim.Scenario) (*job, bool, *submitError) {
 	if s.draining.Load() {
-		return nil, &submitError{status: http.StatusServiceUnavailable, msg: "server is draining"}
+		return nil, false, errDraining
 	}
 	key := sc.Key()
-	if body, ok := s.cache.get(key); ok {
-		id := s.nextJobID()
-		j := completedJob(id, sc, body)
-		s.mu.Lock()
-		s.totalsFor(key).cacheHits++
-		s.rememberJob(j)
-		s.mu.Unlock()
-		return j, nil
-	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.cache.get(key); ok {
+		return j, true, nil
+	}
 	if j, ok := s.inflight[key]; ok {
-		// Identical submission already computing: join it. No token
-		// consumed — coalesced work is free by determinism.
-		s.mu.Unlock()
-		return j, nil
+		return j, false, nil // join the running computation
 	}
-	ok, wait := s.adm.take()
-	if !ok {
-		s.rejected++
-		s.mu.Unlock()
-		return nil, &submitError{
-			status:     http.StatusTooManyRequests,
-			msg:        "admission rate exceeded",
-			retryAfter: retryAfterSeconds(wait),
+	j := newJob(sc)
+	if serr := s.pool.trySubmit(j); serr != nil {
+		if serr == errQueueFull {
+			s.rejected++
 		}
+		return nil, false, serr
 	}
-	j := newJob(s.nextJobID(), sc)
 	s.inflight[key] = j
-	s.rememberJob(j)
 	s.admitted++
-	s.mu.Unlock()
-
-	if !s.pool.trySubmit(j) {
-		s.mu.Lock()
-		if s.inflight[key] == j {
-			delete(s.inflight, key)
-		}
-		s.forgetJob(j.id)
-		s.admitted--
-		s.rejected++
-		s.mu.Unlock()
-		return nil, &submitError{
-			status:     http.StatusTooManyRequests,
-			msg:        "job queue is full",
-			retryAfter: 1,
-		}
-	}
-	return j, nil
-}
-
-func (s *Server) nextJobID() string {
-	return fmt.Sprintf("j-%d", s.jobSeq.Add(1))
-}
-
-// evictedMemory sizes the evicted-id memory in multiples of MaxJobs:
-// the ids of the last evictedMemory×MaxJobs evictions are retained so
-// GET of an evicted job can explain itself instead of claiming the id
-// never existed. Purely count-based — eviction never consults a clock,
-// so a replayed request sequence always evicts the same ids.
-const evictedMemory = 4
-
-// rememberJob records j for async retrieval, evicting the oldest
-// completed records beyond the MaxJobs retention threshold. Records
-// still live (queued or running) are skipped, never dropped — the map
-// can transiently exceed MaxJobs only by the number of live jobs,
-// which the queue already bounds. Callers hold s.mu.
-func (s *Server) rememberJob(j *job) {
-	s.jobs[j.id] = j
-	s.jobAge.PushFront(j.id)
-	el := s.jobAge.Back()
-	for len(s.jobs) > s.cfg.MaxJobs && el != nil {
-		prev := el.Prev()
-		id := el.Value.(string)
-		if old, ok := s.jobs[id]; ok {
-			if st := old.currentStatus(); st == statusDone || st == statusFailed {
-				delete(s.jobs, id)
-				s.jobAge.Remove(el)
-				s.rememberEvicted(id)
-			}
-		} else {
-			s.jobAge.Remove(el) // stale entry of a forgotten job
-		}
-		el = prev
-	}
-}
-
-// rememberEvicted records an evicted job id, keeping the memory itself
-// bounded by dropping the oldest recorded evictions first. Callers
-// hold s.mu.
-func (s *Server) rememberEvicted(id string) {
-	if s.evicted[id] {
-		return
-	}
-	s.evicted[id] = true
-	s.evictFIFO = append(s.evictFIFO, id)
-	if len(s.evictFIFO) > evictedMemory*s.cfg.MaxJobs {
-		drop := s.evictFIFO[0]
-		s.evictFIFO = s.evictFIFO[1:]
-		delete(s.evicted, drop)
-	}
-}
-
-// forgetJob removes a job record (failed enqueue). Callers hold s.mu.
-func (s *Server) forgetJob(id string) {
-	delete(s.jobs, id)
-	for el := s.jobAge.Front(); el != nil; el = el.Next() {
-		if el.Value.(string) == id {
-			s.jobAge.Remove(el)
-			break
-		}
-	}
+	return j, false, nil
 }
 
 // --- HTTP handlers ------------------------------------------------------
 
 func (s *Server) decodeScenario(w http.ResponseWriter, r *http.Request) (sim.Scenario, bool) {
 	defer r.Body.Close() // close error is unactionable here; net/http drains the body
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	dec.DisallowUnknownFields()
 	var sc sim.Scenario
-	if err := dec.Decode(&sc); err != nil {
+	if err := sim.DecodeScenario(http.MaxBytesReader(w, r.Body, maxBody), &sc); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode scenario: %v", err))
 		return sim.Scenario{}, false
 	}
@@ -337,7 +192,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j, serr := s.submit(sc)
+	j, hit, serr := s.submit(sc)
 	if serr != nil {
 		writeSubmitError(w, serr)
 		return
@@ -348,29 +203,29 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-j.done:
 	case <-timer.C:
-		w.Header().Set("X-Job-Id", j.id)
+		w.Header().Set("X-Job-Id", j.key)
 		writeError(w, http.StatusGatewayTimeout,
-			fmt.Sprintf("computation still running; poll /v1/jobs/%s", j.id))
+			fmt.Sprintf("computation still running; poll /v1/jobs/%s", j.key))
 		return
 	case <-r.Context().Done():
 		return
 	}
-	st, body, err := j.state()
-	if st == statusFailed {
-		writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Scenario-Key", j.key)
-	if j.fromCache {
+	if hit {
 		w.Header().Set("X-Cache", "hit")
 	} else {
 		w.Header().Set("X-Cache", "miss")
 	}
+	_, body, err := j.state()
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
 	w.Write(body) // client write failure is the client's problem; nothing to roll back
 }
 
-// jobView is the async job representation.
+// jobView is the async job representation; the id is the scenario key.
 type jobView struct {
 	ID     string          `json:"id"`
 	Key    string          `json:"key"`
@@ -382,7 +237,7 @@ type jobView struct {
 
 func viewOf(j *job) jobView {
 	st, body, err := j.state()
-	v := jobView{ID: j.id, Key: j.key, Status: string(st), Cached: j.fromCache}
+	v := jobView{ID: j.key, Key: j.key, Status: string(st)}
 	if st == statusDone {
 		v.Result = json.RawMessage(body)
 	}
@@ -397,31 +252,29 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	j, serr := s.submit(sc)
+	j, hit, serr := s.submit(sc)
 	if serr != nil {
 		writeSubmitError(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobView{
-		ID: j.id, Key: j.key, Status: string(j.currentStatus()), Cached: j.fromCache,
-	})
+	v := viewOf(j)
+	v.Result, v.Cached = nil, hit // the body is fetched with GET
+	writeJSON(w, http.StatusAccepted, v)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+	key := r.PathValue("key")
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	wasEvicted := !ok && s.evicted[id]
-	s.mu.Unlock()
-	switch {
-	case ok:
-		writeJSON(w, http.StatusOK, viewOf(j))
-	case wasEvicted:
-		writeError(w, http.StatusNotFound, fmt.Sprintf(
-			"job %q was evicted after completion (retention keeps the last %d jobs); re-POST the scenario — the deterministic result is served from cache", id, s.cfg.MaxJobs))
-	default:
-		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown job %q", id))
+	j, ok := s.inflight[key]
+	if !ok {
+		j, ok = s.cache.peek(key)
 	}
+	s.mu.Unlock()
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("job %q is unknown or evicted; re-POST the scenario", key))
+		return
+	}
+	writeJSON(w, http.StatusOK, viewOf(j))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -433,14 +286,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status  string `json:"status"`
 		Workers int    `json:"workers"`
 	}{status, s.cfg.Workers})
-}
-
-// ScenarioStat is one per-scenario row of /v1/stats.
-type ScenarioStat struct {
-	Key       string `json:"key"`
-	Runs      int64  `json:"runs"`
-	CacheHits int64  `json:"cache_hits"`
-	MeshSteps int64  `json:"mesh_steps"` // charged cycles summed over computed runs
 }
 
 // Stats is the /v1/stats document.
@@ -457,8 +302,6 @@ type Stats struct {
 	JobsFailed int64 `json:"jobs_failed"`
 
 	Cache cacheStats `json:"cache"`
-
-	Scenarios []ScenarioStat `json:"scenarios"`
 }
 
 // StatsSnapshot assembles the current service counters (also used by
@@ -470,23 +313,12 @@ func (s *Server) StatsSnapshot() Stats {
 		QueueDepth: s.pool.depth(),
 		QueueCap:   s.pool.capacity(),
 		Draining:   s.draining.Load(),
-		Cache:      s.cache.snapshot(),
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st.Admitted, st.Rejected = s.admitted, s.rejected
 	st.JobsDone, st.JobsFailed = s.done, s.failed
-	keys := make([]string, 0, len(s.scen))
-	for k := range s.scen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		t := s.scen[k]
-		st.Scenarios = append(st.Scenarios, ScenarioStat{
-			Key: k, Runs: t.runs, CacheHits: t.cacheHits, MeshSteps: t.meshSteps,
-		})
-	}
-	s.mu.Unlock()
+	st.Cache = s.cache.snapshot()
 	return st
 }
 
@@ -511,8 +343,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 func writeSubmitError(w http.ResponseWriter, e *submitError) {
-	if e.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
+	if e.retryAfter {
+		w.Header().Set("Retry-After", "1")
 	}
 	writeError(w, e.status, e.msg)
 }

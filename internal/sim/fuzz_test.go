@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -8,10 +9,10 @@ import (
 	"meshpram/internal/sim"
 )
 
-// FuzzScenario feeds arbitrary JSON through Scenario.Validate and, for
-// meshes small enough to build quickly (side ≤ 27), on through
-// FromScenario, NewBackend and BuildProgram without running the
-// program. Every input must end in an error or a value, never a panic.
+// FuzzScenario feeds arbitrary JSON through the strict DecodeScenario
+// and Scenario.Validate and, for meshes small enough to build quickly
+// (side ≤ 27), on through FromScenario, NewBackend and BuildProgram
+// without running the program. Every input must end in an error or a value, never a panic.
 func FuzzScenario(f *testing.F) {
 	add := func(edit func(*sim.Scenario)) {
 		sc := sim.DefaultScenario()
@@ -42,7 +43,7 @@ func FuzzScenario(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sc sim.Scenario
-		if json.Unmarshal(data, &sc) != nil {
+		if sim.DecodeScenario(bytes.NewReader(data), &sc) != nil {
 			return
 		}
 		sc = sc.Normalized()

@@ -16,7 +16,10 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 
@@ -103,6 +106,23 @@ func DefaultScenario() Scenario {
 		Workers:     1,
 		IdealMemory: 1 << 20,
 	}
+}
+
+// DecodeScenario is the one strict JSON decoder of a Scenario, shared
+// by the CLI's -scenario file, the service and the fuzzer. It decodes
+// the single JSON value in r over sc, so omitted fields keep sc's
+// values; an unknown field (a misspelled knob) or anything after the
+// first value is an error rather than a silently different run.
+func DecodeScenario(r io.Reader, sc *Scenario) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(sc); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // Normalized returns a copy with every empty enum field replaced by
