@@ -11,6 +11,7 @@ import (
 	"meshpram/internal/faultview"
 	"meshpram/internal/hmos"
 	"meshpram/internal/route"
+	"meshpram/internal/trace"
 )
 
 // The event-skip routing engine must be invisible at the protocol
@@ -192,5 +193,76 @@ func TestLocalViewSimulationIdentity(t *testing.T) {
 		loc.snapshot = loc.snapshot[:0]
 		glob.snapshot = glob.snapshot[:0]
 		requireSameTrace(t, label, glob, loc)
+	}
+}
+
+// spanRow is one ledger span's semantic axes, for comparing trees.
+type spanRow struct {
+	name                       string
+	charged, observed, packets int64
+}
+
+// flattenSpans lists the spans of a ledger tree in depth-first order.
+func flattenSpans(s *trace.Span, out []spanRow) []spanRow {
+	out = append(out, spanRow{s.Name(), s.Charged(), s.Observed(), s.Packets()})
+	for _, c := range s.Children() {
+		out = flattenSpans(c, out)
+	}
+	return out
+}
+
+// TestEventCycleSimulationIdentityE1 runs the identity contract at the
+// benchmark geometry — side 81, q=3, d=7, k=2, two full random batches
+// in which every processor accesses a distinct variable — where the
+// healthy forward and return legs span the whole machine. Read
+// results, StepStats, every ledger span's charged/observed/packets and
+// the snapshot bytes must match between route.ModeCycle and
+// route.ModeEvent, on the mesh and the torus.
+func TestEventCycleSimulationIdentityE1(t *testing.T) {
+	type run struct {
+		eventMatrixTrace
+		spans [][]spanRow
+	}
+	do := func(mode route.EngineMode, torus bool) run {
+		s, err := New(hmos.Params{Side: 81, Q: 3, D: 7, K: 2}, Config{Torus: torus, EngineMode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, nv := s.M.N, s.Scheme().Vars()
+		rng := rand.New(rand.NewSource(81))
+		var r run
+		for step := 0; step < 2; step++ {
+			ops := make([]Op, n)
+			for pid, v := range rng.Perm(nv)[:n] {
+				ops[pid] = Op{Origin: pid, Var: v}
+				if pid%2 == 0 {
+					ops[pid].IsWrite, ops[pid].Value = true, Word(step)<<32|Word(pid+1)
+				}
+			}
+			words, stats, err := s.StepChecked(ops)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			r.words = append(r.words, words)
+			r.stats = append(r.stats, stats)
+			r.reports = append(r.reports, s.LastReport().String())
+			r.spans = append(r.spans, flattenSpans(s.Ledger().Last(), nil))
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		r.snapshot = buf.Bytes()
+		return r
+	}
+	for _, torus := range []bool{false, true} {
+		label := fmt.Sprintf("side=81/torus=%v", torus)
+		cyc, evt := do(route.ModeCycle, torus), do(route.ModeEvent, torus)
+		requireSameTrace(t, label, cyc.eventMatrixTrace, evt.eventMatrixTrace)
+		for i := range cyc.spans {
+			if !reflect.DeepEqual(cyc.spans[i], evt.spans[i]) {
+				t.Errorf("%s: step %d ledger spans diverge", label, i)
+			}
+		}
 	}
 }

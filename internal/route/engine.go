@@ -47,16 +47,21 @@ import (
 //     bit-identical to the sequential one by construction (DESIGN.md
 //     §10).
 //
-// In the default ModeEvent the engine is a discrete-event simulator of
-// that cycle machine (DESIGN.md §11): whenever the last sweep saw no
-// contention it computes the next-event horizon — the earliest future
-// cycle at which any packet could change another packet's behaviour
-// (a phase collision on a shared corridor, a fault hazard, an external
-// schedule event, the retry budget) — and fast-forwards every in-flight
-// packet along its cached (dir, dist) trajectory by k hops in one
-// batch, charging k cycles at once. Charged cycles, delivered contents
-// and delivery order are bit-identical to ModeCycle; only the executed
-// iteration count (Executed, and the ledger's Exec counter) differs.
+// In the default ModeEvent the healthy path (Route, RouteTorus) does
+// not sweep the region at all: it solves each row and column pipeline
+// on its own (lines.go, DESIGN.md §17), and Executed is the most
+// iterations any single line ran. The fault path is a
+// discrete-event simulator of the cycle machine (DESIGN.md §11):
+// whenever the last sweep saw no contention it computes the next-event
+// horizon — the earliest future cycle at which any packet could change
+// another packet's behaviour (a phase collision on a shared corridor, a
+// fault hazard, an external schedule event, the retry budget) — and
+// fast-forwards every in-flight packet along its cached (dir, dist)
+// trajectory by k hops in one batch, charging k cycles at once; there
+// Executed counts sweeps plus batches. Either way charged cycles,
+// delivered contents and delivery order are bit-identical to ModeCycle,
+// and only the executed iteration count (Executed, and the ledger's
+// Exec counter) differs, never exceeding the charged cycles.
 //
 // An Engine is not safe for concurrent use; give each goroutine its
 // own. The zero value is not usable — construct with NewEngine.
@@ -91,7 +96,18 @@ type Engine[T any] struct {
 	delq   []engDel    // batched deliveries, sorted into cycle order
 	haz    []engHazard // fault hazards of the current routeFault call
 	hbuf   []fault.LinkHazard
-	execs  int64 // executed iterations (sweeps + batches) of the last call
+	execs  int64 // executed iterations of the last call
+
+	// Line-decomposed healthy path (lines.go); the n-entry queue and
+	// worklist tables above are not used by it.
+	rowAt  []int32    // slab offset of each region row's first packet
+	colAt  []int32    // column-line bucket bounds in colq
+	colq   []uint64   // column-line entries: entry cycle<<32 | slot
+	lq     [][]uint64 // per line position: queued entries, winner last
+	occ    []uint64   // occupied line positions
+	lnMove []uint64   // free-run scratch: (position, entry) pairs
+	dcnt   []int32    // per destination node: delivery group bounds
+	dorder []int32    // routed slots grouped by destination
 
 	lastContested bool
 	// wlUnsorted marks a worklist left in first-occurrence order by a
@@ -173,9 +189,11 @@ func (e *Engine[T]) SetFaultView(v *faultview.View) { e.view = v }
 // FaultView returns the installed local-knowledge view (nil = global).
 func (e *Engine[T]) FaultView() *faultview.View { return e.view }
 
-// Executed returns the physically executed iterations (sweeps plus
-// epoch-skip batches) of the most recent routing call. It is ≤ the
-// call's charged cycle count, with equality in ModeCycle.
+// Executed returns the physically executed iterations of the most
+// recent routing call: sweeps plus epoch-skip batches, or on the
+// healthy ModeEvent path the most iterations any single line ran (one
+// per contended cycle, one per free run). It is ≤ the call's charged
+// cycle count, with equality in ModeCycle.
 func (e *Engine[T]) Executed() int64 { return e.execs }
 
 // engArrival is one packet crossing into a new processor this cycle.
@@ -307,6 +325,11 @@ func (e *Engine[T]) ensure(r mesh.Region) {
 	if nl > len(e.inQ) {
 		e.inQ = make([]bool, nl) // all-false at rest by invariant
 	}
+	e.resetSlab()
+}
+
+// resetSlab truncates the packet slab and the per-call counters.
+func (e *Engine[T]) resetSlab() {
 	e.val = e.val[:0]
 	e.dests = e.dests[:0]
 	e.dcol = e.dcol[:0]
@@ -329,7 +352,8 @@ func (e *Engine[T]) cleanup() {
 }
 
 // Release drops every retained buffer of the engine — the packet slab,
-// per-node queues, shard arenas, trajectory buckets and hazard caches —
+// per-node queues, shard arenas, trajectory buckets, hazard caches and
+// line buffers —
 // returning it to its just-constructed footprint. The engine stays
 // fully usable: every buffer is lazily regrown by the next routing
 // call. Call it only between routing calls (the at-rest invariant of
@@ -341,6 +365,7 @@ func (e *Engine[T]) Release() {
 	e.arr, e.csd, e.cuts = nil, nil, nil
 	e.vbkt, e.vtouch, e.trjH, e.trjV, e.delq = nil, nil, nil, nil, nil
 	e.haz, e.hbuf = nil, nil
+	e.rowAt, e.colAt, e.colq, e.lq, e.occ, e.lnMove, e.dcnt, e.dorder = nil, nil, nil, nil, nil, nil, nil, nil
 	e.ptry, e.pwait, e.disc, e.dropq, e.wcnt, e.discAll = nil, nil, nil, nil, nil, nil
 	e.hazLog = -1 // the hazard union must be rebuilt from the view
 }
@@ -384,6 +409,12 @@ func (e *Engine[T]) MemBytes() int64 {
 	}
 	sz += int64(cap(e.wcnt)) * 4
 	sz += int64(cap(e.discAll)) * int64(unsafe.Sizeof(faultview.Discovery{}))
+	sz += int64(cap(e.rowAt)+cap(e.colAt)+cap(e.dcnt)+cap(e.dorder)) * 4
+	sz += int64(cap(e.colq)+cap(e.occ)+cap(e.lnMove)) * 8
+	sz += int64(cap(e.lq)) * 24
+	for _, q := range e.lq {
+		sz += int64(cap(q)) * 8
+	}
 	return sz
 }
 
@@ -496,10 +527,7 @@ func (e *Engine[T]) inject(delivered [][]T, r mesh.Region, items [][]T, dest fun
 		for col := r.C0; col < r.C0+r.W; col++ {
 			p := m.IDOf(row, col)
 			for _, v := range items[p] {
-				d := dest(v)
-				if !r.Contains(m, d) {
-					panic(fmt.Sprintf("route: destination %d outside region %v", d, r))
-				}
+				d := e.target(v, dest, r)
 				if f != nil && e.view != nil {
 					// Local knowledge: the origin refuses the send only if
 					// *it believes* the destination is dead. A stale-alive
@@ -520,13 +548,7 @@ func (e *Engine[T]) inject(delivered [][]T, r mesh.Region, items [][]T, dest fun
 					continue
 				}
 				slot := int32(len(e.val))
-				dr, _ := topo.next(p, d)
-				e.val = append(e.val, v)
-				e.dests = append(e.dests, int32(d))
-				e.dcol = append(e.dcol, int32(m.ColOf(d)))
-				e.dist = append(e.dist, int32(topo.dist(p, d)))
-				e.dir = append(e.dir, int8(dr))
-				e.from = append(e.from, -1)
+				e.push(v, p, d, topo, -1)
 				wl = e.enqueue(e.localOf(p, r), slot, wl)
 				active++
 			}
@@ -535,6 +557,28 @@ func (e *Engine[T]) inject(delivered [][]T, r mesh.Region, items [][]T, dest fun
 	}
 	e.active = wl
 	return active, lost
+}
+
+// target returns v's destination, which must lie inside r.
+func (e *Engine[T]) target(v T, dest func(T) int, r mesh.Region) int {
+	d := dest(v)
+	if !r.Contains(e.m, d) {
+		panic(fmt.Sprintf("route: destination %d outside region %v", d, r))
+	}
+	return d
+}
+
+// push appends a packet at p bound for d to the slab, with the given
+// from field, and returns its cached direction.
+func (e *Engine[T]) push(v T, p, d int, topo topology, from int32) int8 {
+	dr, _ := topo.next(p, d)
+	e.val = append(e.val, v)
+	e.dests = append(e.dests, int32(d))
+	e.dcol = append(e.dcol, int32(e.m.ColOf(d)))
+	e.dist = append(e.dist, int32(topo.dist(p, d)))
+	e.dir = append(e.dir, int8(dr))
+	e.from = append(e.from, from)
+	return int8(dr)
 }
 
 // shardPlan returns how many parallel shards this cycle's sweep uses:
@@ -1132,19 +1176,6 @@ func (e *Engine[T]) trajPos(row, col, dc int, d, vd int8, h, t int32, wrap bool)
 
 const engInf = int32(1) << 30
 
-// skipHorizon computes the epoch-skip width available from the current
-// state: the largest k such that every queued packet can free-run k
-// hops along its cached (dir, dist) trajectory with no two packets
-// ever competing for the same (node, out-direction) and no fault
-// hazard crossed off-beat, capped by the external horizon source and
-// the remaining retry budget. Two packets on the same line moving the
-// same direction at unit speed collide iff they share a phase
-// (position ∓ time), so the earliest collision is found by bucketing
-// trajectory segments on (axis, line, direction, phase) and scanning
-// each bucket for overlapping occupancy windows — O(P log P), no
-// pairwise scan. The boolean reports whether the cap was semantic
-// (collision or hazard) — if so the caller must sweep cycle by cycle
-// until contention clears before attempting another skip.
 // sortWorklist restores region-row-major worklist order after a batch
 // or a full-rebuild merge deferred it. Event mode re-sorts the
 // worklist before almost every sweep, so this is an LSD radix sort —
@@ -1194,7 +1225,20 @@ func (e *Engine[T]) resetLines() {
 	e.vtouch = e.vtouch[:0]
 }
 
-func (e *Engine[T]) skipHorizon(r mesh.Region, wrap, faulty bool, charged, budgetRem int64) (int32, bool) {
+// skipHorizon computes the epoch-skip width available from the current
+// state: the largest k such that every queued packet can free-run k
+// hops along its cached (dir, dist) trajectory with no two packets
+// ever competing for the same (node, out-direction) and no fault
+// hazard crossed off-beat, capped by the external horizon source and
+// the remaining retry budget. Two packets on the same line moving the
+// same direction at unit speed collide iff they share a phase
+// (position ∓ time), so the earliest collision is found by bucketing
+// trajectory segments on (axis, line, direction, phase) and scanning
+// each bucket for overlapping occupancy windows — O(P log P), no
+// pairwise scan. The boolean reports whether the cap was semantic
+// (collision or hazard) — if so the caller must sweep cycle by cycle
+// until contention clears before attempting another skip.
+func (e *Engine[T]) skipHorizon(r mesh.Region, wrap bool, charged, budgetRem int64) (int32, bool) {
 	m := e.m
 	s := m.Side
 	var maxDist int32
@@ -1235,7 +1279,7 @@ func (e *Engine[T]) skipHorizon(r mesh.Region, wrap, faulty bool, charged, budge
 			}
 		}
 		for _, slot := range q {
-			if faulty && e.view != nil && e.pwait[slot] > charged {
+			if e.view != nil && e.pwait[slot] > charged {
 				// A backoff-waiting packet does not free-run: its next
 				// cycles deviate from the cached trajectory, so no skip.
 				e.resetLines()
@@ -1299,7 +1343,7 @@ func (e *Engine[T]) skipHorizon(r mesh.Region, wrap, faulty bool, charged, budge
 				}
 				e.vbkt[line] = append(b, engSeg(uint64(idx), h, dist-1))
 			}
-			if faulty && len(haz) > 0 {
+			if len(haz) > 0 {
 				if t := e.hazardCap(haz, rr, c, dc, d, vd, h, dist, charged, wrap); t < semCap {
 					semCap = t
 				}
@@ -1445,12 +1489,12 @@ func (e *Engine[T]) hazardCap(haz []engHazard, rr, c, dc int, d, vd int8, h, dis
 // cycle, then by the final hop's sender in worklist order, then by the
 // sender's outgoing direction (the per-node emission order of the
 // sweep), then by slot. Survivors land at their offset-k position with
-// dist reduced by k; on the fault path their backtrack pointer is set
-// to the offset-(k-1) position, exactly as k single hops would have
-// left it. Queues and the worklist are rebuilt (sorted); queue-internal
-// order is unobservable — selection depends only on (dist, slot).
+// dist reduced by k and their backtrack pointer set to the offset-(k-1)
+// position, exactly as k single hops would have left it. Queues and the
+// worklist are rebuilt (sorted); queue-internal order is unobservable —
+// selection depends only on (dist, slot).
 // Returns the number of packets delivered.
-func (e *Engine[T]) batchAdvance(delivered [][]T, r mesh.Region, wrap, faulty bool, k int32) int {
+func (e *Engine[T]) batchAdvance(delivered [][]T, r mesh.Region, wrap bool, k int32) int {
 	if len(e.arr) == 0 {
 		e.arr = append(e.arr, nil)
 	}
@@ -1474,10 +1518,8 @@ func (e *Engine[T]) batchAdvance(delivered [][]T, r mesh.Region, wrap, faulty bo
 				continue
 			}
 			np, ndir := e.trajPos(rr, c, dc, d, vd, h, k, wrap)
-			if faulty {
-				fp, _ := e.trajPos(rr, c, dc, d, vd, h, k-1, wrap)
-				e.from[slot] = int32(fp)
-			}
+			fp, _ := e.trajPos(rr, c, dc, d, vd, h, k-1, wrap)
+			e.from[slot] = int32(fp)
 			e.dir[slot] = ndir
 			e.dist[slot] = dist - k
 			stage = append(stage, engArrival{to: int32(np), slot: slot})
@@ -1501,9 +1543,10 @@ func (e *Engine[T]) batchAdvance(delivered [][]T, r mesh.Region, wrap, faulty bo
 	return len(dq)
 }
 
-// route is the healthy loop shared by Route and RouteTorus: in
-// ModeEvent it alternates epoch-skip batches with contention-resolving
-// sweeps; in ModeCycle it sweeps every charged cycle.
+// route is the healthy path shared by Route and RouteTorus. In ModeEvent
+// it solves the call line by line (routeLines). In ModeCycle — and when
+// a HorizonSource is installed, since an external event may fall inside
+// the call and lines cannot stop at one — it sweeps every charged cycle.
 func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool) (delivered [][]T, steps int64) {
 	m := e.m
 	sp := m.Ledger().Begin("greedy", trace.PhaseForward)
@@ -1516,24 +1559,16 @@ func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) in
 		dst = make([][]T, m.N)
 	}
 	delivered = dst
+	if e.mode == ModeEvent && e.hsrc == nil && max(r.H, r.W) <= lnMaxSide {
+		steps = e.routeLines(delivered, r, items, dest, topo, wrap)
+		sp.AddPackets(int64(len(e.val)))
+		return delivered, steps
+	}
 	e.ensure(r)
 	//detlint:ignore checkederr healthy path injects with a nil fault map, so the lost count is structurally zero
 	active, _ := e.inject(delivered, r, items, dest, topo, nil)
 	sp.AddPackets(int64(len(e.val)))
-	e.haz = e.haz[:0]
-	useEvent := e.mode == ModeEvent && m.Side < engMaxEventSide
-	contested := false
 	for active > 0 {
-		if useEvent && !contested {
-			if k, sem := e.skipHorizon(r, wrap, false, steps, 1<<62); k > 0 {
-				e.execs++
-				steps += int64(k)
-				active -= e.batchAdvance(delivered, r, wrap, false, k)
-				contested = sem
-				continue
-			}
-			contested = true
-		}
 		steps++
 		e.execs++
 		shards, total := e.sweep(r, topo, wrap, false, steps, active)
@@ -1541,13 +1576,6 @@ func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) in
 			panic("route: greedy router stalled with active packets")
 		}
 		active -= e.merge(delivered, r, topo, wrap, false, shards)
-		// A contested sweep does not gate the next horizon attempt: the
-		// loser of a selection is often alone next cycle, and a doomed
-		// attempt exits early on its t=0 dup-direction check (a zero
-		// horizon always has a co-located same-direction pair), so the
-		// optimistic retry costs little and converts whole tails of
-		// contention episodes into batches.
-		contested = false
 	}
 	e.cleanup()
 	return delivered, steps
@@ -1625,10 +1653,10 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 			if e.view != nil {
 				e.localHazards(f)
 			}
-			if k, sem := e.skipHorizon(r, wrap, true, steps, budget-steps); k > 0 {
+			if k, sem := e.skipHorizon(r, wrap, steps, budget-steps); k > 0 {
 				e.execs++
 				steps += int64(k)
-				active -= e.batchAdvance(delivered, r, wrap, true, k)
+				active -= e.batchAdvance(delivered, r, wrap, k)
 				if e.view != nil {
 					e.view.AdvanceRounds(int64(k))
 				}

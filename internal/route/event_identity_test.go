@@ -97,25 +97,34 @@ func TestEventCycleBitIdentity(t *testing.T) {
 // TestEventFixedHorizonCap pins the HorizonSource contract: an
 // external cap bounds every skip without changing any observable
 // output, and a non-positive cap disables batching entirely (executed
-// equals charged — the engine degrades to the cycle loop).
+// equals charged — the engine degrades to the cycle loop). On the
+// healthy path any installed source selects the cycle loop, since the
+// line decomposition solves a call in one piece; the fault path (here
+// on a machine without faults, so skips are long) caps its epoch skips.
 func TestEventFixedHorizonCap(t *testing.T) {
 	items := func(m *mesh.Machine) [][]item { return engineInstance("random", m, 7) }
 
-	ref, refExec := runEngineMode(t, ModeCycle, nil, 1, false, false, false, items)
-	free, freeExec := runEngineMode(t, ModeEvent, nil, 1, false, false, false, items)
-	capped, cappedExec := runEngineMode(t, ModeEvent, FixedHorizon(7), 1, false, false, false, items)
-	off, offExec := runEngineMode(t, ModeEvent, FixedHorizon(0), 1, false, false, false, items)
+	for _, faultPath := range []bool{false, true} {
+		run := func(mode EngineMode, hsrc HorizonSource) (engineRun, int64) {
+			return runEngineMode(t, mode, hsrc, 1, false, false, faultPath, items)
+		}
+		ref, refExec := run(ModeCycle, nil)
+		free, freeExec := run(ModeEvent, nil)
+		capped, cappedExec := run(ModeEvent, FixedHorizon(7))
+		off, offExec := run(ModeEvent, FixedHorizon(0))
 
-	requireIdentical(t, "uncapped", ref, free)
-	requireIdentical(t, "capped-7", ref, capped)
-	requireIdentical(t, "capped-0", ref, off)
-	if freeExec > cappedExec || cappedExec > offExec {
-		t.Errorf("executed iterations not monotone in the cap: free %d, cap-7 %d, cap-0 %d",
-			freeExec, cappedExec, offExec)
-	}
-	if offExec != ref.steps || refExec != ref.steps {
-		t.Errorf("zero horizon must execute every charged cycle: got %d (cycle %d) of %d",
-			offExec, refExec, ref.steps)
+		label := fmt.Sprintf("faultpath=%v", faultPath)
+		requireIdentical(t, label+"/uncapped", ref, free)
+		requireIdentical(t, label+"/capped-7", ref, capped)
+		requireIdentical(t, label+"/capped-0", ref, off)
+		if freeExec > cappedExec || cappedExec > offExec {
+			t.Errorf("%s: executed iterations not monotone in the cap: free %d, cap-7 %d, cap-0 %d",
+				label, freeExec, cappedExec, offExec)
+		}
+		if offExec != ref.steps || refExec != ref.steps {
+			t.Errorf("%s: zero horizon must execute every charged cycle: got %d (cycle %d) of %d",
+				label, offExec, refExec, ref.steps)
+		}
 	}
 }
 
