@@ -63,7 +63,7 @@ func scenarioFlags(fs *flag.FlagSet, sc *sim.Scenario) map[string]string {
 	fs.StringVar(&sc.FaultView, "fault-view", sc.FaultView, "fault knowledge model: global (omniscient) | local (gossip-propagated, stale-view detours)")
 	fs.StringVar(&sc.Repair, "repair", sc.Repair, "self-healing scrub policy: off | eager | lazy")
 	fs.IntVar(&sc.Retry, "retry", sc.Retry, "checkpointed-retry budget per PRAM step (0 = off)")
-	fs.StringVar(&sc.Engine, "engine", sc.Engine, "routing engine: event (epoch-skip) | cycle (reference); results are bit-identical")
+	fs.StringVar(&sc.Engine, "engine", sc.Engine, "routing engine: event (line-decomposed healthy routing) | cycle (reference); results are bit-identical")
 	fs.IntVar(&sc.Workers, "workers", sc.Workers, "mesh engine and router goroutines (0 = GOMAXPROCS); results are width-invariant")
 	fs.IntVar(&sc.IdealMemory, "ideal-memory", sc.IdealMemory, "ideal backend memory in words (0 = the scheme's M)")
 	fs.BoolVar(&sc.Trace, "trace", sc.Trace, "print the cost-ledger tree of the last PRAM step")

@@ -96,12 +96,12 @@ type Config struct {
 	// ≤1 sequential).
 	Workers int
 	// EngineMode selects the routing engine's execution strategy
-	// (route.ModeEvent by default): the discrete-event engine
-	// fast-forwards contention-free stretches, bit-identical to the
-	// cycle-stepped reference on every observable output — delivered
-	// contents, charged cycles, lost counts, ledger spans, snapshots.
-	// route.ModeCycle forces the reference loop (diagnostics,
-	// equivalence tests).
+	// (route.ModeEvent by default): healthy routing is solved line by
+	// line, bit-identical to the cycle-stepped reference on every
+	// observable output — delivered contents, charged cycles, lost
+	// counts, ledger spans, snapshots. Fault-aware routing sweeps every
+	// cycle in both modes. route.ModeCycle forces the reference loop
+	// (diagnostics, equivalence tests).
 	EngineMode route.EngineMode
 	// Faults installs a static fault map (internal/fault): dead or slow
 	// nodes, links and memory modules. Copy selection then avoids dead
@@ -375,9 +375,6 @@ func NewWithScheme(s *hmos.Scheme, cfg Config) (*Simulator, error) {
 		seqBits:  seqBits,
 	}
 	sim.eng.SetMode(cfg.EngineMode)
-	if !cfg.Schedule.Empty() {
-		sim.eng.SetHorizonSource(scheduleHorizon{sim})
-	}
 	if cfg.FaultView == faultview.Local && live != nil {
 		// Beliefs boot knowing the static fault map (cfg.Faults); only
 		// schedule events must be witnessed and disseminated. The view is

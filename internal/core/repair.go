@@ -129,25 +129,6 @@ func (sim *Simulator) FaultAware() bool { return sim.faults != nil }
 // internal/pram turns this on for the re-execution after a rollback.
 func (sim *Simulator) SetHardened(on bool) { sim.hardened = on }
 
-// scheduleHorizon bounds the event engine's epoch skips by the fault
-// schedule's replay cursor. Schedule events are indexed by PRAM step
-// and applied by advanceSchedule before a step's routing begins, so
-// within any single routing call the live fault map is frozen and the
-// bound is vacuous — unless an event due by now has not been applied
-// yet, in which case the source returns 0 and the engine falls back to
-// cycle-stepped sweeps rather than jump the event. That defensive zero
-// keeps the no-event-jumped invariant inside the engine instead of
-// relying on call-site ordering.
-type scheduleHorizon struct{ sim *Simulator }
-
-// NextEventIn implements route.HorizonSource.
-func (h scheduleHorizon) NextEventIn(int64) int64 {
-	if evs, _ := h.sim.cfg.Schedule.EventsBefore(h.sim.schedAt, h.sim.now); len(evs) > 0 {
-		return 0
-	}
-	return 1 << 62
-}
-
 // advanceSchedule applies the schedule events due before the current
 // step (an event at step t takes effect after t completed steps) to
 // the live fault map, reacting to module deaths with the data-loss

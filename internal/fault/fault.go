@@ -34,7 +34,6 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,14 +55,23 @@ func mkLink(p, q int) linkKey {
 // Map is a static fault map over a side×side mesh. The zero value of
 // every query method on a nil receiver reports a healthy component, so
 // fault-free paths never need nil checks.
+//
+// Link faults are dense: edge bit 2p is the edge from p to its right
+// neighbor and bit 2p+1 the edge to the one below, both wrapping on the
+// torus (edgeBit). deadLink holds dead edges; slowLink marks the slow
+// ones, whose factors live in slowFactor keyed by the same bit. All
+// three are allocated by the first link fault, so module- and
+// node-only maps (and their clones) carry none of them.
 type Map struct {
 	side       int
 	deadNode   *bitset.Set // dense: 1 bit per processor
 	deadModule *bitset.Set
-	deadLink   map[linkKey]bool
-	slowLink   map[linkKey]int // delay factor ≥ 2
-	faults     int             // total marks, for Empty()
-	frozen     bool            // installed in a machine; builders refuse
+	deadLink   *bitset.Set // nil until the first link fault
+	slowLink   *bitset.Set // nil until the first link fault
+	slowFactor map[int]int // edge bit → delay factor ≥ 2, for set slowLink bits
+	faults     int         // total marks, for Empty()
+	gen        uint64      // bumped by every node or link liveness change
+	frozen     bool        // installed in a machine; builders refuse
 }
 
 // NewMap creates an all-healthy fault map for a side×side mesh.
@@ -75,8 +83,52 @@ func NewMap(side int) *Map {
 		side:       side,
 		deadNode:   bitset.New(side * side),
 		deadModule: bitset.New(side * side),
-		deadLink:   make(map[linkKey]bool),
-		slowLink:   make(map[linkKey]int),
+	}
+}
+
+// edgeBit returns the dense bit of the undirected edge p–q, or -1 when
+// p and q are not mesh (or wrap) neighbors. An edge is owned by its
+// left (upper) endpoint; on a side-2 torus the mesh edge and the wrap
+// edge of a row (column) join the same pair and share the bit of the
+// mesh edge.
+func edgeBit(side, p, q int) int {
+	pr, pc := p/side, p%side
+	qr, qc := q/side, q%side
+	switch {
+	case pr == qr && (pc-qc == 1 || qc-pc == 1):
+		return 2 * (pr*side + min(pc, qc))
+	case pr == qr && side > 2 && (pc-qc == side-1 || qc-pc == side-1):
+		return 2 * (pr*side + side - 1)
+	case pc == qc && (pr-qr == 1 || qr-pr == 1):
+		return 2*(min(pr, qr)*side+pc) + 1
+	case pc == qc && side > 2 && (pr-qr == side-1 || qr-pr == side-1):
+		return 2*((side-1)*side+pc) + 1
+	}
+	return -1
+}
+
+// bitEdge is the inverse of edgeBit: the endpoints (a < b) of the edge
+// owned by bit.
+func bitEdge(side, bit int) (a, b int) {
+	p := bit >> 1
+	r, c := p/side, p%side
+	if bit&1 == 0 {
+		b = r*side + (c+1)%side
+	} else {
+		b = ((r+1)%side)*side + c
+	}
+	if p > b {
+		return b, p
+	}
+	return p, b
+}
+
+// ensureLinks allocates the dense link-fault sets on first use.
+func (f *Map) ensureLinks() {
+	if f.deadLink == nil {
+		n := 2 * f.side * f.side
+		f.deadLink, f.slowLink = bitset.New(n), bitset.New(n)
+		f.slowFactor = make(map[int]int)
 	}
 }
 
@@ -117,11 +169,10 @@ func (f *Map) Clone() *Map {
 	n := NewMap(f.side)
 	n.deadNode.CopyFrom(f.deadNode)
 	n.deadModule.CopyFrom(f.deadModule)
-	for k, v := range f.deadLink {
-		n.deadLink[k] = v
-	}
-	for k, v := range f.slowLink {
-		n.slowLink[k] = v
+	if f.deadLink != nil {
+		n.deadLink, n.slowLink = f.deadLink.Clone(), f.slowLink.Clone()
+		n.slowFactor = make(map[int]int, len(f.slowFactor))
+		f.slowLink.ForEach(func(b int) { n.slowFactor[b] = f.slowFactor[b] })
 	}
 	n.faults = f.faults
 	return n
@@ -217,6 +268,7 @@ func (f *Map) SlowLink(p, q, factor int) *Map {
 func (f *Map) setNode(p int, dead bool) {
 	if f.deadNode.Set(p, dead) {
 		f.bump(dead)
+		f.gen++
 	}
 }
 
@@ -227,33 +279,35 @@ func (f *Map) setModule(p int, dead bool) {
 }
 
 func (f *Map) setLink(p, q int, dead bool) {
-	k := mkLink(p, q)
-	if f.deadLink[k] != dead {
-		if dead {
-			f.deadLink[k] = true
-		} else {
-			delete(f.deadLink, k)
-		}
+	if f.deadLink == nil && !dead {
+		return
+	}
+	f.ensureLinks()
+	if f.deadLink.Set(edgeBit(f.side, p, q), dead) {
 		f.bump(dead)
+		f.gen++
 	}
 }
 
 // setSlow sets the slow factor of edge p–q; factor ≤ 1 restores full
 // speed.
 func (f *Map) setSlow(p, q, factor int) {
-	k := mkLink(p, q)
-	_, had := f.slowLink[k]
+	if f.deadLink == nil && factor <= 1 {
+		return
+	}
+	f.ensureLinks()
+	b := edgeBit(f.side, p, q)
 	if factor <= 1 {
-		if had {
-			delete(f.slowLink, k)
+		if f.slowLink.Set(b, false) {
+			delete(f.slowFactor, b)
 			f.bump(false)
 		}
 		return
 	}
-	if !had {
+	if f.slowLink.Set(b, true) {
 		f.bump(true)
 	}
-	f.slowLink[k] = factor
+	f.slowFactor[b] = factor
 }
 
 func (f *Map) bump(up bool) {
@@ -262,6 +316,17 @@ func (f *Map) bump(up bool) {
 	} else {
 		f.faults--
 	}
+}
+
+// Gen returns the liveness generation: a counter bumped by every change
+// to a node's or a link's dead mark (module and slow-factor changes do
+// not bump it). Two reads of the same map with equal generations saw
+// the same set of usable links. Nil-safe.
+func (f *Map) Gen() uint64 {
+	if f == nil {
+		return 0
+	}
+	return f.gen
 }
 
 // NodeDead reports whether processor p is dead (nil-safe).
@@ -282,17 +347,21 @@ func (f *Map) LinkUp(p, q int) bool {
 	if f.deadNode.Get(p) || f.deadNode.Get(q) {
 		return false
 	}
-	return !f.deadLink[mkLink(p, q)]
+	if f.deadLink == nil || f.deadLink.Count() == 0 {
+		return true
+	}
+	b := edgeBit(f.side, p, q)
+	return b < 0 || !f.deadLink.Get(b)
 }
 
 // LinkDelay returns the cycle period of the edge p–q: 1 for a healthy
 // link, the slow factor for a slow one. Callers check LinkUp first.
 func (f *Map) LinkDelay(p, q int) int {
-	if f == nil {
+	if f == nil || f.slowLink == nil || f.slowLink.Count() == 0 {
 		return 1
 	}
-	if d, ok := f.slowLink[mkLink(p, q)]; ok {
-		return d
+	if b := edgeBit(f.side, p, q); b >= 0 && f.slowLink.Get(b) {
+		return f.slowFactor[b]
 	}
 	return 1
 }
@@ -302,98 +371,11 @@ func (f *Map) LinkDelay(p, q int) int {
 // network can still be waiting on a slow link.
 func (f *Map) MaxDelay() int {
 	d := 1
-	if f == nil {
+	if f == nil || f.slowLink == nil {
 		return d
 	}
-	//detlint:ignore maprange max over values is order-insensitive
-	for _, v := range f.slowLink {
-		if v > d {
-			d = v
-		}
-	}
+	f.slowLink.ForEach(func(b int) { d = max(d, f.slowFactor[b]) })
 	return d
-}
-
-// LinkHazard is one mesh (or wrap) edge a router must not treat as a
-// free-running corridor: Delay == 0 means the edge is down (a dead
-// link, or an edge incident to a dead node); Delay ≥ 2 is the slow
-// factor of a slow link. The event-driven engine consumes these to
-// bound its epoch skips (DESIGN.md §11).
-type LinkHazard struct {
-	A, B  int // endpoints, A < B
-	Delay int
-}
-
-// AppendLinkHazards appends every hazardous edge to buf (truncated
-// first) in ascending (A, B) order: dead links, the (wrap-counting)
-// edges incident to each dead node, and slow links. A dead edge
-// shadows its slow factor; duplicates are merged. Nil-safe.
-func (f *Map) AppendLinkHazards(buf []LinkHazard) []LinkHazard {
-	out := buf[:0]
-	if f == nil || f.faults == 0 {
-		return out
-	}
-	keys := make([]linkKey, 0, len(f.deadLink)+len(f.slowLink))
-	for k := range f.deadLink {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, cmpLinkKey)
-	for _, k := range keys {
-		out = append(out, LinkHazard{A: k.a, B: k.b})
-	}
-	s := f.side
-	if s >= 2 {
-		f.deadNode.ForEach(func(p int) {
-			pr, pc := p/s, p%s
-			nbs := [4]int{
-				pr*s + (pc+s-1)%s, pr*s + (pc+1)%s,
-				((pr+s-1)%s)*s + pc, ((pr+1)%s)*s + pc,
-			}
-			for _, q := range nbs {
-				a, b := p, q
-				if a > b {
-					a, b = b, a
-				}
-				out = append(out, LinkHazard{A: a, B: b})
-			}
-		})
-	}
-	keys = keys[:0]
-	for k := range f.slowLink {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, cmpLinkKey)
-	for _, k := range keys {
-		out = append(out, LinkHazard{A: k.a, B: k.b, Delay: f.slowLink[k]})
-	}
-	// Canonical order and dedup: dead (Delay 0) sorts before slow for
-	// the same edge, so keeping the first entry per edge lets dead
-	// shadow slow.
-	slices.SortFunc(out, func(x, y LinkHazard) int {
-		if x.A != y.A {
-			return x.A - y.A
-		}
-		if x.B != y.B {
-			return x.B - y.B
-		}
-		return x.Delay - y.Delay
-	})
-	w := 0
-	for i, h := range out {
-		if i > 0 && h.A == out[w-1].A && h.B == out[w-1].B {
-			continue
-		}
-		out[w] = h
-		w++
-	}
-	return out[:w]
-}
-
-func cmpLinkKey(x, y linkKey) int {
-	if x.a != y.a {
-		return x.a - y.a
-	}
-	return x.b - y.b
 }
 
 // Counts returns the number of dead nodes, dead links, dead modules
@@ -402,17 +384,24 @@ func (f *Map) Counts() (nodes, links, modules, slow int) {
 	if f == nil {
 		return 0, 0, 0, 0
 	}
-	return f.deadNode.Count(), len(f.deadLink), f.deadModule.Count(), len(f.slowLink)
+	if f.deadLink == nil {
+		return f.deadNode.Count(), 0, f.deadModule.Count(), 0
+	}
+	return f.deadNode.Count(), f.deadLink.Count(), f.deadModule.Count(), f.slowLink.Count()
 }
 
 // MemBytes returns the resident heap bytes of the map: two bits per
-// processor plus the (usually sparse) link maps. Nil-safe.
+// processor, plus, once a link fault was marked, two bits per edge slot
+// and the slow-factor entries. Nil-safe.
 func (f *Map) MemBytes() int64 {
 	if f == nil {
 		return 0
 	}
 	b := f.deadNode.MemBytes() + f.deadModule.MemBytes()
-	b += int64(len(f.deadLink))*24 + int64(len(f.slowLink))*24
+	if f.deadLink != nil {
+		b += f.deadLink.MemBytes() + f.slowLink.MemBytes()
+		b += 48 + int64(len(f.slowFactor))*24
+	}
 	return b
 }
 
@@ -610,13 +599,12 @@ func Parse(side int, spec string) (*Map, error) {
 		// Merge the random realization into the explicit marks.
 		rm.deadNode.ForEach(func(p int) { f.KillNode(p) })
 		rm.deadModule.ForEach(func(p int) { f.KillModule(p) })
-		//detlint:ignore maprange set merge into another map is order-insensitive
-		for k := range rm.deadLink {
-			f.KillLink(k.a, k.b)
-		}
-		//detlint:ignore maprange set merge into another map is order-insensitive
-		for k, v := range rm.slowLink {
-			f.SlowLink(k.a, k.b, v)
+		if rm.deadLink != nil {
+			rm.deadLink.ForEach(func(b int) { f.KillLink(bitEdge(side, b)) })
+			rm.slowLink.ForEach(func(b int) {
+				p, q := bitEdge(side, b)
+				f.SlowLink(p, q, rm.slowFactor[b])
+			})
 		}
 	}
 	if f.Empty() {

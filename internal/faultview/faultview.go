@@ -27,6 +27,7 @@ package faultview
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"meshpram/internal/fault"
@@ -138,6 +139,19 @@ type View struct {
 
 	nbs [][]int // sorted gossip neighbors per node
 
+	// Frontier gossip (DESIGN.md §13). front holds, ascending, the nodes
+	// whose knowledge grew since the last exchange: in the last round, or
+	// as the witness of a new notice. Only their neighbors (cand, marked
+	// in mark while collected) can learn anything next round. A change
+	// of the truth's node or link liveness (a new truth map, or a new
+	// truth.Gen()) and a Restore re-seed one full round instead.
+	front   []int32
+	cand    []int32
+	mark    []bool
+	seen    *fault.Map // truth of the last exchange
+	seenGen uint64     // seen.Gen() at the last exchange
+	reseed  bool       // the next round must visit every node
+
 	round int64
 	quiet bool
 
@@ -166,7 +180,9 @@ func New(side int, wrap bool, base *fault.Map, seed int64) *View {
 		belief: make([]*fault.Map, n),
 		owned:  make([]bool, n),
 		nbs:    make([][]int, n),
+		mark:   make([]bool, n),
 		quiet:  true,
+		reseed: true,
 	}
 	if v.base == nil {
 		v.base = fault.NewMap(side)
@@ -221,7 +237,7 @@ func (v *View) Round() int64 { return v.round }
 
 // Quiet reports whether every node the truth map considers alive knows
 // the complete notice log — the condition under which all live beliefs
-// coincide and the event engine may free-run past gossip rounds.
+// coincide.
 func (v *View) Quiet() bool { return v.quiet }
 
 // BeliefAt returns node p's current local belief. The returned map is
@@ -450,6 +466,9 @@ func (v *View) createNotice(w int, kind fault.EventKind, p, q, factor int, truth
 	v.growBitsets()
 	v.known[w][idx>>6] |= 1 << (idx & 63)
 	v.count[w]++
+	if i, found := slices.BinarySearch(v.front, int32(w)); !found {
+		v.front = slices.Insert(v.front, i, int32(w))
+	}
 	v.created++
 	v.applied++
 	bel.Apply(nt.Event())
@@ -482,12 +501,44 @@ func (v *View) growBitsets() {
 // irrelevant; dead nodes neither send nor receive (their knowledge is
 // frozen until revival); slow links carry gossip every round (notices
 // are tiny control words, documented in DESIGN.md §13).
+//
+// A round visits only the neighbors of the frontier: a node none of
+// whose neighbors' knowledge grew since the last exchange already holds
+// everything they could send it. Node and link liveness changes break
+// that argument for the newly usable edges, so they re-seed one round
+// over every node. Learning, belief rebuilds and the Quiet flag are
+// identical to a full scan every round.
 func (v *View) Tick(truth *fault.Map) {
 	v.round++
 	if len(v.log) == 0 {
 		return
 	}
-	for p := 0; p < v.n; p++ {
+	cand := v.cand[:0]
+	full := v.reseed || truth != v.seen || truth.Gen() != v.seenGen
+	if full {
+		v.reseed, v.seen, v.seenGen = false, truth, truth.Gen()
+		for p := 0; p < v.n; p++ {
+			cand = append(cand, int32(p))
+		}
+	} else {
+		if len(v.front) == 0 {
+			return
+		}
+		for _, f := range v.front {
+			for _, q := range v.nbs[f] {
+				if !v.mark[q] {
+					v.mark[q] = true
+					cand = append(cand, int32(q))
+				}
+			}
+		}
+		slices.Sort(cand)
+		for _, p := range cand {
+			v.mark[p] = false
+		}
+	}
+	for _, pp := range cand {
+		p := int(pp)
 		copy(v.next[p], v.known[p])
 		if truth.NodeDead(p) {
 			continue
@@ -502,9 +553,12 @@ func (v *View) Tick(truth *fault.Map) {
 			}
 		}
 	}
-	v.known, v.next = v.next, v.known
-	// Account newly learned notices (old knowledge now sits in next).
-	for p := 0; p < v.n; p++ {
+	// Swap in the new rows and account newly learned notices (old
+	// knowledge now sits in next); the learners are the next frontier.
+	front := v.front[:0]
+	for _, pp := range cand {
+		p := int(pp)
+		v.known[p], v.next[p] = v.next[p], v.known[p]
 		learned := false
 		for w := 0; w < v.words; w++ {
 			diff := v.known[p][w] &^ v.next[p][w]
@@ -517,15 +571,14 @@ func (v *View) Tick(truth *fault.Map) {
 		}
 		if learned {
 			v.rebuildBelief(p)
+			front = append(front, pp)
 		}
 	}
-	v.recomputeQuiet(truth)
+	v.cand, v.front = cand, front
+	if full || len(front) > 0 {
+		v.recomputeQuiet(truth)
+	}
 }
-
-// AdvanceRounds advances the round clock by k without exchanging —
-// the event engine's epoch-skip path, valid only while the view is
-// quiet (no notice left to spread, so every round is a no-op).
-func (v *View) AdvanceRounds(k int64) { v.round += k }
 
 func (v *View) learn(p, idx int) {
 	v.count[p]++
@@ -579,12 +632,13 @@ func (v *View) recomputeQuiet(truth *fault.Map) {
 
 // MemBytes returns the resident heap bytes of the view's per-node
 // state: the notice log, knowledge bitsets and double buffer, gossip
-// topology, and every distinct materialized belief map (shared prefix
-// clones are counted once).
+// topology, frontier, candidate list and marks, and every distinct
+// materialized belief map (shared prefix clones are counted once).
 func (v *View) MemBytes() int64 {
 	b := int64(len(v.log)) * 56 // Notice records
 	b += int64(v.n) * int64(v.words) * 16
 	b += int64(v.n) * (8 + 8 + 1 + 8 + 24*3)
+	b += int64(cap(v.front)+cap(v.cand))*4 + int64(cap(v.mark))
 	for _, nb := range v.nbs {
 		b += int64(len(nb)) * 8
 	}
@@ -597,14 +651,6 @@ func (v *View) MemBytes() int64 {
 		}
 	}
 	return b
-}
-
-// AppendBeliefHazards appends the hazards of the quiet-state shared
-// belief (base + full log) to buf. Only meaningful while Quiet():
-// every live node's belief then equals this map, so the event engine
-// can union these with the truth hazards to bound its skip horizon.
-func (v *View) AppendBeliefHazards(buf []fault.LinkHazard) []fault.LinkHazard {
-	return v.full.AppendLinkHazards(buf)
 }
 
 // Image captures the serializable view state for snapshots.
@@ -656,6 +702,9 @@ func (v *View) Restore(img Image, truth *fault.Map) error {
 		v.count[p] = c
 		v.rebuildBelief(p)
 	}
+	// The image does not store the frontier: re-seed a full round.
+	v.front = v.front[:0]
+	v.reseed = true
 	v.recomputeQuiet(truth)
 	return nil
 }

@@ -2,6 +2,7 @@ package faultview
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"meshpram/internal/fault"
@@ -308,5 +309,30 @@ func TestImageRestoreRoundTrip(t *testing.T) {
 	// Mismatched shapes are rejected.
 	if err := New(3, false, nil, 0).Restore(img, truth); err == nil {
 		t.Fatal("Restore with wrong node count must fail")
+	}
+}
+
+// TestMemBytesCountsFrontier checks that MemBytes accounts for the
+// frontier gossip buffers: the per-node marks from construction, and
+// the frontier and candidate lists once a notice spreads.
+func TestMemBytesCountsFrontier(t *testing.T) {
+	const side = 9
+	truth := killNode(t, side, 40)
+	v := New(side, false, nil, 3)
+	bare := v.MemBytes() - int64(cap(v.mark))
+	if bare <= 0 || cap(v.mark) != side*side {
+		t.Fatalf("fresh view: %d bytes without marks, %d marks", bare, cap(v.mark))
+	}
+	v.ObserveEvent(fault.Event{Kind: fault.EvKillNode, P: 40}, truth)
+	v.Tick(truth)
+	v.Tick(truth)
+	if len(v.front) == 0 || cap(v.cand) == 0 {
+		t.Fatal("a spreading notice must leave a frontier and candidates")
+	}
+	before, caps := v.MemBytes(), cap(v.front)+cap(v.cand)
+	v.front, v.cand = slices.Grow(v.front, 1000), slices.Grow(v.cand, 1000)
+	want := 4 * int64(cap(v.front)+cap(v.cand)-caps)
+	if grew := v.MemBytes() - before; grew != want {
+		t.Fatalf("MemBytes grew by %d after growing the frontier buffers, want %d", grew, want)
 	}
 }

@@ -17,10 +17,9 @@ import (
 // only permitted difference is the executed-iteration count, which may
 // only ever be ≤ the charged cycle count.
 
-// runEngineMode is runEngine with an explicit execution mode and an
-// optional horizon source; it additionally reports the executed
-// iteration count of the call.
-func runEngineMode(t *testing.T, mode EngineMode, hsrc HorizonSource, workers int, withFaults, torus, faultPath bool, items func(m *mesh.Machine) [][]item) (engineRun, int64) {
+// runEngineMode is runEngine with an explicit execution mode; it
+// additionally reports the executed iteration count of the call.
+func runEngineMode(t *testing.T, mode EngineMode, workers int, withFaults, torus, faultPath bool, items func(m *mesh.Machine) [][]item) (engineRun, int64) {
 	t.Helper()
 	m := mesh.MustNew(16)
 	if withFaults {
@@ -33,7 +32,6 @@ func runEngineMode(t *testing.T, mode EngineMode, hsrc HorizonSource, workers in
 	m.AttachLedger(ld)
 	eng := NewEngine[item](m)
 	eng.SetMode(mode)
-	eng.SetHorizonSource(hsrc)
 	work := items(m)
 	dest := func(v item) int { return v.dest }
 
@@ -60,29 +58,44 @@ func runEngineMode(t *testing.T, mode EngineMode, hsrc HorizonSource, workers in
 }
 
 // TestEventCycleBitIdentity is the seeded event-vs-cycle matrix:
-// instance kinds × {mesh, torus} × {healthy, static faults (dead
-// node, dead links, slow links)} × worker widths {1, 4, 8}. Every
-// observable output must match; executed iterations must be ≤ charged
-// cycles in event mode and equal in cycle mode.
+// instances × {mesh, torus} × {healthy path, fault path on a healthy
+// machine, fault path with static faults (dead node, dead links, slow
+// links)} × worker widths {1, 4, 8}. Every observable output must
+// match. Executed iterations must be ≤ charged cycles on the healthy
+// event path and equal to them wherever the engine sweeps: in cycle
+// mode, and on the fault path in either mode.
 func TestEventCycleBitIdentity(t *testing.T) {
-	for _, kind := range []string{"random", "transpose", "hotspot"} {
+	type instance struct {
+		kind string
+		seed int64
+	}
+	paths := []struct {
+		name              string
+		faults, faultPath bool
+	}{
+		{"healthy", false, false},
+		{"faultpath", false, true},
+		{"faults", true, true},
+	}
+	for _, in := range []instance{{"random", 42}, {"transpose", 42}, {"hotspot", 42}, {"random", 7}} {
 		for _, torus := range []bool{false, true} {
-			for _, faults := range []bool{false, true} {
+			for _, path := range paths {
 				for _, workers := range []int{1, 4, 8} {
-					label := fmt.Sprintf("%s/torus=%v/faults=%v/workers=%d",
-						kind, torus, faults, workers)
+					label := fmt.Sprintf("%s-%d/torus=%v/%s/workers=%d",
+						in.kind, in.seed, torus, path.name, workers)
 					items := func(m *mesh.Machine) [][]item {
-						return engineInstance(kind, m, 42)
+						return engineInstance(in.kind, m, in.seed)
 					}
-					// The fault path also covers the healthy map (it is
-					// bit-identical to the fast path by contract), so use
-					// it whenever faults are installed.
-					cyc, cycExec := runEngineMode(t, ModeCycle, nil, workers, faults, torus, faults, items)
-					evt, evtExec := runEngineMode(t, ModeEvent, nil, workers, faults, torus, faults, items)
+					cyc, cycExec := runEngineMode(t, ModeCycle, workers, path.faults, torus, path.faultPath, items)
+					evt, evtExec := runEngineMode(t, ModeEvent, workers, path.faults, torus, path.faultPath, items)
 					requireIdentical(t, label, cyc, evt)
 					if cycExec != cyc.steps {
 						t.Errorf("%s: cycle mode executed %d of %d charged cycles",
 							label, cycExec, cyc.steps)
+					}
+					if path.faultPath && evtExec != evt.steps {
+						t.Errorf("%s: fault path executed %d of %d charged cycles, want one sweep per cycle",
+							label, evtExec, evt.steps)
 					}
 					if evtExec > evt.steps {
 						t.Errorf("%s: event mode executed %d > %d charged cycles",
@@ -90,40 +103,6 @@ func TestEventCycleBitIdentity(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestEventFixedHorizonCap pins the HorizonSource contract: an
-// external cap bounds every skip without changing any observable
-// output, and a non-positive cap disables batching entirely (executed
-// equals charged — the engine degrades to the cycle loop). On the
-// healthy path any installed source selects the cycle loop, since the
-// line decomposition solves a call in one piece; the fault path (here
-// on a machine without faults, so skips are long) caps its epoch skips.
-func TestEventFixedHorizonCap(t *testing.T) {
-	items := func(m *mesh.Machine) [][]item { return engineInstance("random", m, 7) }
-
-	for _, faultPath := range []bool{false, true} {
-		run := func(mode EngineMode, hsrc HorizonSource) (engineRun, int64) {
-			return runEngineMode(t, mode, hsrc, 1, false, false, faultPath, items)
-		}
-		ref, refExec := run(ModeCycle, nil)
-		free, freeExec := run(ModeEvent, nil)
-		capped, cappedExec := run(ModeEvent, FixedHorizon(7))
-		off, offExec := run(ModeEvent, FixedHorizon(0))
-
-		label := fmt.Sprintf("faultpath=%v", faultPath)
-		requireIdentical(t, label+"/uncapped", ref, free)
-		requireIdentical(t, label+"/capped-7", ref, capped)
-		requireIdentical(t, label+"/capped-0", ref, off)
-		if freeExec > cappedExec || cappedExec > offExec {
-			t.Errorf("%s: executed iterations not monotone in the cap: free %d, cap-7 %d, cap-0 %d",
-				label, freeExec, cappedExec, offExec)
-		}
-		if offExec != ref.steps || refExec != ref.steps {
-			t.Errorf("%s: zero horizon must execute every charged cycle: got %d (cycle %d) of %d",
-				label, offExec, refExec, ref.steps)
 		}
 	}
 }

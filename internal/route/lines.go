@@ -25,7 +25,8 @@ import (
 //
 // routeLines simulates every row line, which fixes the entries of every
 // column line, then every column line, and finally appends the
-// deliveries in cmpDel order — the order the cycle engine appends them.
+// deliveries in the order the cycle engine appends them: by cycle, then
+// sender, then final direction.
 // A line steps cycle by cycle only while some node on it holds two
 // packets; otherwise its packets move in lockstep and it jumps to its
 // next entry.
@@ -304,7 +305,7 @@ func (e *Engine[T]) lnArrive(l *engLine, r mesh.Region, x, nx int, en uint64, c 
 // lnLeave takes entry en off the line at its exit, reached in cycle c by
 // a hop from line position x. A packet whose distance ran out is
 // delivered: its dist, from and dir fields are free from now on and keep
-// its cmpDel key (cycle, sender, final direction) for deliverLines. Any
+// its delivery key (cycle, sender, final direction) for deliverLines. Any
 // other packet has finished its horizontal leg and joins the bucket of
 // its column line, entering at cycle c.
 func (e *Engine[T]) lnLeave(l *engLine, r mesh.Region, x int, en uint64, c int64) {
@@ -338,8 +339,8 @@ func (e *Engine[T]) lnPush(l *engLine, x int, en uint64) {
 	}
 }
 
-// deliverLines appends every routed packet to its destination in cmpDel
-// order: a counting sort groups the slots by destination, and each
+// deliverLines appends every routed packet to its destination in
+// delivery-key order: a counting sort groups the slots by destination, and each
 // group, a handful of packets, is sorted by its key (cycle, sender,
 // final direction). The key is unique: a node sends at most one packet
 // per direction per cycle.

@@ -134,12 +134,13 @@ func (s *Span) Observe(n int64) {
 	s.observed.Add(n)
 }
 
-// Exec records n physically executed engine iterations (sweeps plus
-// epoch-skip batches). Executed iterations are an implementation
-// diagnostic beside the semantic axes: charged and observed cycles are
-// bit-identical between the event-driven and cycle-stepped engines,
-// while executed exposes the skip ratio (executed ≤ observed cycles,
-// with equality in cycle mode). Like wall time and alloc counts,
+// Exec records n physically executed engine iterations (sweeps, or
+// line iterations on the healthy event path). Executed iterations are
+// an implementation diagnostic beside the semantic axes: charged and
+// observed cycles are bit-identical between the event-driven and
+// cycle-stepped engines, while executed exposes the skip ratio
+// (executed ≤ observed cycles, with equality wherever the engine
+// sweeps). Like wall time and alloc counts,
 // executed never enters totals or deterministic renderings.
 func (s *Span) Exec(n int64) {
 	if s == nil || n == 0 {
