@@ -238,6 +238,14 @@ func (g *Design) RankOfInput(u, v int) int {
 		panic(fmt.Sprintf("bibd: input %d not adjacent to output %d", v, u))
 	}
 	_ = a
+	return g.RankOf(h, b)
+}
+
+// RankOf returns the rank of input Φ(h, A, B) among the selected inputs
+// adjacent to any of its outputs: (q^h−1)/(q−1) + B. The rank does not
+// depend on A or on which adjacent output is asked, so a caller that
+// already split the input needs no adjacency lookup.
+func (g *Design) RankOf(h, b int) int {
 	return (g.qPowers[h]-1)/(g.Q-1) + b
 }
 

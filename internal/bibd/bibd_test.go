@@ -313,7 +313,7 @@ func TestQuickAdjacencyConsistency(t *testing.T) {
 			return false
 		}
 		r := g.RankOfInput(u, v)
-		return g.InputAtRank(u, r) == v
+		return g.RankOf(h, b) == r && g.InputAtRank(u, r) == v
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)

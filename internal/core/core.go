@@ -447,14 +447,22 @@ func (sim *Simulator) Now() int64 { return sim.now }
 // forward stage K+2−j (j = 1 … K). Return leg ℓ routes back to entry
 // K−ℓ. Every surviving packet passes every stage, so the positions are
 // fixed and no per-packet length is kept.
+//
+// The packet carries its copy's placement from culling — the level-1
+// page and rank r1 that index the slab store, and whether a remap moved
+// the copy away from its home (then it lives in the foreign overflow)
+// — so the access never re-walks the copy tree.
 type pkt struct {
-	op     int32 // index into the step's op slice
-	dest   int32 // processor storing the copy
-	origin int32
-	isW    bool
-	slot   int64 // copy id in the destination module
-	val    Word  // write payload / read result
-	ts     int64 // read result timestamp
+	op      int32 // index into the step's op slice
+	dest    int32 // processor storing the copy
+	origin  int32
+	page    int32 // level-1 page holding the copy
+	r1      int32 // the copy's rank in its level-1 page
+	isW     bool
+	foreign bool  // dest is a remap spare, not the copy's home
+	slot    int64 // copy id in the destination module
+	val     Word  // write payload / read result
+	ts      int64 // read result timestamp
 }
 
 // Step simulates one PRAM step. Variables must be pairwise distinct
@@ -547,7 +555,7 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 		for i := range avail {
 			avail[i] = flat[i*qk : (i+1)*qk : (i+1)*qk]
 		}
-		path := make([]int, K)
+		procs := make([]int32, qk)
 		buildAvail := func() (bool, error) {
 			degraded := false
 			sim.rep.DeadOrigins = 0
@@ -559,8 +567,9 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 					degraded = true
 					continue
 				}
+				s.PlaceTree(op.Var, procs, nil, nil, 0)
 				for leaf := range mask {
-					host, err := sim.resolveProc(s.CopyPath(op.Var, leaf, path))
+					host, err := sim.resolveProc(int(procs[leaf]))
 					if err != nil {
 						return false, err
 					}
@@ -636,12 +645,15 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 			}
 			h := int32(len(sim.pk))
 			sim.pk = append(sim.pk, pkt{
-				op:     int32(i),
-				dest:   int32(dest),
-				origin: int32(op.Origin),
-				slot:   int64(op.Var)*int64(s.Redundant) + int64(c.Leaf),
-				isW:    op.IsWrite,
-				val:    op.Value,
+				op:      int32(i),
+				dest:    int32(dest),
+				origin:  int32(op.Origin),
+				page:    c.Page,
+				r1:      c.Rank,
+				isW:     op.IsWrite,
+				foreign: dest != c.Proc,
+				slot:    int64(op.Var)*int64(s.Redundant) + int64(c.Leaf),
+				val:     op.Value,
 			})
 			sim.wp[int(h)*stride] = int32(op.Origin)
 			pkts[op.Origin] = append(pkts[op.Origin], h)
@@ -900,13 +912,13 @@ func (sim *Simulator) routeDirect(pkts [][]int32) {
 	dsp.End()
 }
 
-// access performs the local read/write of every delivered packet. A
-// prepass allocates the slabs the writes will land in and applies the
-// rare foreign writes, which would shift the shared overflow; the main
-// loop then only writes preallocated slab entries and reads. No slot
-// is both read and written in one step (variables are pairwise
-// distinct per step), so applying the foreign writes first is
-// unobservable.
+// access performs the local read/write of every delivered packet at the
+// placement the packet carries (see pkt). A prepass allocates the slabs
+// the writes will land in and applies the rare foreign writes, which
+// would shift the shared overflow; the main loop then only writes
+// preallocated slab entries and reads. No slot is both read and written
+// in one step (variables are pairwise distinct per step), so applying
+// the foreign writes first is unobservable.
 func (sim *Simulator) access(pkts [][]int32) {
 	maxPer := 0
 	for p := range pkts {
@@ -918,11 +930,10 @@ func (sim *Simulator) access(pkts [][]int32) {
 			if !pk.isW {
 				continue
 			}
-			page, _, home := sim.S.SlotPlace(pk.slot)
-			if home == p {
-				sim.st.allocPage(page)
-			} else {
+			if pk.foreign {
 				sim.st.foreignSet(p, pk.slot, cell{val: pk.val, ts: sim.now})
+			} else {
+				sim.st.allocPage(int(pk.page))
 			}
 		}
 	}
@@ -935,20 +946,17 @@ func (sim *Simulator) access(pkts [][]int32) {
 			if int(pk.dest) != p {
 				panic("core: packet accessed at wrong processor")
 			}
-			page, r1, home := sim.S.SlotPlace(pk.slot)
 			if pk.isW {
-				if home == p {
-					sim.st.slabs[page][r1] = cell{val: pk.val, ts: sim.now}
+				if !pk.foreign {
+					sim.st.slabs[pk.page][pk.r1] = cell{val: pk.val, ts: sim.now}
 				} // foreign writes were applied by the prepass
 				pk.ts = sim.now
 			} else {
 				var c cell
-				if home == p {
-					if sl := sim.st.slabs[page]; sl != nil {
-						c = sl[r1]
-					}
-				} else {
+				if pk.foreign {
 					c = sim.st.foreignGet(p, pk.slot)
+				} else if sl := sim.st.slabs[pk.page]; sl != nil {
+					c = sl[pk.r1]
 				}
 				pk.val, pk.ts = c.val, c.ts
 			}
@@ -1029,23 +1037,27 @@ func (sim *Simulator) selectReadOneWriteAll(ops []Op, avail [][]bool) *culling.R
 	for i := 1; i <= s.K; i++ {
 		res.PageLoad[i] = make([]int, s.PageCount(i))
 	}
-	var buf []hmos.Copy
+	qk := s.Redundant
+	procs := make([]int32, qk)
+	ranks := make([]int32, qk)
+	pages := make([]int32, s.K*qk)
 	for i, op := range ops {
-		buf = s.Copies(op.Var, buf[:0])
+		s.PlaceTree(op.Var, procs, ranks, pages, qk)
 		live := func(leaf int) bool {
 			return avail == nil || avail[i] == nil || avail[i][leaf]
 		}
-		record := func(c hmos.Copy) {
-			res.Selected[i] = append(res.Selected[i], culling.SelectedCopy{Leaf: c.Leaf, Proc: c.Proc})
+		record := func(leaf int) {
+			res.Selected[i] = append(res.Selected[i], culling.SelectedCopy{
+				Leaf: leaf, Proc: int(procs[leaf]), Page: pages[leaf], Rank: ranks[leaf]})
 			for lvl := 1; lvl <= s.K; lvl++ {
-				res.PageLoad[lvl][s.PageIndex(lvl, c.Path)]++
+				res.PageLoad[lvl][pages[(lvl-1)*qk+leaf]]++
 			}
 		}
 		if op.IsWrite {
 			any := false
-			for leaf, c := range buf {
+			for leaf := 0; leaf < qk; leaf++ {
 				if live(leaf) {
-					record(c)
+					record(leaf)
 					any = true
 				}
 			}
@@ -1053,12 +1065,11 @@ func (sim *Simulator) selectReadOneWriteAll(ops []Op, avail [][]bool) *culling.R
 				res.Unservable = append(res.Unservable, i)
 			}
 		} else {
-			n := len(buf)
 			found := false
-			for j := 0; j < n; j++ {
-				leaf := (op.Var + j) % n
+			for j := 0; j < qk; j++ {
+				leaf := (op.Var + j) % qk
 				if live(leaf) {
-					record(buf[leaf])
+					record(leaf)
 					found = true
 					break
 				}

@@ -28,7 +28,6 @@ import (
 	"sort"
 
 	"meshpram/internal/fault"
-	"meshpram/internal/hmos"
 	"meshpram/internal/route"
 	"meshpram/internal/trace"
 )
@@ -285,11 +284,11 @@ func (sim *Simulator) ensureHostIdx() {
 		return
 	}
 	sim.hostIdx = make([][]hostRef, sim.M.N)
-	var buf []hmos.Copy
+	procs := make([]int32, sim.S.Redundant)
 	for v := 0; v < sim.S.Vars(); v++ {
-		buf = sim.S.Copies(v, buf[:0])
-		for leaf, c := range buf {
-			sim.hostIdx[c.Proc] = append(sim.hostIdx[c.Proc], hostRef{v: int32(v), leaf: int32(leaf)})
+		sim.S.PlaceTree(v, procs, nil, nil, 0)
+		for leaf, p := range procs {
+			sim.hostIdx[p] = append(sim.hostIdx[p], hostRef{v: int32(v), leaf: int32(leaf)})
 		}
 	}
 }
@@ -433,7 +432,9 @@ func (sim *Simulator) repairQuarantined(sp *trace.Span) error {
 	sim.quar.ForEach(func(i int) { slots = append(slots, int64(i)) })
 
 	items := make([][]rpkt, m.N)
-	var buf []hmos.Copy
+	procs := make([]int32, s.Redundant)
+	ranks := make([]int32, s.Redundant)
+	pages := make([]int32, s.K*s.Redundant)
 	mask := make([]bool, s.Redundant)
 	curVar, canRepair, srcProc := -1, false, -1
 	var bestVal Word
@@ -443,18 +444,19 @@ func (sim *Simulator) repairQuarantined(sp *trace.Span) error {
 		v := int(slot / red)
 		if v != curVar {
 			curVar = v
-			buf = s.Copies(v, buf[:0])
+			s.PlaceTree(v, procs, ranks, pages, s.Redundant)
 			canRepair, srcProc, bestVal, bestTs = false, -1, 0, -1
-			for l, c := range buf {
-				host, err := sim.resolveProc(c.Proc)
+			for l, home := range procs {
+				host, err := sim.resolveProc(int(home))
 				if err != nil {
 					return err
 				}
-				mask[l] = !sim.faults.ModuleDead(host) && !sim.quarantined(c.Slot)
+				cslot := int64(v)*red + int64(l)
+				mask[l] = !sim.faults.ModuleDead(host) && !sim.quarantined(cslot)
 				if !mask[l] {
 					continue
 				}
-				cl := sim.st.get(host, c.Slot)
+				cl := sim.st.getPlaced(host, host != int(home), int(pages[l]), int(ranks[l]), cslot)
 				if cl.ts > bestTs {
 					bestTs, bestVal, srcProc = cl.ts, cl.val, host
 				}
@@ -464,7 +466,7 @@ func (sim *Simulator) repairQuarantined(sp *trace.Span) error {
 		if !canRepair {
 			continue
 		}
-		dst, err := sim.resolveProc(buf[int(slot%red)].Proc)
+		dst, err := sim.resolveProc(int(procs[slot%red]))
 		if err != nil {
 			return err
 		}

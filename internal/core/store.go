@@ -62,13 +62,20 @@ func (st *slabStore) allocPage(page int) {
 // or the zero cell when absent. Safe for concurrent readers.
 func (st *slabStore) get(p int, slot int64) cell {
 	page, r1, home := st.sch.SlotPlace(slot)
-	if home == p {
-		if sl := st.slabs[page]; sl != nil {
-			return sl[r1]
-		}
-		return cell{}
+	return st.getPlaced(p, home != p, page, r1, slot)
+}
+
+// getPlaced is get for a caller that already placed the copy: its
+// level-1 page and rank r1, and whether p is not the copy's home (a
+// remap spare, so the cell lives in the foreign overflow).
+func (st *slabStore) getPlaced(p int, foreign bool, page, r1 int, slot int64) cell {
+	if foreign {
+		return st.foreignGet(p, slot)
 	}
-	return st.foreignGet(p, slot)
+	if sl := st.slabs[page]; sl != nil {
+		return sl[r1]
+	}
+	return cell{}
 }
 
 // set stores c at processor p under the given slot id. Sequential use

@@ -31,8 +31,10 @@ type Request struct {
 
 // SelectedCopy is a copy chosen by culling for the access protocol.
 type SelectedCopy struct {
-	Leaf int // leaf index in T_v
-	Proc int // destination processor
+	Leaf int   // leaf index in T_v
+	Proc int   // destination processor (the copy's unresolved home)
+	Page int32 // level-1 page holding the copy
+	Rank int32 // the copy's rank r1 among the page's p_1 copies
 }
 
 // Result carries the culling output and diagnostics.
@@ -86,9 +88,9 @@ func Run(s *hmos.Scheme, m *mesh.Machine, reqs []Request) *Result {
 // loads and the congestion marking. Requests with no plain target set
 // at all are reported in Result.Unservable with a nil selection.
 //
-// Every per-copy table — leaf masks, marks, processors, page indexes —
-// is one flat slice indexed r·q^k + leaf, allocated once per call, so a
-// call makes O(K) allocations however many requests it has.
+// Every per-copy table — leaf masks, marks, processors, ranks, page
+// indexes — is one flat slice indexed r·q^k + leaf, allocated once per
+// call, so a call makes O(K) allocations however many requests it has.
 func RunAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool) *Result {
 	n := m.N
 	qk := s.Redundant
@@ -248,13 +250,15 @@ type batch struct {
 	qk    int
 	masks []bool  // the request's current selection
 	procs []int32 // processor storing the copy
+	ranks []int32 // the copy's rank r1 in its level-1 page
 	pages []int32 // level-i page index at offset (i−1)·len(masks)
 	full  []bool  // all-live mask for requests without one
 	cost  []int64 // SelectTargetSet scratch
 }
 
-// locate walks every copy of every request once, recording its
-// processor and its page index at every level.
+// locate places every copy of every request with one walk of its copy
+// tree, recording its processor, its level-1 rank and its page index at
+// every level.
 func locate(s *hmos.Scheme, reqs []Request, avail [][]bool) *batch {
 	qk := s.Redundant
 	size := len(reqs) * qk
@@ -262,6 +266,7 @@ func locate(s *hmos.Scheme, reqs []Request, avail [][]bool) *batch {
 		qk:    qk,
 		masks: make([]bool, size),
 		procs: make([]int32, size),
+		ranks: make([]int32, size),
 		pages: make([]int32, s.K*size),
 		full:  make([]bool, qk),
 		cost:  make([]int64, s.TargetSetScratch()),
@@ -269,19 +274,9 @@ func locate(s *hmos.Scheme, reqs []Request, avail [][]bool) *batch {
 	for leaf := range b.full {
 		b.full[leaf] = true
 	}
-	var pbuf [8]int
-	path := pbuf[:]
-	if s.K > len(pbuf) {
-		path = make([]int, s.K)
-	}
 	for r, rq := range reqs {
-		for leaf := 0; leaf < qk; leaf++ {
-			idx := r*qk + leaf
-			b.procs[idx] = int32(s.CopyPath(rq.Var, leaf, path))
-			for i := 1; i <= s.K; i++ {
-				b.pages[(i-1)*size+idx] = int32(s.PageIndex(i, path))
-			}
-		}
+		lo := r * qk
+		s.PlaceTree(rq.Var, b.procs[lo:lo+qk], b.ranks[lo:lo+qk], b.pages[lo:], size)
 	}
 	return b
 }
@@ -327,7 +322,8 @@ func (b *batch) collect(res *Result) {
 		start := len(flat)
 		for leaf, on := range b.masks[r*b.qk : (r+1)*b.qk] {
 			if on {
-				flat = append(flat, SelectedCopy{Leaf: leaf, Proc: int(b.procs[r*b.qk+leaf])})
+				idx := r*b.qk + leaf
+				flat = append(flat, SelectedCopy{Leaf: leaf, Proc: int(b.procs[idx]), Page: b.pages[idx], Rank: b.ranks[idx]})
 			}
 		}
 		if len(flat) > start {

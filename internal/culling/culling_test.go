@@ -53,8 +53,12 @@ func TestRunProducesTargetSets(t *testing.T) {
 		// Every selected copy must live where the scheme says.
 		for _, c := range sel {
 			want := s.CopyAt(reqs[r].Var, c.Leaf)
-			if c.Proc != want.Proc {
+			page, r1, proc := s.SlotPlace(want.Slot)
+			if c.Proc != want.Proc || c.Proc != proc {
 				t.Fatalf("request %d leaf %d: proc %d, want %d", r, c.Leaf, c.Proc, want.Proc)
+			}
+			if int(c.Page) != page || int(c.Rank) != r1 {
+				t.Fatalf("request %d leaf %d: (page %d, rank %d), want (%d, %d)", r, c.Leaf, c.Page, c.Rank, page, r1)
 			}
 		}
 	}

@@ -203,10 +203,6 @@ func (s *Scheme) Alpha() float64 {
 // CopiesPerVar returns q^k.
 func (s *Scheme) CopiesPerVar() int { return s.Redundant }
 
-// CopiesPerLevel1Page returns p_1, the number of variable copies stored
-// in one level-1 page.
-func (s *Scheme) CopiesPerLevel1Page() int { return s.PagesPer[1] }
-
 // MapBytes returns the storage a processor needs to evaluate the whole
 // memory map: the scheme parameters plus four integers per level
 // (d_i, m_i, p_i, t_i) — independent of the memory size M, which is the
@@ -226,48 +222,20 @@ type Copy struct {
 	Slot int64 // globally unique copy id: Var·q^k + Leaf
 }
 
-// LeafOf composes a leaf index from edge digits x (x[0] = x_1 taken at
-// the root).
-func (s *Scheme) LeafOf(x []int) int {
-	leaf := 0
-	for _, xi := range x {
-		leaf = leaf*s.Q + xi
-	}
-	return leaf
-}
-
-// DigitsOf decomposes a leaf index into edge digits (inverse of LeafOf).
-func (s *Scheme) DigitsOf(leaf int) []int {
-	x := make([]int, s.K)
-	for j := s.K - 1; j >= 0; j-- {
-		x[j] = leaf % s.Q
-		leaf /= s.Q
-	}
-	return x
-}
-
 // CopyAt locates the copy of variable v at the given leaf of T_v.
 func (s *Scheme) CopyAt(v, leaf int) Copy {
 	path := make([]int, s.K)
-	proc := s.CopyPath(v, leaf, path)
+	_, _, proc := s.place(v, leaf, path)
 	return Copy{Var: v, Leaf: leaf, Path: path, Proc: proc, Slot: int64(v)*int64(s.Redundant) + int64(leaf)}
 }
 
-// CopyPath walks T_v from variable v down to the copy at the given
-// leaf: it writes the copy's leaf-to-root module path into path
-// (path[i] = l_{i+1}, len(path) ≥ K) and returns the processor storing
-// the copy. It allocates nothing, so hot loops locate copies over one
-// reused path buffer instead of building a Copy each.
-func (s *Scheme) CopyPath(v, leaf int, path []int) (proc int) {
-	_, _, proc = s.place(v, leaf, path)
-	return proc
-}
-
-// place is the one path walk behind CopyPath and SlotPlace: it fills
-// path and returns the level-1 page holding the copy, the copy's rank
-// r1 among the page's p_1 copies, and the storing processor — copy
-// slot r1 sits at snake position r1 mod t_1 of the page's submesh, so
-// copies spread evenly over the page's processors (§3.3).
+// place walks T_v from variable v down to the copy at one leaf, behind
+// CopyAt and SlotPlace: it fills path (path[i] = l_{i+1}, len(path) ≥ K)
+// and returns the level-1 page holding the copy, the copy's rank r1
+// among the page's p_1 copies, and the storing processor — copy slot r1
+// sits at snake position r1 mod t_1 of the page's submesh, so copies
+// spread evenly over the page's processors (§3.3). PlaceTree places all
+// q^k leaves of a variable in one walk; place is its single-leaf oracle.
 func (s *Scheme) place(v, leaf int, path []int) (page, r1, proc int) {
 	if v < 0 || v >= s.M {
 		panic(fmt.Sprintf("hmos: variable %d out of range [0,%d)", v, s.M))
@@ -286,6 +254,71 @@ func (s *Scheme) place(v, leaf int, path []int) (page, r1, proc int) {
 	r1 = s.Graphs[0].RankOfInput(path[0], v)
 	proc = s.PageRegion(1, page).ProcAtSnake(s.mach, r1%s.T[1])
 	return page, r1, proc
+}
+
+// PlaceTree places every copy of variable v in one depth-first walk of
+// T_v. For each leaf it writes the storing processor to procs[leaf],
+// the copy's rank r1 in its level-1 page to ranks[leaf], and its
+// level-i page index to pages[(i−1)·stride+leaf] for i = 1 … K; ranks
+// and pages may be nil. The leaves share their path prefixes, so the
+// walk splits each module on it once and reads the module's rank among
+// its parent's inputs off that split (bibd.Design.RankOf): q + q² + … +
+// q^k output evaluations per variable instead of K·q^k, and no
+// adjacency lookups. Every entry equals place and PageIndex for the
+// same leaf (TestPlaceTreeMatchesPlace).
+func (s *Scheme) PlaceTree(v int, procs, ranks, pages []int32, stride int) {
+	if v < 0 || v >= s.M {
+		panic(fmt.Sprintf("hmos: variable %d out of range [0,%d)", v, s.M))
+	}
+	K, q := s.K, s.Q
+	// Per depth i < K: the split (h, a, b) of the module at depth i (v
+	// at depth 0, l_i below), its edge digit x_i, and rk[i], the
+	// module's rank among its parent's inputs (i ≥ 1).
+	var buf [5 * 8]int
+	w := buf[:]
+	if 5*K > len(buf) {
+		w = make([]int, 5*K)
+	}
+	hs, as, bs, xs, rk := w[:K], w[K:2*K], w[2*K:3*K], w[3*K:4*K], w[4*K:5*K]
+	hs[0], as[0], bs[0] = s.Graphs[0].Split(v)
+	r1 := s.Graphs[0].RankOf(hs[0], bs[0])
+	snake := r1 % s.T[1]
+	top := 0 // l_K, the level-K module (= the level-K page)
+	for leaf, from := 0, 0; leaf < s.Redundant; leaf++ {
+		// Descend from the shallowest depth whose edge digit changed.
+		for i := from; i < K; i++ {
+			out := s.Graphs[i].OutputAt(hs[i], as[i], bs[i], xs[i])
+			if i+1 == K {
+				top = out
+				break
+			}
+			g := s.Graphs[i+1]
+			hs[i+1], as[i+1], bs[i+1] = g.Split(out)
+			rk[i+1] = g.RankOf(hs[i+1], bs[i+1])
+		}
+		// The PageIndex recurrence, level K down to 1.
+		page := top
+		if pages != nil {
+			pages[(K-1)*stride+leaf] = int32(page)
+		}
+		for lev := K - 1; lev >= 1; lev-- {
+			page = page*s.PagesPer[lev+1] + rk[lev]
+			if pages != nil {
+				pages[(lev-1)*stride+leaf] = int32(page)
+			}
+		}
+		procs[leaf] = int32(s.PageRegion(1, page).ProcAtSnake(s.mach, snake))
+		if ranks != nil {
+			ranks[leaf] = int32(r1)
+		}
+		// Advance the edge digits (x_1 most significant) like an odometer.
+		from = K - 1
+		for from > 0 && xs[from] == q-1 {
+			xs[from] = 0
+			from--
+		}
+		xs[from]++
+	}
 }
 
 // Copies returns all q^k copies of variable v, appended to dst.
@@ -398,14 +431,6 @@ func (s *Scheme) MemBytes() int64 {
 	}
 	b += int64(len(s.Graphs)) * int64(8*8) // Design headers (qPowers ≤ D+1 ints)
 	return b
-}
-
-// SlotWithinPage returns the slot of variable v's copy inside its
-// level-1 page (its rank among the page's p_1 copies) and the local
-// index on the processor.
-func (s *Scheme) SlotWithinPage(v int, path []int) (slot, local int) {
-	r1 := s.Graphs[0].RankOfInput(path[0], v)
-	return r1, r1 / s.T[1]
 }
 
 // splitCheck mirrors SplitQ's validation on dimensions alone: parts

@@ -95,39 +95,6 @@ func TestQuickCopyPlacement(t *testing.T) {
 	}
 }
 
-// SlotWithinPage must be a bijection onto [0, p_1) within each page.
-func TestSlotWithinPageBijection(t *testing.T) {
-	s := MustNew(Params{Side: 9, Q: 3, D: 3, K: 2})
-	// For each level-1 page, collect the slots of the copies in it.
-	slots := map[int]map[int]bool{}
-	var buf []Copy
-	for v := 0; v < s.Vars(); v++ {
-		buf = s.Copies(v, buf[:0])
-		for _, c := range buf {
-			page := s.PageIndex(1, c.Path)
-			slot, local := s.SlotWithinPage(v, c.Path)
-			if slot < 0 || slot >= s.PagesPer[1] {
-				t.Fatalf("slot %d out of range", slot)
-			}
-			if local != slot/s.T[1] {
-				t.Fatalf("local %d inconsistent with slot %d", local, slot)
-			}
-			if slots[page] == nil {
-				slots[page] = map[int]bool{}
-			}
-			if slots[page][slot] {
-				t.Fatalf("page %d slot %d assigned twice", page, slot)
-			}
-			slots[page][slot] = true
-		}
-	}
-	for page, set := range slots {
-		if len(set) != s.PagesPer[1] {
-			t.Fatalf("page %d has %d slots, want %d", page, len(set), s.PagesPer[1])
-		}
-	}
-}
-
 // MapBytes is independent of memory size (the constructivity claim).
 func TestMapBytesIndependentOfM(t *testing.T) {
 	a := MustNew(Params{Side: 27, Q: 3, D: 4, K: 2})

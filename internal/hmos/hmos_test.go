@@ -179,22 +179,13 @@ func TestSlotPlaceRoundtrip(t *testing.T) {
 				if want := s.PageIndex(1, c.Path); page != want {
 					t.Fatalf("%+v: slot %d page %d, want %d", p, c.Slot, page, want)
 				}
-				if wr1, _ := s.SlotWithinPage(v, c.Path); r1 != wr1 {
+				if wr1 := s.Graphs[0].RankOfInput(c.Path[0], v); r1 != wr1 {
 					t.Fatalf("%+v: slot %d rank %d, want %d", p, c.Slot, r1, wr1)
 				}
 				if got := s.SlotOfPageRank(page, r1); got != c.Slot {
 					t.Fatalf("%+v: SlotOfPageRank(%d,%d)=%d, want %d", p, page, r1, got, c.Slot)
 				}
 			}
-		}
-	}
-}
-
-func TestLeafDigitsRoundtrip(t *testing.T) {
-	s := MustNew(Params{Side: 9, Q: 3, D: 3, K: 2})
-	for leaf := 0; leaf < s.Redundant; leaf++ {
-		if got := s.LeafOf(s.DigitsOf(leaf)); got != leaf {
-			t.Fatalf("LeafOf(DigitsOf(%d)) = %d", leaf, got)
 		}
 	}
 }

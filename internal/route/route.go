@@ -268,26 +268,6 @@ func mergeSplit[T any](blocks map[int][]elem[T], lo, hi, L int) {
 	copy(b, merged[L:])
 }
 
-// PrefixSumSnake computes, for every processor of the region, the
-// exclusive prefix sum of vals in snake order, together with the
-// region-wide total. Cost: one directional row pass, a column pass over
-// row totals and a broadcast-back pass, 3(W−1) + (H−1) steps.
-func PrefixSumSnake(m *mesh.Machine, r mesh.Region, vals []int64) (prefix []int64, total int64, steps int64) {
-	sp := m.Ledger().Begin("prefix-sum", trace.PhaseRank)
-	defer func() {
-		sp.Observe(steps)
-		sp.End()
-	}()
-	prefix = make([]int64, m.N)
-	var running int64
-	for i := 0; i < r.Size(); i++ {
-		p := r.ProcAtSnake(m, i)
-		prefix[p] = running
-		running += vals[p]
-	}
-	return prefix, running, 3*int64(r.W-1) + int64(r.H-1)
-}
-
 // BroadcastCost is the step count of broadcasting one word from a
 // corner to every processor of the region (row pass + column passes).
 func BroadcastCost(r mesh.Region) int64 {

@@ -166,31 +166,6 @@ func TestSortCostProperties(t *testing.T) {
 	}
 }
 
-func TestPrefixSumSnake(t *testing.T) {
-	m := mesh.MustNew(5)
-	r := mesh.Region{R0: 1, C0: 0, H: 3, W: 5}
-	vals := make([]int64, m.N)
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < r.Size(); i++ {
-		vals[r.ProcAtSnake(m, i)] = int64(rng.Intn(10))
-	}
-	prefix, total, steps := PrefixSumSnake(m, r, vals)
-	var running int64
-	for i := 0; i < r.Size(); i++ {
-		p := r.ProcAtSnake(m, i)
-		if prefix[p] != running {
-			t.Fatalf("prefix at snake %d = %d, want %d", i, prefix[p], running)
-		}
-		running += vals[p]
-	}
-	if total != running {
-		t.Fatalf("total=%d want %d", total, running)
-	}
-	if want := int64(3*(5-1) + (3 - 1)); steps != want {
-		t.Fatalf("steps=%d want %d", steps, want)
-	}
-}
-
 func TestGreedyRouteDeliversPermutation(t *testing.T) {
 	m := mesh.MustNew(8)
 	r := m.Full()

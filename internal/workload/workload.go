@@ -18,13 +18,23 @@ import (
 type Vars []int
 
 // RandomDistinct returns count distinct variables drawn uniformly from
-// [0, vars).
+// [0, vars): exactly rand.New(rand.NewSource(seed)).Perm(vars)[:count],
+// computed in O(count) memory by replaying Perm's loop and keeping only
+// the slots below count (TestRandomDistinctMatchesPerm).
 func RandomDistinct(vars, count int, seed int64) Vars {
-	if count > vars {
-		count = vars
-	}
+	count = max(min(count, vars), 0)
 	rng := rand.New(rand.NewSource(seed))
-	return Vars(rng.Perm(vars)[:count])
+	m := make(Vars, count)
+	for i := 0; i < vars; i++ {
+		j := rng.Intn(i + 1)
+		if i < count {
+			m[i] = m[j]
+		}
+		if j < count {
+			m[j] = i
+		}
+	}
+	return m
 }
 
 // Stride returns count variables spaced by the given stride (mod vars):

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"meshpram/internal/hmos"
@@ -27,6 +29,25 @@ func TestRandomDistinct(t *testing.T) {
 	}
 	if len(RandomDistinct(10, 50, 1)) != 10 {
 		t.Fatal("count not clamped to vars")
+	}
+}
+
+// RandomDistinct replays rand.Perm in O(count) memory; its output must
+// stay bit-identical to the full permutation's prefix, since every
+// seeded workload and golden is built on it.
+func TestRandomDistinctMatchesPerm(t *testing.T) {
+	for _, c := range []struct {
+		vars, count int
+		seed        int64
+	}{
+		{0, 0, 1}, {1, 1, 1}, {10, 0, 3}, {10, 10, 3}, {10, 50, 3}, {100, 1, 7},
+		{100, 50, 1}, {1000, 999, 2}, {796797, 6561, 1}, {796797, 59049, 11},
+	} {
+		want := rand.New(rand.NewSource(c.seed)).Perm(c.vars)[:min(c.count, c.vars)]
+		got := RandomDistinct(c.vars, c.count, c.seed)
+		if !slices.Equal([]int(got), want) {
+			t.Fatalf("RandomDistinct(%d, %d, %d) differs from Perm's prefix", c.vars, c.count, c.seed)
+		}
 	}
 }
 
