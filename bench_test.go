@@ -23,7 +23,7 @@ import (
 	"meshpram/internal/workload"
 )
 
-var benchCfg = experiments.Config{Workers: 1, Seed: 1}
+var benchCfg = experiments.Config{Seed: 1}
 
 // run executes an experiment once per iteration with output discarded.
 func run(b *testing.B, id string) {
@@ -112,18 +112,6 @@ func BenchmarkStepRandom6561(b *testing.B) {
 		b.Skip("short mode")
 	}
 	sim := core.MustNew(hmos.Params{Side: 81, Q: 3, D: 7, K: 2}, core.Config{})
-	n := sim.Mesh().N
-	vars := workload.RandomDistinct(sim.Scheme().Vars(), n, 1)
-	ops := vars.Mixed(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step(ops)
-	}
-}
-
-// BenchmarkStepParallelEngine measures the goroutine execution engine.
-func BenchmarkStepParallelEngine(b *testing.B) {
-	sim := core.MustNew(hmos.Params{Side: 27, Q: 3, D: 5, K: 2}, core.Config{Workers: 0})
 	n := sim.Mesh().N
 	vars := workload.RandomDistinct(sim.Scheme().Vars(), n, 1)
 	ops := vars.Mixed(7)

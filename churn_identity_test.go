@@ -32,11 +32,10 @@ func TestChurnBitIdentity(t *testing.T) {
 		phases  [][]int64
 		image   []byte
 	}
-	execute := func(workers int) run {
+	execute := func() run {
 		// Each run builds its own schedule from the same churn spec, so
 		// Build's determinism is pinned along with the simulation's.
 		sim := core.MustNew(p, core.Config{
-			Workers:  workers,
 			Schedule: churn.Build(p.Side),
 			Repair:   core.RepairEager,
 		})
@@ -64,38 +63,28 @@ func TestChurnBitIdentity(t *testing.T) {
 		return r
 	}
 
-	// Two sequential runs pin run-to-run determinism; the 4-worker run
-	// additionally pins worker-count independence of the whole timeline
-	// down to the snapshot bytes (the sharded router's cycle-level
-	// identity at widths that clear the shard threshold is pinned by
-	// TestEngineParallelBitIdentity and TestEngineEquivalenceUnderFaults).
-	a := execute(1)
+	a := execute()
 	if a.rstats.ModuleDeaths == 0 {
 		t.Fatalf("timeline delivered no module deaths; the fixture is vacuous (stats %+v)", a.rstats)
 	}
-	for _, alt := range []struct {
-		name    string
-		workers int
-	}{{"rerun-workers1", 1}, {"workers4", 4}} {
-		b := execute(alt.workers)
-		if a.rstats != b.rstats {
-			t.Errorf("%s: RepairStats differ:\n  a %+v\n  b %+v", alt.name, a.rstats, b.rstats)
-		}
-		if a.steps != b.steps {
-			t.Errorf("%s: mesh steps differ: %d vs %d", alt.name, a.steps, b.steps)
-		}
-		if !reflect.DeepEqual(a.results, b.results) {
-			t.Errorf("%s: read results differ", alt.name)
-		}
-		if !reflect.DeepEqual(a.reports, b.reports) {
-			t.Errorf("%s: degradation reports differ", alt.name)
-		}
-		if !reflect.DeepEqual(a.phases, b.phases) {
-			t.Errorf("%s: ledger phase totals differ:\n  a %v\n  b %v", alt.name, a.phases, b.phases)
-		}
-		if !bytes.Equal(a.image, b.image) {
-			t.Errorf("%s: snapshot images differ (%d vs %d bytes): Save is not deterministic",
-				alt.name, len(a.image), len(b.image))
-		}
+	b := execute()
+	if a.rstats != b.rstats {
+		t.Errorf("RepairStats differ:\n  a %+v\n  b %+v", a.rstats, b.rstats)
+	}
+	if a.steps != b.steps {
+		t.Errorf("mesh steps differ: %d vs %d", a.steps, b.steps)
+	}
+	if !reflect.DeepEqual(a.results, b.results) {
+		t.Error("read results differ")
+	}
+	if !reflect.DeepEqual(a.reports, b.reports) {
+		t.Error("degradation reports differ")
+	}
+	if !reflect.DeepEqual(a.phases, b.phases) {
+		t.Errorf("ledger phase totals differ:\n  a %v\n  b %v", a.phases, b.phases)
+	}
+	if !bytes.Equal(a.image, b.image) {
+		t.Errorf("snapshot images differ (%d vs %d bytes): Save is not deterministic",
+			len(a.image), len(b.image))
 	}
 }

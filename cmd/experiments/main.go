@@ -4,10 +4,9 @@
 //
 // Usage:
 //
-//	experiments [-only E5] [-big] [-workers N] [-seed S] [-json]
+//	experiments [-only E5] [-big] [-seed S] [-json]
 //
 // -big adds the largest machine sizes (minutes instead of seconds);
-// -workers runs the mesh engine on N goroutines (0 = GOMAXPROCS);
 // -json additionally writes one BENCH_<ID>.json per experiment
 // (charged steps, phase breakdown, wall time, and the cost-ledger
 // trees of the exercised execution paths) into the -out directory, or
@@ -29,14 +28,13 @@ import (
 func main() {
 	only := flag.String("only", "", "run a single experiment by id (e.g. E5)")
 	big := flag.Bool("big", false, "include the largest machine sizes")
-	workers := flag.Int("workers", 1, "mesh engine and router goroutines (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	list := flag.Bool("list", false, "list experiments and exit")
 	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<ID>.txt")
 	jsonOut := flag.Bool("json", false, "write BENCH_<ID>.json per experiment (to -out dir, or .)")
 	flag.Parse()
 
-	cfg := experiments.Config{Big: *big, Workers: *workers, Seed: *seed}
+	cfg := experiments.Config{Big: *big, Seed: *seed}
 	if *list {
 		for _, e := range experiments.All {
 			fmt.Printf("%-4s %s\n", e.ID, e.Claim)

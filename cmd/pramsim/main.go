@@ -64,7 +64,7 @@ func scenarioFlags(fs *flag.FlagSet, sc *sim.Scenario) map[string]string {
 	fs.StringVar(&sc.Repair, "repair", sc.Repair, "self-healing scrub policy: off | eager | lazy")
 	fs.IntVar(&sc.Retry, "retry", sc.Retry, "checkpointed-retry budget per PRAM step (0 = off)")
 	fs.StringVar(&sc.Engine, "engine", sc.Engine, "routing engine: event (line-decomposed healthy routing) | cycle (reference); results are bit-identical")
-	fs.IntVar(&sc.Workers, "workers", sc.Workers, "mesh engine and router goroutines (0 = GOMAXPROCS); results are width-invariant")
+	fs.IntVar(&sc.Workers, "workers", sc.Workers, "accepted and ignored (the routing engine is sequential)")
 	fs.IntVar(&sc.IdealMemory, "ideal-memory", sc.IdealMemory, "ideal backend memory in words (0 = the scheme's M)")
 	fs.BoolVar(&sc.Trace, "trace", sc.Trace, "print the cost-ledger tree of the last PRAM step")
 	return map[string]string{

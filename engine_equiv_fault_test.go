@@ -11,84 +11,66 @@ import (
 )
 
 // TestEngineEquivalenceUnderFaults is TestEngineEquivalence with a live
-// fault schedule and eager repair: a sequential engine, a 4-worker one
-// and an 8-worker one replay the identical churn timeline and must
-// produce identical verdicts — read results, degradation reports (dead
-// origins, lost packets, unrecoverable ops), repair counters — and
-// identical accounting (machine steps, ledger totals, phase totals).
-// Worker-count independence is what makes the fault path's determinism
-// claims mean something. Since the route.Engine shards its selection
-// sweep by the same worker width, the multi-worker runs drive the
-// parallel router (n=729 keeps the worklist above the sharding
-// threshold), and the two distinct widths exercise two different shard
-// partitions of every cycle; under -race this also exercises the
-// repair and router traffic for data races.
+// fault schedule and eager repair: two simulators replay the identical
+// churn timeline and must produce identical verdicts — read results,
+// degradation reports (dead origins, lost packets, unrecoverable ops),
+// repair counters — and identical accounting (machine steps, ledger
+// totals, phase totals).
 func TestEngineEquivalenceUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=729 machine is slow in -short mode")
 	}
 	p := hmos.Params{Side: 27, Q: 3, D: 4, K: 2}
 	churn := fault.Churn{ModuleRate: 0.004, Repair: 2, Horizon: 3, Seed: 11}
-	mk := func(workers int) *core.Simulator {
+	mk := func() *core.Simulator {
 		return core.MustNew(p, core.Config{
-			Workers:  workers,
 			Schedule: churn.Build(p.Side),
 			Repair:   core.RepairEager,
 		})
 	}
-	seq := mk(1)
-	pars := map[string]*core.Simulator{"par4": mk(4), "par8": mk(8)}
-	n := seq.Mesh().N
+	a, b := mk(), mk()
+	n := a.Mesh().N
 	sawDeath := false
 	for step := 0; step < 3; step++ {
-		vars := workload.RandomDistinct(seq.Scheme().Vars(), n, 42+int64(step))
+		vars := workload.RandomDistinct(a.Scheme().Vars(), n, 42+int64(step))
 		ops := vars.Mixed(1000)
-		resSeq, stSeq, errSeq := seq.StepChecked(ops)
-		if errSeq != nil {
-			t.Fatalf("step%d: sequential error %v", step, errSeq)
+		resA, stA, errA := a.StepChecked(ops)
+		if errA != nil {
+			t.Fatalf("step%d: first run error %v", step, errA)
 		}
-		rootSeq := seq.Ledger().Last()
-		if rootSeq == nil {
-			t.Fatalf("step%d: missing sequential ledger tree", step)
+		resB, stB, errB := b.StepChecked(ops)
+		if errB != nil {
+			t.Fatalf("step%d: second run error %v", step, errB)
 		}
-		for _, name := range []string{"par4", "par8"} {
-			par := pars[name]
-			resPar, stPar, errPar := par.StepChecked(ops)
-			if errPar != nil {
-				t.Fatalf("step%d/%s: error %v", step, name, errPar)
-			}
-			if !reflect.DeepEqual(resSeq, resPar) {
-				t.Fatalf("step%d/%s: results differ from sequential engine", step, name)
-			}
-			if !reflect.DeepEqual(stSeq, stPar) {
-				t.Errorf("step%d/%s: stats differ:\nseq %+v\npar %+v", step, name, stSeq, stPar)
-			}
-			if !reflect.DeepEqual(seq.LastReport(), par.LastReport()) {
-				t.Errorf("step%d/%s: degradation verdicts differ:\nseq %+v\npar %+v",
-					step, name, seq.LastReport(), par.LastReport())
-			}
-			if a, b := seq.Mesh().Steps(), par.Mesh().Steps(); a != b {
-				t.Errorf("step%d/%s: mesh steps %d (seq) != %d (par)", step, name, a, b)
-			}
-			rootPar := par.Ledger().Last()
-			if rootPar == nil {
-				t.Fatalf("step%d/%s: missing ledger tree", step, name)
-			}
-			if a, b := rootSeq.Total(), rootPar.Total(); a != b {
-				t.Errorf("step%d/%s: ledger totals %d (seq) != %d (par)", step, name, a, b)
-			}
-			if a, b := rootSeq.PhaseTotals(), rootPar.PhaseTotals(); a != b {
-				t.Errorf("step%d/%s: ledger phase totals %v (seq) != %v (par)", step, name, a, b)
-			}
+		if !reflect.DeepEqual(resA, resB) {
+			t.Fatalf("step%d: results differ between runs", step)
 		}
-		if seq.RepairStats().ModuleDeaths > 0 {
+		if !reflect.DeepEqual(stA, stB) {
+			t.Errorf("step%d: stats differ:\nfirst  %+v\nsecond %+v", step, stA, stB)
+		}
+		if !reflect.DeepEqual(a.LastReport(), b.LastReport()) {
+			t.Errorf("step%d: degradation verdicts differ:\nfirst  %+v\nsecond %+v",
+				step, a.LastReport(), b.LastReport())
+		}
+		if sa, sb := a.Mesh().Steps(), b.Mesh().Steps(); sa != sb {
+			t.Errorf("step%d: mesh steps %d != %d", step, sa, sb)
+		}
+		rootA, rootB := a.Ledger().Last(), b.Ledger().Last()
+		if rootA == nil || rootB == nil {
+			t.Fatalf("step%d: missing ledger tree", step)
+		}
+		if ta, tb := rootA.Total(), rootB.Total(); ta != tb {
+			t.Errorf("step%d: ledger totals %d != %d", step, ta, tb)
+		}
+		if pa, pb := rootA.PhaseTotals(), rootB.PhaseTotals(); pa != pb {
+			t.Errorf("step%d: ledger phase totals %v != %v", step, pa, pb)
+		}
+		if a.RepairStats().ModuleDeaths > 0 {
 			sawDeath = true
 		}
 	}
-	for _, name := range []string{"par4", "par8"} {
-		if a, b := seq.RepairStats(), pars[name].RepairStats(); a != b {
-			t.Errorf("%s: repair stats differ:\nseq %+v\npar %+v", name, a, b)
-		}
+	if ra, rb := a.RepairStats(), b.RepairStats(); ra != rb {
+		t.Errorf("repair stats differ:\nfirst  %+v\nsecond %+v", ra, rb)
 	}
 	if !sawDeath {
 		t.Fatal("timeline delivered no module deaths; the fixture is vacuous")

@@ -9,44 +9,41 @@ import (
 	"meshpram/internal/workload"
 )
 
-// TestEngineEquivalence runs the same steps on a sequential mesh engine
-// and a 4-worker one. The cost model is deterministic, so everything —
-// read results, per-phase stats, the machine step counter, and the
-// ledger's phase totals — must be identical; under -race this also
-// exercises the parallel access phase for data races. Side 27 (n=729)
-// keeps the per-processor loops above the engine's sequential-fallback
-// threshold so the worker pool genuinely engages.
+// TestEngineEquivalence runs the same steps on two simulators built
+// from one configuration. The cost model is deterministic, so
+// everything — read results, per-phase stats, the machine step
+// counter, and the ledger's phase totals — must be identical.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=729 machine is slow in -short mode")
 	}
 	p := hmos.Params{Side: 27, Q: 3, D: 4, K: 2}
-	seq := core.MustNew(p, core.Config{Workers: 1})
-	par := core.MustNew(p, core.Config{Workers: 4})
-	n := seq.Mesh().N
+	a := core.MustNew(p, core.Config{})
+	b := core.MustNew(p, core.Config{})
+	n := a.Mesh().N
 	for step := 0; step < 2; step++ {
-		vars := workload.RandomDistinct(seq.Scheme().Vars(), n, 42+int64(step))
+		vars := workload.RandomDistinct(a.Scheme().Vars(), n, 42+int64(step))
 		ops := vars.Mixed(1000)
-		resSeq, stSeq := seq.Step(ops)
-		resPar, stPar := par.Step(ops)
-		if !reflect.DeepEqual(resSeq, resPar) {
-			t.Fatalf("step%d: results differ between sequential and 4-worker engines", step)
+		resA, stA := a.Step(ops)
+		resB, stB := b.Step(ops)
+		if !reflect.DeepEqual(resA, resB) {
+			t.Fatalf("step%d: results differ between runs", step)
 		}
-		if !reflect.DeepEqual(stSeq, stPar) {
-			t.Errorf("step%d: stats differ:\nseq %+v\npar %+v", step, stSeq, stPar)
+		if !reflect.DeepEqual(stA, stB) {
+			t.Errorf("step%d: stats differ:\nfirst  %+v\nsecond %+v", step, stA, stB)
 		}
-		if a, b := seq.Mesh().Steps(), par.Mesh().Steps(); a != b {
-			t.Errorf("step%d: mesh steps %d (seq) != %d (par)", step, a, b)
+		if sa, sb := a.Mesh().Steps(), b.Mesh().Steps(); sa != sb {
+			t.Errorf("step%d: mesh steps %d != %d", step, sa, sb)
 		}
-		rootSeq, rootPar := seq.Ledger().Last(), par.Ledger().Last()
-		if rootSeq == nil || rootPar == nil {
+		rootA, rootB := a.Ledger().Last(), b.Ledger().Last()
+		if rootA == nil || rootB == nil {
 			t.Fatalf("step%d: missing ledger tree", step)
 		}
-		if a, b := rootSeq.Total(), rootPar.Total(); a != b {
-			t.Errorf("step%d: ledger totals %d (seq) != %d (par)", step, a, b)
+		if ta, tb := rootA.Total(), rootB.Total(); ta != tb {
+			t.Errorf("step%d: ledger totals %d != %d", step, ta, tb)
 		}
-		if a, b := rootSeq.PhaseTotals(), rootPar.PhaseTotals(); a != b {
-			t.Errorf("step%d: ledger phase totals %v (seq) != %v (par)", step, a, b)
+		if pa, pb := rootA.PhaseTotals(), rootB.PhaseTotals(); pa != pb {
+			t.Errorf("step%d: ledger phase totals %v != %v", step, pa, pb)
 		}
 	}
 }

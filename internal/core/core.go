@@ -92,9 +92,6 @@ type Config struct {
 	// square regions with integer √side, falls back elsewhere;
 	// experiment E17).
 	Sort route.SortAlgo
-	// Workers sets the routing engine's sweep width (0 = GOMAXPROCS,
-	// ≤1 sequential).
-	Workers int
 	// EngineMode selects the routing engine's execution strategy
 	// (route.ModeEvent by default): healthy routing is solved line by
 	// line, bit-identical to the cycle-stepped reference on every
@@ -357,9 +354,6 @@ func NewWithScheme(s *hmos.Scheme, cfg Config) (*Simulator, error) {
 		}
 	}
 	m.SetFaults(live)
-	if cfg.Workers != 1 {
-		m.SetParallel(cfg.Workers)
-	}
 	ld := trace.New()
 	m.AttachLedger(ld)
 	sim := &Simulator{

@@ -32,15 +32,14 @@ type eventMatrixTrace struct {
 
 // runEventMatrix executes a seeded mixed read/write workload and
 // captures every observable output.
-func runEventMatrix(t *testing.T, mode route.EngineMode, torus bool, fm *fault.Map, sch *fault.Schedule, workers int) eventMatrixTrace {
-	return runViewMatrix(t, mode, faultview.Global, torus, fm, sch, workers)
+func runEventMatrix(t *testing.T, mode route.EngineMode, torus bool, fm *fault.Map, sch *fault.Schedule) eventMatrixTrace {
+	return runViewMatrix(t, mode, faultview.Global, torus, fm, sch)
 }
 
 // runViewMatrix is runEventMatrix with an explicit fault-view mode.
-func runViewMatrix(t *testing.T, mode route.EngineMode, view faultview.Mode, torus bool, fm *fault.Map, sch *fault.Schedule, workers int) eventMatrixTrace {
+func runViewMatrix(t *testing.T, mode route.EngineMode, view faultview.Mode, torus bool, fm *fault.Map, sch *fault.Schedule) eventMatrixTrace {
 	t.Helper()
 	cfg := Config{
-		Workers:       workers,
 		Torus:         torus,
 		EngineMode:    mode,
 		Schedule:      sch,
@@ -128,10 +127,10 @@ func churnEventSchedule() *fault.Schedule {
 }
 
 // TestEventCycleSimulationIdentity is the acceptance matrix:
-// {mesh, torus} × {fault-free, static faults, churn schedule} ×
-// workers {1, 4, 8}, asserting identical delivered contents (read
-// results), charged cycles (StepStats), lost counts (fault reports)
-// and snapshot bytes between route.ModeCycle and route.ModeEvent.
+// {mesh, torus} × {fault-free, static faults, churn schedule},
+// asserting identical delivered contents (read results), charged
+// cycles (StepStats), lost counts (fault reports) and snapshot bytes
+// between route.ModeCycle and two runs of route.ModeEvent.
 func TestEventCycleSimulationIdentity(t *testing.T) {
 	faultCases := []struct {
 		name string
@@ -144,18 +143,18 @@ func TestEventCycleSimulationIdentity(t *testing.T) {
 	}
 	for _, torus := range []bool{false, true} {
 		for _, fc := range faultCases {
-			for _, workers := range []int{1, 4, 8} {
-				label := fmt.Sprintf("torus=%v/%s/workers=%d", torus, fc.name, workers)
-				var fm *fault.Map
-				var sch *fault.Schedule
-				if fc.fm != nil {
-					fm = fc.fm()
-				}
-				if fc.sch != nil {
-					sch = fc.sch()
-				}
-				cyc := runEventMatrix(t, route.ModeCycle, torus, fm, sch, workers)
-				evt := runEventMatrix(t, route.ModeEvent, torus, fm, sch, workers)
+			var fm *fault.Map
+			var sch *fault.Schedule
+			if fc.fm != nil {
+				fm = fc.fm()
+			}
+			if fc.sch != nil {
+				sch = fc.sch()
+			}
+			cyc := runEventMatrix(t, route.ModeCycle, torus, fm, sch)
+			for run := 0; run < 2; run++ {
+				label := fmt.Sprintf("torus=%v/%s/run=%d", torus, fc.name, run)
+				evt := runEventMatrix(t, route.ModeEvent, torus, fm, sch)
 				requireSameTrace(t, label, cyc, evt)
 			}
 		}
@@ -165,30 +164,28 @@ func TestEventCycleSimulationIdentity(t *testing.T) {
 // TestLocalViewSimulationIdentity is the local-fault-view half of the
 // acceptance matrix: under FaultView=Local with a churn schedule, runs
 // are bit-identical (read results, StepStats, fault reports, snapshot
-// bytes including the gossip view state) across worker widths {1,4,8},
-// across double runs of the same width, and between route.ModeCycle
-// and route.ModeEvent — for both mesh and torus topologies.
+// bytes including the gossip view state) across double runs and
+// between route.ModeCycle and route.ModeEvent — for both mesh and torus
+// topologies.
 func TestLocalViewSimulationIdentity(t *testing.T) {
 	for _, torus := range []bool{false, true} {
-		ref := runViewMatrix(t, route.ModeCycle, faultview.Local, torus, nil, churnEventSchedule(), 1)
+		ref := runViewMatrix(t, route.ModeCycle, faultview.Local, torus, nil, churnEventSchedule())
 		if len(ref.snapshot) == 0 {
 			t.Fatal("local-view snapshot is empty")
 		}
-		for _, workers := range []int{1, 4, 8} {
-			for run := 0; run < 2; run++ {
-				label := fmt.Sprintf("torus=%v/local-churn/workers=%d/run=%d", torus, workers, run)
-				got := runViewMatrix(t, route.ModeCycle, faultview.Local, torus, nil, churnEventSchedule(), workers)
-				requireSameTrace(t, label, ref, got)
-				evt := runViewMatrix(t, route.ModeEvent, faultview.Local, torus, nil, churnEventSchedule(), workers)
-				requireSameTrace(t, label+"/event", ref, evt)
-			}
+		for run := 0; run < 2; run++ {
+			label := fmt.Sprintf("torus=%v/local-churn/run=%d", torus, run)
+			got := runViewMatrix(t, route.ModeCycle, faultview.Local, torus, nil, churnEventSchedule())
+			requireSameTrace(t, label, ref, got)
+			evt := runViewMatrix(t, route.ModeEvent, faultview.Local, torus, nil, churnEventSchedule())
+			requireSameTrace(t, label+"/event", ref, evt)
 		}
 		// Static faults are boot knowledge under the local view: beliefs
 		// start exact, so the run must match the global view bit for bit
 		// — except for the snapshot, which appends the (empty-log) view
 		// state in local mode.
-		glob := runViewMatrix(t, route.ModeEvent, faultview.Global, torus, staticEventFaults(), nil, 4)
-		loc := runViewMatrix(t, route.ModeEvent, faultview.Local, torus, staticEventFaults(), nil, 4)
+		glob := runViewMatrix(t, route.ModeEvent, faultview.Global, torus, staticEventFaults(), nil)
+		loc := runViewMatrix(t, route.ModeEvent, faultview.Local, torus, staticEventFaults(), nil)
 		label := fmt.Sprintf("torus=%v/local-static-vs-global", torus)
 		loc.snapshot = loc.snapshot[:0]
 		glob.snapshot = glob.snapshot[:0]

@@ -11,7 +11,7 @@ import (
 // faultSim builds the small instance with the given fault map.
 func faultSim(t testing.TB, f *fault.Map) *Simulator {
 	t.Helper()
-	s, err := New(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Workers: 1, Faults: f})
+	s, err := New(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,13 +20,13 @@ func TestCarriedPlacementMatchesSlotPlace(t *testing.T) {
 		sim         func() *Simulator
 		wantForeign bool
 	}{
-		{"healthy", func() *Simulator { return MustNew(smallParams, Config{Workers: 1}) }, false},
+		{"healthy", func() *Simulator { return MustNew(smallParams, Config{}) }, false},
 		{"eager-remap", func() *Simulator { return schedSim(t, killHostsSchedule(t, 0, 5), RepairEager) }, true},
 		{"rowa", func() *Simulator {
-			return MustNew(smallParams, Config{Workers: 1, Policy: ReadOneWriteAllPolicy})
+			return MustNew(smallParams, Config{Policy: ReadOneWriteAllPolicy})
 		}, false},
 		{"rowa-eager-remap", func() *Simulator {
-			s, err := New(smallParams, Config{Workers: 1, Policy: ReadOneWriteAllPolicy,
+			s, err := New(smallParams, Config{Policy: ReadOneWriteAllPolicy,
 				Schedule: killHostsSchedule(t, 0, 5), Repair: RepairEager})
 			if err != nil {
 				t.Fatal(err)

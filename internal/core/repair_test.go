@@ -13,7 +13,7 @@ import (
 func schedSim(t testing.TB, sch *fault.Schedule, pol RepairPolicy) *Simulator {
 	t.Helper()
 	s, err := New(hmos.Params{Side: 9, Q: 3, D: 3, K: 2},
-		Config{Workers: 1, Schedule: sch, Repair: pol})
+		Config{Schedule: sch, Repair: pol})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // Large-n acceptance tests for the compact-state layer: the slab store,
-// the streaming snapshot format and the width-invariance contract must
-// hold at n ≥ 10^5, not just on the side-9 fixtures. Side 324 gives
+// the streaming snapshot format and rerun determinism must hold at
+// n ≥ 10^5, not just on the side-9 fixtures. Side 324 gives
 // n = 104,976 with the SCALE scheme (q=3, d=4, k=2, M=1080) — the
 // smallest valid side (multiple of 27) above 10^5 processors, chosen
 // because the local fault view's gossip makes churn steps cost minutes
@@ -71,14 +71,13 @@ func TestLargeMeshSnapshotChurnRoundtrip(t *testing.T) {
 		t.Skip("100k-processor mesh")
 	}
 	if raceEnabled {
-		// Workers=1 throughout: nothing for the detector to watch, and
-		// the ~20× slowdown breaks the package timeout (see race_on_test.go).
+		// The ~20× race slowdown breaks the package timeout (see
+		// race_on_test.go).
 		t.Skip("sequential capacity test; race covered by the identity matrices")
 	}
 	p := largeParams()
 	mk := func(sch *fault.Schedule) *Simulator {
 		sim, err := New(p, Config{
-			Workers:       1,
 			Schedule:      sch,
 			Repair:        RepairLazy,
 			FaultView:     faultview.Local,
@@ -128,10 +127,10 @@ func TestLargeMeshSnapshotChurnRoundtrip(t *testing.T) {
 	}
 }
 
-// TestLargeMeshCrossWidthIdentity pins the width-invariance contract at
-// a large-n point: worker widths 1 and 8 must produce identical read
-// results, charged steps and snapshot bytes on the same churn timeline.
-func TestLargeMeshCrossWidthIdentity(t *testing.T) {
+// TestLargeMeshRerunIdentity pins determinism at a large-n point: two
+// runs on the same churn timeline must produce identical read results,
+// charged steps and snapshot bytes.
+func TestLargeMeshRerunIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-processor mesh")
 	}
@@ -140,9 +139,8 @@ func TestLargeMeshCrossWidthIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) ([][]Word, []int64, []byte) {
+	run := func() ([][]Word, []int64, []byte) {
 		sim, err := New(p, Config{
-			Workers:  workers,
 			Schedule: largeChurnSchedule(t, probe),
 			Repair:   RepairLazy,
 		})
@@ -159,7 +157,7 @@ func TestLargeMeshCrossWidthIdentity(t *testing.T) {
 			}
 			res, st, err := sim.StepChecked(ops)
 			if err != nil {
-				t.Fatalf("workers=%d step %d: %v", workers, step, err)
+				t.Fatalf("step %d: %v", step, err)
 			}
 			words = append(words, append([]Word(nil), res...))
 			charged = append(charged, st.Total())
@@ -170,16 +168,16 @@ func TestLargeMeshCrossWidthIdentity(t *testing.T) {
 		}
 		return words, charged, img.Bytes()
 	}
-	w1, c1, s1 := run(1)
-	w8, c8, s8 := run(8)
-	if !reflect.DeepEqual(w1, w8) {
-		t.Error("read results differ between worker widths 1 and 8")
+	w1, c1, s1 := run()
+	w2, c2, s2 := run()
+	if !reflect.DeepEqual(w1, w2) {
+		t.Error("read results differ between runs")
 	}
-	if !reflect.DeepEqual(c1, c8) {
-		t.Errorf("charged steps differ between widths: %v vs %v", c1, c8)
+	if !reflect.DeepEqual(c1, c2) {
+		t.Errorf("charged steps differ between runs: %v vs %v", c1, c2)
 	}
-	if !bytes.Equal(s1, s8) {
-		t.Errorf("snapshot bytes differ between widths (%d vs %d)", len(s1), len(s8))
+	if !bytes.Equal(s1, s2) {
+		t.Errorf("snapshot bytes differ between runs (%d vs %d)", len(s1), len(s2))
 	}
 	// Sanity that the timeline actually degraded something (the churn
 	// schedule kills two hosts of variable 0).

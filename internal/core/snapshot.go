@@ -12,8 +12,8 @@ import (
 
 // Snapshot support: serialize the simulated shared memory (the copy
 // cells of every processor, with timestamps) so long experiments can
-// checkpoint and resume, and so memory images can be moved between a
-// sequential and a parallel-engine simulator.
+// checkpoint and resume, and so memory images can be moved between
+// simulators.
 //
 // The wire format is a stream of gob values: one header, then one
 // record per touched level-1 page, then the foreign-cell record, then

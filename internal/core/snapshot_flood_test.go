@@ -29,7 +29,6 @@ func TestSnapshotMidFlood(t *testing.T) {
 			At(2, fault.EvKillLink, 4*9+4, 4*9+5).
 			At(2, fault.EvKillModule, 2*9+2)
 		sim, err := New(p, Config{
-			Workers:       1,
 			Schedule:      sch,
 			Repair:        RepairLazy,
 			FaultView:     faultview.Local,

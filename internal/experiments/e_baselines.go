@@ -18,7 +18,7 @@ import (
 // one module/processor.
 func RunE8(w io.Writer, cfg Config) error {
 	p := hmos.Params{Side: 27, Q: 3, D: 5, K: 2}
-	sim, err := core.New(p, core.Config{Workers: cfg.Workers})
+	sim, err := core.New(p, core.Config{})
 	if err != nil {
 		return err
 	}
@@ -149,7 +149,7 @@ func RunE10(w io.Writer, cfg Config) error {
 // memory and reports whether the mesh simulation ever diverged.
 func RunE11(w io.Writer, cfg Config) error {
 	p := hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
-	sim, err := core.New(p, core.Config{Workers: cfg.Workers})
+	sim, err := core.New(p, core.Config{})
 	if err != nil {
 		return err
 	}
@@ -189,10 +189,10 @@ func RunE12(w io.Writer, cfg Config) error {
 		name string
 		cfg  core.Config
 	}{
-		{"paper (culling + staged)", core.Config{Workers: cfg.Workers}},
-		{"no culling", core.Config{DisableCulling: true, Workers: cfg.Workers}},
-		{"direct routing", core.Config{DirectRouting: true, Workers: cfg.Workers}},
-		{"no culling + direct", core.Config{DisableCulling: true, DirectRouting: true, Workers: cfg.Workers}},
+		{"paper (culling + staged)", core.Config{}},
+		{"no culling", core.Config{DisableCulling: true}},
+		{"direct routing", core.Config{DirectRouting: true}},
+		{"no culling + direct", core.Config{DisableCulling: true, DirectRouting: true}},
 	}
 	var tb stats.Table
 	tb.Add("variant", "workload", "culling", "sort", "forward", "return", "access", "total")

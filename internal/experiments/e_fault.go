@@ -31,7 +31,6 @@ func faultRateKey(r float64) string { return fmt.Sprintf("%.2f", r) }
 // absorbed before the variable became unrecoverable.
 func RunFault(w io.Writer, cfg Config) error {
 	sc := sim.DefaultScenario()
-	sc.Workers = cfg.Workers
 	if cfg.Big {
 		sc.Side, sc.D = 27, 5
 	}

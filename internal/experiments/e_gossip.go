@@ -39,7 +39,7 @@ func RunGossip(w io.Writer, cfg Config) error {
 	for i, rate := range gossipRates {
 		key := churnKey(rate)
 		sc := sim.DefaultScenario()
-		sc.Side, sc.D, sc.Workers, sc.Seed = side, d, cfg.Workers, cfg.Seed
+		sc.Side, sc.D, sc.Seed = side, d, cfg.Seed
 		sc.FaultSchedule = churnSpec(rate, repairAfter, steps, cfg.Seed)
 		sc.Repair = "eager"
 		sc.FaultView = "global"

@@ -20,7 +20,7 @@ import (
 // every set.
 func RunE14(w io.Writer, cfg Config) error {
 	p := hmos.Params{Side: 27, Q: 3, D: 5, K: 2}
-	sim, err := core.New(p, core.Config{Workers: cfg.Workers})
+	sim, err := core.New(p, core.Config{})
 	if err != nil {
 		return err
 	}

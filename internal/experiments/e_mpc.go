@@ -34,7 +34,7 @@ func RunE18(w io.Writer, cfg Config) error {
 		case 6:
 			meshParams = hmos.Params{Side: 27, Q: 3, D: 5, K: 2}
 		}
-		sim, err := core.New(meshParams, core.Config{Workers: cfg.Workers})
+		sim, err := core.New(meshParams, core.Config{})
 		if err != nil {
 			return err
 		}

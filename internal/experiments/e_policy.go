@@ -26,8 +26,8 @@ func RunE13(w io.Writer, cfg Config) error {
 		cfg  core.Config
 	}
 	variants := []variant{
-		{"majority (paper)", core.Config{Workers: cfg.Workers}},
-		{"read-1/write-all (MV84)", core.Config{Policy: core.ReadOneWriteAllPolicy, Workers: cfg.Workers}},
+		{"majority (paper)", core.Config{}},
+		{"read-1/write-all (MV84)", core.Config{Policy: core.ReadOneWriteAllPolicy}},
 	}
 	for _, v := range variants {
 		sim, err := core.New(p, v.cfg)

@@ -47,7 +47,7 @@ func RunE15(w io.Writer, cfg Config) error {
 		size := n / 2
 		for _, pg := range mkPrograms(size) {
 			sc := sim.DefaultScenario()
-			sc.Side, sc.Q, sc.D, sc.K, sc.Workers = p.Side, p.Q, p.D, p.K, cfg.Workers
+			sc.Side, sc.Q, sc.D, sc.K = p.Side, p.Q, p.D, p.K
 			scfg, err := sim.FromScenario(sc)
 			if err != nil {
 				return err

@@ -43,7 +43,7 @@ func RunRecover(w io.Writer, cfg Config) error {
 	var lastTree *trace.Node
 	for i, rate := range churnRates {
 		sc := sim.DefaultScenario()
-		sc.Side, sc.D, sc.Workers = side, d, cfg.Workers
+		sc.Side, sc.D = side, d
 		sc.FaultSchedule = churnSpec(rate, repairAfter, steps, cfg.Seed)
 		sc.Repair = "eager"
 		eager, err := runRecoverCell(sc, cfg, steps)

@@ -44,7 +44,7 @@ func routeInstance(kind string, m *mesh.Machine, seed int64) [][]int {
 	return dests
 }
 
-// routeCell is one measured (kind, side, workers) configuration.
+// routeCell is one measured (kind, side) configuration.
 type routeCell struct {
 	nsOp     int64
 	allocsOp int64
@@ -56,11 +56,8 @@ type routeCell struct {
 // the instance (one untimed warm-up call populates the engine's and the
 // delivery buffer's capacity, so the figure reflects the reuse path a
 // hot loop sees).
-func measureRoute(kind string, side, workers, iters int, seed int64) routeCell {
+func measureRoute(kind string, side, iters int, seed int64) routeCell {
 	m := mesh.MustNew(side)
-	if workers > 1 {
-		m.SetParallel(workers)
-	}
 	dests := routeInstance(kind, m, seed)
 	items := make([][]int, m.N)
 	dst := make([][]int, m.N)
@@ -97,53 +94,34 @@ func measureRoute(kind string, side, workers, iters int, seed int64) routeCell {
 // engine's micro-benchmark, the committed counterpart of the
 // pre-engine BENCH_ROUTE.baseline.json. It measures ns/op, allocs/op
 // and the cycle count for dense, transpose and sparse instances at
-// sides 27 and 81, plus the workers=4 sharded sweep at side 81.
-// Delivered traffic is bit-identical across worker widths (pinned by
-// the route package's equivalence tests), so the workers rows measure
-// overhead/speedup only. Note: on a single-core host the sharded sweep
-// cannot beat the sequential one; compare the workers rows against
-// runtime.NumCPU when reading the figures.
+// sides 27 and 81.
 func RunRoute(w io.Writer, cfg Config) error {
-	type rowKey struct {
-		kind    string
-		side    int
-		workers int
-	}
-	rows := []rowKey{}
-	for _, kind := range routeKinds {
-		rows = append(rows,
-			rowKey{kind, 27, 1},
-			rowKey{kind, 81, 1},
-			rowKey{kind, 81, 4},
-		)
-	}
 	var tb stats.Table
-	tb.Add("instance", "side", "workers", "ns/op", "allocs/op", "cycles charged", "cycles executed")
-	for _, rk := range rows {
-		iters := 3
-		if rk.side >= 81 {
-			iters = 2
-		}
-		cell := measureRoute(rk.kind, rk.side, rk.workers, iters, cfg.Seed)
-		if cell.executed > cell.cycles {
-			return fmt.Errorf("route %s side=%d workers=%d: executed %d > charged %d cycles",
-				rk.kind, rk.side, rk.workers, cell.executed, cell.cycles)
-		}
-		tb.Add(rk.kind, rk.side, rk.workers, cell.nsOp, cell.allocsOp, cell.cycles, cell.executed)
-		key := fmt.Sprintf("%s-%d", rk.kind, rk.side)
-		if rk.workers > 1 {
-			key = fmt.Sprintf("%s-workers%d", key, rk.workers)
-		}
-		cfg.Report.SetPhase(key+"-ns-op", cell.nsOp)
-		cfg.Report.SetPhase(key+"-allocs-op", cell.allocsOp)
-		cfg.Report.SetPhase(key+"-cycles", cell.cycles)
-		cfg.Report.SetPhase(key+"-cycles-executed", cell.executed)
-		if rk.kind == "dense" && rk.side == 81 && rk.workers == 1 {
-			cfg.Report.SetSteps(cell.cycles)
+	tb.Add("instance", "side", "ns/op", "allocs/op", "cycles charged", "cycles executed")
+	for _, kind := range routeKinds {
+		for _, side := range []int{27, 81} {
+			iters := 3
+			if side >= 81 {
+				iters = 2
+			}
+			cell := measureRoute(kind, side, iters, cfg.Seed)
+			if cell.executed > cell.cycles {
+				return fmt.Errorf("route %s side=%d: executed %d > charged %d cycles",
+					kind, side, cell.executed, cell.cycles)
+			}
+			tb.Add(kind, side, cell.nsOp, cell.allocsOp, cell.cycles, cell.executed)
+			key := fmt.Sprintf("%s-%d", kind, side)
+			cfg.Report.SetPhase(key+"-ns-op", cell.nsOp)
+			cfg.Report.SetPhase(key+"-allocs-op", cell.allocsOp)
+			cfg.Report.SetPhase(key+"-cycles", cell.cycles)
+			cfg.Report.SetPhase(key+"-cycles-executed", cell.executed)
+			if kind == "dense" && side == 81 {
+				cfg.Report.SetSteps(cell.cycles)
+			}
 		}
 	}
 	tb.Render(w)
-	fmt.Fprintf(w, "\nhost cores: %d (workers rows show sharding overhead when cores=1)\n", runtime.NumCPU())
+	fmt.Fprintf(w, "\nhost cores: %d\n", runtime.NumCPU())
 	fmt.Fprintf(w, "compare against the committed pre-engine BENCH_ROUTE.baseline.json\n")
 	return nil
 }

@@ -57,8 +57,8 @@ type scaleCell struct {
 // per-processor map store (LegacyStoreMemBytes) plus the routing
 // buffers a Release-less engine kept forever (measured just before
 // Compact).
-func measureScale(side, workers int, seed int64) (scaleCell, error) {
-	sim, err := core.New(scaleParams(side), core.Config{Workers: workers})
+func measureScale(side int, seed int64) (scaleCell, error) {
+	sim, err := core.New(scaleParams(side), core.Config{})
 	if err != nil {
 		return scaleCell{}, err
 	}
@@ -128,7 +128,7 @@ func RunScale(w io.Writer, cfg Config) error {
 	var tb stats.Table
 	tb.Add("side", "n", "ns/step", "cycles", "ns/cycle", "bytes/node", "legacy bytes/node", "ratio")
 	for _, side := range sides {
-		cell, err := measureScale(side, cfg.Workers, cfg.Seed)
+		cell, err := measureScale(side, cfg.Seed)
 		if err != nil {
 			return fmt.Errorf("scale side=%d: %w", side, err)
 		}

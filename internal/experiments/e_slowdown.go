@@ -25,7 +25,7 @@ type slowdownPoint struct {
 // measureSlowdown runs `reps` full-machine mixed batches and averages
 // the charged steps.
 func measureSlowdown(p hmos.Params, cfg Config, reps int) (slowdownPoint, error) {
-	sim, err := core.New(p, core.Config{Workers: cfg.Workers})
+	sim, err := core.New(p, core.Config{})
 	if err != nil {
 		return slowdownPoint{}, err
 	}
@@ -109,7 +109,7 @@ func RunE1(w io.Writer, cfg Config) error {
 	// (near-)identical cost on structured access patterns.
 	fmt.Fprintln(w, "\n  T(n) per access pattern at n = 729 (worst-case determinism check):")
 	p := hmos.Params{Side: 27, Q: 3, D: 5, K: 2}
-	sim, err := core.New(p, core.Config{Workers: cfg.Workers})
+	sim, err := core.New(p, core.Config{})
 	if err != nil {
 		return err
 	}

@@ -54,7 +54,7 @@ func RunE17(w io.Writer, cfg Config) error {
 		name string
 		algo route.SortAlgo
 	}{{"shearsort (paper reproduction default)", route.ShearSort}, {"rotatesort (E17 extension)", route.RotateSort}} {
-		sim, err := core.New(p, core.Config{Sort: v.algo, Workers: cfg.Workers})
+		sim, err := core.New(p, core.Config{Sort: v.algo})
 		if err != nil {
 			return err
 		}

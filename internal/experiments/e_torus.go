@@ -67,7 +67,7 @@ func RunE16(w io.Writer, cfg Config) error {
 		name  string
 		torus bool
 	}{{"mesh (paper)", false}, {"torus (extension)", true}} {
-		sim, err := core.New(p, core.Config{Torus: v.torus, Workers: cfg.Workers})
+		sim, err := core.New(p, core.Config{Torus: v.torus})
 		if err != nil {
 			return err
 		}

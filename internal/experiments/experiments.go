@@ -18,8 +18,6 @@ import (
 type Config struct {
 	// Big includes the largest (slow) machine sizes.
 	Big bool
-	// Workers configures mesh-engine parallelism (0 = GOMAXPROCS).
-	Workers int
 	// Seed drives all workload generation.
 	Seed int64
 	// Report, when non-nil, collects machine-readable results as the

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func smallCfg() Config { return Config{Big: false, Workers: 1, Seed: 1} }
+func smallCfg() Config { return Config{Big: false, Seed: 1} }
 
 // Every experiment must run to completion and produce a table.
 func TestAllExperimentsRun(t *testing.T) {

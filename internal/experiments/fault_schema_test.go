@@ -52,7 +52,7 @@ func TestFaultReportSchema(t *testing.T) {
 		t.Fatal("FAULT experiment not registered")
 	}
 	rep := &Report{ID: e.ID, Claim: e.Claim}
-	cfg := Config{Seed: 1, Workers: 1, Report: rep}
+	cfg := Config{Seed: 1, Report: rep}
 	if err := e.Run(io.Discard, cfg); err != nil {
 		t.Fatalf("RunFault: %v", err)
 	}

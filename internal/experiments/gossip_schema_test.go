@@ -23,7 +23,7 @@ func TestGossipReportSchema(t *testing.T) {
 		t.Fatal("GOSSIP experiment not registered")
 	}
 	rep := &Report{ID: e.ID, Claim: e.Claim}
-	cfg := Config{Seed: 1, Workers: 1, Report: rep}
+	cfg := Config{Seed: 1, Report: rep}
 	if err := e.Run(io.Discard, cfg); err != nil {
 		t.Fatalf("RunGossip: %v", err)
 	}

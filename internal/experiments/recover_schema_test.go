@@ -19,7 +19,7 @@ func TestRecoverReportSchema(t *testing.T) {
 		t.Fatal("RECOVER experiment not registered")
 	}
 	rep := &Report{ID: e.ID, Claim: e.Claim}
-	cfg := Config{Seed: 1, Workers: 1, Report: rep}
+	cfg := Config{Seed: 1, Report: rep}
 	if err := e.Run(io.Discard, cfg); err != nil {
 		t.Fatalf("RunRecover: %v", err)
 	}

@@ -11,7 +11,7 @@ import (
 // TestRouteReportSchema runs the ROUTE experiment and diffs the schema
 // of its BENCH_ROUTE.json against the checked-in golden, mirroring
 // TestFaultReportSchema: the golden pins the emitted key set (one
-// ns-op / allocs-op / cycles triple per instance×side×workers row),
+// ns-op / allocs-op / cycles group per instance×side row),
 // not the measurements. Update testdata/BENCH_ROUTE.schema.golden
 // deliberately when the row set changes.
 func TestRouteReportSchema(t *testing.T) {
@@ -20,7 +20,7 @@ func TestRouteReportSchema(t *testing.T) {
 		t.Fatal("ROUTE experiment not registered")
 	}
 	rep := &Report{ID: e.ID, Claim: e.Claim}
-	cfg := Config{Seed: 1, Workers: 1, Report: rep}
+	cfg := Config{Seed: 1, Report: rep}
 	if err := e.Run(io.Discard, cfg); err != nil {
 		t.Fatalf("RunRoute: %v", err)
 	}

@@ -47,7 +47,7 @@ func TestScaleMemoryBudgetGate(t *testing.T) {
 	if !ok || want <= 0 {
 		t.Fatalf("committed BENCH_SCALE.json lacks %s", key)
 	}
-	cell, err := measureScale(side, 1, 1)
+	cell, err := measureScale(side, 1)
 	if err != nil {
 		t.Fatalf("measureScale side=%d: %v", side, err)
 	}

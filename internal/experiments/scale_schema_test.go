@@ -22,7 +22,7 @@ func TestScaleReportSchema(t *testing.T) {
 		t.Fatal("SCALE experiment not registered")
 	}
 	rep := &Report{ID: e.ID, Claim: e.Claim}
-	cfg := Config{Seed: 1, Workers: 1, Report: rep}
+	cfg := Config{Seed: 1, Report: rep}
 	if err := e.Run(io.Discard, cfg); err != nil {
 		t.Fatalf("RunScale: %v", err)
 	}

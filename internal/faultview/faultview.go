@@ -19,9 +19,9 @@
 // merges the *previous* round's neighbor knowledge, so exchange order
 // is irrelevant), peers are visited in sorted order, witness ties are
 // broken by a seeded splitmix64 hash, and in-flight discoveries are
-// integrated at a sequential point in sorted, deduplicated order. The
-// result is bit-identical across worker widths and double runs; the
-// identity matrices in internal/route and internal/core pin it.
+// integrated after each sweep in sorted, deduplicated order. The
+// result is bit-identical across double runs; the identity matrices in
+// internal/route and internal/core pin it.
 package faultview
 
 import (
@@ -70,9 +70,9 @@ func ParseMode(s string) (Mode, error) {
 // Discovery is an in-flight observation made by the router: a packet at
 // node Witness probed a component and found its physical state to
 // disagree with the witness's belief. Discoveries are collected during
-// the (possibly parallel) selection sweep and handed to Integrate at a
-// sequential point; Integrate sorts and deduplicates them, so the
-// notice log is independent of worker width.
+// the selection sweep and handed to Integrate after it; Integrate sorts
+// and deduplicates them, so the notice log is independent of the order
+// the sweep found them in.
 type Discovery struct {
 	Witness int // node that made the observation
 	Kind    fault.EventKind
@@ -110,7 +110,7 @@ type Image struct {
 // View holds every node's local fault belief plus the shared notice
 // log and per-node knowledge bitsets. One View is shared by the main
 // and repair routing engines of a simulator; all methods are called
-// from sequential points (never from inside the parallel sweep).
+// between sweeps, never from inside one.
 type View struct {
 	side, n int
 	wrap    bool
@@ -369,12 +369,12 @@ func (v *View) aliveNeighbors(p int, truth *fault.Map) []int {
 	return out
 }
 
-// Integrate folds the sweep's in-flight discoveries into the log at a
-// sequential point. Discoveries are sorted and deduplicated first, and
-// one is dropped when the witness's belief already agrees with it —
-// together this makes the resulting log independent of worker width
-// and of how many packets probed the same component. Returns the
-// number of notices created.
+// Integrate folds the sweep's in-flight discoveries into the log after
+// the sweep. Discoveries are sorted and deduplicated first, and one is
+// dropped when the witness's belief already agrees with it — together
+// this makes the resulting log independent of discovery order and of
+// how many packets probed the same component. Returns the number of
+// notices created.
 func (v *View) Integrate(discs []Discovery, truth *fault.Map) int {
 	if len(discs) == 0 {
 		return 0

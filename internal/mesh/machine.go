@@ -2,8 +2,8 @@
 // n-node square mesh where each processor owns a local memory module
 // and is connected to at most four neighbors by point-to-point links.
 //
-// The package provides the machine (step accounting and the worker
-// width the routing engine shards its sweeps over) and the geometry:
+// The package provides the machine (step accounting, the cost ledger
+// and the fault map) and the geometry:
 // rectangular regions (submeshes), snake-order indexing inside a
 // region, and the recursive q-ary tessellations that carry the HMOS
 // levels (§3.3 of the paper: "different levels correspond to different
@@ -24,7 +24,6 @@ package mesh
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"meshpram/internal/fault"
@@ -39,8 +38,6 @@ type Machine struct {
 	steps  atomic.Int64
 	ledger *trace.Ledger // optional phase-span accounting; nil = counter only
 	faults *fault.Map    // optional static fault map; nil = healthy
-
-	workers int // routing sweep width; ≤ 1 means sequential
 }
 
 // New creates a mesh with the given side length (s ≥ 1).
@@ -48,7 +45,7 @@ func New(side int) (*Machine, error) {
 	if side < 1 {
 		return nil, fmt.Errorf("mesh: side %d must be ≥ 1", side)
 	}
-	return &Machine{Side: side, N: side * side, workers: 1}, nil
+	return &Machine{Side: side, N: side * side}, nil
 }
 
 // MustNew is New but panics on error.
@@ -59,20 +56,6 @@ func MustNew(side int) *Machine {
 	}
 	return m
 }
-
-// SetParallel sets the worker width the routing engine (route.Engine)
-// shards its selection sweeps over: workers ≤ 1 is sequential,
-// workers = 0 picks GOMAXPROCS. Step counts and delivered traffic are
-// identical at every width; only wall-clock time differs.
-func (m *Machine) SetParallel(workers int) {
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	m.workers = workers
-}
-
-// Workers returns the configured worker width.
-func (m *Machine) Workers() int { return m.workers }
 
 // AttachLedger installs the machine's cost ledger: subsequent AddSteps
 // calls also charge the ledger's active span. A nil ledger detaches.

@@ -271,11 +271,10 @@ func (mb *Mesh) Steps() int64 { return mb.m.Steps() }
 // mesh steps charged to the repair phase (the window in which a real
 // system would wait out transient churn), and runs with hardened
 // (level-0) target sets that tolerate isolated packet loss on the
-// round trip. Only effective on fault-aware simulators.
+// round trip. Only effective on fault-aware simulators. n is clamped
+// to [0, sim.MaxRetry].
 func (mb *Mesh) SetRetryBudget(n int) {
-	if n < 0 {
-		n = 0
-	}
+	n = min(max(n, 0), sim.MaxRetry)
 	mb.retryBudget = n
 	mb.rollbackCap = rollbackCapFactor * n
 }

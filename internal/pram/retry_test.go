@@ -5,6 +5,7 @@ import (
 
 	"meshpram/internal/core"
 	"meshpram/internal/fault"
+	"meshpram/internal/sim"
 )
 
 // isolateModule kills every mesh link incident to p, so packets
@@ -35,7 +36,7 @@ func isolateModule(f *fault.Map, side, p int) {
 func TestRetryRecoversLostPackets(t *testing.T) {
 	f := fault.NewMap(meshParams.Side)
 	isolateModule(f, meshParams.Side, 9)
-	mb, err := newMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestRetryExhaustsOnUnhealableLoss(t *testing.T) {
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := newMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestRollbackCapStopsLivelock(t *testing.T) {
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := newMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestRollbackCapStopsLivelock(t *testing.T) {
 
 	// The default cap follows the budget; an explicit override sticks
 	// until the next SetRetryBudget.
-	mb2, err := newMesh(meshParams, core.Config{Workers: 1, Faults: fault.NewMap(meshParams.Side)}, nil)
+	mb2, err := newMesh(meshParams, core.Config{Faults: fault.NewMap(meshParams.Side)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +173,37 @@ func TestRollbackCapStopsLivelock(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetBound pins the retry budget's bound: a budget above
+// sim.MaxRetry is clamped to it, and a step that exhausts the full
+// bound charges 2^MaxRetry − 1 backoff steps — positive and unwrapped.
+func TestRetryBudgetBound(t *testing.T) {
+	probe := testMesh(t, nil)
+	hosts := moduleHostsOf(t, probe, 0)
+	f := fault.NewMap(meshParams.Side)
+	for _, h := range hosts[:5] {
+		f.KillModule(h)
+	}
+	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb.SetRetryBudget(64)
+
+	if _, err := mb.ExecStep([]Op{{Kind: Read, Addr: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	rec := mb.Recovery()
+	if rec.Retries != sim.MaxRetry || rec.Exhausted != 1 {
+		t.Fatalf("recovery stats = %+v, want %d retries, 1 exhausted", rec, sim.MaxRetry)
+	}
+	if want := int64(1)<<sim.MaxRetry - 1; rec.Backoff != want {
+		t.Errorf("backoff = %d steps, want %d", rec.Backoff, want)
+	}
+	if steps := mb.Steps(); steps <= rec.Backoff {
+		t.Errorf("Steps() = %d, want above the %d backoff steps", steps, rec.Backoff)
+	}
+}
+
 // TestRetryBudgetZeroNeverSnapshots is the degenerate case: without a
 // budget the wrapper must not checkpoint, retry, or touch the
 // recovery counters even when a step fails.
@@ -182,7 +214,7 @@ func TestRetryBudgetZeroNeverSnapshots(t *testing.T) {
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := newMesh(meshParams, core.Config{Workers: 1, Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package route
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 	"unsafe"
 
 	"meshpram/internal/fault"
@@ -37,15 +35,11 @@ import (
 //     distance decreases by one per hop and the direction is only
 //     recomputed when the packet crosses its destination column (or,
 //     after a fault detour, from scratch at the new position) — the
-//     per-cycle topology interface calls of the old router are gone;
-//   - with mesh workers > 1 the selection sweep runs sharded: the
-//     sorted worklist is cut into contiguous row-ordered strips of
-//     roughly equal queued-packet counts, dispatched to a persistent
-//     worker pool, and the per-worker arrival buffers are concatenated
-//     in strip order. Selection is node-local and the strip order
-//     equals the sequential sweep order, so the parallel sweep is
-//     bit-identical to the sequential one by construction (DESIGN.md
-//     §10).
+//     per-cycle topology interface calls of the old router are gone.
+//
+// The engine runs on the caller's goroutine: a sweep selects each
+// node's winners in worklist order into one arrival buffer, and the
+// merge applies them in that order (DESIGN.md §10).
 //
 // In the default ModeEvent the healthy path (Route, RouteTorus) does
 // not sweep the region at all: it solves each row and column pipeline
@@ -78,8 +72,7 @@ type Engine[T any] struct {
 	active  []int32   // worklist: occupied region-local node ids
 	scratch []int32   // worklist double-buffer for the rebuild pass
 
-	arr  [][]engArrival // per-shard arrival buffers, merged in shard order
-	cuts []int32        // shard boundaries (worklist indexes) of the last plan
+	arr []engArrival // this cycle's hops, in sweep order
 
 	mode  EngineMode
 	execs int64 // executed iterations of the last call
@@ -96,22 +89,15 @@ type Engine[T any] struct {
 	dorder []int32    // routed slots grouped by destination
 
 	// Local-knowledge fault dissemination (nil view = global knowledge,
-	// the historical bit-identical behavior). Per-slot probe state is
-	// written only by the shard owning the packet's node; discoveries,
-	// drops and wait counts are collected shard-locally and folded in at
-	// a sequential point after each sweep, so the local mode stays
-	// bit-identical at every worker width (DESIGN.md §13).
-	view    *faultview.View
-	ptry    []int8                  // per-slot failed-probe count
-	pwait   []int64                 // per-slot earliest next probe cycle
-	disc    [][]faultview.Discovery // per-shard in-flight discoveries
-	dropq   [][]engDrop             // per-shard probe-budget drops
-	wcnt    []int32                 // per-shard count of backoff-waiting slots
-	discAll []faultview.Discovery   // sequential integration buffer
-
-	jobs   chan engJob[T] // persistent sweep worker pool
-	pooled int
-	wg     sync.WaitGroup
+	// the historical bit-identical behavior). A sweep collects
+	// discoveries, drops and the wait count; flushLocal folds them in
+	// after the sweep (DESIGN.md §13).
+	view  *faultview.View
+	ptry  []int8                // per-slot failed-probe count
+	pwait []int64               // per-slot earliest next probe cycle
+	disc  []faultview.Discovery // this sweep's discoveries
+	dropq []engDrop             // this sweep's probe-budget drops
+	wcnt  int                   // this sweep's backoff-waiting slots
 }
 
 // EngineMode selects how the engine spends wall-clock iterations; both
@@ -164,7 +150,7 @@ type engArrival struct {
 }
 
 // engDrop is one packet whose rediscovery budget ran out, recorded by
-// the shard that owns its node and removed at the sequential point.
+// the sweep and removed from its queue by flushLocal.
 type engDrop struct {
 	lp   int32 // region-local node holding the packet
 	slot int32
@@ -173,33 +159,6 @@ type engDrop struct {
 // engProbeBudget is how many failed physical probes a packet tolerates
 // (with exponential backoff between them) before it is charged as lost.
 const engProbeBudget = 8
-
-// engJob is one sweep strip dispatched to the persistent worker pool.
-// It carries the engine pointer so pool goroutines hold only the job
-// channel between sweeps — an abandoned engine stays collectible and
-// its finalizer retires the pool.
-type engJob[T any] struct {
-	e            *Engine[T]
-	w, lo, hi    int
-	r            mesh.Region
-	topo         topology
-	wrap, faulty bool
-	cycle        int64
-	wg           *sync.WaitGroup
-}
-
-func engWorker[T any](jobs <-chan engJob[T]) {
-	//detlint:ignore chanorder job intake only: each job writes its own worker arena slot and the caller merges arenas in shard-index order after the barrier
-	for j := range jobs {
-		j.e.sweepRange(j.w, j.lo, j.hi, j.r, j.topo, j.wrap, j.faulty, j.cycle)
-		j.wg.Done()
-	}
-}
-
-// engShardPackets is the minimum queued-packet count per parallel
-// shard; below it the sweep stays sequential (dispatch overhead would
-// dominate the node-local selection work).
-const engShardPackets = 192
 
 // NewEngine creates a reusable greedy router for the machine, in the
 // event-driven execution mode.
@@ -275,23 +234,22 @@ func (e *Engine[T]) cleanup() {
 }
 
 // Release drops every retained buffer of the engine — the packet slab,
-// per-node queues, shard arenas and line buffers — returning it to its
-// just-constructed footprint. The engine stays fully usable: every
-// buffer is lazily regrown by the next routing call. Call it only between routing calls (the at-rest invariant of
-// cleanup must hold); it exists so a long-lived simulator can reach a
-// compact quiescent state for snapshots and memory accounting.
+// per-node queues, sweep buffers and line buffers — returning it to
+// its just-constructed footprint. The engine stays fully usable: every
+// buffer is lazily regrown by the next routing call. Call it only
+// between routing calls (the at-rest invariant of cleanup must hold);
+// it exists so a long-lived simulator can reach a compact quiescent
+// state for snapshots and memory accounting.
 func (e *Engine[T]) Release() {
 	e.val, e.dests, e.dcol, e.dist, e.dir, e.from = nil, nil, nil, nil, nil, nil
-	e.queues, e.inQ, e.active, e.scratch = nil, nil, nil, nil
-	e.arr, e.cuts = nil, nil
+	e.queues, e.inQ, e.active, e.scratch, e.arr = nil, nil, nil, nil, nil
 	e.rowAt, e.colAt, e.colq, e.lq, e.occ, e.lnMove, e.dcnt, e.dorder = nil, nil, nil, nil, nil, nil, nil, nil
-	e.ptry, e.pwait, e.disc, e.dropq, e.wcnt, e.discAll = nil, nil, nil, nil, nil, nil
+	e.ptry, e.pwait, e.disc, e.dropq = nil, nil, nil, nil
 }
 
 // MemBytes returns the resident heap bytes retained by the engine's
 // buffers (capacities, not lengths — the free-list keeps capacity
-// across calls). The shared machine, fault view and worker pool are
-// not counted.
+// across calls). The shared machine and fault view are not counted.
 func (e *Engine[T]) MemBytes() int64 {
 	var sz int64
 	sz += int64(cap(e.val)) * int64(unsafe.Sizeof(*new(T)))
@@ -302,22 +260,11 @@ func (e *Engine[T]) MemBytes() int64 {
 		sz += int64(cap(q)) * 4
 	}
 	sz += int64(cap(e.inQ))
-	sz += int64(cap(e.active)+cap(e.scratch)+cap(e.cuts)) * 4
-	sz += int64(cap(e.arr)) * 24
-	for _, a := range e.arr {
-		sz += int64(cap(a)) * int64(unsafe.Sizeof(engArrival{}))
-	}
+	sz += int64(cap(e.active)+cap(e.scratch)) * 4
+	sz += int64(cap(e.arr)) * int64(unsafe.Sizeof(engArrival{}))
 	sz += int64(cap(e.ptry)) + int64(cap(e.pwait))*8
-	sz += int64(cap(e.disc)) * 24
-	for _, d := range e.disc {
-		sz += int64(cap(d)) * int64(unsafe.Sizeof(faultview.Discovery{}))
-	}
-	sz += int64(cap(e.dropq)) * 24
-	for _, d := range e.dropq {
-		sz += int64(cap(d)) * int64(unsafe.Sizeof(engDrop{}))
-	}
-	sz += int64(cap(e.wcnt)) * 4
-	sz += int64(cap(e.discAll)) * int64(unsafe.Sizeof(faultview.Discovery{}))
+	sz += int64(cap(e.disc)) * int64(unsafe.Sizeof(faultview.Discovery{}))
+	sz += int64(cap(e.dropq)) * int64(unsafe.Sizeof(engDrop{}))
 	sz += int64(cap(e.rowAt)+cap(e.colAt)+cap(e.dcnt)+cap(e.dorder)) * 4
 	sz += int64(cap(e.colq)+cap(e.occ)+cap(e.lnMove)) * 8
 	sz += int64(cap(e.lq)) * 24
@@ -490,123 +437,21 @@ func (e *Engine[T]) push(v T, p, d int, topo topology, from int32) int8 {
 	return int8(dr)
 }
 
-// shardPlan returns how many parallel shards this cycle's sweep uses:
-// 1 (sequential) unless the machine's engine width and the queued
-// packet count both warrant sharding.
-func (e *Engine[T]) shardPlan(queued int) int {
-	wk := e.m.Workers()
-	if wk <= 1 {
-		return 1
-	}
-	s := queued / engShardPackets
-	if s > wk {
-		s = wk
-	}
-	if s > len(e.active) {
-		s = len(e.active)
-	}
-	if s < 2 {
-		return 1
-	}
-	return s
-}
-
-// ensurePool grows the persistent sweep worker pool to n goroutines.
-// Workers hold only the job channel, never the engine, so an abandoned
-// engine remains collectible; its finalizer closes the channel and the
-// workers exit.
-func (e *Engine[T]) ensurePool(n int) {
-	if e.jobs == nil {
-		e.jobs = make(chan engJob[T], 64)
-		runtime.SetFinalizer(e, func(ee *Engine[T]) { close(ee.jobs) })
-	}
-	for e.pooled < n {
-		go engWorker(e.jobs)
-		e.pooled++
-	}
-}
-
-// sweep runs one selection sweep over the sorted worklist — sequential
-// or sharded per shardPlan — filling e.arr[0:shards]. The sweep only
-// reads packet state and fault/topology data and only writes its own
-// shard's queues and arrival buffer, so shards race on nothing; the
-// concatenation of the shard buffers equals the sequential arrival
-// order because the worklist is sorted and shards are contiguous.
-// Shard boundaries are cut at roughly equal cumulative queue lengths
-// (not node counts), so skewed loads (hotspots) still balance. Shards
-// ≥ 1 run on the persistent pool; shard 0 runs on the caller.
-// Returns (shards, total arrivals).
-func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle int64, queued int) (int, int) {
-	shards := e.shardPlan(queued)
-	for len(e.arr) < shards {
-		e.arr = append(e.arr, nil)
-	}
-	if e.view != nil {
-		for len(e.disc) < shards {
-			e.disc = append(e.disc, nil)
-		}
-		for len(e.dropq) < shards {
-			e.dropq = append(e.dropq, nil)
-		}
-		for len(e.wcnt) < shards {
-			e.wcnt = append(e.wcnt, 0)
-		}
-	}
-	n := len(e.active)
-	if shards == 1 {
-		e.sweepRange(0, 0, n, r, topo, wrap, faulty, cycle)
-		return 1, len(e.arr[0])
-	}
-	cuts := e.cuts[:0]
-	cuts = append(cuts, 0)
-	cum, next := 0, 1
-	for i, lp := range e.active {
-		cum += len(e.queues[lp])
-		if next < shards && cum >= next*queued/shards {
-			cuts = append(cuts, int32(i+1))
-			next++
-		}
-	}
-	for len(cuts) < shards+1 {
-		cuts = append(cuts, int32(n))
-	}
-	cuts[shards] = int32(n)
-	e.cuts = cuts
-	e.ensurePool(shards - 1)
-	wg := &e.wg
-	for w := 1; w < shards; w++ {
-		lo, hi := int(cuts[w]), int(cuts[w+1])
-		if lo >= hi {
-			e.arr[w] = e.arr[w][:0]
-			continue
-		}
-		wg.Add(1)
-		e.jobs <- engJob[T]{e: e, w: w, lo: lo, hi: hi, r: r, topo: topo,
-			wrap: wrap, faulty: faulty, cycle: cycle, wg: wg}
-	}
-	e.sweepRange(0, 0, int(cuts[1]), r, topo, wrap, faulty, cycle)
-	wg.Wait()
-	total := 0
-	for w := 0; w < shards; w++ {
-		total += len(e.arr[w])
-	}
-	return shards, total
-}
-
-// sweepRange performs the selection sweep for worklist[lo:hi] into
-// arrival buffer w: per occupied node, pick at most one packet per
-// outgoing direction by farthest-remaining-distance first (ties by
-// injection order = slot id), then compact the queue in place.
-func (e *Engine[T]) sweepRange(w, lo, hi int, r mesh.Region, topo topology, wrap, faulty bool, cycle int64) {
+// sweep runs one cycle's selection over the sorted worklist into
+// e.arr: per occupied node, pick at most one packet per outgoing
+// direction by farthest-remaining-distance first (ties by injection
+// order = slot id), then compact the queue in place. Returns the
+// number of hops chosen.
+func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle int64) int {
 	f := e.m.Faults()
-	arr := e.arr[w][:0]
+	arr := e.arr[:0]
 	local := faulty && e.view != nil
 	if local {
-		e.disc[w] = e.disc[w][:0]
-		e.dropq[w] = e.dropq[w][:0]
-		e.wcnt[w] = 0
+		e.disc = e.disc[:0]
+		e.dropq = e.dropq[:0]
+		e.wcnt = 0
 	}
-	for _, lpp := range e.active[lo:hi] {
+	for _, lpp := range e.active {
 		lp := int(lpp)
 		q := e.queues[lp]
 		if len(q) == 0 {
@@ -632,7 +477,7 @@ func (e *Engine[T]) sweepRange(w, lo, hi int, r mesh.Region, topo topology, wrap
 		for qi, slot := range q {
 			d := int(e.dir[slot])
 			if local {
-				d = e.localDir(w, slot, p, r, topo, wrap, cycle, f)
+				d = e.localDir(slot, p, r, topo, wrap, cycle, f)
 				if d == -1 {
 					continue // waiting, blocked, or freshly dropped
 				}
@@ -703,7 +548,8 @@ func (e *Engine[T]) sweepRange(w, lo, hi int, r mesh.Region, topo topology, wrap
 			e.queues[lp] = out
 		}
 	}
-	e.arr[w] = arr
+	e.arr = arr
+	return len(arr)
 }
 
 // usableLink reports whether the p→to link may carry a packet this
@@ -724,11 +570,10 @@ func usableLink(f *fault.Map, p, to int, cycle int64) bool {
 // Integrate, the packet backs off exponentially, and after
 // engProbeBudget failed probes it is dropped (charged lost). Returns
 // the chosen direction, or -1 when the packet does not move this
-// cycle. Writes only shard-local buffers and the per-slot probe state
-// of packets this shard owns.
-func (e *Engine[T]) localDir(w int, slot int32, p int, r mesh.Region, topo topology, wrap bool, cycle int64, f *fault.Map) int {
+// cycle.
+func (e *Engine[T]) localDir(slot int32, p int, r mesh.Region, topo topology, wrap bool, cycle int64, f *fault.Map) int {
 	if e.pwait[slot] > cycle {
-		e.wcnt[w]++
+		e.wcnt++
 		return -1 // backing off until the next probe window
 	}
 	bel := e.view.BeliefAt(p)
@@ -773,10 +618,10 @@ func (e *Engine[T]) localDir(w int, slot int32, p int, r mesh.Region, topo topol
 		// The belief allowed a hop the physics refuses (or the probe
 		// found the component still down): discover, back off, and give
 		// up after the budget.
-		e.discover(w, p, to, f)
+		e.discover(p, to, f)
 		e.ptry[slot]++
 		if e.ptry[slot] >= engProbeBudget {
-			e.dropq[w] = append(e.dropq[w], engDrop{lp: int32(e.localOf(p, r)), slot: slot})
+			e.dropq = append(e.dropq, engDrop{lp: int32(e.localOf(p, r)), slot: slot})
 			e.pwait[slot] = 1 << 60 // off the board until flushed
 		} else {
 			b := e.ptry[slot]
@@ -790,14 +635,14 @@ func (e *Engine[T]) localDir(w int, slot int32, p int, r mesh.Region, topo topol
 	if probe {
 		// The probe went through: the belief was stale-dead (or wrong
 		// about the slow factor). Record the correction.
-		e.discoverRevive(w, p, to, f, bel)
+		e.discoverRevive(p, to, f, bel)
 	}
 	return d
 }
 
 // discover records the physical fault that blocked a hop the belief
 // allowed, witnessed by the node holding the packet.
-func (e *Engine[T]) discover(w, p, to int, f *fault.Map) {
+func (e *Engine[T]) discover(p, to int, f *fault.Map) {
 	d := faultview.Discovery{Witness: p}
 	switch {
 	case f.NodeDead(to):
@@ -807,12 +652,12 @@ func (e *Engine[T]) discover(w, p, to int, f *fault.Map) {
 	default:
 		d.Kind, d.P, d.Q, d.Factor = fault.EvSlowLink, p, to, f.LinkDelay(p, to)
 	}
-	e.disc[w] = append(e.disc[w], d)
+	e.disc = append(e.disc, d)
 }
 
 // discoverRevive records the correction when a probe of a
 // believed-unusable link physically succeeded.
-func (e *Engine[T]) discoverRevive(w, p, to int, f, bel *fault.Map) {
+func (e *Engine[T]) discoverRevive(p, to int, f, bel *fault.Map) {
 	d := faultview.Discovery{Witness: p}
 	switch {
 	case bel.NodeDead(to):
@@ -828,64 +673,31 @@ func (e *Engine[T]) discoverRevive(w, p, to int, f, bel *fault.Map) {
 			d.Kind, d.P, d.Q, d.Factor = fault.EvSlowLink, p, to, td
 		}
 	}
-	e.disc[w] = append(e.disc[w], d)
+	e.disc = append(e.disc, d)
 }
 
-// flushLocal is the sequential point after each local-mode cycle: it
-// removes the packets whose probe budget ran out (charged lost),
-// integrates the sweep's discoveries into the gossip log, and advances
-// one gossip round. shards is the sweep's shard count (0 when no sweep
-// ran this cycle). Returns (packets dropped, backoff-waiting packets).
-func (e *Engine[T]) flushLocal(shards int, f *fault.Map) (dropped, waiting int) {
-	drops := 0
-	for w := 0; w < shards; w++ {
-		drops += len(e.dropq[w])
-		waiting += int(e.wcnt[w])
-	}
-	if drops > 0 {
-		// Collect and order the drops so removal is width-independent,
-		// then delete each slot from its queue. Emptied nodes stay on
-		// the worklist (sweeps skip them; the next merge prunes them).
-		all := make([]engDrop, 0, drops)
-		for w := 0; w < shards; w++ {
-			all = append(all, e.dropq[w]...)
-			e.dropq[w] = e.dropq[w][:0]
-		}
-		slices.SortFunc(all, func(a, b engDrop) int {
-			if a.lp != b.lp {
-				return int(a.lp - b.lp)
+// flushLocal runs after each local-mode sweep: it removes the packets
+// whose probe budget ran out (charged lost), integrates the sweep's
+// discoveries into the gossip log, and advances one gossip round.
+// Emptied nodes stay on the worklist (sweeps skip them; the next merge
+// prunes them). Returns (packets dropped, backoff-waiting packets).
+func (e *Engine[T]) flushLocal(f *fault.Map) (dropped, waiting int) {
+	for _, dr := range e.dropq {
+		q := e.queues[dr.lp]
+		out := q[:0]
+		for _, s := range q {
+			if s != dr.slot {
+				out = append(out, s)
 			}
-			return int(a.slot - b.slot)
-		})
-		for _, dr := range all {
-			q := e.queues[dr.lp]
-			out := q[:0]
-			for _, s := range q {
-				if s != dr.slot {
-					out = append(out, s)
-				}
-			}
-			e.queues[dr.lp] = out
 		}
-		dropped = drops
+		e.queues[dr.lp] = out
 	}
-	n := 0
-	for w := 0; w < shards; w++ {
-		n += len(e.disc[w])
-	}
-	if n > 0 {
-		e.discAll = e.discAll[:0]
-		for w := 0; w < shards; w++ {
-			e.discAll = append(e.discAll, e.disc[w]...)
-			e.disc[w] = e.disc[w][:0]
-		}
-		e.view.Integrate(e.discAll, f)
-	}
+	e.view.Integrate(e.disc, f)
 	e.view.Tick(f)
-	return dropped, waiting
+	return len(e.dropq), e.wcnt
 }
 
-// merge applies one cycle's arrivals in deterministic shard order:
+// merge applies one cycle's arrivals in sweep order:
 // deliver packets that reached their destination, update each mover's
 // cached (dir, dist) — incrementally after a preferred hop, from
 // scratch after a detour — re-queue the rest, and rebuild the worklist
@@ -894,7 +706,7 @@ func (e *Engine[T]) flushLocal(shards int, f *fault.Map) (dropped, waiting int) 
 // occupied nodes is sorted on its own and merged back in, so no cycle
 // ever sorts the whole worklist. Returns the number of packets
 // delivered this cycle.
-func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap, faulty bool, shards int) int {
+func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap, faulty bool) int {
 	m := e.m
 	done := 0
 	// Prune first: a node emptied by the sweep leaves the worklist
@@ -908,46 +720,44 @@ func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap, f
 		}
 	}
 	sorted := len(wl) // prune preserved order; enqueue appends after here
-	for w := 0; w < shards; w++ {
-		for _, a := range e.arr[w] {
-			slot := a.slot
-			to := int(a.to)
-			if faulty {
-				e.from[slot] = a.fromP
-				if e.view != nil && e.ptry[slot] != 0 {
-					// The packet moved: its rediscovery budget refills.
-					e.ptry[slot] = 0
-					e.pwait[slot] = 0
-				}
-				if a.detour {
-					d := int(e.dests[slot])
-					if to == d {
-						delivered[to] = append(delivered[to], e.val[slot])
-						done++
-						continue
-					}
-					dr, _ := topo.next(to, d)
-					e.dir[slot] = int8(dr)
-					e.dist[slot] = int32(topo.dist(to, d))
-					wl = e.enqueue(e.localOf(to, r), slot, wl)
+	for _, a := range e.arr {
+		slot := a.slot
+		to := int(a.to)
+		if faulty {
+			e.from[slot] = a.fromP
+			if e.view != nil && e.ptry[slot] != 0 {
+				// The packet moved: its rediscovery budget refills.
+				e.ptry[slot] = 0
+				e.pwait[slot] = 0
+			}
+			if a.detour {
+				d := int(e.dests[slot])
+				if to == d {
+					delivered[to] = append(delivered[to], e.val[slot])
+					done++
 					continue
 				}
-			}
-			nd := e.dist[slot] - 1
-			if nd == 0 {
-				delivered[to] = append(delivered[to], e.val[slot])
-				done++
+				dr, _ := topo.next(to, d)
+				e.dir[slot] = int8(dr)
+				e.dist[slot] = int32(topo.dist(to, d))
+				wl = e.enqueue(e.localOf(to, r), slot, wl)
 				continue
 			}
-			e.dist[slot] = nd
-			if e.dir[slot] <= 1 {
-				d := int(e.dests[slot])
-				if m.ColOf(to) == int(e.dcol[slot]) {
-					e.dir[slot] = rowDirAfterCol(m, to, d, wrap)
-				}
-			}
-			wl = e.enqueue(e.localOf(to, r), slot, wl)
 		}
+		nd := e.dist[slot] - 1
+		if nd == 0 {
+			delivered[to] = append(delivered[to], e.val[slot])
+			done++
+			continue
+		}
+		e.dist[slot] = nd
+		if e.dir[slot] <= 1 {
+			d := int(e.dests[slot])
+			if m.ColOf(to) == int(e.dcol[slot]) {
+				e.dir[slot] = rowDirAfterCol(m, to, d, wrap)
+			}
+		}
+		wl = e.enqueue(e.localOf(to, r), slot, wl)
 	}
 	if tail := wl[sorted:]; len(tail) > 0 {
 		if sorted == 0 {
@@ -1049,11 +859,10 @@ func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) in
 	for active > 0 {
 		steps++
 		e.execs++
-		shards, total := e.sweep(r, topo, wrap, false, steps, active)
-		if total == 0 {
+		if e.sweep(r, topo, wrap, false, steps) == 0 {
 			panic("route: greedy router stalled with active packets")
 		}
-		active -= e.merge(delivered, r, topo, wrap, false, shards)
+		active -= e.merge(delivered, r, topo, wrap, false)
 	}
 	e.cleanup()
 	return delivered, steps
@@ -1109,13 +918,12 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 	for active > 0 && steps < budget {
 		steps++
 		e.execs++
-		shards, total := e.sweep(r, topo, wrap, true, steps, active)
-		if total == 0 {
+		if e.sweep(r, topo, wrap, true, steps) == 0 {
 			// Nothing moved. With slow links a packet may be waiting for
 			// its cycle; after a full slow period of silence the network
 			// is provably wedged and the survivors are lost.
 			if e.view != nil {
-				dropped, waiting := e.flushLocal(shards, f)
+				dropped, waiting := e.flushLocal(f)
 				lost += dropped
 				active -= dropped
 				if waiting > 0 {
@@ -1131,9 +939,9 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 			continue
 		}
 		idle = 0
-		active -= e.merge(delivered, r, topo, wrap, true, shards)
+		active -= e.merge(delivered, r, topo, wrap, true)
 		if e.view != nil {
-			dropped, _ := e.flushLocal(shards, f)
+			dropped, _ := e.flushLocal(f)
 			lost += dropped
 			active -= dropped
 		}

@@ -11,12 +11,10 @@ import (
 	"meshpram/internal/trace"
 )
 
-// The engine's sharded sweep must be bit-identical to the sequential
-// one: delivered contents and per-processor order, cycle counts, lost
-// accounting and ledger spans. These tests run every instance on a
-// workers=1 machine and a workers=4 machine (side 16, so dense
-// instances push the worklist past the sharding threshold and the
-// parallel path genuinely runs) and require byte-for-byte agreement.
+// An engine reused across calls must be bit-identical to a fresh one:
+// delivered contents and per-processor order, cycle counts, lost
+// accounting and ledger spans. No state may leak across calls through
+// the recycled slab, queues, worklist, arrival buffers or line buffers.
 
 // engineInstance builds a named adversarial or random workload.
 func engineInstance(kind string, m *mesh.Machine, seed int64) [][]item {
@@ -76,21 +74,23 @@ type engineRun struct {
 	lostAttr  int64
 }
 
-// runEngine routes the instance on a fresh machine with the given
-// worker width, through a persistent engine, and captures the full
-// observable outcome including the ledger span.
-func runEngine(t *testing.T, workers int, withFaults, torus, faultPath bool, r func(m *mesh.Machine) mesh.Region, items func(m *mesh.Machine) [][]item) engineRun {
+// runEngine routes the instance through eng (a fresh engine on a fresh
+// side-16 machine when nil), installing the static fault map or a
+// healthy one on its machine first, and captures the full observable
+// outcome including the ledger span.
+func runEngine(t *testing.T, eng *Engine[item], withFaults, torus, faultPath bool, r func(m *mesh.Machine) mesh.Region, items func(m *mesh.Machine) [][]item) engineRun {
 	t.Helper()
-	m := mesh.MustNew(16)
+	if eng == nil {
+		eng = NewEngine[item](mesh.MustNew(16))
+	}
+	m := eng.m
+	var f *fault.Map
 	if withFaults {
-		m.SetFaults(staticFaults(16))
+		f = staticFaults(m.Side)
 	}
-	if workers != 1 {
-		m.SetParallel(workers)
-	}
+	m.SetFaults(f)
 	ld := trace.New()
 	m.AttachLedger(ld)
-	eng := NewEngine[item](m)
 	reg := r(m)
 	work := items(m)
 	dest := func(v item) int { return v.dest }
@@ -117,27 +117,30 @@ func runEngine(t *testing.T, workers int, withFaults, torus, faultPath bool, r f
 	return run
 }
 
-func requireIdentical(t *testing.T, label string, seq, par engineRun) {
+func requireIdentical(t *testing.T, label string, a, b engineRun) {
 	t.Helper()
-	if seq.steps != par.steps {
-		t.Fatalf("%s: sequential %d cycles, parallel %d", label, seq.steps, par.steps)
+	if a.steps != b.steps {
+		t.Fatalf("%s: %d cycles vs %d", label, a.steps, b.steps)
 	}
-	if seq.lost != par.lost {
-		t.Fatalf("%s: sequential lost %d, parallel %d", label, seq.lost, par.lost)
+	if a.lost != b.lost {
+		t.Fatalf("%s: lost %d vs %d", label, a.lost, b.lost)
 	}
-	if !reflect.DeepEqual(seq.delivered, par.delivered) {
+	if !reflect.DeepEqual(a.delivered, b.delivered) {
 		t.Fatalf("%s: delivered slices diverged between engines", label)
 	}
-	if seq.observed != par.observed || seq.packets != par.packets ||
-		seq.phases != par.phases || seq.lostAttr != par.lostAttr {
+	if a.observed != b.observed || a.packets != b.packets ||
+		a.phases != b.phases || a.lostAttr != b.lostAttr {
 		t.Fatalf("%s: ledger spans diverged (observed %d/%d packets %d/%d lost-attr %d/%d)",
-			label, seq.observed, par.observed, seq.packets, par.packets, seq.lostAttr, par.lostAttr)
+			label, a.observed, b.observed, a.packets, b.packets, a.lostAttr, b.lostAttr)
 	}
 }
 
 // TestEngineParallelBitIdentity sweeps instance kinds × topology ×
-// fault path × worker widths and demands bit-identical outcomes.
+// fault path and demands that one engine, reused across the whole
+// matrix (healthy and faulted calls, full mesh and subregion), matches
+// a fresh engine on every call.
 func TestEngineParallelBitIdentity(t *testing.T) {
+	shared := NewEngine[item](mesh.MustNew(16))
 	full := func(m *mesh.Machine) mesh.Region { return m.Full() }
 	sub := func(m *mesh.Machine) mesh.Region { return mesh.Region{R0: 1, C0: 2, H: 12, W: 13} }
 	subItems := func(m *mesh.Machine) [][]item {
@@ -159,10 +162,10 @@ func TestEngineParallelBitIdentity(t *testing.T) {
 			{"torus-static-faults", true, true, true},
 		} {
 			t.Run(fmt.Sprintf("%s/%s", kind, tc.name), func(t *testing.T) {
-				seq := runEngine(t, 1, tc.withFaults, tc.torus, tc.faultPath, full, inst)
-				par := runEngine(t, 4, tc.withFaults, tc.torus, tc.faultPath, full, inst)
-				requireIdentical(t, kind+"/"+tc.name, seq, par)
-				if tc.name == "mesh-static-faults" && seq.lost == 0 && kind == "random" {
+				fresh := runEngine(t, nil, tc.withFaults, tc.torus, tc.faultPath, full, inst)
+				reused := runEngine(t, shared, tc.withFaults, tc.torus, tc.faultPath, full, inst)
+				requireIdentical(t, kind+"/"+tc.name, fresh, reused)
+				if tc.name == "mesh-static-faults" && fresh.lost == 0 && kind == "random" {
 					// The pattern includes a dead node that random traffic
 					// hits; losing nothing would mean the faults were not
 					// actually exercised.
@@ -172,9 +175,9 @@ func TestEngineParallelBitIdentity(t *testing.T) {
 		}
 	}
 	t.Run("subregion/random", func(t *testing.T) {
-		seq := runEngine(t, 1, false, false, false, sub, subItems)
-		par := runEngine(t, 4, false, false, false, sub, subItems)
-		requireIdentical(t, "subregion", seq, par)
+		fresh := runEngine(t, nil, false, false, false, sub, subItems)
+		reused := runEngine(t, shared, false, false, false, sub, subItems)
+		requireIdentical(t, "subregion", fresh, reused)
 	})
 }
 

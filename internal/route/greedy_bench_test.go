@@ -47,11 +47,8 @@ func makeRouteInstance(kind string, m *mesh.Machine, seed int64) [][]int {
 // benchGreedyRoute measures the hot-loop idiom: a persistent router
 // reused across calls, items rebuilt from the instance each iteration,
 // delivery buffers truncated and reused.
-func benchGreedyRoute(b *testing.B, side int, kind string, workers int) {
+func benchGreedyRoute(b *testing.B, side int, kind string) {
 	m := mesh.MustNew(side)
-	if workers > 1 {
-		m.SetParallel(workers)
-	}
 	dests := makeRouteInstance(kind, m, 1)
 	items := make([][]int, m.N)
 	dst := make([][]int, m.N)
@@ -75,19 +72,16 @@ func benchGreedyRoute(b *testing.B, side int, kind string, workers int) {
 	// them — executed iterations are bounded by charged cycles on every
 	// workload.
 	if exec := eng.Executed(); exec > steps {
-		b.Fatalf("%s-%d workers=%d: executed %d > charged %d cycles", kind, side, workers, exec, steps)
+		b.Fatalf("%s-%d: executed %d > charged %d cycles", kind, side, exec, steps)
 	}
 }
 
 func benchSides(b *testing.B, kind string) {
 	for _, side := range []int{27, 81} {
 		b.Run(fmt.Sprintf("side=%d", side), func(b *testing.B) {
-			benchGreedyRoute(b, side, kind, 1)
+			benchGreedyRoute(b, side, kind)
 		})
 	}
-	b.Run("side=81-workers=4", func(b *testing.B) {
-		benchGreedyRoute(b, 81, kind, 4)
-	})
 }
 
 func BenchmarkGreedyRouteDense(b *testing.B)     { benchSides(b, "dense") }

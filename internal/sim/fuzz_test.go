@@ -40,6 +40,7 @@ func FuzzScenario(f *testing.F) {
 	f.Add([]byte(`{"side":9,"q":3,"d":9223372036854775807,"k":9223372036854775807,"program":"reduce","size":4,"backend":"mesh"}`))
 	f.Add([]byte(`{"side":9,"q":3,"d":60,"k":2,"program":"reduce","size":4,"backend":"mesh"}`))
 	f.Add([]byte(`{"side":4096,"q":512,"d":2,"k":1,"program":"compact","size":1,"faults":"node:1"}`))
+	f.Add([]byte(`{"side":9,"q":3,"d":3,"k":2,"program":"prefixsum","size":64,"backend":"mesh","faults":"rand:module=0.5,seed=2","retry":64}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sc sim.Scenario

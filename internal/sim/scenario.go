@@ -81,8 +81,11 @@ type Scenario struct {
 	Retry         int    `json:"retry,omitempty"`          // checkpointed-retry budget
 
 	// Engine.
-	Engine  string `json:"engine,omitempty"` // event | cycle ("" = event)
-	Workers int    `json:"workers,omitempty"`
+	Engine string `json:"engine,omitempty"` // event | cycle ("" = event)
+	// Workers is accepted and ignored: the routing engine is sequential.
+	// It stays so that existing scenario files still decode; Normalized
+	// zeroes it, so it changes neither the canonical encoding nor the key.
+	Workers int `json:"workers,omitempty"`
 
 	// Backend details.
 	IdealMemory int `json:"ideal_memory,omitempty"` // ideal backend words (0 = scheme M)
@@ -103,7 +106,6 @@ func DefaultScenario() Scenario {
 		Policy:  "majority", Sort: "shear",
 		FaultView: "global",
 		Repair:    "off", Engine: "event",
-		Workers:     1,
 		IdealMemory: 1 << 20,
 	}
 }
@@ -126,9 +128,10 @@ func DecodeScenario(r io.Reader, sc *Scenario) error {
 }
 
 // Normalized returns a copy with every empty enum field replaced by
-// its explicit default spelling, so semantically equal scenarios have
-// equal canonical encodings.
+// its explicit default spelling and the ignored Workers zeroed, so
+// semantically equal scenarios have equal canonical encodings.
 func (sc Scenario) Normalized() Scenario {
+	sc.Workers = 0
 	if sc.Backend == "" {
 		sc.Backend = BackendBoth
 	}
@@ -174,6 +177,12 @@ const (
 	// words (32 MiB), whether set by ideal_memory or defaulted to the
 	// scheme's M.
 	MaxIdealMemory = 1 << 22
+	// MaxRetry bounds the checkpointed-retry budget of pram's mesh
+	// backend, which clamps to it. Attempt i charges 2^(i−1) backoff
+	// steps, so one step's backoff stays below 2^MaxRetry, and the
+	// default run-wide rollback cap of 16 × budget retries keeps a
+	// run's total below 2^40, far from int64 overflow.
+	MaxRetry = 32
 )
 
 // Validate checks the scenario without constructing a machine: enum
@@ -235,11 +244,8 @@ func (sc Scenario) resolve() (Config, error) {
 	if cc.EngineMode, err = parseEngineMode(sc.Engine); err != nil {
 		return Config{}, &fieldError{Field: "engine", Err: err}
 	}
-	if sc.Retry < 0 {
-		return Config{}, fieldErrf("retry", "retry budget %d must be ≥ 0", sc.Retry)
-	}
-	if sc.Workers < 0 {
-		return Config{}, fieldErrf("workers", "worker count %d must be ≥ 0", sc.Workers)
+	if sc.Retry < 0 || sc.Retry > MaxRetry {
+		return Config{}, fieldErrf("retry", "retry budget %d must be in [0, %d]", sc.Retry, MaxRetry)
 	}
 	if sc.IdealMemory < 0 || sc.IdealMemory > MaxIdealMemory {
 		return Config{}, fieldErrf("ideal_memory", "ideal memory %d words must be in [0, %d]", sc.IdealMemory, MaxIdealMemory)
@@ -257,7 +263,6 @@ func (sc Scenario) resolve() (Config, error) {
 	cc.DisableCulling = sc.DisableCulling
 	cc.DirectRouting = sc.DirectRouting
 	cc.UseNetworkSort = sc.NetworkSort
-	cc.Workers = sc.Workers
 	// The local view's witness tie-breaks reuse the scenario seed, so
 	// one Scenario pins the whole timeline.
 	cc.FaultViewSeed = sc.Seed
@@ -376,7 +381,6 @@ func (sc Scenario) Canonical() []byte {
 	put("sort", strconv.Quote(sc.Sort))
 	put("torus", strconv.FormatBool(sc.Torus))
 	put("trace", strconv.FormatBool(sc.Trace))
-	put("workers", strconv.Itoa(sc.Workers))
 	return []byte(b.String())
 }
 

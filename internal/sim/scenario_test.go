@@ -40,11 +40,10 @@ size=64
 sort="shear"
 torus=false
 trace=false
-workers=1
 `
 
 // goldenKey = hex(sha256(goldenCanonical)).
-const goldenKey = "2309d42e1e6dd334de458c33934f00e1136ec02b2dc6bf84931d67877716e8d3"
+const goldenKey = "142d69390347ee045406041ece682b912be96c83896945181a262e1e9147b711"
 
 func TestCanonicalGolden(t *testing.T) {
 	sc := DefaultScenario()
@@ -98,6 +97,9 @@ func TestCanonicalCoversFields(t *testing.T) {
 			t.Errorf("field %s has no JSON tag", rt.Field(i).Name)
 			continue
 		}
+		if tag == "workers" {
+			continue // accepted and ignored; TestNormalizedEquivalence pins it
+		}
 		if !keys[tag] {
 			t.Errorf("field %s (json %q) missing from Canonical()", rt.Field(i).Name, tag)
 		}
@@ -109,8 +111,9 @@ func TestCanonicalCoversFields(t *testing.T) {
 }
 
 func TestNormalizedEquivalence(t *testing.T) {
-	// Omitted enums and spelled-out defaults must produce the same key.
-	implicit := Scenario{Side: 9, Q: 3, D: 3, K: 2, Program: "prefixsum", Size: 64, Seed: 1, Workers: 1, IdealMemory: 1 << 20}
+	// Omitted enums and spelled-out defaults must produce the same key,
+	// and the ignored workers field must not reach it.
+	implicit := Scenario{Side: 9, Q: 3, D: 3, K: 2, Program: "prefixsum", Size: 64, Seed: 1, Workers: 4, IdealMemory: 1 << 20}
 	explicit := DefaultScenario()
 	if implicit.Key() != explicit.Key() {
 		t.Errorf("implicit defaults key %s != explicit defaults key %s", implicit.Key(), explicit.Key())
@@ -177,7 +180,7 @@ func TestValidateRejections(t *testing.T) {
 		{"bad fault view", mod(func(s *Scenario) { s.FaultView = "psychic" }), "fault_view"},
 		{"bad engine", mod(func(s *Scenario) { s.Engine = "warp" }), "engine"},
 		{"negative retry", mod(func(s *Scenario) { s.Retry = -1 }), "retry"},
-		{"negative workers", mod(func(s *Scenario) { s.Workers = -1 }), "workers"},
+		{"retry above limit", mod(func(s *Scenario) { s.Retry = MaxRetry + 1 }), "retry"},
 		{"negative ideal memory", mod(func(s *Scenario) { s.IdealMemory = -1 }), "ideal_memory"},
 		{"malformed faults", mod(func(s *Scenario) { s.Faults = "link:banana" }), "faults"},
 		{"side above limit", mod(func(s *Scenario) { s.Side = MaxSide + 1 }), "side"},
@@ -218,8 +221,9 @@ func TestValidateRejections(t *testing.T) {
 }
 
 // runLevelFields are the Scenario fields that do not reach a Config:
-// callers execute them through pram.BuildProgram and pram.NewBackend.
-var runLevelFields = []string{"program", "size", "backend", "trace"}
+// callers execute them through pram.BuildProgram and pram.NewBackend,
+// except workers, which is accepted and ignored.
+var runLevelFields = []string{"program", "size", "backend", "trace", "workers"}
 
 func TestFromScenarioBridges(t *testing.T) {
 	cases := []struct {
@@ -244,7 +248,6 @@ func TestFromScenarioBridges(t *testing.T) {
 		{"repair", func(s *Scenario) { s.Repair = "lazy" }, func(c Config) bool { return c.Core.Repair == core.RepairLazy }},
 		{"retry", func(s *Scenario) { s.Retry = 3 }, func(c Config) bool { return c.Retry == 3 }},
 		{"engine", func(s *Scenario) { s.Engine = "cycle" }, func(c Config) bool { return c.Core.EngineMode == route.ModeCycle }},
-		{"workers", func(s *Scenario) { s.Workers = 2 }, func(c Config) bool { return c.Core.Workers == 2 }},
 		{"ideal_memory", func(s *Scenario) { s.IdealMemory = 4096 }, func(c Config) bool { return c.IdealMemory == 4096 }},
 	}
 	base, err := FromScenario(DefaultScenario())
