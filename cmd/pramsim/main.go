@@ -8,10 +8,9 @@
 //	        [-side 9] [-q 3] [-d 3] [-k 2] [-n 64] [-seed 1]
 //	        [-backend both|ideal|mesh] [-workers N] [-policy majority|rowa]
 //	        [-sort shear|rotate] [-torus] [-no-culling] [-direct-routing]
-//	        [-network-sort] [-faults SPEC] [-fault-schedule SPEC]
+//	        [-faults SPEC] [-fault-schedule SPEC]
 //	        [-fault-view global|local] [-repair off|eager|lazy]
-//	        [-retry N] [-engine event|cycle]
-//	        [-ideal-memory WORDS] [-trace]
+//	        [-retry N] [-ideal-memory WORDS] [-trace]
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // The flag set is an overlay onto a sim.Scenario — the same
@@ -30,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -57,13 +57,11 @@ func scenarioFlags(fs *flag.FlagSet, sc *sim.Scenario) map[string]string {
 	fs.StringVar(&sc.Sort, "sort", sc.Sort, "sorting network: shear | rotate")
 	fs.BoolVar(&sc.DisableCulling, "no-culling", sc.DisableCulling, "minimal target sets without congestion control (ablation)")
 	fs.BoolVar(&sc.DirectRouting, "direct-routing", sc.DirectRouting, "bypass the staged protocol (ablation)")
-	fs.BoolVar(&sc.NetworkSort, "network-sort", sc.NetworkSort, "run the sorting network round by round")
 	fs.StringVar(&sc.Faults, "faults", sc.Faults, "static fault spec (e.g. \"link:5-6;rand:module=0.02,seed=7\")")
 	fs.StringVar(&sc.FaultSchedule, "fault-schedule", sc.FaultSchedule, "dynamic fault timeline (e.g. \"@3 module:40;@7 revive-module:40\")")
 	fs.StringVar(&sc.FaultView, "fault-view", sc.FaultView, "fault knowledge model: global (omniscient) | local (gossip-propagated, stale-view detours)")
 	fs.StringVar(&sc.Repair, "repair", sc.Repair, "self-healing scrub policy: off | eager | lazy")
 	fs.IntVar(&sc.Retry, "retry", sc.Retry, "checkpointed-retry budget per PRAM step (0 = off)")
-	fs.StringVar(&sc.Engine, "engine", sc.Engine, "routing engine: event (line-decomposed healthy routing) | cycle (reference); results are bit-identical")
 	fs.IntVar(&sc.Workers, "workers", sc.Workers, "accepted and ignored (the routing engine is sequential)")
 	fs.IntVar(&sc.IdealMemory, "ideal-memory", sc.IdealMemory, "ideal backend memory in words (0 = the scheme's M)")
 	fs.BoolVar(&sc.Trace, "trace", sc.Trace, "print the cost-ledger tree of the last PRAM step")
@@ -72,10 +70,9 @@ func scenarioFlags(fs *flag.FlagSet, sc *sim.Scenario) map[string]string {
 		"program": "program", "n": "size", "seed": "seed",
 		"backend": "backend", "policy": "policy", "torus": "torus",
 		"sort": "sort", "no-culling": "disable_culling",
-		"direct-routing": "direct_routing", "network-sort": "network_sort",
-		"faults": "faults", "fault-schedule": "fault_schedule",
-		"fault-view": "fault_view",
-		"repair":     "repair", "retry": "retry", "engine": "engine",
+		"direct-routing": "direct_routing", "faults": "faults",
+		"fault-schedule": "fault_schedule", "fault-view": "fault_view",
+		"repair": "repair", "retry": "retry",
 		"workers": "workers", "ideal-memory": "ideal_memory",
 		"trace": "trace",
 	}
@@ -139,9 +136,20 @@ func loadScenario(path string, sc *sim.Scenario) error {
 }
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "pramsim: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: it returns instead of exiting, so the
+// deferred CPU-profile stop also runs on a failing run.
+func run(args []string, stdout io.Writer) (err error) {
 	sc := sim.DefaultScenario()
-	if path := scanScenarioPath(os.Args[1:]); path != "" {
-		fatalIf(loadScenario(path, &sc))
+	if path := scanScenarioPath(args); path != "" {
+		if err := loadScenario(path, &sc); err != nil {
+			return err
+		}
 	}
 	fs := flag.NewFlagSet("pramsim", flag.ExitOnError)
 	fs.String("scenario", "", "JSON scenario file; explicit flags override its fields")
@@ -152,32 +160,53 @@ func main() {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the run")
 	scenarioFlags(fs, &sc)
-	fatalIf(fs.Parse(os.Args[1:]))
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	sc = sc.Normalized()
-	fatalIf(sc.Validate())
+	if err := sc.Validate(); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		fatalIf(err)
-		fatalIf(pprof.StartCPUProfile(f))
-		defer f.Close()
-		defer pprof.StopCPUProfile()
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close() // the profile never started: nothing to keep
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	res, err := serve.NewRunner().Run(sc)
-	fatalIf(err)
-	render(os.Stdout, res)
+	if err != nil {
+		return err
+	}
+	render(stdout, res)
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		runtime.GC() // report reachable bytes, not garbage
-		fatalIf(pprof.WriteHeapProfile(f))
-		fatalIf(f.Close())
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close() // the write already failed
+			return err
+		}
+		return f.Close()
 	}
+	return nil
 }
 
 // render prints a Result in pramsim's traditional report format.
-func render(w *os.File, res *serve.Result) {
+func render(w io.Writer, res *serve.Result) {
 	sc := res.Scenario
 	if id := res.Ideal; id != nil {
 		fmt.Fprintf(w, "ideal PRAM:  %d PRAM steps, cost %d\n", id.PRAMSteps, id.Cost)
@@ -210,12 +239,5 @@ func render(w *os.File, res *serve.Result) {
 	if res.Slowdown > 0 {
 		fmt.Fprintf(w, "slowdown:    %.1f mesh steps per PRAM step (n=%d, sqrt(n)=%d)\n",
 			res.Slowdown, sc.Side*sc.Side, sc.Side)
-	}
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pramsim: %v\n", err)
-		os.Exit(1)
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,5 +128,23 @@ func TestLoadScenarioStrict(t *testing.T) {
 	}
 	if sc.Side != 27 || sc.D != 5 || sc.Program != sim.DefaultScenario().Program {
 		t.Errorf("loaded %+v, want side 27, d 5 over the defaults", sc)
+	}
+}
+
+// TestFailingRunKeepsCPUProfile runs a scenario that fails after
+// profiling has started (k = 3 submeshes do not tile side 9) and
+// requires a non-empty CPU profile: the profile must be stopped and
+// flushed on the error path too.
+func TestFailingRunKeepsCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	if err := run([]string{"-k", "3", "-cpuprofile", path}, io.Discard); err == nil {
+		t.Fatal("run with k=3 on side 9 succeeded; the test needs a failing run")
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Fatal("failing run left an empty CPU profile")
 	}
 }

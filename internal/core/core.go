@@ -77,11 +77,6 @@ type Config struct {
 	// DirectRouting bypasses the staged protocol and routes every copy
 	// packet in one global (l1,l2)-routing (ablation E12).
 	DirectRouting bool
-	// UseNetworkSort runs the shearsort merge-split network round by
-	// round instead of the result-equivalent fast path. Much slower in
-	// wall-clock, identical in results and charged steps (validated by
-	// TestNetworkSortEquivalence); useful when auditing the cost model.
-	UseNetworkSort bool
 	// Torus adds wrap-around links: routing phases that span the whole
 	// machine (stage k+1 and the final return leg) take the shorter way
 	// around each axis. Submesh-confined stages are unchanged — wrap
@@ -92,14 +87,6 @@ type Config struct {
 	// square regions with integer √side, falls back elsewhere;
 	// experiment E17).
 	Sort route.SortAlgo
-	// EngineMode selects the routing engine's execution strategy
-	// (route.ModeEvent by default): healthy routing is solved line by
-	// line, bit-identical to the cycle-stepped reference on every
-	// observable output — delivered contents, charged cycles, lost
-	// counts, ledger spans, snapshots. Fault-aware routing sweeps every
-	// cycle in both modes. route.ModeCycle forces the reference loop
-	// (diagnostics, equivalence tests).
-	EngineMode route.EngineMode
 	// Faults installs a static fault map (internal/fault): dead or slow
 	// nodes, links and memory modules. Copy selection then avoids dead
 	// modules, routing detours around dead links with a bounded retry
@@ -368,7 +355,6 @@ func NewWithScheme(s *hmos.Scheme, cfg Config) (*Simulator, error) {
 		destBits: destBits,
 		seqBits:  seqBits,
 	}
-	sim.eng.SetMode(cfg.EngineMode)
 	if cfg.FaultView == faultview.Local && live != nil {
 		// Beliefs boot knowing the static fault map (cfg.Faults); only
 		// schedule events must be witnessed and disseminated. The view is
@@ -432,8 +418,8 @@ func (sim *Simulator) Now() int64 { return sim.now }
 // pkt is a copy-request packet traveling through the protocol. A
 // step's packets live in the simulator's table sim.pk, indexed by an
 // int32 handle: the packet's creation order, unique within the step,
-// which also disambiguates sort keys so the sorting network and its
-// fast path order packets identically. Sorting, routing and the
+// which also disambiguates sort keys so SortSnake and the sorting
+// network it charges order packets identically. Sorting, routing and the
 // per-processor lists move handles only; the payload stays put.
 //
 // Waypoints live beside the table in sim.wp, K+1 entries per handle h:
@@ -1108,16 +1094,12 @@ func (sim *Simulator) routeIn(r mesh.Region, fullMachine bool, items [][]int32, 
 // destOf returns the destination processor of packet handle h.
 func (sim *Simulator) destOf(h int32) int { return int(sim.pk[h].dest) }
 
-// sortSnake dispatches to the simulated sorting network or its
-// result-equivalent fast path per configuration.
+// sortSnake runs the configured sorting network on the region.
 func (sim *Simulator) sortSnake(r mesh.Region, items [][]int32, key func(int32) uint64) ([][]int32, int, int64) {
-	if sim.cfg.Sort == route.RotateSort && route.CanRotateSort(r) {
-		return route.SortSnakeWith(route.RotateSort, sim.M, r, items, key)
+	if sim.cfg.Sort == route.RotateSort {
+		return route.SortSnakeRotate(sim.M, r, items, key)
 	}
-	if sim.cfg.UseNetworkSort {
-		return route.SortSnake(sim.M, r, items, key)
-	}
-	return route.SortSnakeFast(sim.M, r, items, key)
+	return route.SortSnake(sim.M, r, items, key)
 }
 
 // stagePages returns the number of level-s submeshes (1 for s = K+1).

@@ -10,15 +10,15 @@ import (
 	"meshpram/internal/fault"
 	"meshpram/internal/faultview"
 	"meshpram/internal/hmos"
-	"meshpram/internal/route"
 	"meshpram/internal/trace"
 )
 
-// The event-skip routing engine must be invisible at the protocol
-// level: a full simulation run under route.ModeEvent produces, step by
-// step, the same read results, the same StepStats, the same fault
-// reports and — after the run — the same snapshot bytes as the
-// cycle-stepped reference. This is the end-to-end half of the
+// The line-decomposed healthy routing must be invisible at the
+// protocol level: a healthy simulation run produces, step by step, the
+// same read results, the same StepStats, the same fault reports and —
+// after the run — the same snapshot bytes as the same configuration
+// with an empty fault map, which routes every packet through the
+// engine's cycle-stepped loop. This is the end-to-end half of the
 // bit-identity contract (the packet-level half lives in
 // internal/route/event_identity_test.go).
 
@@ -32,16 +32,15 @@ type eventMatrixTrace struct {
 
 // runEventMatrix executes a seeded mixed read/write workload and
 // captures every observable output.
-func runEventMatrix(t *testing.T, mode route.EngineMode, torus bool, fm *fault.Map, sch *fault.Schedule) eventMatrixTrace {
-	return runViewMatrix(t, mode, faultview.Global, torus, fm, sch)
+func runEventMatrix(t *testing.T, torus bool, fm *fault.Map, sch *fault.Schedule) eventMatrixTrace {
+	return runViewMatrix(t, faultview.Global, torus, fm, sch)
 }
 
 // runViewMatrix is runEventMatrix with an explicit fault-view mode.
-func runViewMatrix(t *testing.T, mode route.EngineMode, view faultview.Mode, torus bool, fm *fault.Map, sch *fault.Schedule) eventMatrixTrace {
+func runViewMatrix(t *testing.T, view faultview.Mode, torus bool, fm *fault.Map, sch *fault.Schedule) eventMatrixTrace {
 	t.Helper()
 	cfg := Config{
 		Torus:         torus,
-		EngineMode:    mode,
 		Schedule:      sch,
 		Repair:        RepairEager,
 		FaultView:     view,
@@ -85,25 +84,25 @@ func runViewMatrix(t *testing.T, mode route.EngineMode, view faultview.Mode, tor
 
 // requireSameTrace compares two runs observable-by-observable so a
 // divergence names the first differing step and output kind.
-func requireSameTrace(t *testing.T, label string, cyc, evt eventMatrixTrace) {
+func requireSameTrace(t *testing.T, label string, ref, got eventMatrixTrace) {
 	t.Helper()
-	for i := range cyc.words {
-		if !reflect.DeepEqual(cyc.words[i], evt.words[i]) {
-			t.Errorf("%s: step %d read results diverge: cycle %v, event %v",
-				label, i, cyc.words[i], evt.words[i])
+	for i := range ref.words {
+		if !reflect.DeepEqual(ref.words[i], got.words[i]) {
+			t.Errorf("%s: step %d read results diverge: reference %v, got %v",
+				label, i, ref.words[i], got.words[i])
 		}
-		if !reflect.DeepEqual(cyc.stats[i], evt.stats[i]) {
-			t.Errorf("%s: step %d stats diverge:\n cycle %+v\n event %+v",
-				label, i, cyc.stats[i], evt.stats[i])
+		if !reflect.DeepEqual(ref.stats[i], got.stats[i]) {
+			t.Errorf("%s: step %d stats diverge:\n reference %+v\n got       %+v",
+				label, i, ref.stats[i], got.stats[i])
 		}
-		if cyc.reports[i] != evt.reports[i] {
-			t.Errorf("%s: step %d fault report diverges:\n cycle %s\n event %s",
-				label, i, cyc.reports[i], evt.reports[i])
+		if ref.reports[i] != got.reports[i] {
+			t.Errorf("%s: step %d fault report diverges:\n reference %s\n got       %s",
+				label, i, ref.reports[i], got.reports[i])
 		}
 	}
-	if !bytes.Equal(cyc.snapshot, evt.snapshot) {
+	if !bytes.Equal(ref.snapshot, got.snapshot) {
 		t.Errorf("%s: snapshot bytes diverge (%d vs %d bytes)",
-			label, len(cyc.snapshot), len(evt.snapshot))
+			label, len(ref.snapshot), len(got.snapshot))
 	}
 }
 
@@ -130,7 +129,10 @@ func churnEventSchedule() *fault.Schedule {
 // {mesh, torus} × {fault-free, static faults, churn schedule},
 // asserting identical delivered contents (read results), charged
 // cycles (StepStats), lost counts (fault reports) and snapshot bytes
-// between route.ModeCycle and two runs of route.ModeEvent.
+// between a reference run and two more runs. The fault-free runs route
+// on the healthy path; their reference is the same configuration with
+// an empty fault map, which routes through the cycle loop. The faulted
+// rows run the cycle loop throughout and are their own reference.
 func TestEventCycleSimulationIdentity(t *testing.T) {
 	faultCases := []struct {
 		name string
@@ -151,11 +153,15 @@ func TestEventCycleSimulationIdentity(t *testing.T) {
 			if fc.sch != nil {
 				sch = fc.sch()
 			}
-			cyc := runEventMatrix(t, route.ModeCycle, torus, fm, sch)
+			refMap := fm
+			if fm == nil && sch == nil {
+				refMap = fault.NewMap(9)
+			}
+			ref := runEventMatrix(t, torus, refMap, sch)
 			for run := 0; run < 2; run++ {
 				label := fmt.Sprintf("torus=%v/%s/run=%d", torus, fc.name, run)
-				evt := runEventMatrix(t, route.ModeEvent, torus, fm, sch)
-				requireSameTrace(t, label, cyc, evt)
+				got := runEventMatrix(t, torus, fm, sch)
+				requireSameTrace(t, label, ref, got)
 			}
 		}
 	}
@@ -164,28 +170,28 @@ func TestEventCycleSimulationIdentity(t *testing.T) {
 // TestLocalViewSimulationIdentity is the local-fault-view half of the
 // acceptance matrix: under FaultView=Local with a churn schedule, runs
 // are bit-identical (read results, StepStats, fault reports, snapshot
-// bytes including the gossip view state) across double runs and
-// between route.ModeCycle and route.ModeEvent — for both mesh and torus
-// topologies.
+// bytes including the gossip view state) across double runs and with
+// the schedule applied over an explicit empty fault map instead of the
+// simulator's own — for both mesh and torus topologies.
 func TestLocalViewSimulationIdentity(t *testing.T) {
 	for _, torus := range []bool{false, true} {
-		ref := runViewMatrix(t, route.ModeCycle, faultview.Local, torus, nil, churnEventSchedule())
+		ref := runViewMatrix(t, faultview.Local, torus, nil, churnEventSchedule())
 		if len(ref.snapshot) == 0 {
 			t.Fatal("local-view snapshot is empty")
 		}
 		for run := 0; run < 2; run++ {
 			label := fmt.Sprintf("torus=%v/local-churn/run=%d", torus, run)
-			got := runViewMatrix(t, route.ModeCycle, faultview.Local, torus, nil, churnEventSchedule())
+			got := runViewMatrix(t, faultview.Local, torus, nil, churnEventSchedule())
 			requireSameTrace(t, label, ref, got)
-			evt := runViewMatrix(t, route.ModeEvent, faultview.Local, torus, nil, churnEventSchedule())
-			requireSameTrace(t, label+"/event", ref, evt)
+			empty := runViewMatrix(t, faultview.Local, torus, fault.NewMap(9), churnEventSchedule())
+			requireSameTrace(t, label+"/empty-map", ref, empty)
 		}
 		// Static faults are boot knowledge under the local view: beliefs
 		// start exact, so the run must match the global view bit for bit
 		// — except for the snapshot, which appends the (empty-log) view
 		// state in local mode.
-		glob := runViewMatrix(t, route.ModeEvent, faultview.Global, torus, staticEventFaults(), nil)
-		loc := runViewMatrix(t, route.ModeEvent, faultview.Local, torus, staticEventFaults(), nil)
+		glob := runViewMatrix(t, faultview.Global, torus, staticEventFaults(), nil)
+		loc := runViewMatrix(t, faultview.Local, torus, staticEventFaults(), nil)
 		label := fmt.Sprintf("torus=%v/local-static-vs-global", torus)
 		loc.snapshot = loc.snapshot[:0]
 		glob.snapshot = glob.snapshot[:0]
@@ -213,15 +219,16 @@ func flattenSpans(s *trace.Span, out []spanRow) []spanRow {
 // in which every processor accesses a distinct variable — where the
 // healthy forward and return legs span the whole machine. Read
 // results, StepStats, every ledger span's charged/observed/packets and
-// the snapshot bytes must match between route.ModeCycle and
-// route.ModeEvent, on the mesh and the torus.
+// the snapshot bytes of the healthy run must match the same
+// configuration with an empty fault map (the cycle loop), on the mesh
+// and the torus.
 func TestEventCycleSimulationIdentityE1(t *testing.T) {
 	type run struct {
 		eventMatrixTrace
 		spans [][]spanRow
 	}
-	do := func(mode route.EngineMode, torus bool) run {
-		s, err := New(hmos.Params{Side: 81, Q: 3, D: 7, K: 2}, Config{Torus: torus, EngineMode: mode})
+	do := func(torus bool, fm *fault.Map) run {
+		s, err := New(hmos.Params{Side: 81, Q: 3, D: 7, K: 2}, Config{Torus: torus, Faults: fm})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,10 +261,10 @@ func TestEventCycleSimulationIdentityE1(t *testing.T) {
 	}
 	for _, torus := range []bool{false, true} {
 		label := fmt.Sprintf("side=81/torus=%v", torus)
-		cyc, evt := do(route.ModeCycle, torus), do(route.ModeEvent, torus)
-		requireSameTrace(t, label, cyc.eventMatrixTrace, evt.eventMatrixTrace)
-		for i := range cyc.spans {
-			if !reflect.DeepEqual(cyc.spans[i], evt.spans[i]) {
+		ref, got := do(torus, fault.NewMap(81)), do(torus, nil)
+		requireSameTrace(t, label, ref.eventMatrixTrace, got.eventMatrixTrace)
+		for i := range ref.spans {
+			if !reflect.DeepEqual(ref.spans[i], got.spans[i]) {
 				t.Errorf("%s: step %d ledger spans diverge", label, i)
 			}
 		}

@@ -149,12 +149,6 @@ func (st *slabStore) clearProc(p int) {
 	}
 }
 
-// reset drops every cell (Load rebuilds from an image).
-func (st *slabStore) reset() {
-	st.slabs = make([][]cell, st.sch.PageCount(1))
-	st.foreign = nil
-}
-
 // memBytes returns the resident heap bytes of the store.
 func (st *slabStore) memBytes() int64 {
 	b := int64(cap(st.slabs)) * 24

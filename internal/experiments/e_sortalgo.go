@@ -38,7 +38,7 @@ func RunE17(w io.Writer, cfg Config) error {
 				return items
 			}
 			_, _, shear := route.SortSnake(m, r, mk(), func(v it) uint64 { return v.key })
-			_, _, rot := route.SortSnakeWith(route.RotateSort, m, r, mk(), func(v it) uint64 { return v.key })
+			_, _, rot := route.SortSnakeRotate(m, r, mk(), func(v it) uint64 { return v.key })
 			tb.Add(side, load, shear, rot, float64(rot)/float64(shear))
 		}
 	}

@@ -83,10 +83,6 @@ func (m *Machine) SetFaults(f *fault.Map) {
 // Faults returns the installed fault map (nil when healthy).
 func (m *Machine) Faults() *fault.Map { return m.faults }
 
-// NodeUp reports whether processor p is alive (true on a healthy
-// machine).
-func (m *Machine) NodeUp(p int) bool { return !m.faults.NodeDead(p) }
-
 // LinkUp reports whether the edge p–q can carry packets this
 // simulation: both endpoints alive and the link not dead.
 func (m *Machine) LinkUp(p, q int) bool { return m.faults.LinkUp(p, q) }

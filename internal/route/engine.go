@@ -41,16 +41,16 @@ import (
 // node's winners in worklist order into one arrival buffer, and the
 // merge applies them in that order (DESIGN.md §10).
 //
-// In the default ModeEvent the healthy path (Route, RouteTorus) does
-// not sweep the region at all: it solves each row and column pipeline
-// on its own (lines.go, DESIGN.md §17), and Executed is the most
-// iterations any single line ran. Charged cycles, delivered contents
-// and delivery order are bit-identical to ModeCycle; only the executed
-// iteration count (Executed, and the ledger's Exec counter) differs,
-// never exceeding the charged cycles. The fault path (RouteFault,
-// RouteTorusFault) sweeps every charged cycle in both modes
-// (DESIGN.md §11), so there Executed counts sweeps and equals the
-// charged cycles.
+// The healthy path (Route, RouteTorus) does not sweep the region at
+// all: it solves each row and column pipeline on its own (lines.go,
+// DESIGN.md §17), and Executed is the most iterations any single line
+// ran. Charged cycles, delivered contents and delivery order are
+// bit-identical to the fault path's cycle loop on a healthy machine;
+// only the executed iteration count (Executed, and the ledger's Exec
+// counter) differs, never exceeding the charged cycles. The fault path
+// (RouteFault, RouteTorusFault) is the engine's one cycle-stepped loop
+// (DESIGN.md §11): it sweeps every charged cycle, so there Executed
+// counts sweeps and equals the charged cycles.
 //
 // An Engine is not safe for concurrent use; give each goroutine its
 // own. The zero value is not usable — construct with NewEngine.
@@ -74,7 +74,6 @@ type Engine[T any] struct {
 
 	arr []engArrival // this cycle's hops, in sweep order
 
-	mode  EngineMode
 	execs int64 // executed iterations of the last call
 
 	// Line-decomposed healthy path (lines.go); the n-entry queue and
@@ -100,42 +99,23 @@ type Engine[T any] struct {
 	wcnt  int                   // this sweep's backoff-waiting slots
 }
 
-// EngineMode selects how the engine spends wall-clock iterations; both
-// modes simulate the identical cycle machine.
-type EngineMode uint8
-
-const (
-	// ModeEvent (the default) solves the healthy path line by line:
-	// executed iterations ≤ charged cycles, results bit-identical.
-	ModeEvent EngineMode = iota
-	// ModeCycle executes every charged cycle as one worklist sweep —
-	// the reference semantics the event mode is validated against.
-	ModeCycle
-)
-
-// SetMode selects the execution mode for subsequent calls.
-func (e *Engine[T]) SetMode(m EngineMode) { e.mode = m }
-
-// Mode returns the engine's execution mode.
-func (e *Engine[T]) Mode() EngineMode { return e.mode }
-
 // SetFaultView installs a local-knowledge fault view: the fault-aware
 // routing paths then consult each node's gossip-updated belief instead
 // of the machine's global fault map, with stale-view detours, bounded
 // rediscovery probes and propagation-latency losses. Nil restores the
-// global (omniscient) behavior. The view is shared between engines of
-// one simulator and advances one gossip round per charged fault-routing
-// cycle.
+// global (omniscient) behavior, as does a machine without a fault map.
+// The view is shared between engines of one simulator and advances one
+// gossip round per charged fault-routing cycle.
 func (e *Engine[T]) SetFaultView(v *faultview.View) { e.view = v }
 
 // FaultView returns the installed local-knowledge view (nil = global).
 func (e *Engine[T]) FaultView() *faultview.View { return e.view }
 
 // Executed returns the physically executed iterations of the most
-// recent routing call: the sweeps on the fault path and in ModeCycle,
-// or on the healthy ModeEvent path the most iterations any single line
-// ran (one per contended cycle, one per free run). It is ≤ the call's
-// charged cycle count, with equality wherever the engine sweeps.
+// recent routing call: the sweeps of the cycle loop, or on the healthy
+// path the most iterations any single line ran (one per contended
+// cycle, one per free run). It is ≤ the call's charged cycle count,
+// with equality wherever the engine sweeps.
 func (e *Engine[T]) Executed() int64 { return e.execs }
 
 // engArrival is one packet crossing into a new processor this cycle.
@@ -160,8 +140,7 @@ type engDrop struct {
 // (with exponential backoff between them) before it is charged as lost.
 const engProbeBudget = 8
 
-// NewEngine creates a reusable greedy router for the machine, in the
-// event-driven execution mode.
+// NewEngine creates a reusable greedy router for the machine.
 func NewEngine[T any](m *mesh.Machine) *Engine[T] {
 	return &Engine[T]{m: m}
 }
@@ -184,13 +163,13 @@ func (e *Engine[T]) RouteTorus(dst [][]T, items [][]T, dest func(T) int) (delive
 // slow-link waiting, a bounded retry budget, and lost-packet
 // accounting, all bit-identical to the per-call router.
 func (e *Engine[T]) RouteFault(dst [][]T, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return e.routeFault(dst, r, items, dest, meshTopo{e.m}, false)
+	return e.routeFault(dst, r, items, dest, meshTopo{e.m}, false, e.m.Faults())
 }
 
 // RouteTorusFault is RouteFault on the full machine with wrap-around
 // links.
 func (e *Engine[T]) RouteTorusFault(dst [][]T, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return e.routeFault(dst, e.m.Full(), items, dest, torusTopo{e.m}, true)
+	return e.routeFault(dst, e.m.Full(), items, dest, torusTopo{e.m}, true, e.m.Faults())
 }
 
 // ensure sizes the per-node state for region r and truncates the slab.
@@ -440,12 +419,13 @@ func (e *Engine[T]) push(v T, p, d int, topo topology, from int32) int8 {
 // sweep runs one cycle's selection over the sorted worklist into
 // e.arr: per occupied node, pick at most one packet per outgoing
 // direction by farthest-remaining-distance first (ties by injection
-// order = slot id), then compact the queue in place. Returns the
-// number of hops chosen.
-func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle int64) int {
-	f := e.m.Faults()
+// order = slot id), then compact the queue in place. With a fault map
+// f a packet whose preferred link is unusable detours; with a nil map
+// every packet takes its preferred hop. Returns the number of hops
+// chosen.
+func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap bool, f *fault.Map, cycle int64) int {
 	arr := e.arr[:0]
-	local := faulty && e.view != nil
+	local := f != nil && e.view != nil
 	if local {
 		e.disc = e.disc[:0]
 		e.dropq = e.dropq[:0]
@@ -458,18 +438,6 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle
 			continue
 		}
 		p := e.absOf(lp, r)
-		if !faulty && len(q) == 1 {
-			// Lone packet on a healthy mesh: it wins its out-link
-			// unopposed — skip the per-direction selection scan.
-			slot := q[0]
-			arr = append(arr, engArrival{
-				to:    int32(e.stepTo(p, int(e.dir[slot]), wrap)),
-				slot:  slot,
-				fromP: int32(p),
-			})
-			e.queues[lp] = q[:0]
-			continue
-		}
 		// best[dir] = queue index of chosen packet, -1 none.
 		var best [4]int
 		var bestDist [4]int32
@@ -481,7 +449,7 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle
 				if d == -1 {
 					continue // waiting, blocked, or freshly dropped
 				}
-			} else if faulty {
+			} else if f != nil {
 				// Preferred healthy hop first (bit-identical when up),
 				// then detour candidates by (distance, direction). The
 				// hop that undoes the previous move is a last resort —
@@ -524,12 +492,7 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap, faulty bool, cycle
 		for d := 0; d < 4; d++ {
 			if best[d] >= 0 {
 				slot := q[best[d]]
-				var to int
-				if faulty {
-					to, _ = e.stepBounded(p, d, r, wrap)
-				} else {
-					to = e.stepTo(p, d, wrap)
-				}
+				to, _ := e.stepBounded(p, d, r, wrap)
 				arr = append(arr, engArrival{
 					to: int32(to), slot: slot, fromP: int32(p),
 					detour: int8(d) != e.dir[slot],
@@ -706,8 +669,9 @@ func (e *Engine[T]) flushLocal(f *fault.Map) (dropped, waiting int) {
 // occupied nodes is sorted on its own and merged back in, so no cycle
 // ever sorts the whole worklist. Returns the number of packets
 // delivered this cycle.
-func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap, faulty bool) int {
+func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap bool, f *fault.Map) int {
 	m := e.m
+	local := f != nil && e.view != nil
 	done := 0
 	// Prune first: a node emptied by the sweep leaves the worklist
 	// unless an arrival below re-occupies it.
@@ -723,26 +687,24 @@ func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap, f
 	for _, a := range e.arr {
 		slot := a.slot
 		to := int(a.to)
-		if faulty {
-			e.from[slot] = a.fromP
-			if e.view != nil && e.ptry[slot] != 0 {
-				// The packet moved: its rediscovery budget refills.
-				e.ptry[slot] = 0
-				e.pwait[slot] = 0
-			}
-			if a.detour {
-				d := int(e.dests[slot])
-				if to == d {
-					delivered[to] = append(delivered[to], e.val[slot])
-					done++
-					continue
-				}
-				dr, _ := topo.next(to, d)
-				e.dir[slot] = int8(dr)
-				e.dist[slot] = int32(topo.dist(to, d))
-				wl = e.enqueue(e.localOf(to, r), slot, wl)
+		e.from[slot] = a.fromP
+		if local && e.ptry[slot] != 0 {
+			// The packet moved: its rediscovery budget refills.
+			e.ptry[slot] = 0
+			e.pwait[slot] = 0
+		}
+		if a.detour {
+			d := int(e.dests[slot])
+			if to == d {
+				delivered[to] = append(delivered[to], e.val[slot])
+				done++
 				continue
 			}
+			dr, _ := topo.next(to, d)
+			e.dir[slot] = int8(dr)
+			e.dist[slot] = int32(topo.dist(to, d))
+			wl = e.enqueue(e.localOf(to, r), slot, wl)
+			continue
 		}
 		nd := e.dist[slot] - 1
 		if nd == 0 {
@@ -832,54 +794,41 @@ func (e *Engine[T]) sortWorklist(r mesh.Region) {
 	}
 }
 
-// route is the healthy path shared by Route and RouteTorus. In ModeEvent
-// it solves the call line by line (routeLines); in ModeCycle it sweeps
-// every charged cycle.
+// route is the healthy path shared by Route and RouteTorus: it solves
+// the call line by line (routeLines). A region too wide for the line
+// encoding runs the cycle loop with no fault map.
 func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool) (delivered [][]T, steps int64) {
-	m := e.m
-	sp := m.Ledger().Begin("greedy", trace.PhaseForward)
+	if max(r.H, r.W) > lnMaxSide {
+		//detlint:ignore checkederr a nil fault map loses no packet
+		delivered, steps, _ = e.routeFault(dst, r, items, dest, topo, wrap, nil)
+		return delivered, steps
+	}
+	sp := e.m.Ledger().Begin("greedy", trace.PhaseForward)
 	defer func() {
 		sp.Observe(steps)
 		sp.Exec(e.execs)
 		sp.End()
 	}()
 	if dst == nil {
-		dst = make([][]T, m.N)
+		dst = make([][]T, e.m.N)
 	}
-	delivered = dst
-	if e.mode == ModeEvent && max(r.H, r.W) <= lnMaxSide {
-		steps = e.routeLines(delivered, r, items, dest, topo, wrap)
-		sp.AddPackets(int64(len(e.val)))
-		return delivered, steps
-	}
-	e.ensure(r)
-	//detlint:ignore checkederr healthy path injects with a nil fault map, so the lost count is structurally zero
-	active, _ := e.inject(delivered, r, items, dest, topo, nil)
+	steps = e.routeLines(dst, r, items, dest, topo, wrap)
 	sp.AddPackets(int64(len(e.val)))
-	for active > 0 {
-		steps++
-		e.execs++
-		if e.sweep(r, topo, wrap, false, steps) == 0 {
-			panic("route: greedy router stalled with active packets")
-		}
-		active -= e.merge(delivered, r, topo, wrap, false)
-	}
-	e.cleanup()
-	return delivered, steps
+	return dst, steps
 }
 
-// routeFault is the fault-aware loop shared by RouteFault and
-// RouteTorusFault: identical to route but consulting the machine's
-// fault map — detours, slow-link waits, the bounded retry budget
-// (16·(H+W) + 4·#packets cycles) and the wedge break after a full slow
-// period of silence. Every cycle spent detouring or waiting is a
-// charged machine step. With a nil (or empty) fault map it makes
-// bit-identical decisions to route. It sweeps every charged cycle in
-// both engine modes, advancing one gossip round per cycle under a
-// local fault view.
-func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool) (delivered [][]T, steps int64, lost int) {
+// routeFault is the engine's one cycle-stepped loop, shared by
+// RouteFault and RouteTorusFault over the machine's fault map: one sweep
+// and merge per charged cycle. With a fault map f it detours around
+// dead links and nodes, waits on slow links, stops at the retry budget
+// (16·(H+W) + 4·#packets cycles) or at the wedge break after a full
+// slow period of silence, and counts the packets it loses; every cycle
+// spent detouring or waiting is a charged machine step. Under a local
+// fault view it advances one gossip round per cycle. With a nil map
+// every packet takes its dimension-ordered path, exactly as routeLines
+// solves it.
+func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool, f *fault.Map) (delivered [][]T, steps int64, lost int) {
 	m := e.m
-	f := m.Faults()
 	sp := m.Ledger().Begin("greedy", trace.PhaseForward)
 	defer func() {
 		sp.Observe(steps)
@@ -896,7 +845,8 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 	e.ensure(r)
 	active, lost := e.inject(delivered, r, items, dest, topo, f)
 	sp.AddPackets(int64(len(e.val)))
-	if e.view != nil {
+	local := f != nil && e.view != nil
+	if local {
 		// Per-slot probe state for this call's slab, zeroed.
 		n := len(e.val)
 		if cap(e.ptry) < n {
@@ -918,11 +868,11 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 	for active > 0 && steps < budget {
 		steps++
 		e.execs++
-		if e.sweep(r, topo, wrap, true, steps) == 0 {
+		if e.sweep(r, topo, wrap, f, steps) == 0 {
 			// Nothing moved. With slow links a packet may be waiting for
 			// its cycle; after a full slow period of silence the network
 			// is provably wedged and the survivors are lost.
-			if e.view != nil {
+			if local {
 				dropped, waiting := e.flushLocal(f)
 				lost += dropped
 				active -= dropped
@@ -939,8 +889,8 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 			continue
 		}
 		idle = 0
-		active -= e.merge(delivered, r, topo, wrap, true)
-		if e.view != nil {
+		active -= e.merge(delivered, r, topo, wrap, f)
+		if local {
 			dropped, _ := e.flushLocal(f)
 			lost += dropped
 			active -= dropped

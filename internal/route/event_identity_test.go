@@ -8,35 +8,35 @@ import (
 	"meshpram/internal/mesh"
 )
 
-// The event engine must be a perfect discrete-event simulation of the
-// cycle-stepped machine: everything the cycle engine produces —
-// delivered contents and per-processor order, charged cycles, lost
-// counts, ledger spans — must be byte-identical in event mode, on
-// every topology, with and without faults. The only permitted
-// difference is the executed-iteration count, which may only ever be
-// ≤ the charged cycle count.
+// The healthy path must be a perfect discrete-event simulation of the
+// cycle-stepped machine: everything the engine's one cycle loop (the
+// fault path) produces on a healthy machine — delivered contents and
+// per-processor order, charged cycles, lost counts, ledger spans — must
+// be byte-identical on the line-decomposed healthy path, on every
+// topology. The only permitted difference is the executed-iteration
+// count, which may only ever be ≤ the charged cycle count.
 
-// runEngineMode is runEngine over the full mesh in the given execution
-// mode (a fresh engine when eng is nil); it additionally reports the
-// executed iteration count of the call.
-func runEngineMode(t *testing.T, eng *Engine[item], mode EngineMode, withFaults, torus, faultPath bool, items func(m *mesh.Machine) [][]item) (engineRun, int64) {
+// runEngineExec is runEngine over the full mesh (a fresh engine when
+// eng is nil); it additionally reports the executed iteration count of
+// the call.
+func runEngineExec(t *testing.T, eng *Engine[item], withFaults, torus, faultPath bool, items func(m *mesh.Machine) [][]item) (engineRun, int64) {
 	t.Helper()
 	if eng == nil {
 		eng = NewEngine[item](mesh.MustNew(16))
 	}
-	eng.SetMode(mode)
 	run := runEngine(t, eng, withFaults, torus, faultPath, func(m *mesh.Machine) mesh.Region { return m.Full() }, items)
 	return run, eng.Executed()
 }
 
-// TestEventCycleBitIdentity is the seeded event-vs-cycle matrix:
+// TestEventCycleBitIdentity is the seeded healthy-vs-cycle-loop matrix:
 // instances × {mesh, torus} × {healthy path, fault path on a healthy
 // machine, fault path with static faults (dead node, dead links, slow
-// links)}. Each call of a fresh cycle-mode engine is compared with one
-// event-mode engine reused across the whole matrix, and every
-// observable output must match. Executed iterations must be ≤ charged
-// cycles on the healthy event path and equal to them wherever the
-// engine sweeps: in cycle mode, and on the fault path in either mode.
+// links)}. The reference is always a fresh engine's fault path, on a
+// healthy machine for the first two rows; it is compared with one
+// engine reused across the whole matrix, and every observable output
+// must match. On a healthy machine the reference loses no packet.
+// Executed iterations must be ≤ charged cycles on the healthy path and
+// equal to them wherever the engine sweeps: on the fault path.
 func TestEventCycleBitIdentity(t *testing.T) {
 	shared := NewEngine[item](mesh.MustNew(16))
 	type instance struct {
@@ -58,20 +58,23 @@ func TestEventCycleBitIdentity(t *testing.T) {
 				items := func(m *mesh.Machine) [][]item {
 					return engineInstance(in.kind, m, in.seed)
 				}
-				cyc, cycExec := runEngineMode(t, nil, ModeCycle, path.faults, torus, path.faultPath, items)
-				evt, evtExec := runEngineMode(t, shared, ModeEvent, path.faults, torus, path.faultPath, items)
-				requireIdentical(t, label, cyc, evt)
-				if cycExec != cyc.steps {
-					t.Errorf("%s: cycle mode executed %d of %d charged cycles",
-						label, cycExec, cyc.steps)
+				ref, refExec := runEngineExec(t, nil, path.faults, torus, true, items)
+				got, gotExec := runEngineExec(t, shared, path.faults, torus, path.faultPath, items)
+				requireIdentical(t, label, ref, got)
+				if !path.faults && ref.lost != 0 {
+					t.Errorf("%s: reference lost %d packets on a healthy machine", label, ref.lost)
 				}
-				if path.faultPath && evtExec != evt.steps {
+				if refExec != ref.steps {
+					t.Errorf("%s: cycle loop executed %d of %d charged cycles",
+						label, refExec, ref.steps)
+				}
+				if path.faultPath && gotExec != got.steps {
 					t.Errorf("%s: fault path executed %d of %d charged cycles, want one sweep per cycle",
-						label, evtExec, evt.steps)
+						label, gotExec, got.steps)
 				}
-				if evtExec > evt.steps {
-					t.Errorf("%s: event mode executed %d > %d charged cycles",
-						label, evtExec, evt.steps)
+				if gotExec > got.steps {
+					t.Errorf("%s: executed %d > %d charged cycles",
+						label, gotExec, got.steps)
 				}
 			}
 		}

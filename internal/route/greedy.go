@@ -82,14 +82,17 @@ func (t torusTopo) dist(p, dest int) int {
 }
 
 // GreedyRoute delivers every item to its destination processor using
-// dimension-ordered (column-first) greedy routing, simulated cycle by
-// cycle: in each cycle every directed link carries at most one packet,
-// chosen by farthest-remaining-distance first (ties broken by injection
-// order). Buffers are unbounded (store-and-forward). Destinations must
-// lie inside the region; the XY path then stays inside it.
+// cycle-accurate dimension-ordered (column-first) greedy routing: in
+// each cycle every directed link carries at most one packet, chosen by
+// farthest-remaining-distance first (ties broken by injection order).
+// Buffers are unbounded (store-and-forward). Destinations must lie
+// inside the region; the XY path then stays inside it.
 //
 // It returns the delivered items per processor and the number of cycles
-// (= machine steps) the routing took.
+// (= machine steps) the routing took. The engine solves each row and
+// column pipeline on its own rather than stepping the whole region
+// cycle by cycle; delivery order and cycles are those of the
+// cycle-stepped machine.
 //
 // GreedyRoute and GreedyRouteTorus (below) are
 // one-shot conveniences over route.Engine; hot loops should hold a

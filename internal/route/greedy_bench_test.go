@@ -68,7 +68,7 @@ func benchGreedyRoute(b *testing.B, side int, kind string) {
 		}
 	}
 	b.StopTimer()
-	// CI smoke gate: the event engine may skip cycles but never invent
+	// CI smoke gate: the healthy path may skip cycles but never invent
 	// them — executed iterations are bounded by charged cycles on every
 	// workload.
 	if exec := eng.Executed(); exec > steps {

@@ -11,7 +11,7 @@ import (
 // Line-decomposed healthy routing (DESIGN.md §17).
 //
 // On a healthy mesh or torus every dimension-ordered path is one
-// horizontal leg followed by one vertical leg, and sweepRange picks the
+// horizontal leg followed by one vertical leg, and sweep picks the
 // winner of each (node, out-direction) on its own. A horizontal leg
 // never uses a vertical link and a vertical leg never uses a horizontal
 // one, so the cycle machine falls apart into independent one-dimensional
@@ -25,7 +25,7 @@ import (
 //
 // routeLines simulates every row line, which fixes the entries of every
 // column line, then every column line, and finally appends the
-// deliveries in the order the cycle engine appends them: by cycle, then
+// deliveries in the order the cycle loop appends them: by cycle, then
 // sender, then final direction.
 // A line steps cycle by cycle only while some node on it holds two
 // packets; otherwise its packets move in lockstep and it jumps to its
@@ -34,7 +34,7 @@ import (
 // A packet queued on a line is one uint64: its remaining distance in the
 // top 16 bits, its complemented slot id in the next 32 and its exit
 // position on the line in the low 16. Compared as integers, entries are
-// ordered the way sweepRange selects — farthest remaining distance
+// ordered the way sweep selects — farthest remaining distance
 // first, ties to the lower slot — so each position keeps its queue
 // sorted ascending and its winner is the last entry. A hop subtracts
 // lnHop.
@@ -78,11 +78,11 @@ func (l *engLine) at(i int) int {
 // node returns the region-local node at line position i.
 func (l *engLine) node(i int) int32 { return int32(l.base + l.at(i)*l.step) }
 
-// routeLines is the ModeEvent healthy path: it routes the items of
-// region r one line at a time and returns the charged cycles. A packet
-// leaving a row line early is delivered later on its column line, so the
-// latest cycle any line drains at is the last delivery cycle. Executed
-// is the most iterations any single line ran.
+// routeLines is the healthy path: it routes the items of region r one
+// line at a time and returns the charged cycles. A packet leaving a row
+// line early is delivered later on its column line, so the latest cycle
+// any line drains at is the last delivery cycle. Executed is the most
+// iterations any single line ran.
 func (e *Engine[T]) routeLines(delivered [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool) (steps int64) {
 	e.injectLines(delivered, r, items, dest, topo, wrap)
 	if n := max(r.H, r.W); len(e.lq) < n {

@@ -36,29 +36,38 @@ func lineItems(m *mesh.Machine, r mesh.Region, load int, rng *rand.Rand) [][]ite
 	return items
 }
 
-// lineCall routes items through eng and returns the delivered lists, the
-// charged cycles and the greedy span's observed cycles and packets.
-func lineCall(eng *Engine[item], ld *trace.Ledger, c lineCase, items [][]item) ([][]item, int64, [2]int64) {
+// lineCall routes items through eng — on the healthy path, or on the
+// fault path when faultPath is set — and returns the delivered lists,
+// the charged cycles, the lost packets and the greedy span's observed
+// cycles and packets.
+func lineCall(eng *Engine[item], ld *trace.Ledger, c lineCase, faultPath bool, items [][]item) ([][]item, int64, int, [2]int64) {
 	dest := func(v item) int { return v.dest }
 	var got [][]item
 	var steps int64
-	if c.torus {
+	var lost int
+	switch {
+	case faultPath && c.torus:
+		got, steps, lost = eng.RouteTorusFault(nil, items, dest)
+	case faultPath:
+		got, steps, lost = eng.RouteFault(nil, c.r, items, dest)
+	case c.torus:
 		got, steps = eng.RouteTorus(nil, items, dest)
-	} else {
+	default:
 		got, steps = eng.Route(nil, c.r, items, dest)
 	}
 	sp := ld.Last()
-	return got, steps, [2]int64{sp.Observed(), sp.TotalPackets()}
+	return got, steps, lost, [2]int64{sp.Observed(), sp.TotalPackets()}
 }
 
 // TestLineRouteIdentity pins the line-decomposed healthy path against
-// the cycle-stepped reference: delivered contents, per-processor order,
-// charged cycles and the ledger span must match on the full machine and
-// on offset non-square regions, at about 1, 4 and 9 packets per node,
-// on the mesh and the torus (side 2 makes a two-node ring). One event
-// engine per side serves every call, so buffers sized by a larger
-// region are reused by smaller ones and the other way round. Executed
-// never exceeds charged.
+// the cycle-stepped reference, the fault path on the same healthy
+// machine: delivered contents, per-processor order, charged cycles and
+// the ledger span must match on the full machine and on offset
+// non-square regions, at about 1, 4 and 9 packets per node, on the mesh
+// and the torus (side 2 makes a two-node ring), and the reference loses
+// no packet. One engine per side serves every line-path call, so
+// buffers sized by a larger region are reused by smaller ones and the
+// other way round. Executed never exceeds charged.
 func TestLineRouteIdentity(t *testing.T) {
 	for _, side := range []int{2, 9, 27, 81} {
 		m := mesh.MustNew(side)
@@ -81,18 +90,19 @@ func TestLineRouteIdentity(t *testing.T) {
 		for _, c := range cases {
 			label := fmt.Sprintf("side=%d/%s/load=%d", side, c.name, c.load)
 			items := lineItems(m, c.r, c.load, rng)
-			cyc := NewEngine[item](m)
-			cyc.SetMode(ModeCycle)
-			wantD, wantS, wantSpan := lineCall(cyc, ld, c, cloneItems(items))
-			gotD, gotS, gotSpan := lineCall(evt, ld, c, items)
+			wantD, wantS, lost, wantSpan := lineCall(NewEngine[item](m), ld, c, true, cloneItems(items))
+			gotD, gotS, _, gotSpan := lineCall(evt, ld, c, false, items)
+			if lost != 0 {
+				t.Errorf("%s: reference lost %d packets on a healthy machine", label, lost)
+			}
 			if gotS != wantS {
-				t.Errorf("%s: line path charged %d cycles, cycle engine %d", label, gotS, wantS)
+				t.Errorf("%s: line path charged %d cycles, cycle loop %d", label, gotS, wantS)
 			}
 			if !reflect.DeepEqual(gotD, wantD) {
-				t.Errorf("%s: delivered lists or their order differ from the cycle engine", label)
+				t.Errorf("%s: delivered lists or their order differ from the cycle loop", label)
 			}
 			if gotSpan != wantSpan {
-				t.Errorf("%s: span observed/packets %v, cycle engine %v", label, gotSpan, wantSpan)
+				t.Errorf("%s: span observed/packets %v, cycle loop %v", label, gotSpan, wantSpan)
 			}
 			if exec := evt.Executed(); exec > gotS || (gotS > 0 && exec <= 0) {
 				t.Errorf("%s: executed %d outside (0, charged=%d]", label, exec, gotS)

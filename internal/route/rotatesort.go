@@ -28,10 +28,10 @@ import (
 // measured, not assumed.
 //
 // RotateSort requires a square region whose side is a perfect square
-// (v = √side an integer); SortSnakeWith falls back to shearsort
-// otherwise.
+// (v = √side an integer); SortSnakeRotate falls back to shearsort
+// (SortSnake) otherwise.
 
-// SortAlgo selects the sorting network used by SortSnakeWith.
+// SortAlgo selects the sorting network of the protocol's sorts.
 type SortAlgo int
 
 const (
@@ -66,17 +66,13 @@ type rotPkt[T any] struct {
 	d int
 }
 
-// SortSnakeWith sorts the region into snake order using the selected
-// algorithm, with the same contract as SortSnake.
-func SortSnakeWith[T any](algo SortAlgo, m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
-	if algo == RotateSort && CanRotateSort(r) {
-		return sortSnakeRotate(m, r, items, key)
+// SortSnakeRotate sorts the region into snake order with RotateSort,
+// with the same contract as SortSnake, which it falls back to when
+// CanRotateSort(r) is false.
+func SortSnakeRotate[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
+	if !CanRotateSort(r) {
+		return SortSnake(m, r, items, key)
 	}
-	return SortSnake(m, r, items, key)
-}
-
-// sortSnakeRotate runs RotateSort and converts row-major to snake.
-func sortSnakeRotate[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
 	sp := m.Ledger().Begin("rotatesort", trace.PhaseSort)
 	defer func() {
 		sp.Observe(steps)

@@ -33,7 +33,7 @@ func TestRotateSortSortsRandom(t *testing.T) {
 			for trial := 0; trial < 3; trial++ {
 				count := loadFactor * m.N
 				items := scatterItems(m, r, count, rng)
-				out, L, steps := SortSnakeWith(RotateSort, m, r, items, func(v item) uint64 { return v.key })
+				out, L, steps := SortSnakeRotate(m, r, items, func(v item) uint64 { return v.key })
 				if steps <= 0 || L == 0 {
 					t.Fatalf("side %d: no work done", side)
 				}
@@ -81,7 +81,7 @@ func TestRotateSortAdversarial(t *testing.T) {
 				items[p] = append(items[p], item{key: gen(p*2 + j)})
 			}
 		}
-		out, _, _ := SortSnakeWith(RotateSort, m, r, items, func(v item) uint64 { return v.key })
+		out, _, _ := SortSnakeRotate(m, r, items, func(v item) uint64 { return v.key })
 		all := collect(m, r, out)
 		for i := 1; i < len(all); i++ {
 			if all[i-1].key > all[i].key {
@@ -91,13 +91,13 @@ func TestRotateSortAdversarial(t *testing.T) {
 	}
 }
 
-// On unsupported regions SortSnakeWith must fall back to shearsort and
+// On unsupported regions SortSnakeRotate must fall back to SortSnake and
 // still sort.
 func TestRotateSortFallback(t *testing.T) {
 	m := mesh.MustNew(8) // 8 is not a perfect square
 	rng := rand.New(rand.NewSource(2))
 	items := scatterItems(m, m.Full(), 100, rng)
-	out, _, steps := SortSnakeWith(RotateSort, m, m.Full(), items, func(v item) uint64 { return v.key })
+	out, _, steps := SortSnakeRotate(m, m.Full(), items, func(v item) uint64 { return v.key })
 	all := collect(m, m.Full(), out)
 	for i := 1; i < len(all); i++ {
 		if all[i-1].key > all[i].key {
@@ -118,7 +118,7 @@ func TestRotateSortBeatsShearsortAtScale(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		mk := func() [][]item { return scatterItems(m, r, m.N, rng) }
 		_, _, shearSteps := SortSnake(m, r, mk(), func(v item) uint64 { return v.key })
-		_, _, rotSteps := SortSnakeWith(RotateSort, m, r, mk(), func(v item) uint64 { return v.key })
+		_, _, rotSteps := SortSnakeRotate(m, r, mk(), func(v item) uint64 { return v.key })
 		if side >= 81 && rotSteps >= shearSteps {
 			t.Errorf("side %d: rotatesort (%d) not cheaper than shearsort (%d)", side, rotSteps, shearSteps)
 		}
@@ -132,6 +132,6 @@ func BenchmarkRotateSort81(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		items := scatterItems(m, r, m.N, rng)
-		SortSnakeWith(RotateSort, m, r, items, func(v item) uint64 { return v.key })
+		SortSnakeRotate(m, r, items, func(v item) uint64 { return v.key })
 	}
 }

@@ -18,10 +18,9 @@
 //
 // Sorting is shearsort with merge-split blocks — a data-oblivious
 // network, so its step count is a function of the region and block size
-// only. SortSnake runs the network; SortSnakeFast produces the
-// identical result and identical cost without simulating the rounds
-// (tests assert the equivalence), and exists because large experiments
-// would otherwise spend all their time inside the network simulation.
+// only. SortSnake produces the network's result and charges its exact
+// cost without simulating the rounds; the tests keep the round-by-round
+// network as the reference it is checked against.
 package route
 
 import (
@@ -95,56 +94,22 @@ func SortCost(r mesh.Region, L int) int64 {
 	return int64(it)*(int64(r.W)+int64(r.H))*int64(L) + int64(r.W)*int64(L)
 }
 
-// SortSnake sorts all items of the region into snake order by key,
-// simulating the shearsort merge-split network round by round. On
+// SortSnake sorts all items of the region into snake order by key. On
 // return every processor holds a block of exactly blockLen slots in the
 // padded layout with pads stripped, so the item at local index i of the
 // processor with snake index s has global rank s·blockLen + i, and the
 // items occupying the lowest ranks are the smallest. steps is the exact
-// network cost (= SortCost(r, blockLen)).
+// cost of the shearsort merge-split network (= SortCost(r, blockLen)),
+// whose blockLen is the maximum initial load.
+//
+// The network is data-oblivious, so SortSnake charges it without
+// simulating its rounds: it sorts all items of the region globally and
+// deals them into snake-ordered blocks. The sort moves (key, input
+// index) pairs, not the items: the index breaks key ties, so the order
+// is the stable order of the network, and the values are gathered once
+// at the end. The round-by-round network is kept in the tests as the
+// reference SortSnake is checked against.
 func SortSnake[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
-	sp := m.Ledger().Begin("sortsnake-net", trace.PhaseSort)
-	defer func() {
-		sp.Observe(steps)
-		sp.End()
-	}()
-	L := maxLoad(m, r, items)
-	if L == 0 {
-		return items, 0, 0
-	}
-	blocks := loadBlocks(m, r, items, key, L)
-	if r.H == 1 || r.W == 1 {
-		var line []int
-		if r.H == 1 {
-			line = r.RowLine(m, 0)
-		} else {
-			line = r.ColLine(m, 0)
-		}
-		oetLine(blocks, line, L)
-	} else {
-		it := shearSortPhases(r.H)
-		for p := 0; p < it; p++ {
-			for j := 0; j < r.H; j++ {
-				oetLine(blocks, r.RowLine(m, j), L)
-			}
-			for c := 0; c < r.W; c++ {
-				oetLine(blocks, r.ColLine(m, c), L)
-			}
-		}
-		for j := 0; j < r.H; j++ {
-			oetLine(blocks, r.RowLine(m, j), L)
-		}
-	}
-	return storeBlocks(m, r, items, blocks), L, SortCost(r, L)
-}
-
-// SortSnakeFast computes the identical result and cost of SortSnake
-// without simulating the network: it sorts all items of the region
-// globally and redistributes them into snake-ordered blocks of length
-// blockLen = max initial load. The sort moves (key, input index) pairs,
-// not the items: the index breaks key ties, so the order is the stable
-// order of the network, and the values are gathered once at the end.
-func SortSnakeFast[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
 	sp := m.Ledger().Begin("sortsnake", trace.PhaseSort)
 	defer func() {
 		sp.Observe(steps)
@@ -185,7 +150,7 @@ func SortSnakeFast[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T
 	return out, L, SortCost(r, L)
 }
 
-// keyIdx is SortSnakeFast's sort record: an item's key and its index
+// keyIdx is SortSnake's sort record: an item's key and its index
 // in collection order.
 type keyIdx struct {
 	key uint64
@@ -266,10 +231,4 @@ func mergeSplit[T any](blocks map[int][]elem[T], lo, hi, L int) {
 	merged = append(merged, b[j:]...)
 	copy(a, merged[:L])
 	copy(b, merged[L:])
-}
-
-// BroadcastCost is the step count of broadcasting one word from a
-// corner to every processor of the region (row pass + column passes).
-func BroadcastCost(r mesh.Region) int64 {
-	return int64(r.W-1) + int64(r.H-1)
 }

@@ -37,35 +37,37 @@ func collect(m *mesh.Machine, r mesh.Region, items [][]item) []item {
 func TestSortSnakeSortsIntoSnakeOrder(t *testing.T) {
 	m := mesh.MustNew(8)
 	rng := rand.New(rand.NewSource(3))
-	for _, r := range []mesh.Region{m.Full(), {R0: 2, C0: 2, H: 4, W: 4}, {R0: 0, C0: 0, H: 1, W: 8}, {R0: 0, C0: 3, H: 8, W: 1}} {
-		for _, count := range []int{0, 1, 7, 50, 150} {
-			items := scatterItems(m, r, count, rng)
-			out, L, steps := SortSnake(m, r, items, func(v item) uint64 { return v.key })
-			all := collect(m, r, out)
-			if len(all) != count {
-				t.Fatalf("region %v count %d: %d items after sort", r, count, len(all))
-			}
-			for i := 1; i < len(all); i++ {
-				if all[i-1].key > all[i].key {
-					t.Fatalf("region %v count %d: not sorted at %d", r, count, i)
+	for _, ss := range snakeSorts {
+		for _, r := range []mesh.Region{m.Full(), {R0: 2, C0: 2, H: 4, W: 4}, {R0: 0, C0: 0, H: 1, W: 8}, {R0: 0, C0: 3, H: 8, W: 1}} {
+			for _, count := range []int{0, 1, 7, 50, 150} {
+				items := scatterItems(m, r, count, rng)
+				out, L, steps := ss.sort(m, r, items, func(v item) uint64 { return v.key })
+				all := collect(m, r, out)
+				if len(all) != count {
+					t.Fatalf("%s region %v count %d: %d items after sort", ss.name, r, count, len(all))
 				}
-			}
-			if count > 0 {
-				if L == 0 {
-					t.Fatalf("region %v: zero block length for %d items", r, count)
+				for i := 1; i < len(all); i++ {
+					if all[i-1].key > all[i].key {
+						t.Fatalf("%s region %v count %d: not sorted at %d", ss.name, r, count, i)
+					}
 				}
-				if steps != SortCost(r, L) {
-					t.Fatalf("region %v: steps=%d, SortCost=%d", r, steps, SortCost(r, L))
-				}
-				// Item of global rank j sits at snake position j/L.
-				rank := 0
-				for i := 0; i < r.Size(); i++ {
-					p := r.ProcAtSnake(m, i)
-					for range out[p] {
-						if rank/L != i {
-							t.Fatalf("region %v: rank %d on snake proc %d, want %d", r, rank, i, rank/L)
+				if count > 0 {
+					if L == 0 {
+						t.Fatalf("%s region %v: zero block length for %d items", ss.name, r, count)
+					}
+					if steps != SortCost(r, L) {
+						t.Fatalf("%s region %v: steps=%d, SortCost=%d", ss.name, r, steps, SortCost(r, L))
+					}
+					// Item of global rank j sits at snake position j/L.
+					rank := 0
+					for i := 0; i < r.Size(); i++ {
+						p := r.ProcAtSnake(m, i)
+						for range out[p] {
+							if rank/L != i {
+								t.Fatalf("%s region %v: rank %d on snake proc %d, want %d", ss.name, r, rank, i, rank/L)
+							}
+							rank++
 						}
-						rank++
 					}
 				}
 			}
@@ -73,6 +75,9 @@ func TestSortSnakeSortsIntoSnakeOrder(t *testing.T) {
 	}
 }
 
+// TestSortSnakeFastEquivalence checks SortSnake, which charges the
+// shearsort network without running it, against the round-by-round
+// network reference: same layout, block length and steps.
 func TestSortSnakeFastEquivalence(t *testing.T) {
 	m := mesh.MustNew(6)
 	rng := rand.New(rand.NewSource(11))
@@ -94,8 +99,8 @@ func TestSortSnakeFastEquivalence(t *testing.T) {
 			for p := range items {
 				clone[p] = append([]item(nil), items[p]...)
 			}
-			a, la, sa := SortSnake(m, r, items, func(v item) uint64 { return v.key })
-			b, lb, sb := SortSnakeFast(m, r, clone, func(v item) uint64 { return v.key })
+			a, la, sa := sortSnakeNet(m, r, items, func(v item) uint64 { return v.key })
+			b, lb, sb := SortSnake(m, r, clone, func(v item) uint64 { return v.key })
 			if la != lb || sa != sb {
 				t.Fatalf("region %v: (L,steps) mismatch network (%d,%d) fast (%d,%d)", r, la, sa, lb, sb)
 			}
@@ -114,7 +119,7 @@ func TestSortSnakeFastEquivalence(t *testing.T) {
 	}
 
 	// Repeated keys (baseline and staged routing sort on destinations
-	// alone): the fast path must keep the stable order, i.e. match a
+	// alone): SortSnake must keep the stable order, i.e. match a
 	// stable sort of the items in row-major collection order dealt into
 	// snake-ordered blocks of the maximum initial load.
 	for _, r := range []mesh.Region{m.Full(), {R0: 1, C0: 1, H: 4, W: 2}, {R0: 0, C0: 0, H: 1, W: 6}} {
@@ -138,7 +143,7 @@ func TestSortSnakeFastEquivalence(t *testing.T) {
 				p := r.ProcAtSnake(m, rank/L)
 				want[p] = append(want[p], v)
 			}
-			got, lb, _ := SortSnakeFast(m, r, items, func(v item) uint64 { return v.key })
+			got, lb, _ := SortSnake(m, r, items, func(v item) uint64 { return v.key })
 			if lb != L {
 				t.Fatalf("region %v: block length %d, want %d", r, lb, L)
 			}
@@ -430,16 +435,16 @@ func BenchmarkSortSnakeNetwork(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		items := scatterItems(m, r, 2*m.N, rng)
-		SortSnake(m, r, items, func(v item) uint64 { return v.key })
+		sortSnakeNet(m, r, items, func(v item) uint64 { return v.key })
 	}
 }
 
-func BenchmarkSortSnakeFast(b *testing.B) {
+func BenchmarkSortSnake(b *testing.B) {
 	m := mesh.MustNew(16)
 	r := m.Full()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		items := scatterItems(m, r, 2*m.N, rng)
-		SortSnakeFast(m, r, items, func(v item) uint64 { return v.key })
+		SortSnake(m, r, items, func(v item) uint64 { return v.key })
 	}
 }

@@ -74,7 +74,7 @@ func RouteL1L2[T any](m *mesh.Machine, r mesh.Region, items [][]T, dest func(T) 
 		}
 		items[p] = items[p][:0]
 	})
-	sorted, _, sortSteps := SortSnakeFast(m, r, wrapped, func(p destPkt[T]) uint64 { return uint64(p.d) })
+	sorted, _, sortSteps := SortSnake(m, r, wrapped, func(p destPkt[T]) uint64 { return uint64(p.d) })
 	cost.Sort = sortSteps
 	routed, routeSteps := GreedyRoute(m, r, sorted, func(p destPkt[T]) int { return p.d })
 	cost.Fine = routeSteps
@@ -116,7 +116,7 @@ func RouteStaged[T any](m *mesh.Machine, r mesh.Region, q, parts int, items [][]
 	// Sort by (submesh, destination) so packets for one submesh are
 	// contiguous in snake order.
 	keyOf := func(p stagedPkt[T]) uint64 { return uint64(p.sub)<<32 | uint64(uint32(p.d)) }
-	sorted, _, sortSteps := SortSnakeFast(m, r, wrapped, keyOf)
+	sorted, _, sortSteps := SortSnake(m, r, wrapped, keyOf)
 	cost.Sort = sortSteps
 
 	// Rank within each destination-submesh group (a segmented prefix

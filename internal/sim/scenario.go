@@ -71,7 +71,6 @@ type Scenario struct {
 	Sort           string `json:"sort,omitempty"` // shear | rotate ("" = shear)
 	DisableCulling bool   `json:"disable_culling,omitempty"`
 	DirectRouting  bool   `json:"direct_routing,omitempty"`
-	NetworkSort    bool   `json:"network_sort,omitempty"`
 
 	// Faults and self-healing.
 	Faults        string `json:"faults,omitempty"`         // static spec (fault.Parse)
@@ -80,8 +79,6 @@ type Scenario struct {
 	Repair        string `json:"repair,omitempty"`         // off | eager | lazy ("" = off)
 	Retry         int    `json:"retry,omitempty"`          // checkpointed-retry budget
 
-	// Engine.
-	Engine string `json:"engine,omitempty"` // event | cycle ("" = event)
 	// Workers is accepted and ignored: the routing engine is sequential.
 	// It stays so that existing scenario files still decode; Normalized
 	// zeroes it, so it changes neither the canonical encoding nor the key.
@@ -104,8 +101,7 @@ func DefaultScenario() Scenario {
 		Program: "prefixsum", Size: 64, Seed: 1,
 		Backend: BackendBoth,
 		Policy:  "majority", Sort: "shear",
-		FaultView: "global",
-		Repair:    "off", Engine: "event",
+		FaultView: "global", Repair: "off",
 		IdealMemory: 1 << 20,
 	}
 }
@@ -146,9 +142,6 @@ func (sc Scenario) Normalized() Scenario {
 	}
 	if sc.Repair == "" {
 		sc.Repair = "off"
-	}
-	if sc.Engine == "" {
-		sc.Engine = "event"
 	}
 	return sc
 }
@@ -241,9 +234,6 @@ func (sc Scenario) resolve() (Config, error) {
 	if cc.Repair, err = core.ParseRepairPolicy(sc.Repair); err != nil {
 		return Config{}, &fieldError{Field: "repair", Err: err}
 	}
-	if cc.EngineMode, err = parseEngineMode(sc.Engine); err != nil {
-		return Config{}, &fieldError{Field: "engine", Err: err}
-	}
 	if sc.Retry < 0 || sc.Retry > MaxRetry {
 		return Config{}, fieldErrf("retry", "retry budget %d must be in [0, %d]", sc.Retry, MaxRetry)
 	}
@@ -262,7 +252,6 @@ func (sc Scenario) resolve() (Config, error) {
 	cc.Torus = sc.Torus
 	cc.DisableCulling = sc.DisableCulling
 	cc.DirectRouting = sc.DirectRouting
-	cc.UseNetworkSort = sc.NetworkSort
 	// The local view's witness tie-breaks reuse the scenario seed, so
 	// one Scenario pins the whole timeline.
 	cc.FaultViewSeed = sc.Seed
@@ -363,13 +352,11 @@ func (sc Scenario) Canonical() []byte {
 	put("d", strconv.Itoa(sc.D))
 	put("direct_routing", strconv.FormatBool(sc.DirectRouting))
 	put("disable_culling", strconv.FormatBool(sc.DisableCulling))
-	put("engine", strconv.Quote(sc.Engine))
 	put("fault_schedule", strconv.Quote(sc.FaultSchedule))
 	put("fault_view", strconv.Quote(sc.FaultView))
 	put("faults", strconv.Quote(sc.Faults))
 	put("ideal_memory", strconv.Itoa(sc.IdealMemory))
 	put("k", strconv.Itoa(sc.K))
-	put("network_sort", strconv.FormatBool(sc.NetworkSort))
 	put("policy", strconv.Quote(sc.Policy))
 	put("program", strconv.Quote(sc.Program))
 	put("q", strconv.Itoa(sc.Q))
@@ -414,14 +401,4 @@ func parseSortAlgo(s string) (route.SortAlgo, error) {
 		return route.RotateSort, nil
 	}
 	return 0, fmt.Errorf("unknown sort algorithm %q (want shear or rotate)", s)
-}
-
-func parseEngineMode(s string) (route.EngineMode, error) {
-	switch s {
-	case "", "event":
-		return route.ModeEvent, nil
-	case "cycle":
-		return route.ModeCycle, nil
-	}
-	return 0, fmt.Errorf("unknown engine mode %q (want event or cycle)", s)
 }

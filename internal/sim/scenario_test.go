@@ -22,13 +22,11 @@ const goldenCanonical = `backend="both"
 d=3
 direct_routing=false
 disable_culling=false
-engine="event"
 fault_schedule=""
 fault_view="global"
 faults=""
 ideal_memory=1048576
 k=2
-network_sort=false
 policy="majority"
 program="prefixsum"
 q=3
@@ -43,7 +41,7 @@ trace=false
 `
 
 // goldenKey = hex(sha256(goldenCanonical)).
-const goldenKey = "142d69390347ee045406041ece682b912be96c83896945181a262e1e9147b711"
+const goldenKey = "2e87d2826e9c4b2afef9a5877e652a4de978099aa3db0d30553f8ef4a8302bc1"
 
 func TestCanonicalGolden(t *testing.T) {
 	sc := DefaultScenario()
@@ -120,6 +118,19 @@ func TestNormalizedEquivalence(t *testing.T) {
 	}
 }
 
+// TestDecodeScenarioRejectsRemovedKnobs pins that the deleted engine
+// and network-sort switches are unknown fields now: a scenario naming
+// them fails to decode instead of silently running something else.
+func TestDecodeScenarioRejectsRemovedKnobs(t *testing.T) {
+	for _, knob := range []string{`{"engine":"cycle"}`, `{"network_sort":true}`} {
+		sc := DefaultScenario()
+		err := DecodeScenario(strings.NewReader(knob), &sc)
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("DecodeScenario(%s) = %v, want an unknown-field error", knob, err)
+		}
+	}
+}
+
 func TestScenarioJSONRoundTrip(t *testing.T) {
 	sc := DefaultScenario()
 	sc.Program = "matvec"
@@ -129,7 +140,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	sc.Repair = "eager"
 	sc.Retry = 2
 	sc.Torus = true
-	sc.NetworkSort = true
+	sc.DirectRouting = true
 	sc.Trace = true
 
 	data, err := json.Marshal(sc)
@@ -178,7 +189,6 @@ func TestValidateRejections(t *testing.T) {
 		{"bad sort", mod(func(s *Scenario) { s.Sort = "bubble" }), "sort"},
 		{"bad repair", mod(func(s *Scenario) { s.Repair = "eventually" }), "repair"},
 		{"bad fault view", mod(func(s *Scenario) { s.FaultView = "psychic" }), "fault_view"},
-		{"bad engine", mod(func(s *Scenario) { s.Engine = "warp" }), "engine"},
 		{"negative retry", mod(func(s *Scenario) { s.Retry = -1 }), "retry"},
 		{"retry above limit", mod(func(s *Scenario) { s.Retry = MaxRetry + 1 }), "retry"},
 		{"negative ideal memory", mod(func(s *Scenario) { s.IdealMemory = -1 }), "ideal_memory"},
@@ -241,13 +251,11 @@ func TestFromScenarioBridges(t *testing.T) {
 		{"sort", func(s *Scenario) { s.Sort = "rotate" }, func(c Config) bool { return c.Core.Sort == route.RotateSort }},
 		{"disable_culling", func(s *Scenario) { s.DisableCulling = true }, func(c Config) bool { return c.Core.DisableCulling }},
 		{"direct_routing", func(s *Scenario) { s.DirectRouting = true }, func(c Config) bool { return c.Core.DirectRouting }},
-		{"network_sort", func(s *Scenario) { s.NetworkSort = true }, func(c Config) bool { return c.Core.UseNetworkSort }},
 		{"faults", func(s *Scenario) { s.Faults = "node:5" }, func(c Config) bool { return c.Core.Faults.NodeDead(5) }},
 		{"fault_schedule", func(s *Scenario) { s.FaultSchedule = "@3 module:40" }, func(c Config) bool { return c.Core.Schedule.Len() == 1 }},
 		{"fault_view", func(s *Scenario) { s.FaultView = "local" }, func(c Config) bool { return c.Core.FaultView == faultview.Local }},
 		{"repair", func(s *Scenario) { s.Repair = "lazy" }, func(c Config) bool { return c.Core.Repair == core.RepairLazy }},
 		{"retry", func(s *Scenario) { s.Retry = 3 }, func(c Config) bool { return c.Retry == 3 }},
-		{"engine", func(s *Scenario) { s.Engine = "cycle" }, func(c Config) bool { return c.Core.EngineMode == route.ModeCycle }},
 		{"ideal_memory", func(s *Scenario) { s.IdealMemory = 4096 }, func(c Config) bool { return c.IdealMemory == 4096 }},
 	}
 	base, err := FromScenario(DefaultScenario())

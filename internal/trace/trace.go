@@ -359,9 +359,6 @@ type Ledger struct {
 // Option configures a Ledger.
 type Option func(*Ledger)
 
-// WithSink registers a sink receiving every completed root span.
-func WithSink(s Sink) Option { return func(l *Ledger) { l.sinks = append(l.sinks, s) } }
-
 // WithAllocs enables per-span heap-allocation deltas. It reads
 // runtime.MemStats at every Begin/End, which is expensive — use for
 // profiling sessions, not steady-state accounting.
@@ -376,9 +373,8 @@ func New(opts ...Option) *Ledger {
 	return l
 }
 
-// AddSink registers a sink on an existing ledger — the
-// post-construction form of WithSink, for builders that wire sinks
-// after the ledger is already owned by a machine or simulator.
+// AddSink registers a sink receiving every completed root span. It
+// works on a ledger already owned by a machine or simulator.
 func (l *Ledger) AddSink(s Sink) {
 	if l == nil || s == nil {
 		return

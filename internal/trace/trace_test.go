@@ -132,7 +132,9 @@ func TestConcurrentCharges(t *testing.T) {
 func TestSinksReceiveRoots(t *testing.T) {
 	var collect CollectSink
 	var buf bytes.Buffer
-	l := New(WithSink(&collect), WithSink(JSONSink{&buf}))
+	l := New()
+	l.AddSink(&collect)
+	l.AddSink(JSONSink{&buf})
 	for i := 0; i < 3; i++ {
 		r := l.Begin("step", PhaseOther)
 		l.Begin("sort", PhaseSort).End()
