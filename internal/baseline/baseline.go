@@ -64,10 +64,6 @@ type pipeline struct {
 	M *mesh.Machine
 
 	copies int // copies accessed per op
-	// echoUnwritten keeps a read's own Value when its copy sits on a
-	// processor that never stored a word (RandomMOS's answer, pinned by
-	// TestStepFixtures); otherwise such a read returns 0.
-	echoUnwritten bool
 
 	store []map[int64]tsCell // per processor: slot → value and write time
 	now   int64              // step clock, the write timestamp
@@ -162,8 +158,10 @@ func (pl *pipeline) step(ops []Op, vars int, copyAt func(v, j int) (proc int, sl
 				}
 				pl.store[p][pk.slot] = tsCell{val: pk.val, ts: pl.now}
 				pk.ts = pl.now
-			} else if s := pl.store[p]; s != nil || !pl.echoUnwritten {
-				c := s[pk.slot]
+			} else {
+				// An unwritten copy reads 0, also on a processor that
+				// never stored a word.
+				c := pl.store[p][pk.slot]
 				pk.val, pk.ts = c.val, c.ts
 			}
 		}
@@ -284,7 +282,6 @@ func NewRandomMOS(side, vars, c int, seed int64) (*RandomMOS, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl.echoUnwritten = true
 	rng := rand.New(rand.NewSource(seed))
 	b := &RandomMOS{pipeline: pl, C: c, vars: vars, place: make([][]int32, vars)}
 	for v := range b.place {

@@ -51,6 +51,29 @@ func TestNoReplicationUnwrittenZero(t *testing.T) {
 	}
 }
 
+// TestUnwrittenReadIgnoresValue reads never-written variables with a
+// nonzero Value on a fresh machine, where no processor has stored a
+// word: both organizations must answer 0, not the op's own Value.
+func TestUnwrittenReadIgnoresValue(t *testing.T) {
+	nr, _ := NewNoReplication(9, 100)
+	rm, err := NewRandomMOS(9, 100, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []Op{{Origin: 0, Var: 5, Value: 77}, {Origin: 3, Var: 9, Value: -4}}
+	for _, c := range []struct {
+		name string
+		b    stepper
+	}{{"NoReplication", nr}, {"RandomMOS", rm}} {
+		res, _ := c.b.Step(ops)
+		for i, w := range res {
+			if w != 0 {
+				t.Errorf("%s: unwritten read %d answered %d", c.name, i, w)
+			}
+		}
+	}
+}
+
 func TestNoReplicationAdversarialHotspot(t *testing.T) {
 	b, _ := NewNoReplication(9, 20000)
 	hot := b.Home(0)

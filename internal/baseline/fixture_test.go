@@ -38,8 +38,10 @@ func fixtureBatches(t *testing.T, b stepper, n, vars int) ([]uint64, []StepCost)
 }
 
 // TestStepFixtures pins read results and StepCost of both memory
-// organizations on seeded batches — values recorded before the two Step
-// implementations were folded into one pipeline.
+// organizations on seeded batches. The costs were recorded before the
+// two Step implementations were folded into one pipeline; the RandomMOS
+// read checksums were re-recorded when reads of copies on processors
+// that never stored a word stopped echoing the op's Value.
 func TestStepFixtures(t *testing.T) {
 	const side, vars = 9, 500
 	cases := []struct {
@@ -54,14 +56,14 @@ func TestStepFixtures(t *testing.T) {
 		{"NoReplicationCW", func() (stepper, error) { return NewNoReplicationCW(side, vars, 3) },
 			[]uint64{0x7719971044cecf65, 0xf4464fd5cb35c40d, 0x118610371291ba7d, 0xe084b58d9f884a8},
 			[]StepCost{{396, 15, 3, 15}, {396, 15, 3, 13}, {297, 16, 3, 14}, {297, 14, 3, 14}}},
-		// RandomMOS's early sums differ from the single-copy ones: a read
-		// whose copies sit only on processors that never stored a word
-		// answers with the op's own Value (see ROADMAP).
+		// Every organization answers the same PRAM semantics, so the
+		// RandomMOS sums equal the single-copy ones: an unwritten variable
+		// reads 0 wherever its copies sit.
 		{"RandomMOS-c2", func() (stepper, error) { return NewRandomMOS(side, vars, 2, 7) },
-			[]uint64{0xdd01545cae5f9c78, 0x97f66c87fe3374bd, 0x821c90a7dcb1a39f, 0xe084b58d9f884a8},
+			[]uint64{0x7719971044cecf65, 0xf4464fd5cb35c40d, 0x118610371291ba7d, 0xe084b58d9f884a8},
 			[]StepCost{{792, 30, 7, 15}, {792, 29, 6, 14}, {594, 21, 5, 15}, {594, 22, 7, 15}}},
 		{"RandomMOS-c3", func() (stepper, error) { return NewRandomMOS(side, vars, 3, 7) },
-			[]uint64{0xf70bd2f71538ca2b, 0xca86826625104c72, 0x2103d42c0d3d71d2, 0xe084b58d9f884a8},
+			[]uint64{0x7719971044cecf65, 0xf4464fd5cb35c40d, 0x118610371291ba7d, 0xe084b58d9f884a8},
 			[]StepCost{{1188, 35, 6, 14}, {1188, 38, 7, 19}, {891, 31, 7, 18}, {891, 32, 6, 15}}},
 	}
 	for _, c := range cases {

@@ -70,6 +70,7 @@ type Map struct {
 	slowLink   *bitset.Set // nil until the first link fault
 	slowFactor map[int]int // edge bit → delay factor ≥ 2, for set slowLink bits
 	faults     int         // total marks, for Empty()
+	net        int         // dead nodes + dead links + slow links, for NetworkHealthy()
 	gen        uint64      // bumped by every node or link liveness change
 	frozen     bool        // installed in a machine; builders refuse
 }
@@ -175,6 +176,7 @@ func (f *Map) Clone() *Map {
 		f.slowLink.ForEach(func(b int) { n.slowFactor[b] = f.slowFactor[b] })
 	}
 	n.faults = f.faults
+	n.net = f.net
 	return n
 }
 
@@ -267,14 +269,14 @@ func (f *Map) SlowLink(p, q, factor int) *Map {
 // simulator owns a private clone when advancing a Schedule).
 func (f *Map) setNode(p int, dead bool) {
 	if f.deadNode.Set(p, dead) {
-		f.bump(dead)
+		f.bump(dead, true)
 		f.gen++
 	}
 }
 
 func (f *Map) setModule(p int, dead bool) {
 	if f.deadModule.Set(p, dead) {
-		f.bump(dead)
+		f.bump(dead, false)
 	}
 }
 
@@ -284,7 +286,7 @@ func (f *Map) setLink(p, q int, dead bool) {
 	}
 	f.ensureLinks()
 	if f.deadLink.Set(edgeBit(f.side, p, q), dead) {
-		f.bump(dead)
+		f.bump(dead, true)
 		f.gen++
 	}
 }
@@ -300,23 +302,34 @@ func (f *Map) setSlow(p, q, factor int) {
 	if factor <= 1 {
 		if f.slowLink.Set(b, false) {
 			delete(f.slowFactor, b)
-			f.bump(false)
+			f.bump(false, true)
 		}
 		return
 	}
 	if f.slowLink.Set(b, true) {
-		f.bump(true)
+		f.bump(true, true)
 	}
 	f.slowFactor[b] = factor
 }
 
-func (f *Map) bump(up bool) {
-	if up {
-		f.faults++
-	} else {
-		f.faults--
+// bump adjusts the fault counters for one mark set (up) or cleared;
+// network marks (nodes, links, slow links) also move the net counter.
+func (f *Map) bump(up, network bool) {
+	d := 1
+	if !up {
+		d = -1
+	}
+	f.faults += d
+	if network {
+		f.net += d
 	}
 }
+
+// NetworkHealthy reports whether the map leaves the network untouched:
+// no dead node, no dead link and no slow link, so every link carries a
+// packet every cycle. Dead modules do not count — they make copies
+// unavailable but block no link. O(1) and nil-safe.
+func (f *Map) NetworkHealthy() bool { return f == nil || f.net == 0 }
 
 // Gen returns the liveness generation: a counter bumped by every change
 // to a node's or a link's dead mark (module and slow-factor changes do
@@ -563,7 +576,9 @@ func Parse(side int, spec string) (*Map, error) {
 				switch key {
 				case "seed", "factor":
 					v, err := strconv.ParseInt(val, 10, 64)
-					if err != nil {
+					// A slow factor below 2 is no slow link at all; slow:PxF
+					// rejects it too.
+					if err != nil || (key == "factor" && v < 2) {
 						return nil, fmt.Errorf("fault: bad rand %s %q", key, val)
 					}
 					if key == "seed" {

@@ -146,10 +146,59 @@ func TestParse(t *testing.T) {
 	for _, bad := range []string{
 		"nonsense", "node:", "node:99999", "link:0-4", "link:5",
 		"slow:7-8", "slow:7-8x1", "rand:link=2", "rand:bogus=1", "rand:link",
+		// A rand slow factor below 2 is rejected like slow:7-8x1, not
+		// silently replaced by the default.
+		"rand:slow=0.5,factor=1", "rand:slow=0.5,factor=-3", "rand:slow=0.5,factor=0",
 	} {
 		if _, err := Parse(9, bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
+	}
+}
+
+// TestParseRandFactor checks that an accepted rand factor is the one
+// the slow links get.
+func TestParseRandFactor(t *testing.T) {
+	f, err := Parse(9, "rand:slow=0.5,factor=2,seed=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.MaxDelay() != 2 {
+		t.Errorf("rand factor=2 built slow links with period %d", f.MaxDelay())
+	}
+}
+
+// TestNetworkHealthy walks one map through every component class and
+// back: module marks leave the network healthy, node, link and slow
+// marks do not, clearing them restores it, and Clone carries the state.
+func TestNetworkHealthy(t *testing.T) {
+	var nilMap *Map
+	if !nilMap.NetworkHealthy() {
+		t.Fatal("nil map: network not healthy")
+	}
+	f := NewMap(9)
+	step := func(label string, ev Event, want bool) {
+		t.Helper()
+		f.Apply(ev)
+		if got := f.NetworkHealthy(); got != want {
+			t.Errorf("after %s: NetworkHealthy = %v, want %v", label, got, want)
+		}
+		if got := f.Clone().NetworkHealthy(); got != want {
+			t.Errorf("after %s: clone NetworkHealthy = %v, want %v", label, got, want)
+		}
+	}
+	step("kill-module", Event{Kind: EvKillModule, P: 4}, true)
+	step("kill-node", Event{Kind: EvKillNode, P: 5}, false)
+	step("kill-node again", Event{Kind: EvKillNode, P: 5}, false)
+	step("revive-node", Event{Kind: EvReviveNode, P: 5}, true)
+	step("kill-link", Event{Kind: EvKillLink, P: 0, Q: 1}, false)
+	step("slow-link", Event{Kind: EvSlowLink, P: 2, Q: 3, Factor: 3}, false)
+	step("revive-link", Event{Kind: EvReviveLink, P: 0, Q: 1}, false)
+	step("slow-link refactor", Event{Kind: EvSlowLink, P: 2, Q: 3, Factor: 5}, false)
+	step("heal-link", Event{Kind: EvHealLink, P: 2, Q: 3}, true)
+	step("revive-module", Event{Kind: EvReviveModule, P: 4}, true)
+	if !f.Empty() {
+		t.Errorf("map not empty after every mark was cleared: %s", f)
 	}
 }
 

@@ -9,7 +9,10 @@
 // adjacent survivor on death), packaged as a versioned Notice with a
 // per-origin monotone sequence number, and flooded one hop per gossip
 // round — one round per charged routing cycle plus one per protocol
-// step boundary. Until the notice reaches a node, that node routes,
+// step boundary. The cycle loop runs a round after each sweep; a route
+// the line solver takes (no network fault anywhere in truth or view)
+// runs the same rounds after it, batched by TickN. Until the notice
+// reaches a node, that node routes,
 // injects and repairs against its stale belief: packets are sent into
 // dead components (charged as losses), detours are planned around
 // links that already healed, and the scrub coordinator cannot start a
@@ -119,6 +122,11 @@ type View struct {
 	base *fault.Map // shared knowledge at round 0 (static pre-step faults)
 	full *fault.Map // base + every notice applied (the quiet-state belief)
 
+	// netSeen is set once base or a logged notice holds a node or link
+	// fault (dead node, dead link or slow link). Until then no belief
+	// can block a hop.
+	netSeen bool
+
 	log   []Notice
 	seq   []int      // per-node next sequence number
 	known [][]uint64 // per-node bitset over log indices
@@ -188,6 +196,7 @@ func New(side int, wrap bool, base *fault.Map, seed int64) *View {
 		v.base = fault.NewMap(side)
 	}
 	v.full = v.base.Clone()
+	v.netSeen = !v.base.NetworkHealthy()
 	for p := 0; p < n; p++ {
 		v.nbs[p] = neighbors(side, wrap, p)
 	}
@@ -285,6 +294,14 @@ func (v *View) KnownAt(p, idx int) bool {
 
 // Log returns the notice log (a copy).
 func (v *View) Log() []Notice { return append([]Notice(nil), v.log...) }
+
+// NetworkFaultSeen reports whether the view has ever held a node or
+// link fault — a dead node, dead link or slow link — in its base map or
+// in a logged notice. While it has not, every node's belief leaves
+// every link usable on every cycle. A node killed and revived again
+// counts: nodes that heard only the kill may still believe it dead.
+// O(1).
+func (v *View) NetworkFaultSeen() bool { return v.netSeen }
 
 // NoticeCount returns the length of the notice log — a cheap version
 // counter for caches keyed on the log (nil-safe would be pointless:
@@ -463,6 +480,7 @@ func (v *View) createNotice(w int, kind fault.EventKind, p, q, factor int, truth
 	v.seq[w]++
 	idx := len(v.log)
 	v.log = append(v.log, nt)
+	v.netSeen = v.netSeen || isNetworkKind(kind)
 	v.growBitsets()
 	v.known[w][idx>>6] |= 1 << (idx & 63)
 	v.count[w]++
@@ -510,7 +528,7 @@ func (v *View) growBitsets() {
 // identical to a full scan every round.
 func (v *View) Tick(truth *fault.Map) {
 	v.round++
-	if len(v.log) == 0 {
+	if v.idle(truth) {
 		return
 	}
 	cand := v.cand[:0]
@@ -521,9 +539,6 @@ func (v *View) Tick(truth *fault.Map) {
 			cand = append(cand, int32(p))
 		}
 	} else {
-		if len(v.front) == 0 {
-			return
-		}
 		for _, f := range v.front {
 			for _, q := range v.nbs[f] {
 				if !v.mark[q] {
@@ -577,6 +592,27 @@ func (v *View) Tick(truth *fault.Map) {
 	v.cand, v.front = cand, front
 	if full || len(front) > 0 {
 		v.recomputeQuiet(truth)
+	}
+}
+
+// idle reports whether a round over truth would change nothing but the
+// round counter: the log is empty, or no frontier and no re-seed is
+// pending and the truth's liveness is the one last exchanged.
+func (v *View) idle(truth *fault.Map) bool {
+	return len(v.log) == 0 ||
+		(len(v.front) == 0 && !v.reseed && truth == v.seen && truth.Gen() == v.seenGen)
+}
+
+// TickN runs steps gossip rounds with the outcome of steps calls of
+// Tick. Once the view is idle, the remaining rounds are added to the
+// round counter at once.
+func (v *View) TickN(truth *fault.Map, steps int64) {
+	for ; steps > 0; steps-- {
+		if v.idle(truth) {
+			v.round += steps
+			return
+		}
+		v.Tick(truth)
 	}
 }
 
@@ -689,8 +725,10 @@ func (v *View) Restore(img Image, truth *fault.Map) error {
 	v.created, v.sent, v.applied = img.Created, img.Sent, img.Applied
 	v.staleMax, v.hist = img.StaleMax, img.Hist
 	v.full = v.base.Clone()
+	v.netSeen = !v.base.NetworkHealthy()
 	for _, nt := range v.log {
 		v.full.Apply(nt.Event())
+		v.netSeen = v.netSeen || isNetworkKind(nt.Kind)
 	}
 	for p := 0; p < v.n; p++ {
 		v.known[p] = append(v.known[p][:0], img.Known[p]...)

@@ -336,3 +336,55 @@ func TestMemBytesCountsFrontier(t *testing.T) {
 		t.Fatalf("MemBytes grew by %d after growing the frontier buffers, want %d", grew, want)
 	}
 }
+
+// TestNetworkFaultSeen checks the flag the router's line-path guard
+// reads: module faults and module notices leave it clear; a node or
+// link fault in the base map or in any notice sets it, and a revival
+// does not clear it; a Restore recomputes it from the restored log.
+func TestNetworkFaultSeen(t *testing.T) {
+	const side = 5
+	truth := fault.NewMap(side).KillModule(3)
+	if New(side, false, truth, 1).NetworkFaultSeen() {
+		t.Fatal("module-only base map: network fault seen")
+	}
+	if !New(side, false, fault.NewMap(side).SlowLink(0, 1, 3), 1).NetworkFaultSeen() {
+		t.Fatal("base map with a slow link: no network fault seen")
+	}
+	v := New(side, false, truth, 1)
+	observe := func(ev fault.Event, want bool) {
+		t.Helper()
+		truth.Apply(ev)
+		if _, ok := v.ObserveEvent(ev, truth); !ok {
+			t.Fatalf("%v went unwitnessed", ev.Kind)
+		}
+		v.TickN(truth, 3)
+		if got := v.NetworkFaultSeen(); got != want {
+			t.Fatalf("after %v: NetworkFaultSeen %v, want %v", ev.Kind, got, want)
+		}
+	}
+	observe(fault.Event{Kind: fault.EvKillModule, P: 7}, false)
+	observe(fault.Event{Kind: fault.EvReviveModule, P: 7}, false)
+	img := v.Image()
+	observe(fault.Event{Kind: fault.EvKillNode, P: 12}, true)
+	observe(fault.Event{Kind: fault.EvReviveNode, P: 12}, true)
+	if !truth.NetworkHealthy() {
+		t.Fatal("truth still holds a network fault after the revival")
+	}
+	if err := v.Restore(img, truth); err != nil {
+		t.Fatal(err)
+	}
+	if v.NetworkFaultSeen() {
+		t.Fatal("restored to a module-only log: network fault still seen")
+	}
+}
+
+// TestTickNEmptyLog checks that quiet rounds cost nothing but still
+// count: an empty log advances the round by exactly the batch size.
+func TestTickNEmptyLog(t *testing.T) {
+	v := New(4, true, nil, 1)
+	v.TickN(nil, 0)
+	v.TickN(nil, 1000)
+	if v.Round() != 1000 {
+		t.Fatalf("round %d after TickN(1000) on an empty log", v.Round())
+	}
+}

@@ -74,6 +74,12 @@ func isLinkKind(k fault.EventKind) bool {
 	return false
 }
 
+// isNetworkKind reports whether a notice of kind k is about the network
+// (a node or a link) rather than a memory module.
+func isNetworkKind(k fault.EventKind) bool {
+	return k != fault.EvKillModule && k != fault.EvReviveModule
+}
+
 // adjacent reports whether p and q share a mesh edge on a side×side
 // mesh, counting torus wrap edges (mirrors fault's adjacency rule).
 func adjacent(side, p, q int) bool {

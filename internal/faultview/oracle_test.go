@@ -211,8 +211,23 @@ func (o *oracle) step(op byte) {
 		}
 		o.compare("after Restore")
 	default:
-		o.tick(1 + o.rng.Intn(o.side+1))
+		k := 1 + o.rng.Intn(o.side+1)
+		if op&0x80 != 0 {
+			o.tickBatch(k)
+		} else {
+			o.tick(k)
+		}
 	}
+}
+
+// tickBatch runs k rounds on the frontier view in one TickN call and
+// compares once, after the last round.
+func (o *oracle) tickBatch(k int) {
+	o.fv.TickN(o.truth, int64(k))
+	for i := 0; i < k; i++ {
+		o.ref.tickFullScan(o.truth)
+	}
+	o.compare(fmt.Sprintf("TickN to round %d", o.ref.Round()))
 }
 
 func (o *oracle) tick(k int) {
@@ -234,6 +249,14 @@ func (o *oracle) compare(at string) {
 	}
 	if !slices.Equal(fv.log, ref.log) {
 		o.t.Fatalf("%s %s: notice logs differ", o.label, at)
+	}
+	seen := false
+	for _, nt := range fv.log {
+		seen = seen || isNetworkKind(nt.Kind)
+	}
+	if fv.NetworkFaultSeen() != seen {
+		o.t.Fatalf("%s %s: NetworkFaultSeen %v, log holds a node or link notice: %v",
+			o.label, at, fv.NetworkFaultSeen(), seen)
 	}
 	if fv.words != ref.words {
 		o.t.Fatalf("%s %s: %d knowledge words, full scan %d", o.label, at, fv.words, ref.words)
@@ -260,7 +283,8 @@ func (o *oracle) fp(memo map[*fault.Map]uint64, f *fault.Map) uint64 {
 
 // TestTickFrontierMatchesFullScan drives seeded event sequences — node,
 // link and module transitions, discoveries through Integrate, truth map
-// replacement, snapshot rollbacks and gossip rounds — through a
+// replacement, snapshot rollbacks and gossip rounds, one at a time or
+// batched through TickN — through a
 // frontier view and the full-scan reference, on the mesh and the torus,
 // and requires identical knowledge, stats, Quiet flags and beliefs
 // after every event and every round.

@@ -48,9 +48,11 @@ import (
 // bit-identical to the fault path's cycle loop on a healthy machine;
 // only the executed iteration count (Executed, and the ledger's Exec
 // counter) differs, never exceeding the charged cycles. The fault path
-// (RouteFault, RouteTorusFault) is the engine's one cycle-stepped loop
-// (DESIGN.md §11): it sweeps every charged cycle, so there Executed
-// counts sweeps and equals the charged cycles.
+// (RouteFault, RouteTorusFault) runs the engine's one cycle-stepped loop
+// (DESIGN.md §11) when the network is faulted: it sweeps every charged
+// cycle, so there Executed counts sweeps and equals the charged cycles.
+// A fault map that marks only dead modules blocks no link, so such
+// calls take the line solver too (linesSafe).
 //
 // An Engine is not safe for concurrent use; give each goroutine its
 // own. The zero value is not usable — construct with NewEngine.
@@ -97,6 +99,8 @@ type Engine[T any] struct {
 	disc  []faultview.Discovery // this sweep's discoveries
 	dropq []engDrop             // this sweep's probe-budget drops
 	wcnt  int                   // this sweep's backoff-waiting slots
+
+	cycleLoop bool // test seam: never take the line solver (ForceCycleLoop)
 }
 
 // SetFaultView installs a local-knowledge fault view: the fault-aware
@@ -112,8 +116,8 @@ func (e *Engine[T]) SetFaultView(v *faultview.View) { e.view = v }
 func (e *Engine[T]) FaultView() *faultview.View { return e.view }
 
 // Executed returns the physically executed iterations of the most
-// recent routing call: the sweeps of the cycle loop, or on the healthy
-// path the most iterations any single line ran (one per contended
+// recent routing call: the sweeps of the cycle loop, or on the line
+// solver the most iterations any single line ran (one per contended
 // cycle, one per free run). It is ≤ the call's charged cycle count,
 // with equality wherever the engine sweeps.
 func (e *Engine[T]) Executed() int64 { return e.execs }
@@ -150,27 +154,41 @@ func NewEngine[T any](m *mesh.Machine) *Engine[T] {
 // allocates). It returns the delivered items per processor and the
 // cycle count.
 func (e *Engine[T]) Route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
-	return e.route(dst, r, items, dest, meshTopo{e.m}, false)
+	//detlint:ignore checkederr a nil fault map loses no packet
+	delivered, steps, _ = e.route(dst, r, items, dest, meshTopo{e.m}, false, nil)
+	return delivered, steps
 }
 
 // RouteTorus is Route on the full machine with wrap-around links.
 func (e *Engine[T]) RouteTorus(dst [][]T, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
-	return e.route(dst, e.m.Full(), items, dest, torusTopo{e.m}, true)
+	//detlint:ignore checkederr a nil fault map loses no packet
+	delivered, steps, _ = e.route(dst, e.m.Full(), items, dest, torusTopo{e.m}, true, nil)
+	return delivered, steps
 }
 
 // RouteFault is the fault-aware routing of GreedyRouteFaultInto on the
 // engine: detours around dead links/nodes with backtrack demotion,
 // slow-link waiting, a bounded retry budget, and lost-packet
-// accounting, all bit-identical to the per-call router.
+// accounting, all bit-identical to the per-call router. When the
+// machine's network has no fault — its fault map, if any, marks only
+// dead modules, and a local view has never held a node or link fault —
+// the call is solved by the healthy line solver instead, with the same
+// deliveries, order, charged cycles and gossip rounds.
 func (e *Engine[T]) RouteFault(dst [][]T, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return e.routeFault(dst, r, items, dest, meshTopo{e.m}, false, e.m.Faults())
+	return e.route(dst, r, items, dest, meshTopo{e.m}, false, e.m.Faults())
 }
 
 // RouteTorusFault is RouteFault on the full machine with wrap-around
 // links.
 func (e *Engine[T]) RouteTorusFault(dst [][]T, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return e.routeFault(dst, e.m.Full(), items, dest, torusTopo{e.m}, true, e.m.Faults())
+	return e.route(dst, e.m.Full(), items, dest, torusTopo{e.m}, true, e.m.Faults())
 }
+
+// ForceCycleLoop makes every later routing call of e run the cycle
+// loop, even where the line solver gives the same result. It is for
+// tests only: the identity matrices use a forced engine as their
+// reference. No configuration, scenario or flag reaches it.
+func (e *Engine[T]) ForceCycleLoop() { e.cycleLoop = true }
 
 // ensure sizes the per-node state for region r and truncates the slab.
 func (e *Engine[T]) ensure(r mesh.Region) {
@@ -794,40 +812,36 @@ func (e *Engine[T]) sortWorklist(r mesh.Region) {
 	}
 }
 
-// route is the healthy path shared by Route and RouteTorus: it solves
-// the call line by line (routeLines). A region too wide for the line
-// encoding runs the cycle loop with no fault map.
-func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool) (delivered [][]T, steps int64) {
-	if max(r.H, r.W) > lnMaxSide {
-		//detlint:ignore checkederr a nil fault map loses no packet
-		delivered, steps, _ = e.routeFault(dst, r, items, dest, topo, wrap, nil)
-		return delivered, steps
+// linesSafe reports, in O(1), whether routeLines solves a call over
+// fault map f exactly as the cycle loop would. That holds when the
+// region fits the line encoding, f has no dead node, dead link or slow
+// link, and a local view in use has never held one: then no injection
+// is refused, no belief or link blocks a hop, and no probe or detour
+// fires, so both deliver the same packets in the same order after the
+// same cycles. (The loop's retry budget, 16·(H+W) + 4·#packets
+// cycles, is far above what a healthy network needs: no route of the
+// identity matrices reaches it.)
+func (e *Engine[T]) linesSafe(r mesh.Region, f *fault.Map) bool {
+	if e.cycleLoop || max(r.H, r.W) > lnMaxSide || !f.NetworkHealthy() {
+		return false
 	}
-	sp := e.m.Ledger().Begin("greedy", trace.PhaseForward)
-	defer func() {
-		sp.Observe(steps)
-		sp.Exec(e.execs)
-		sp.End()
-	}()
-	if dst == nil {
-		dst = make([][]T, e.m.N)
-	}
-	steps = e.routeLines(dst, r, items, dest, topo, wrap)
-	sp.AddPackets(int64(len(e.val)))
-	return dst, steps
+	return f == nil || e.view == nil || !e.view.NetworkFaultSeen()
 }
 
-// routeFault is the engine's one cycle-stepped loop, shared by
-// RouteFault and RouteTorusFault over the machine's fault map: one sweep
-// and merge per charged cycle. With a fault map f it detours around
-// dead links and nodes, waits on slow links, stops at the retry budget
-// (16·(H+W) + 4·#packets cycles) or at the wedge break after a full
-// slow period of silence, and counts the packets it loses; every cycle
-// spent detouring or waiting is a charged machine step. Under a local
-// fault view it advances one gossip round per cycle. With a nil map
-// every packet takes its dimension-ordered path, exactly as routeLines
-// solves it.
-func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool, f *fault.Map) (delivered [][]T, steps int64, lost int) {
+// route is shared by every entry point; f is the fault map the call
+// honors (nil on the healthy entry points, even on a faulted machine).
+// Where linesSafe allows, it solves the call line by line (routeLines)
+// and, under a local fault view, advances the gossip by the charged
+// cycles in one batch. Otherwise it runs the engine's one cycle-stepped
+// loop: one sweep and merge per charged cycle. With a fault map f that
+// loop detours around dead links and nodes, waits on slow links, stops
+// at the retry budget (16·(H+W) + 4·#packets cycles) or at the wedge
+// break after a full slow period of silence, and counts the packets it
+// loses; every cycle spent detouring or waiting is a charged machine
+// step. Under a local fault view it advances one gossip round per
+// cycle. With a nil map every packet takes its dimension-ordered path,
+// exactly as routeLines solves it.
+func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool, f *fault.Map) (delivered [][]T, steps int64, lost int) {
 	m := e.m
 	sp := m.Ledger().Begin("greedy", trace.PhaseForward)
 	defer func() {
@@ -842,10 +856,18 @@ func (e *Engine[T]) routeFault(dst [][]T, r mesh.Region, items [][]T, dest func(
 		dst = make([][]T, m.N)
 	}
 	delivered = dst
+	local := f != nil && e.view != nil
+	if e.linesSafe(r, f) {
+		steps = e.routeLines(delivered, r, items, dest, topo, wrap)
+		sp.AddPackets(int64(len(e.val)))
+		if local {
+			e.view.TickN(f, steps)
+		}
+		return delivered, steps, 0
+	}
 	e.ensure(r)
 	active, lost := e.inject(delivered, r, items, dest, topo, f)
 	sp.AddPackets(int64(len(e.val)))
-	local := f != nil && e.view != nil
 	if local {
 		// Per-slot probe state for this call's slab, zeroed.
 		n := len(e.val)

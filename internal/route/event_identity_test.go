@@ -9,8 +9,8 @@ import (
 )
 
 // The healthy path must be a perfect discrete-event simulation of the
-// cycle-stepped machine: everything the engine's one cycle loop (the
-// fault path) produces on a healthy machine — delivered contents and
+// cycle-stepped machine: everything the engine's one cycle loop (forced
+// with ForceCycleLoop) produces on a healthy machine — delivered contents and
 // per-processor order, charged cycles, lost counts, ledger spans — must
 // be byte-identical on the line-decomposed healthy path, on every
 // topology. The only permitted difference is the executed-iteration
@@ -31,12 +31,14 @@ func runEngineExec(t *testing.T, eng *Engine[item], withFaults, torus, faultPath
 // TestEventCycleBitIdentity is the seeded healthy-vs-cycle-loop matrix:
 // instances × {mesh, torus} × {healthy path, fault path on a healthy
 // machine, fault path with static faults (dead node, dead links, slow
-// links)}. The reference is always a fresh engine's fault path, on a
-// healthy machine for the first two rows; it is compared with one
-// engine reused across the whole matrix, and every observable output
-// must match. On a healthy machine the reference loses no packet.
-// Executed iterations must be ≤ charged cycles on the healthy path and
-// equal to them wherever the engine sweeps: on the fault path.
+// links)}. The reference is always a fresh engine's fault path with the
+// cycle loop forced, on a healthy machine for the first two rows; it is
+// compared with one engine reused across the whole matrix, and every
+// observable output must match. On a healthy machine the reference
+// loses no packet. Executed iterations must be ≤ charged cycles
+// everywhere and equal to them wherever the engine sweeps: on the
+// forced loop and on the fault path over a faulted network. (The fault
+// path on a healthy machine takes the line solver.)
 func TestEventCycleBitIdentity(t *testing.T) {
 	shared := NewEngine[item](mesh.MustNew(16))
 	type instance struct {
@@ -58,7 +60,7 @@ func TestEventCycleBitIdentity(t *testing.T) {
 				items := func(m *mesh.Machine) [][]item {
 					return engineInstance(in.kind, m, in.seed)
 				}
-				ref, refExec := runEngineExec(t, nil, path.faults, torus, true, items)
+				ref, refExec := runEngineExec(t, cycleEngine(mesh.MustNew(16)), path.faults, torus, true, items)
 				got, gotExec := runEngineExec(t, shared, path.faults, torus, path.faultPath, items)
 				requireIdentical(t, label, ref, got)
 				if !path.faults && ref.lost != 0 {
@@ -68,7 +70,7 @@ func TestEventCycleBitIdentity(t *testing.T) {
 					t.Errorf("%s: cycle loop executed %d of %d charged cycles",
 						label, refExec, ref.steps)
 				}
-				if path.faultPath && gotExec != got.steps {
+				if path.faults && gotExec != got.steps {
 					t.Errorf("%s: fault path executed %d of %d charged cycles, want one sweep per cycle",
 						label, gotExec, got.steps)
 				}

@@ -20,10 +20,11 @@ func cloneItems(items [][]item) [][]item {
 }
 
 // TestFaultRouterEmptyMapIdentity pins the rate-0 guarantee at the
-// router level: with a non-nil empty fault map, the fault-aware router
-// must make bit-identical decisions to the healthy one — same
-// delivered multisets per processor (in order) and the same cycle
-// count, on both the mesh and the torus.
+// router level: with a non-nil empty fault map, the fault-aware cycle
+// loop (forced, since an empty map would take the line solver) must
+// make bit-identical decisions to the healthy router — same delivered
+// multisets per processor (in order) and the same cycle count, on both
+// the mesh and the torus.
 func TestFaultRouterEmptyMapIdentity(t *testing.T) {
 	m1, m2 := mesh.MustNew(6), mesh.MustNew(6)
 	m2.SetFaults(fault.NewMap(6))
@@ -32,7 +33,7 @@ func TestFaultRouterEmptyMapIdentity(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			items := scatterItems(m1, r, 60, rng)
 			healthy, hSteps := GreedyRoute(m1, r, cloneItems(items), func(v item) int { return v.dest })
-			faulty, fSteps, lost := GreedyRouteFaultInto(nil, m2, r, cloneItems(items), func(v item) int { return v.dest })
+			faulty, fSteps, lost := cycleEngine(m2).RouteFault(nil, r, cloneItems(items), func(v item) int { return v.dest })
 			if lost != 0 {
 				t.Fatalf("region %v: empty map lost %d packets", r, lost)
 			}
@@ -47,7 +48,7 @@ func TestFaultRouterEmptyMapIdentity(t *testing.T) {
 	// Torus flavor.
 	items := scatterItems(m1, m1.Full(), 80, rng)
 	healthy, hSteps := GreedyRouteTorus(m1, cloneItems(items), func(v item) int { return v.dest })
-	faulty, fSteps, lost := NewEngine[item](m2).RouteTorusFault(nil, cloneItems(items), func(v item) int { return v.dest })
+	faulty, fSteps, lost := cycleEngine(m2).RouteTorusFault(nil, cloneItems(items), func(v item) int { return v.dest })
 	if lost != 0 || hSteps != fSteps || !reflect.DeepEqual(healthy, faulty) {
 		t.Fatalf("torus: empty-map identity broken (lost=%d, %d vs %d cycles)", lost, hSteps, fSteps)
 	}

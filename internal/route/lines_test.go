@@ -60,8 +60,8 @@ func lineCall(eng *Engine[item], ld *trace.Ledger, c lineCase, faultPath bool, i
 }
 
 // TestLineRouteIdentity pins the line-decomposed healthy path against
-// the cycle-stepped reference, the fault path on the same healthy
-// machine: delivered contents, per-processor order, charged cycles and
+// the cycle-stepped reference, the fault path forced onto the cycle
+// loop on the same healthy machine: delivered contents, per-processor order, charged cycles and
 // the ledger span must match on the full machine and on offset
 // non-square regions, at about 1, 4 and 9 packets per node, on the mesh
 // and the torus (side 2 makes a two-node ring), and the reference loses
@@ -90,7 +90,7 @@ func TestLineRouteIdentity(t *testing.T) {
 		for _, c := range cases {
 			label := fmt.Sprintf("side=%d/%s/load=%d", side, c.name, c.load)
 			items := lineItems(m, c.r, c.load, rng)
-			wantD, wantS, lost, wantSpan := lineCall(NewEngine[item](m), ld, c, true, cloneItems(items))
+			wantD, wantS, lost, wantSpan := lineCall(cycleEngine(m), ld, c, true, cloneItems(items))
 			gotD, gotS, _, gotSpan := lineCall(evt, ld, c, false, items)
 			if lost != 0 {
 				t.Errorf("%s: reference lost %d packets on a healthy machine", label, lost)
