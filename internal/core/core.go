@@ -82,10 +82,11 @@ type Config struct {
 	// around each axis. Submesh-confined stages are unchanged — wrap
 	// paths cannot stay inside a submesh (extension; experiment E16).
 	Torus bool
-	// Sort selects the sorting network: route.ShearSort (default, the
-	// documented substitution) or route.RotateSort (O(√n), applies to
-	// square regions with integer √side, falls back elsewhere;
-	// experiment E17).
+	// Sort selects the sorting network the protocol's sorts are charged
+	// for: route.ShearSort (default, the documented substitution) or
+	// route.RotateSort (O(√n), applies to square regions with integer
+	// √side, falls back elsewhere; experiment E17). The sorted data is
+	// the same either way.
 	Sort route.SortAlgo
 	// Faults installs a static fault map (internal/fault): dead or slow
 	// nodes, links and memory modules. Copy selection then avoids dead
@@ -1094,7 +1095,7 @@ func (sim *Simulator) routeIn(r mesh.Region, fullMachine bool, items [][]int32, 
 // destOf returns the destination processor of packet handle h.
 func (sim *Simulator) destOf(h int32) int { return int(sim.pk[h].dest) }
 
-// sortSnake runs the configured sorting network on the region.
+// sortSnake sorts the region and charges the configured sorting network.
 func (sim *Simulator) sortSnake(r mesh.Region, items [][]int32, key func(int32) uint64) ([][]int32, int, int64) {
 	if sim.cfg.Sort == route.RotateSort {
 		return route.SortSnakeRotate(sim.M, r, items, key)

@@ -435,21 +435,26 @@ type Model struct {
 	LinkRate   float64 // per-edge death probability
 	ModuleRate float64 // per-module death probability (node survives)
 	SlowRate   float64 // per-edge slow probability (applied to live links)
-	SlowFactor int     // cycle period of slow links (default 4)
+	SlowFactor int     // cycle period of slow links (0: the default 4; must not be 1 or negative)
 	Seed       int64
 }
 
 // Build realizes the model on a side×side mesh. Components are visited
 // in a fixed order (nodes, then row links, then column links, then
 // modules, then slow links), so the map is a pure function of the
-// model and the side.
-func (mo Model) Build(side int) *Map {
+// model and the side. A SlowFactor of 1 or below 0 is an error: a
+// period-1 link is no slow link, and only the zero value means the
+// default 4.
+func (mo Model) Build(side int) (*Map, error) {
+	factor := mo.SlowFactor
+	switch {
+	case factor == 0:
+		factor = 4
+	case factor < 2:
+		return nil, fmt.Errorf("fault: slow factor %d (want 0 for the default or ≥ 2)", factor)
+	}
 	f := NewMap(side)
 	rng := rand.New(rand.NewSource(mo.Seed))
-	factor := mo.SlowFactor
-	if factor < 2 {
-		factor = 4
-	}
 	n := side * side
 	for p := 0; p < n; p++ {
 		if mo.NodeRate > 0 && rng.Float64() < mo.NodeRate {
@@ -471,7 +476,7 @@ func (mo Model) Build(side int) *Map {
 			f.SlowLink(p, q, factor)
 		}
 	})
-	return f
+	return f, nil
 }
 
 // eachEdge visits the non-wrap mesh edges in a fixed order: all
@@ -610,7 +615,10 @@ func Parse(side int, spec string) (*Map, error) {
 		}
 	}
 	if model != nil {
-		rm := model.Build(side)
+		rm, err := model.Build(side)
+		if err != nil {
+			return nil, err
+		}
 		// Merge the random realization into the explicit marks.
 		rm.deadNode.ForEach(func(p int) { f.KillNode(p) })
 		rm.deadModule.ForEach(func(p int) { f.KillModule(p) })

@@ -101,18 +101,28 @@ func TestMapValidationPanics(t *testing.T) {
 	}
 }
 
+// mustBuild is Model.Build on a model the test knows is valid.
+func mustBuild(t *testing.T, mo Model, side int) *Map {
+	t.Helper()
+	f, err := mo.Build(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestModelDeterministic(t *testing.T) {
 	mo := Model{NodeRate: 0.1, LinkRate: 0.2, ModuleRate: 0.1, SlowRate: 0.2, Seed: 7}
-	a, b := mo.Build(9), mo.Build(9)
+	a, b := mustBuild(t, mo, 9), mustBuild(t, mo, 9)
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same model+seed built different maps")
 	}
 	mo.Seed = 8
-	c := mo.Build(9)
+	c := mustBuild(t, mo, 9)
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds built identical maps (suspicious)")
 	}
-	zero := Model{Seed: 3}.Build(9)
+	zero := mustBuild(t, Model{Seed: 3}, 9)
 	if !zero.Empty() {
 		t.Error("all-zero rates must build an empty map")
 	}
@@ -138,7 +148,7 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := Model{LinkRate: 0.05, ModuleRate: 0.02, Seed: 7}.Build(9)
+	r2 := mustBuild(t, Model{LinkRate: 0.05, ModuleRate: 0.02, Seed: 7}, 9)
 	if !reflect.DeepEqual(r1, r2) {
 		t.Error("rand spec and equivalent Model built different maps")
 	}
@@ -152,6 +162,29 @@ func TestParse(t *testing.T) {
 	} {
 		if _, err := Parse(9, bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
+		}
+	}
+}
+
+// TestModelBuildFactor checks Build's slow factor: zero is the default
+// 4, a factor of 2 or more is the period the slow links get, and 1 or a
+// negative factor is an error rather than a silent default.
+func TestModelBuildFactor(t *testing.T) {
+	for _, tc := range []struct {
+		factor, delay int
+		ok            bool
+	}{{0, 4, true}, {2, 2, true}, {5, 5, true}, {1, 0, false}, {-3, 0, false}} {
+		f, err := Model{SlowRate: 0.5, SlowFactor: tc.factor, Seed: 2}.Build(9)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("factor %d: built %s, want an error", tc.factor, f)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("factor %d: %v", tc.factor, err)
+		} else if f.MaxDelay() != tc.delay {
+			t.Errorf("factor %d built slow links with period %d, want %d", tc.factor, f.MaxDelay(), tc.delay)
 		}
 	}
 }

@@ -469,31 +469,9 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap bool, f *fault.Map,
 				}
 			} else if f != nil {
 				// Preferred healthy hop first (bit-identical when up),
-				// then detour candidates by (distance, direction). The
-				// hop that undoes the previous move is a last resort —
-				// otherwise a packet blocked broadside ping-pongs
-				// between two nodes until the budget kills it.
+				// then a detour.
 				if !usableLink(f, p, e.stepTo(p, d, wrap), cycle) {
-					d = -1
-					var bd int32
-					back := -1
-					for cand := 0; cand < 4; cand++ {
-						to2, ok := e.stepBounded(p, cand, r, wrap)
-						if !ok || !usableLink(f, p, to2, cycle) {
-							continue
-						}
-						if int32(to2) == e.from[slot] {
-							back = cand
-							continue
-						}
-						d2 := int32(topo.dist(to2, int(e.dests[slot])))
-						if d == -1 || d2 < bd {
-							d, bd = cand, d2
-						}
-					}
-					if d == -1 {
-						d = back
-					}
+					d = e.detour(slot, p, r, topo, wrap, cycle, f)
 					if d == -1 {
 						continue // blocked this cycle; wait
 					}
@@ -533,6 +511,35 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap bool, f *fault.Map,
 	return len(arr)
 }
 
+// detour picks the hop of the packet in slot at p when its preferred
+// link is unusable under fault map f (the global map, or p's belief):
+// the usable in-region neighbor closest to the destination, ties to the
+// lower direction. The hop that undoes the previous move is a last
+// resort — otherwise a packet blocked broadside ping-pongs between two
+// nodes until the budget kills it. Returns -1 when no link is usable.
+func (e *Engine[T]) detour(slot int32, p int, r mesh.Region, topo topology, wrap bool, cycle int64, f *fault.Map) int {
+	d, back := -1, -1
+	var bd int32
+	for cand := 0; cand < 4; cand++ {
+		to, ok := e.stepBounded(p, cand, r, wrap)
+		if !ok || !usableLink(f, p, to, cycle) {
+			continue
+		}
+		if int32(to) == e.from[slot] {
+			back = cand
+			continue
+		}
+		dd := int32(topo.dist(to, int(e.dests[slot])))
+		if d == -1 || dd < bd {
+			d, bd = cand, dd
+		}
+	}
+	if d == -1 {
+		return back
+	}
+	return d
+}
+
 // usableLink reports whether the p→to link may carry a packet this
 // cycle: alive on both ends, not dead, and — for slow links — on a
 // cycle divisible by the slow factor.
@@ -561,28 +568,9 @@ func (e *Engine[T]) localDir(slot int32, p int, r mesh.Region, topo topology, wr
 	d := int(e.dir[slot])
 	probe := false
 	if !usableLink(bel, p, e.stepTo(p, d, wrap), cycle) {
-		// Stale-view detour: mirror the global candidate scan, but
-		// against the local belief.
-		nd := -1
-		var bd int32
-		back := -1
-		for cand := 0; cand < 4; cand++ {
-			to2, ok := e.stepBounded(p, cand, r, wrap)
-			if !ok || !usableLink(bel, p, to2, cycle) {
-				continue
-			}
-			if int32(to2) == e.from[slot] {
-				back = cand
-				continue
-			}
-			d2 := int32(topo.dist(to2, int(e.dests[slot])))
-			if nd == -1 || d2 < bd {
-				nd, bd = cand, d2
-			}
-		}
-		if nd == -1 {
-			nd = back
-		}
+		// Stale-view detour: the global candidate scan, but against the
+		// local belief.
+		nd := e.detour(slot, p, r, topo, wrap, cycle, bel)
 		if nd == -1 {
 			// Nothing believed usable: probe the preferred link anyway —
 			// the bounded rediscovery that corrects stale-dead beliefs.

@@ -35,9 +35,14 @@ type moduleWorld struct {
 	eng   *Engine[item]
 }
 
-func newModuleWorld(side int, torus, local, forced bool) *moduleWorld {
+func newModuleWorld(t *testing.T, side int, torus, local, forced bool) *moduleWorld {
+	t.Helper()
 	w := &moduleWorld{m: mesh.MustNew(side), ld: trace.New()}
-	w.truth = fault.Model{ModuleRate: 0.15, Seed: 5}.Build(side)
+	truth, err := fault.Model{ModuleRate: 0.15, Seed: 5}.Build(side)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.truth = truth
 	w.m.SetFaults(w.truth)
 	w.m.AttachLedger(w.ld)
 	w.eng = NewEngine[item](w.m)
@@ -96,8 +101,8 @@ func TestModuleFaultLineIdentity(t *testing.T) {
 	for _, torus := range []bool{false, true} {
 		for _, local := range []bool{false, true} {
 			label := fmt.Sprintf("torus=%v/local=%v", torus, local)
-			ref := newModuleWorld(side, torus, local, true)
-			got := newModuleWorld(side, torus, local, false)
+			ref := newModuleWorld(t, side, torus, local, true)
+			got := newModuleWorld(t, side, torus, local, false)
 			fewer := false
 			for call, kind := range []string{"random", "hotspot", "transpose", "random"} {
 				for _, w := range []*moduleWorld{ref, got} {

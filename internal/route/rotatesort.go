@@ -2,7 +2,6 @@ package route
 
 import (
 	"meshpram/internal/mesh"
-	"meshpram/internal/trace"
 )
 
 // RotateSort (Marberg–Gafni 1988) sorts an m×m mesh in O(m) row and
@@ -20,18 +19,23 @@ import (
 //	5. shear ×3                         (snake row sort + column sort)
 //	6. final row sort
 //
-// The result is row-major ascending; SortSnakeRotate converts to snake
-// order with one more (descending) pass over the odd rows. All phases
-// run through the same merge-split block machinery as shearsort, so
-// items-per-processor blocks of any size are supported; rotations are
-// executed by the cycle-accurate greedy router, so their step cost is
-// measured, not assumed.
+// The result is row-major ascending; one more (descending) pass over
+// the odd rows converts it to snake order. Every phase is a merge-split
+// odd-even transposition over blocks of L items or a row rotation that
+// moves every block L slots, so the schedule is data-oblivious:
+// RotateSortCost(r, L) is its exact step count, with each rotation
+// charged the cycles the greedy router takes to route it.
+// SortSnakeRotate therefore sorts like SortSnake — same output, same
+// block length — and differs only in the cost it charges and the name
+// of its span. The round-by-round network is kept in the tests as the
+// reference both are checked against.
 //
 // RotateSort requires a square region whose side is a perfect square
 // (v = √side an integer); SortSnakeRotate falls back to shearsort
 // (SortSnake) otherwise.
 
-// SortAlgo selects the sorting network of the protocol's sorts.
+// SortAlgo selects the sorting network the protocol's sorts are charged
+// for.
 type SortAlgo int
 
 const (
@@ -60,161 +64,68 @@ func isqrt(n int) int {
 	return v
 }
 
-// rotPkt carries one element of a rotating block to its target column.
-type rotPkt[T any] struct {
-	e elem[T]
-	d int
-}
-
-// SortSnakeRotate sorts the region into snake order with RotateSort,
-// with the same contract as SortSnake, which it falls back to when
+// SortSnakeRotate sorts the region into snake order with the contract
+// of SortSnake and charges the RotateSort network
+// (= RotateSortCost(r, blockLen)). It falls back to SortSnake when
 // CanRotateSort(r) is false.
 func SortSnakeRotate[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
 	if !CanRotateSort(r) {
 		return SortSnake(m, r, items, key)
 	}
-	sp := m.Ledger().Begin("rotatesort", trace.PhaseSort)
-	defer func() {
-		sp.Observe(steps)
-		sp.End()
-	}()
-	L := maxLoad(m, r, items)
-	if L == 0 {
-		return items, 0, 0
+	return sortSnake(m, r, items, key, "rotatesort", RotateSortCost)
+}
+
+// RotateSortCost returns the step count SortSnakeRotate charges on
+// region r with block length L: SortCost(r, L) where CanRotateSort(r)
+// is false, and otherwise the exact cost of the RotateSort schedule
+// above. With side s and v = √s that is s·L per column sort over full
+// columns (seven) and per row pass (five: three shear row sorts, the
+// final row sort and the snake conversion), v·L per column sort inside a
+// horizontal slice (two), plus the four row rotations: the vertical
+// balance shifts windows of v processors by 1…v−1, the horizontal
+// balance whole rows by 1…v−1, and each unblock whole rows by
+// v, 2v, …, (v−1)·v. All rows rotate in parallel, so a rotation costs
+// its slowest shift.
+func RotateSortCost(r mesh.Region, L int) int64 {
+	if !CanRotateSort(r) {
+		return SortCost(r, L)
 	}
-	blocks := loadBlocks(m, r, items, key, L)
+	if L == 0 {
+		return 0
+	}
 	side := r.H
 	v := isqrt(side)
-
-	rowAsc := func(j int) []int {
-		line := make([]int, r.W)
-		for c := 0; c < r.W; c++ {
-			line[c] = m.IDOf(r.R0+j, r.C0+c)
-		}
-		return line
+	var small, multiples []int
+	for k := 1; k < v; k++ {
+		small = append(small, k)
+		multiples = append(multiples, k*v)
 	}
+	rot := rowRotation(v, L, small) + rowRotation(side, L, small) + 2*rowRotation(side, L, multiples)
+	return int64(12*side+2*v)*int64(L) + rot
+}
 
-	// sortColsBands sorts every column independently within horizontal
-	// bands of height h (band b covers rows [b·h, (b+1)·h)). All columns
-	// and bands operate in parallel: one charge of h·L.
-	sortColsBands := func(h int) {
-		for b := 0; b < side/h; b++ {
-			for c := 0; c < side; c++ {
-				line := make([]int, h)
-				for j := 0; j < h; j++ {
-					line[j] = m.IDOf(r.R0+b*h+j, r.C0+c)
-				}
-				oetLine(blocks, line, L)
+// rowRotation returns the cycles the greedy router takes for the
+// slowest of the given shifts of one window of w processors in a row,
+// each holding L packets: the packets at column c go to column
+// (c+s) mod w. Every window of a rotation holds exactly L items per
+// processor, so it is this uniform instance.
+func rowRotation(w, L int, shifts []int) int64 {
+	m := mesh.MustNew(w)
+	row := mesh.Region{H: 1, W: w}
+	// Row 0 holds processors 0…w−1, the only ones the routing touches.
+	items := make([][]int32, w)
+	delivered := make([][]int32, w)
+	eng := NewEngine[int32](m)
+	var worst int64
+	for _, s := range shifts {
+		for c := range items {
+			for range L {
+				items[c] = append(items[c], int32((c+s)%w))
 			}
+			delivered[c] = delivered[c][:0]
 		}
-		steps += int64(h) * int64(L)
+		_, cycles := eng.Route(delivered, row, items, func(d int32) int { return int(d) })
+		worst = max(worst, cycles)
 	}
-
-	// rotateRowsWindows rotates every row within column windows of
-	// width w (window s covers cols [s·w, (s+1)·w)) by shift(row mod h)
-	// positions, where h is the row period of the pattern. All rows and
-	// windows run in parallel; the cycle-accurate routing cost of the
-	// worst row is charged once.
-	rotateRowsWindows := func(w, period int, shift func(rel int) int) {
-		var maxCost int64
-		for j := 0; j < side; j++ {
-			s := shift(j%period) % w
-			if s == 0 {
-				continue
-			}
-			row := r.R0 + j
-			for win := 0; win < side/w; win++ {
-				c0 := win * w
-				line := mesh.Region{R0: row, C0: r.C0 + c0, H: 1, W: w}
-				pkts := make([][]rotPkt[T], m.N)
-				for c := 0; c < w; c++ {
-					src := m.IDOf(row, r.C0+c0+c)
-					dst := m.IDOf(row, r.C0+c0+(c+s)%w)
-					for _, e := range blocks[src] {
-						pkts[src] = append(pkts[src], rotPkt[T]{e, dst})
-					}
-				}
-				delivered, cost := GreedyRoute(m, line, pkts, func(p rotPkt[T]) int { return p.d })
-				if cost > maxCost {
-					maxCost = cost
-				}
-				for c := 0; c < w; c++ {
-					p := m.IDOf(row, r.C0+c0+c)
-					blk := blocks[p][:0]
-					for _, pk := range delivered[p] {
-						blk = append(blk, pk.e)
-					}
-					blocks[p] = blk
-				}
-			}
-		}
-		steps += maxCost
-	}
-
-	// balanceVertical: every vertical slice (side×v) in parallel.
-	balanceVertical := func() {
-		sortColsBands(side)
-		rotateRowsWindows(v, side, func(rel int) int { return rel % v })
-		sortColsBands(side)
-	}
-
-	// balanceHorizontal: every horizontal slice (v×side) in parallel;
-	// its columns have height v, its rotation pattern repeats per slice.
-	balanceHorizontal := func() {
-		sortColsBands(v)
-		rotateRowsWindows(side, v, func(rel int) int { return rel % side })
-		sortColsBands(v)
-	}
-
-	unblock := func() {
-		rotateRowsWindows(side, side, func(rel int) int { return (rel * v) % side })
-		sortColsBands(side)
-	}
-
-	shear := func() {
-		for j := 0; j < side; j++ {
-			line := rowAsc(j)
-			if j%2 == 1 {
-				rev := make([]int, len(line))
-				for i := range line {
-					rev[i] = line[len(line)-1-i]
-				}
-				line = rev
-			}
-			oetLine(blocks, line, L)
-		}
-		steps += int64(side) * int64(L)
-		sortColsBands(side)
-	}
-
-	// 1. balance vertical slices (side×v each, in parallel).
-	balanceVertical()
-	// 2. unblock.
-	unblock()
-	// 3. balance horizontal slices (v×side each, in parallel).
-	balanceHorizontal()
-	// 4. unblock.
-	unblock()
-	// 5. shear ×3.
-	shear()
-	shear()
-	shear()
-	// 6. final row sort ascending (row-major order).
-	for j := 0; j < side; j++ {
-		oetLine(blocks, rowAsc(j), L)
-	}
-	steps += int64(side) * int64(L)
-
-	// Convert row-major to snake: odd rows descending.
-	for j := 1; j < side; j += 2 {
-		line := rowAsc(j)
-		rev := make([]int, len(line))
-		for i := range line {
-			rev[i] = line[len(line)-1-i]
-		}
-		oetLine(blocks, rev, L)
-	}
-	steps += int64(side) * int64(L)
-
-	return storeBlocks(m, r, items, blocks), L, steps
+	return worst
 }

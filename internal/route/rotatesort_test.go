@@ -34,8 +34,8 @@ func TestRotateSortSortsRandom(t *testing.T) {
 				count := loadFactor * m.N
 				items := scatterItems(m, r, count, rng)
 				out, L, steps := SortSnakeRotate(m, r, items, func(v item) uint64 { return v.key })
-				if steps <= 0 || L == 0 {
-					t.Fatalf("side %d: no work done", side)
+				if L == 0 || steps != RotateSortCost(r, L) {
+					t.Fatalf("side %d: block length %d, %d steps, want RotateSortCost %d", side, L, steps, RotateSortCost(r, L))
 				}
 				all := collect(m, r, out)
 				if len(all) != count {
@@ -46,66 +46,67 @@ func TestRotateSortSortsRandom(t *testing.T) {
 						t.Fatalf("side %d load %d trial %d: not sorted at %d", side, loadFactor, trial, i)
 					}
 				}
-				// Blocked layout: rank j at snake position j/L.
-				rank := 0
-				for i := 0; i < r.Size(); i++ {
-					p := r.ProcAtSnake(m, i)
-					for range out[p] {
-						if rank/L != i {
-							t.Fatalf("side %d: rank %d on snake proc %d, want %d", side, rank, i, rank/L)
-						}
-						rank++
-					}
-				}
+				requireBlocked(t, m, r, out, L)
 			}
 		}
 	}
 }
 
 // Adversarial inputs: already sorted, reverse sorted, all-equal,
-// few-distinct.
+// few-distinct. SortSnakeRotate must deal them exactly like SortSnake
+// — equal keys keep their input order — and charge RotateSortCost.
 func TestRotateSortAdversarial(t *testing.T) {
 	m := mesh.MustNew(9)
 	r := m.Full()
-	patterns := map[string]func(i int) uint64{
-		"sorted":   func(i int) uint64 { return uint64(i) },
-		"reversed": func(i int) uint64 { return uint64(1000 - i) },
-		"constant": func(i int) uint64 { return 7 },
-		"binary":   func(i int) uint64 { return uint64(i % 2) },
-		"sawtooth": func(i int) uint64 { return uint64(i % 9) },
-	}
-	for name, gen := range patterns {
-		items := make([][]item, m.N)
-		for p := 0; p < m.N; p++ {
-			for j := 0; j < 2; j++ {
-				items[p] = append(items[p], item{key: gen(p*2 + j)})
-			}
+	rng := rand.New(rand.NewSource(4))
+	for _, pat := range adversarialKeys {
+		items := unevenItems(m, 2, rng, pat.key)
+		want, wl, _ := SortSnake(m, r, cloneItems(items), func(v item) uint64 { return v.key })
+		out, L, steps := SortSnakeRotate(m, r, items, func(v item) uint64 { return v.key })
+		if L != wl || steps != RotateSortCost(r, L) {
+			t.Fatalf("%s: block length %d, %d steps, want %d, %d", pat.name, L, steps, wl, RotateSortCost(r, wl))
 		}
-		out, _, _ := SortSnakeRotate(m, r, items, func(v item) uint64 { return v.key })
-		all := collect(m, r, out)
-		for i := 1; i < len(all); i++ {
-			if all[i-1].key > all[i].key {
-				t.Fatalf("%s: not sorted at %d", name, i)
-			}
-		}
+		requireSameLayout(t, m, r, out, want)
 	}
 }
 
-// On unsupported regions SortSnakeRotate must fall back to SortSnake and
-// still sort.
+// On unsupported regions SortSnakeRotate must be SortSnake: the same
+// layout, block length and steps.
 func TestRotateSortFallback(t *testing.T) {
 	m := mesh.MustNew(8) // 8 is not a perfect square
+	r := m.Full()
 	rng := rand.New(rand.NewSource(2))
-	items := scatterItems(m, m.Full(), 100, rng)
-	out, _, steps := SortSnakeRotate(m, m.Full(), items, func(v item) uint64 { return v.key })
-	all := collect(m, m.Full(), out)
-	for i := 1; i < len(all); i++ {
-		if all[i-1].key > all[i].key {
-			t.Fatal("fallback not sorted")
+	items := scatterItems(m, r, 100, rng)
+	want, wl, ws := SortSnake(m, r, cloneItems(items), func(v item) uint64 { return v.key })
+	out, L, steps := SortSnakeRotate(m, r, items, func(v item) uint64 { return v.key })
+	if L != wl || steps != ws || steps != RotateSortCost(r, L) {
+		t.Fatalf("fallback: block length %d, %d steps; SortSnake %d, %d steps", L, steps, wl, ws)
+	}
+	requireSameLayout(t, m, r, out, want)
+}
+
+// RotateSortCost pins the schedule's step counts, which E17 reports.
+// Row rotations are routed uniform instances, so these are measured
+// rather than derived by hand.
+func TestRotateSortCost(t *testing.T) {
+	for _, c := range []struct {
+		side, L int
+		want    int64
+	}{
+		{9, 1, 136}, {9, 4, 504}, {16, 1, 242}, {16, 4, 894}, {25, 1, 378}, {25, 4, 1372},
+		{49, 1, 740}, {49, 4, 2664}, {81, 1, 1222}, {81, 2, 2232}, {81, 3, 3306}, {81, 4, 4380}, {81, 5, 5454},
+	} {
+		if got := RotateSortCost(mesh.Region{R0: 3, C0: 5, H: c.side, W: c.side}, c.L); got != c.want {
+			t.Errorf("RotateSortCost(side %d, L %d) = %d, want %d", c.side, c.L, got, c.want)
 		}
 	}
-	if steps != SortCost(m.Full(), 2) && steps <= 0 {
-		t.Fatalf("fallback cost %d unexpected", steps)
+	if got := RotateSortCost(mesh.Region{H: 9, W: 9}, 0); got != 0 {
+		t.Errorf("RotateSortCost with L=0 = %d, want 0", got)
+	}
+	for _, r := range []mesh.Region{{H: 8, W: 8}, {H: 9, W: 3}, {H: 1, W: 16}} {
+		if got, want := RotateSortCost(r, 3), SortCost(r, 3); got != want {
+			t.Errorf("RotateSortCost(%v) = %d, want SortCost %d", r, got, want)
+		}
 	}
 }
 

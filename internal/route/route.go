@@ -16,11 +16,13 @@
 // per-submesh audit — observed steps never enter ledger totals, so the
 // charging discipline above is unchanged.
 //
-// Sorting is shearsort with merge-split blocks — a data-oblivious
-// network, so its step count is a function of the region and block size
-// only. SortSnake produces the network's result and charges its exact
-// cost without simulating the rounds; the tests keep the round-by-round
-// network as the reference it is checked against.
+// Sorting is charged as a data-oblivious merge-split network —
+// shearsort (SortSnake) or RotateSort (SortSnakeRotate) — so its step
+// count is a function of the region and block size only. Both produce
+// the networks' common result with one global sort and charge the
+// chosen network's exact cost (SortCost, RotateSortCost) without
+// simulating its rounds; the tests keep both round-by-round networks as
+// the references the sorts are checked against.
 package route
 
 import (
@@ -36,12 +38,6 @@ const MaxKey = ^uint64(0)
 
 // Key extracts a sort key from an item. Keys must be < MaxKey.
 type Key[T any] func(T) uint64
-
-// elem wraps an item with its key; pad elements carry key MaxKey.
-type elem[T any] struct {
-	key uint64
-	val T
-}
 
 // maxLoad returns the maximum number of items held by a processor of
 // the region.
@@ -110,7 +106,15 @@ func SortCost(r mesh.Region, L int) int64 {
 // at the end. The round-by-round network is kept in the tests as the
 // reference SortSnake is checked against.
 func SortSnake[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
-	sp := m.Ledger().Begin("sortsnake", trace.PhaseSort)
+	return sortSnake(m, r, items, key, "sortsnake", SortCost)
+}
+
+// sortSnake is the one snake sort behind SortSnake and SortSnakeRotate:
+// it deals the items of the region, globally sorted by (key, input
+// index), into snake-ordered blocks of the maximum initial load L and
+// charges cost(r, L) under a sort span of the given name.
+func sortSnake[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T], name string, cost func(mesh.Region, int) int64) (out [][]T, blockLen int, steps int64) {
+	sp := m.Ledger().Begin(name, trace.PhaseSort)
 	defer func() {
 		sp.Observe(steps)
 		sp.End()
@@ -147,88 +151,12 @@ func SortSnake[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (
 		p := r.ProcAtSnake(m, rank/L)
 		out[p] = append(out[p], vals[e.idx])
 	}
-	return out, L, SortCost(r, L)
+	return out, L, cost(r, L)
 }
 
-// keyIdx is SortSnake's sort record: an item's key and its index
+// keyIdx is sortSnake's sort record: an item's key and its index
 // in collection order.
 type keyIdx struct {
 	key uint64
 	idx int
-}
-
-// loadBlocks builds padded, locally sorted blocks of exactly L slots.
-func loadBlocks[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T], L int) map[int][]elem[T] {
-	blocks := make(map[int][]elem[T], r.Size())
-	for row := r.R0; row < r.R0+r.H; row++ {
-		for col := r.C0; col < r.C0+r.W; col++ {
-			p := m.IDOf(row, col)
-			b := make([]elem[T], 0, L)
-			for _, v := range items[p] {
-				k := key(v)
-				if k == MaxKey {
-					panic("route: item key equals MaxKey (reserved)")
-				}
-				b = append(b, elem[T]{k, v})
-			}
-			slices.SortStableFunc(b, func(x, y elem[T]) int { return cmp.Compare(x.key, y.key) })
-			var zero T
-			for len(b) < L {
-				b = append(b, elem[T]{MaxKey, zero})
-			}
-			blocks[p] = b
-		}
-	}
-	return blocks
-}
-
-// storeBlocks strips pads and writes blocks back into the items layout.
-func storeBlocks[T any](m *mesh.Machine, r mesh.Region, items [][]T, blocks map[int][]elem[T]) [][]T {
-	for row := r.R0; row < r.R0+r.H; row++ {
-		for col := r.C0; col < r.C0+r.W; col++ {
-			p := m.IDOf(row, col)
-			items[p] = items[p][:0]
-			for _, e := range blocks[p] {
-				if e.key != MaxKey {
-					items[p] = append(items[p], e.val)
-				}
-			}
-		}
-	}
-	return items
-}
-
-// oetLine performs odd-even transposition with merge-split blocks along
-// the given line of processors: len(line) rounds, each exchanging and
-// splitting neighboring blocks so that the lower-index processor keeps
-// the L smallest of the 2L combined items.
-func oetLine[T any](blocks map[int][]elem[T], line []int, L int) {
-	n := len(line)
-	for round := 0; round < n; round++ {
-		start := round % 2
-		for i := start; i+1 < n; i += 2 {
-			mergeSplit(blocks, line[i], line[i+1], L)
-		}
-	}
-}
-
-// mergeSplit merges the sorted blocks at processors lo and hi and
-// splits the result, smallest L items to lo.
-func mergeSplit[T any](blocks map[int][]elem[T], lo, hi, L int) {
-	a, b := blocks[lo], blocks[hi]
-	merged := make([]elem[T], 0, 2*L)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].key <= b[j].key {
-			merged = append(merged, a[i])
-			i++
-		} else {
-			merged = append(merged, b[j])
-			j++
-		}
-	}
-	merged = append(merged, a[i:]...)
-	merged = append(merged, b[j:]...)
-	copy(a, merged[:L])
-	copy(b, merged[L:])
 }

@@ -19,16 +19,16 @@ func TestSortSnakeRectangularRegions(t *testing.T) {
 		{R0: 0, C0: 3, H: 12, W: 3},
 		{R0: 5, C0: 5, H: 2, W: 6},
 	} {
-		for _, ss := range snakeSorts {
+		eachSnakeSort(func(name string, sort snakeSort, _ func(mesh.Region, int) int64) {
 			items := scatterItems(m, r, 3*r.Size(), rng)
-			out, _, _ := ss.sort(m, r, items, func(v item) uint64 { return v.key })
+			out, _, _ := sort(m, r, items, func(v item) uint64 { return v.key })
 			all := collect(m, r, out)
 			for i := 1; i < len(all); i++ {
 				if all[i-1].key > all[i].key {
-					t.Fatalf("%s: region %v not sorted", ss.name, r)
+					t.Fatalf("%s: region %v not sorted", name, r)
 				}
 			}
-		}
+		})
 	}
 }
 

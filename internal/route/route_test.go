@@ -37,121 +37,124 @@ func collect(m *mesh.Machine, r mesh.Region, items [][]item) []item {
 func TestSortSnakeSortsIntoSnakeOrder(t *testing.T) {
 	m := mesh.MustNew(8)
 	rng := rand.New(rand.NewSource(3))
-	for _, ss := range snakeSorts {
+	eachSnakeSort(func(name string, sort snakeSort, cost func(mesh.Region, int) int64) {
 		for _, r := range []mesh.Region{m.Full(), {R0: 2, C0: 2, H: 4, W: 4}, {R0: 0, C0: 0, H: 1, W: 8}, {R0: 0, C0: 3, H: 8, W: 1}} {
 			for _, count := range []int{0, 1, 7, 50, 150} {
 				items := scatterItems(m, r, count, rng)
-				out, L, steps := ss.sort(m, r, items, func(v item) uint64 { return v.key })
+				out, L, steps := sort(m, r, items, func(v item) uint64 { return v.key })
 				all := collect(m, r, out)
 				if len(all) != count {
-					t.Fatalf("%s region %v count %d: %d items after sort", ss.name, r, count, len(all))
+					t.Fatalf("%s region %v count %d: %d items after sort", name, r, count, len(all))
 				}
 				for i := 1; i < len(all); i++ {
 					if all[i-1].key > all[i].key {
-						t.Fatalf("%s region %v count %d: not sorted at %d", ss.name, r, count, i)
+						t.Fatalf("%s region %v count %d: not sorted at %d", name, r, count, i)
 					}
 				}
 				if count > 0 {
 					if L == 0 {
-						t.Fatalf("%s region %v: zero block length for %d items", ss.name, r, count)
+						t.Fatalf("%s region %v: zero block length for %d items", name, r, count)
 					}
-					if steps != SortCost(r, L) {
-						t.Fatalf("%s region %v: steps=%d, SortCost=%d", ss.name, r, steps, SortCost(r, L))
+					if steps != cost(r, L) {
+						t.Fatalf("%s region %v: steps=%d, cost=%d", name, r, steps, cost(r, L))
 					}
-					// Item of global rank j sits at snake position j/L.
-					rank := 0
-					for i := 0; i < r.Size(); i++ {
-						p := r.ProcAtSnake(m, i)
-						for range out[p] {
-							if rank/L != i {
-								t.Fatalf("%s region %v: rank %d on snake proc %d, want %d", ss.name, r, rank, i, rank/L)
-							}
-							rank++
-						}
-					}
+					requireBlocked(t, m, r, out, L)
 				}
 			}
+		}
+	})
+}
+
+// requireBlocked fails unless the item of global rank j sits at snake
+// position j/L of the region.
+func requireBlocked(t *testing.T, m *mesh.Machine, r mesh.Region, out [][]item, L int) {
+	t.Helper()
+	rank := 0
+	for i := 0; i < r.Size(); i++ {
+		p := r.ProcAtSnake(m, i)
+		for range out[p] {
+			if rank/L != i {
+				t.Fatalf("region %v: rank %d on snake proc %d, want %d", r, rank, i, rank/L)
+			}
+			rank++
 		}
 	}
 }
 
-// TestSortSnakeFastEquivalence checks SortSnake, which charges the
-// shearsort network without running it, against the round-by-round
+// requireSameLayout fails unless a and b hold the same items in the
+// same order on every processor of the region.
+func requireSameLayout(t *testing.T, m *mesh.Machine, r mesh.Region, a, b [][]item) {
+	t.Helper()
+	for i := 0; i < r.Size(); i++ {
+		p := r.ProcAtSnake(m, i)
+		if !slices.Equal(a[p], b[p]) {
+			t.Fatalf("region %v proc %d: %v vs %v", r, p, a[p], b[p])
+		}
+	}
+}
+
+// TestSortSnakeFastEquivalence checks every charged snake sort, which
+// charges its network without running it, against the round-by-round
 // network reference: same layout, block length and steps.
 func TestSortSnakeFastEquivalence(t *testing.T) {
 	m := mesh.MustNew(6)
 	rng := rand.New(rand.NewSource(11))
-	for _, r := range []mesh.Region{m.Full(), {R0: 1, C0: 1, H: 4, W: 2}, {R0: 0, C0: 0, H: 1, W: 6}} {
-		for trial := 0; trial < 10; trial++ {
-			count := rng.Intn(80)
-			items := scatterItems(m, r, count, rng)
-			// Unique keys so the orders must agree exactly.
-			seen := map[uint64]bool{}
-			for p := range items {
-				for j := range items[p] {
-					for seen[items[p][j].key] {
-						items[p][j].key++
-					}
-					seen[items[p][j].key] = true
-				}
-			}
-			clone := make([][]item, m.N)
-			for p := range items {
-				clone[p] = append([]item(nil), items[p]...)
-			}
-			a, la, sa := sortSnakeNet(m, r, items, func(v item) uint64 { return v.key })
-			b, lb, sb := SortSnake(m, r, clone, func(v item) uint64 { return v.key })
-			if la != lb || sa != sb {
-				t.Fatalf("region %v: (L,steps) mismatch network (%d,%d) fast (%d,%d)", r, la, sa, lb, sb)
-			}
-			for i := 0; i < r.Size(); i++ {
-				p := r.ProcAtSnake(m, i)
-				if len(a[p]) != len(b[p]) {
-					t.Fatalf("region %v proc %d: lengths %d vs %d", r, p, len(a[p]), len(b[p]))
-				}
-				for j := range a[p] {
-					if a[p][j] != b[p][j] {
-						t.Fatalf("region %v proc %d slot %d: %v vs %v", r, p, j, a[p][j], b[p][j])
+	regions := []mesh.Region{m.Full(), {R0: 1, C0: 1, H: 4, W: 2}, {R0: 0, C0: 0, H: 1, W: 6}, {R0: 1, C0: 2, H: 4, W: 4}}
+	for _, ss := range snakeSorts {
+		for _, r := range regions {
+			for trial := 0; trial < 10; trial++ {
+				count := rng.Intn(80)
+				items := scatterItems(m, r, count, rng)
+				// Unique keys so the orders must agree exactly.
+				seen := map[uint64]bool{}
+				for p := range items {
+					for j := range items[p] {
+						for seen[items[p][j].key] {
+							items[p][j].key++
+						}
+						seen[items[p][j].key] = true
 					}
 				}
+				clone := cloneItems(items)
+				a, la, sa := ss.net(m, r, items, func(v item) uint64 { return v.key })
+				b, lb, sb := ss.sort(m, r, clone, func(v item) uint64 { return v.key })
+				if la != lb || sa != sb {
+					t.Fatalf("%s region %v: (L,steps) mismatch network (%d,%d) fast (%d,%d)", ss.name, r, la, sa, lb, sb)
+				}
+				requireSameLayout(t, m, r, a, b)
 			}
 		}
-	}
 
-	// Repeated keys (baseline and staged routing sort on destinations
-	// alone): SortSnake must keep the stable order, i.e. match a
-	// stable sort of the items in row-major collection order dealt into
-	// snake-ordered blocks of the maximum initial load.
-	for _, r := range []mesh.Region{m.Full(), {R0: 1, C0: 1, H: 4, W: 2}, {R0: 0, C0: 0, H: 1, W: 6}} {
-		for trial := 0; trial < 20; trial++ {
-			items := scatterItems(m, r, 1+rng.Intn(80), rng)
-			var all []item
-			L := 0
-			for row := r.R0; row < r.R0+r.H; row++ {
-				for col := r.C0; col < r.C0+r.W; col++ {
-					p := m.IDOf(row, col)
-					for j := range items[p] {
-						items[p][j].key = uint64(rng.Intn(1 + trial%6))
+		// Repeated keys (baseline and staged routing sort on destinations
+		// alone): the sort must keep the stable order, i.e. match a
+		// stable sort of the items in row-major collection order dealt
+		// into snake-ordered blocks of the maximum initial load.
+		for _, r := range regions {
+			for trial := 0; trial < 20; trial++ {
+				items := scatterItems(m, r, 1+rng.Intn(80), rng)
+				var all []item
+				L := 0
+				for row := r.R0; row < r.R0+r.H; row++ {
+					for col := r.C0; col < r.C0+r.W; col++ {
+						p := m.IDOf(row, col)
+						for j := range items[p] {
+							items[p][j].key = uint64(rng.Intn(1 + trial%6))
+						}
+						all = append(all, items[p]...)
+						L = max(L, len(items[p]))
 					}
-					all = append(all, items[p]...)
-					L = max(L, len(items[p]))
 				}
-			}
-			slices.SortStableFunc(all, func(x, y item) int { return cmp.Compare(x.key, y.key) })
-			want := make([][]item, m.N)
-			for rank, v := range all {
-				p := r.ProcAtSnake(m, rank/L)
-				want[p] = append(want[p], v)
-			}
-			got, lb, _ := SortSnake(m, r, items, func(v item) uint64 { return v.key })
-			if lb != L {
-				t.Fatalf("region %v: block length %d, want %d", r, lb, L)
-			}
-			for i := 0; i < r.Size(); i++ {
-				p := r.ProcAtSnake(m, i)
-				if !slices.Equal(got[p], want[p]) {
-					t.Fatalf("region %v proc %d (repeated keys): %v, want %v", r, p, got[p], want[p])
+				slices.SortStableFunc(all, func(x, y item) int { return cmp.Compare(x.key, y.key) })
+				want := make([][]item, m.N)
+				for rank, v := range all {
+					p := r.ProcAtSnake(m, rank/L)
+					want[p] = append(want[p], v)
 				}
+				got, lb, _ := ss.sort(m, r, items, func(v item) uint64 { return v.key })
+				if lb != L {
+					t.Fatalf("%s region %v: block length %d, want %d", ss.name, r, lb, L)
+				}
+				requireSameLayout(t, m, r, got, want)
 			}
 		}
 	}
