@@ -45,19 +45,24 @@ func main() {
 	if jsonDir == "" {
 		jsonDir = "."
 	}
-	runOne := func(e experiments.Experiment) error {
+	runOne := func(e experiments.Experiment) (err error) {
 		var w io.Writer = os.Stdout
-		var f *os.File
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
 				return err
 			}
-			var err error
-			f, err = os.Create(filepath.Join(*outDir, e.ID+".txt"))
-			if err != nil {
+			var f *os.File
+			if f, err = os.Create(filepath.Join(*outDir, e.ID+".txt")); err != nil {
 				return err
 			}
-			defer f.Close()
+			// A failed close can lose the tail of <ID>.txt: report it
+			// unless the run already failed. The deferred func sets the
+			// named result, so f and err must not be shadowed here.
+			defer func() {
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}()
 			w = io.MultiWriter(os.Stdout, f)
 		}
 		fmt.Fprintf(w, "\n== %s: %s ==\n\n", e.ID, e.Claim)

@@ -72,36 +72,6 @@ func (a *pktArena) memBytes() int64 {
 	return b
 }
 
-// LegacyStoreMemBytes models the resident bytes the pre-slab store
-// layout ([]map[int64]cell, one map header per processor) would hold
-// for the current logical state: 8 bytes of pointer-slice per
-// processor, and for every module with resident cells a 48-byte map
-// header plus 32 bytes per cell (Go map bucket storage for an
-// int64→16-byte entry at typical load). The figure is computed, not
-// sampled from the allocator, so the SCALE baseline it feeds is
-// reproducible run to run.
-func (sim *Simulator) LegacyStoreMemBytes() int64 {
-	var cells int64
-	touched := make(map[int]struct{})
-	for pg, sl := range sim.st.slabs {
-		for r1, c := range sl {
-			if c.ts == 0 {
-				continue
-			}
-			_, _, proc := sim.S.SlotPlace(sim.S.SlotOfPageRank(pg, r1))
-			touched[proc] = struct{}{}
-			cells++
-		}
-	}
-	for i := range sim.st.foreign {
-		if sim.st.foreign[i].ts != 0 {
-			touched[int(sim.st.foreign[i].proc)] = struct{}{}
-			cells++
-		}
-	}
-	return int64(sim.M.N)*8 + int64(len(touched))*48 + cells*32
-}
-
 // Compact drops every recycled buffer the simulator retains — the
 // packet and waypoint tables, the packet arena's free list, the
 // protocol engine's slabs and queues, and the repair engine outright — returning the simulator to a

@@ -91,10 +91,11 @@ func measureRoute(kind string, side, iters int, seed int64) routeCell {
 }
 
 // RunRoute is the ROUTE entry: the allocation-lean greedy routing
-// engine's micro-benchmark, the committed counterpart of the
-// pre-engine BENCH_ROUTE.baseline.json. It measures ns/op, allocs/op
-// and the cycle count for dense, transpose and sparse instances at
-// sides 27 and 81.
+// engine's micro-benchmark. It measures ns/op, allocs/op and the
+// charged and executed cycle counts for dense, transpose and sparse
+// instances at sides 27 and 81. Everything but ns/op is deterministic
+// and pinned by the experiment golden (golden_test.go): allocs/op must
+// stay 0.
 func RunRoute(w io.Writer, cfg Config) error {
 	var tb stats.Table
 	tb.Add("instance", "side", "ns/op", "allocs/op", "cycles charged", "cycles executed")
@@ -122,6 +123,5 @@ func RunRoute(w io.Writer, cfg Config) error {
 	}
 	tb.Render(w)
 	fmt.Fprintf(w, "\nhost cores: %d\n", runtime.NumCPU())
-	fmt.Fprintf(w, "compare against the committed pre-engine BENCH_ROUTE.baseline.json\n")
 	return nil
 }

@@ -17,8 +17,8 @@ import (
 // discrete-event engine) and quiescent resident bytes per node (the
 // compact slot state). The footprint figure is the point of the slab
 // store and the implicit memory map — a sparse workload touches O(M·q^k)
-// cells, so bytes/node must *fall* as n grows, where the historical
-// layout paid a map header per processor and O(n) engine state forever.
+// cells, so bytes/node must *fall* as n grows: nothing the simulator
+// retains at quiescence may scale with the mesh.
 //
 // Every side is a multiple of 27 so the q=3, d=4, k=2 scheme splits
 // evenly; the Big side 1458 is the million-node point (n = 2,125,764).
@@ -43,20 +43,14 @@ type scaleCell struct {
 	bytesStore     int64
 	bytesRouting   int64 // retained routing bytes after Compact (0)
 	heapBytes      int64 // whole-process HeapAlloc after GC (ReadMemStats)
-	legacyBytes    int64 // modeled pre-slab resident bytes at quiescence
 	bytesNodeMilli int64 // bytesTotal·1000/n
-	legacyNodeMil  int64 // legacyBytes·1000/n
 }
 
 // measureScale runs a sparse PRAM workload (every variable touched,
 // origins scattered) on one mesh side: a warm-up step populates every
 // lazily-grown buffer, two timed steps give the steady-state ns/step,
 // then Compact returns the simulator to quiescence and the per-layer
-// footprint is read off MemReport. The legacy figure adds what the
-// pre-slab layout would retain for the same logical state: the
-// per-processor map store (LegacyStoreMemBytes) plus the routing
-// buffers a Release-less engine kept forever (measured just before
-// Compact).
+// footprint is read off MemReport.
 func measureScale(side int, seed int64) (scaleCell, error) {
 	sim, err := core.New(scaleParams(side), core.Config{})
 	if err != nil {
@@ -91,13 +85,10 @@ func measureScale(side int, seed int64) (scaleCell, error) {
 	}
 	cell.nsOp = time.Since(start).Nanoseconds() / iters
 
-	// The pre-slab simulator had no Compact: its engines and arena kept
-	// their high-water buffers for the life of the run.
-	legacyRetained := sim.MemReport().Routing
 	sim.Compact()
 	// Whole-process heap ceiling alongside the deterministic capacity
-	// walk: the MemReport figures are what the gate compares; HeapAlloc
-	// is the allocator's view, reported for cross-checking only.
+	// walk: the MemReport figures are what the experiment golden pins;
+	// HeapAlloc is the allocator's view, reported for cross-checking only.
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -107,26 +98,21 @@ func measureScale(side int, seed int64) (scaleCell, error) {
 	cell.bytesScheme = rep.Scheme
 	cell.bytesStore = rep.Store
 	cell.bytesRouting = rep.Routing
-	cell.legacyBytes = sim.LegacyStoreMemBytes() + legacyRetained + rep.Scheme
 	cell.bytesNodeMilli = cell.bytesTotal * 1000 / int64(cell.n)
-	cell.legacyNodeMil = cell.legacyBytes * 1000 / int64(cell.n)
 	return cell, nil
 }
 
-// RunScale is the SCALE entry: bytes/node and ns/cycle/node versus n,
-// with the modeled pre-slab footprint alongside. The committed
-// BENCH_SCALE.baseline.json holds the legacy bytes/node column; the
-// memory-budget gate (scale_budget_test.go) re-measures the largest
-// non-Big point and fails on a >10% bytes/node regression against the
-// committed BENCH_SCALE.json, and requires the million-node point to
-// stay ≥4× below the baseline.
+// RunScale is the SCALE entry: bytes/node and ns/cycle/node versus n.
+// The byte figures count capacities, so they are deterministic; the
+// experiment golden (golden_test.go) pins each of them exactly at the
+// default sides.
 func RunScale(w io.Writer, cfg Config) error {
 	sides := scaleSides
 	if cfg.Big {
 		sides = append(append([]int{}, sides...), scaleBigSide)
 	}
 	var tb stats.Table
-	tb.Add("side", "n", "ns/step", "cycles", "ns/cycle", "bytes/node", "legacy bytes/node", "ratio")
+	tb.Add("side", "n", "ns/step", "cycles", "ns/cycle", "bytes/node")
 	for _, side := range sides {
 		cell, err := measureScale(side, cfg.Seed)
 		if err != nil {
@@ -136,11 +122,8 @@ func RunScale(w io.Writer, cfg Config) error {
 		if cell.cycles > 0 {
 			nsCycle = cell.nsOp / cell.cycles
 		}
-		ratio := float64(cell.legacyBytes) / float64(cell.bytesTotal)
 		tb.Add(side, cell.n, cell.nsOp, cell.cycles, nsCycle,
-			fmt.Sprintf("%.3f", float64(cell.bytesNodeMilli)/1000),
-			fmt.Sprintf("%.3f", float64(cell.legacyNodeMil)/1000),
-			fmt.Sprintf("%.1fx", ratio))
+			fmt.Sprintf("%.3f", float64(cell.bytesNodeMilli)/1000))
 		key := fmt.Sprintf("scale-%d", side)
 		cfg.Report.SetPhase(key+"-n", int64(cell.n))
 		cfg.Report.SetPhase(key+"-ns-op", cell.nsOp)
@@ -150,8 +133,6 @@ func RunScale(w io.Writer, cfg Config) error {
 		cfg.Report.SetPhase(key+"-bytes-store", cell.bytesStore)
 		cfg.Report.SetPhase(key+"-bytes-node-milli", cell.bytesNodeMilli)
 		cfg.Report.SetPhase(key+"-heap-bytes", cell.heapBytes)
-		cfg.Report.SetPhase(key+"-legacy-bytes", cell.legacyBytes)
-		cfg.Report.SetPhase(key+"-legacy-bytes-node-milli", cell.legacyNodeMil)
 		cfg.Report.SetSteps(cell.cycles)
 		if cell.bytesRouting != 0 {
 			return fmt.Errorf("scale side=%d: %d routing bytes retained after Compact", side, cell.bytesRouting)
@@ -160,6 +141,5 @@ func RunScale(w io.Writer, cfg Config) error {
 	tb.Render(w)
 	fmt.Fprintf(w, "\nhost cores: %d; Big (side %d, n=%d) included: %v\n",
 		runtime.NumCPU(), scaleBigSide, scaleBigSide*scaleBigSide, cfg.Big)
-	fmt.Fprintf(w, "legacy column models the pre-slab layout (per-processor map store + permanently retained routing buffers)\n")
 	return nil
 }

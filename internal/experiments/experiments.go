@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 
 	"meshpram/internal/trace"
@@ -102,19 +101,8 @@ var All = []Experiment{
 	{"FAULT", "Extension: graceful degradation — slowdown and unrecoverable variables vs static fault rate", RunFault},
 	{"RECOVER", "Extension: self-healing — churn rate vs repaired copies, residual loss and repair cost", RunRecover},
 	{"GOSSIP", "Extension: local fault knowledge — discovery latency, notice staleness and extra loss vs the omniscient baseline", RunGossip},
-	{"ROUTE", "Infrastructure: allocation-lean greedy routing engine — ns/op, allocs/op and cycles vs the pre-engine baseline", RunRoute},
-	{"SCALE", "Infrastructure: million-node meshes — bytes/node and ns/cycle vs n against the pre-slab layout baseline", RunScale},
-}
-
-// RunAll executes every experiment, writing a section per experiment.
-func RunAll(w io.Writer, cfg Config) error {
-	for _, e := range All {
-		fmt.Fprintf(w, "\n== %s: %s ==\n\n", e.ID, e.Claim)
-		if err := e.Run(w, cfg); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return nil
+	{"ROUTE", "Infrastructure: allocation-lean greedy routing engine — ns/op, allocs/op, charged and executed cycles", RunRoute},
+	{"SCALE", "Infrastructure: million-node meshes — bytes/node and ns/cycle vs n", RunScale},
 }
 
 // Lookup finds an experiment by ID.

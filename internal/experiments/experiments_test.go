@@ -1,30 +1,8 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func smallCfg() Config { return Config{Big: false, Seed: 1} }
-
-// Every experiment must run to completion and produce a table.
-func TestAllExperimentsRun(t *testing.T) {
-	for _, e := range All {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			if testing.Short() && (e.ID == "E1" || e.ID == "E9" || e.ID == "E15" || e.ID == "E17") {
-				t.Skip("slow experiment skipped in -short mode")
-			}
-			var sb strings.Builder
-			if err := e.Run(&sb, smallCfg()); err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
-			}
-			if len(sb.String()) < 50 {
-				t.Fatalf("%s produced no meaningful output", e.ID)
-			}
-		})
-	}
-}
 
 func TestLookup(t *testing.T) {
 	if _, ok := Lookup("E5"); !ok {
