@@ -96,7 +96,7 @@ func BenchmarkE18MPC(b *testing.B) { run(b, "E18") }
 // BenchmarkStepRandom729 is one full protocol step: 729 mixed requests
 // on a 27×27 mesh with M = 9801.
 func BenchmarkStepRandom729(b *testing.B) {
-	sim := core.MustNew(hmos.Params{Side: 27, Q: 3, D: 5, K: 2}, core.Config{})
+	sim := mustNew(hmos.Params{Side: 27, Q: 3, D: 5, K: 2}, core.Config{})
 	n := sim.Mesh().N
 	vars := workload.RandomDistinct(sim.Scheme().Vars(), n, 1)
 	ops := vars.Mixed(7)
@@ -111,7 +111,7 @@ func BenchmarkStepRandom6561(b *testing.B) {
 	if testing.Short() {
 		b.Skip("short mode")
 	}
-	sim := core.MustNew(hmos.Params{Side: 81, Q: 3, D: 7, K: 2}, core.Config{})
+	sim := mustNew(hmos.Params{Side: 81, Q: 3, D: 7, K: 2}, core.Config{})
 	n := sim.Mesh().N
 	vars := workload.RandomDistinct(sim.Scheme().Vars(), n, 1)
 	ops := vars.Mixed(7)

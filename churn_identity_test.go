@@ -35,7 +35,7 @@ func TestChurnBitIdentity(t *testing.T) {
 	execute := func() run {
 		// Each run builds its own schedule from the same churn spec, so
 		// Build's determinism is pinned along with the simulation's.
-		sim := core.MustNew(p, core.Config{
+		sim := mustNew(p, core.Config{
 			Schedule: churn.Build(p.Side),
 			Repair:   core.RepairEager,
 		})

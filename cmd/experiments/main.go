@@ -26,27 +26,37 @@ import (
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment by id (e.g. E5)")
-	big := flag.Bool("big", false, "include the largest machine sizes")
-	seed := flag.Int64("seed", 1, "workload seed")
-	list := flag.Bool("list", false, "list experiments and exit")
-	outDir := flag.String("out", "", "also write each experiment's output to <dir>/<ID>.txt")
-	jsonOut := flag.Bool("json", false, "write BENCH_<ID>.json per experiment (to -out dir, or .)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run executes the command with the given arguments, writing tables to
+// stdout and errors to stderr, and returns the exit code: 0 on success,
+// 1 when an experiment fails, 2 on a usage error.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	only := fs.String("only", "", "run a single experiment by id (e.g. E5)")
+	big := fs.Bool("big", false, "include the largest machine sizes")
+	seed := fs.Int64("seed", 1, "workload seed")
+	list := fs.Bool("list", false, "list experiments and exit")
+	outDir := fs.String("out", "", "also write each experiment's output to <dir>/<ID>.txt")
+	jsonOut := fs.Bool("json", false, "write BENCH_<ID>.json per experiment (to -out dir, or .)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	cfg := experiments.Config{Big: *big, Seed: *seed}
 	if *list {
 		for _, e := range experiments.All {
-			fmt.Printf("%-4s %s\n", e.ID, e.Claim)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Claim)
 		}
-		return
+		return 0
 	}
 	jsonDir := *outDir
 	if jsonDir == "" {
 		jsonDir = "."
 	}
 	runOne := func(e experiments.Experiment) (err error) {
-		var w io.Writer = os.Stdout
+		w := stdout
 		if *outDir != "" {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
 				return err
@@ -63,7 +73,7 @@ func main() {
 					err = cerr
 				}
 			}()
-			w = io.MultiWriter(os.Stdout, f)
+			w = io.MultiWriter(stdout, f)
 		}
 		fmt.Fprintf(w, "\n== %s: %s ==\n\n", e.ID, e.Claim)
 		cfg := cfg
@@ -87,22 +97,20 @@ func main() {
 		return nil
 	}
 
+	todo := experiments.All
 	if *only != "" {
 		e, ok := experiments.Lookup(*only)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "experiments: unknown id %q\n", *only)
-			os.Exit(2)
+			return 2
 		}
-		if err := runOne(e); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		todo = []experiments.Experiment{e}
 	}
-	for _, e := range experiments.All {
+	for _, e := range todo {
 		if err := runOne(e); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }

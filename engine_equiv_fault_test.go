@@ -23,7 +23,7 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 	p := hmos.Params{Side: 27, Q: 3, D: 4, K: 2}
 	churn := fault.Churn{ModuleRate: 0.004, Repair: 2, Horizon: 3, Seed: 11}
 	mk := func() *core.Simulator {
-		return core.MustNew(p, core.Config{
+		return mustNew(p, core.Config{
 			Schedule: churn.Build(p.Side),
 			Repair:   core.RepairEager,
 		})

@@ -18,8 +18,8 @@ func TestEngineEquivalence(t *testing.T) {
 		t.Skip("n=729 machine is slow in -short mode")
 	}
 	p := hmos.Params{Side: 27, Q: 3, D: 4, K: 2}
-	a := core.MustNew(p, core.Config{})
-	b := core.MustNew(p, core.Config{})
+	a := mustNew(p, core.Config{})
+	b := mustNew(p, core.Config{})
 	n := a.Mesh().N
 	for step := 0; step < 2; step++ {
 		vars := workload.RandomDistinct(a.Scheme().Vars(), n, 42+int64(step))

@@ -16,8 +16,17 @@ import (
 // Integration tests: the example flows end-to-end, plus cross-system
 // agreement checks (mesh vs ideal vs MPC) on the same traffic.
 
+// mustNew is core.New for a configuration the test knows is valid.
+func mustNew(p hmos.Params, cfg core.Config) *core.Simulator {
+	sim, err := core.New(p, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return sim
+}
+
 func TestIntegrationQuickstartFlow(t *testing.T) {
-	sim := core.MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{})
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{})
 	n := sim.Mesh().N
 	writes := make([]core.Op, n)
 	for i := range writes {
@@ -99,7 +108,7 @@ func TestIntegrationAllProgramsOnMesh(t *testing.T) {
 // simulation, the ideal PRAM, and the MPC — three machines, one memory
 // semantics.
 func TestIntegrationThreeMachinesAgree(t *testing.T) {
-	meshSim := core.MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{})
+	meshSim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{})
 	mpcSim, err := mpc.New(3, 3) // 27 modules, f(3,3)=117 vars — same M
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +154,7 @@ func TestIntegrationThreeMachinesAgree(t *testing.T) {
 
 // Workload generators must be directly usable with the simulator.
 func TestIntegrationWorkloadsRun(t *testing.T) {
-	sim := core.MustNew(hmos.Params{Side: 9, Q: 3, D: 4, K: 1}, core.Config{})
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 4, K: 1}, core.Config{})
 	n := sim.Mesh().N
 	vars := sim.Scheme().Vars()
 	tp, err := workload.Transpose(vars, 9)

@@ -250,10 +250,6 @@ func (b *NoReplication) VarsOnProc(p, max int) []int {
 	return out
 }
 
-// MapBytes returns the memory-map state a processor must hold: the hash
-// multiplier only.
-func (b *NoReplication) MapBytes() int64 { return 8 }
-
 // Step executes one batch of distinct-variable requests and returns
 // read results aligned with ops plus the cost breakdown.
 func (b *NoReplication) Step(ops []Op) ([]Word, StepCost) {

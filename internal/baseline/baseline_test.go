@@ -184,10 +184,6 @@ func TestRandomMOSPlacementDistinct(t *testing.T) {
 }
 
 func TestMapBytes(t *testing.T) {
-	nr, _ := NewNoReplication(9, 1000)
-	if nr.MapBytes() != 8 {
-		t.Fatalf("no-replication map %d bytes", nr.MapBytes())
-	}
 	rm, _ := NewRandomMOS(9, 1000, 2, 1)
 	if rm.MapBytes() != 1000*3*4 {
 		t.Fatalf("random MOS map %d bytes", rm.MapBytes())

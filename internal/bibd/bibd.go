@@ -124,9 +124,6 @@ func (g *Design) Inputs() int { return g.M }
 // Outputs returns |U| = q^d.
 func (g *Design) Outputs() int { return g.qPowers[g.D] }
 
-// InputDegree returns q: every input is adjacent to q outputs.
-func (g *Design) InputDegree() int { return g.Q }
-
 // blockOffset returns the index of the first input with the given h:
 // q^{d-1}·(q^h−1)/(q−1).
 func (g *Design) blockOffset(h int) int {

@@ -52,14 +52,6 @@ func (s *Set) Set(i int, v bool) bool {
 	return true
 }
 
-// Clear resets every bit without shrinking the backing array.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-	s.count = 0
-}
-
 // ForEach calls fn for every set bit in ascending index order.
 func (s *Set) ForEach(fn func(i int)) {
 	for w, word := range s.words {
@@ -68,12 +60,6 @@ func (s *Set) ForEach(fn func(i int)) {
 			word &= word - 1
 		}
 	}
-}
-
-// AppendIndices appends the set bit indices in ascending order to dst.
-func (s *Set) AppendIndices(dst []int) []int {
-	s.ForEach(func(i int) { dst = append(dst, i) })
-	return dst
 }
 
 // Clone returns a deep copy.
@@ -90,19 +76,6 @@ func (s *Set) CopyFrom(o *Set) {
 	}
 	copy(s.words, o.words)
 	s.count = o.count
-}
-
-// Equal reports whether both sets hold exactly the same bits.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n || s.count != o.count {
-		return false
-	}
-	for i, w := range s.words {
-		if o.words[i] != w {
-			return false
-		}
-	}
-	return true
 }
 
 // MemBytes returns the resident heap bytes of the set.

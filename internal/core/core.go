@@ -394,15 +394,6 @@ func (sim *Simulator) ensureQuar() {
 	}
 }
 
-// MustNew is New but panics on error.
-func MustNew(p hmos.Params, cfg Config) *Simulator {
-	sim, err := New(p, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return sim
-}
-
 // Scheme returns the underlying memory organization scheme.
 func (sim *Simulator) Scheme() *hmos.Scheme { return sim.S }
 
@@ -412,9 +403,6 @@ func (sim *Simulator) Mesh() *mesh.Machine { return sim.M }
 // Ledger returns the simulator's cost ledger; Ledger().Last() is the
 // span tree of the most recent Step.
 func (sim *Simulator) Ledger() *trace.Ledger { return sim.ld }
-
-// Now returns the PRAM step counter.
-func (sim *Simulator) Now() int64 { return sim.now }
 
 // pkt is a copy-request packet traveling through the protocol. A
 // step's packets live in the simulator's table sim.pk, indexed by an

@@ -10,8 +10,17 @@ import (
 var smallParams = hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
 var midParams = hmos.Params{Side: 27, Q: 3, D: 4, K: 2}
 
+// mustNew is New for a configuration the test knows is valid.
+func mustNew(p hmos.Params, cfg Config) *Simulator {
+	sim, err := New(p, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return sim
+}
+
 func TestWriteThenRead(t *testing.T) {
-	sim := MustNew(smallParams, Config{})
+	sim := mustNew(smallParams, Config{})
 	n := sim.M.N
 	// Write distinct values to the first n variables.
 	writes := make([]Op, n)
@@ -41,7 +50,7 @@ func TestWriteThenRead(t *testing.T) {
 }
 
 func TestUnwrittenReadsZero(t *testing.T) {
-	sim := MustNew(smallParams, Config{})
+	sim := mustNew(smallParams, Config{})
 	res, _ := sim.Step([]Op{{Origin: 0, Var: 42}, {Origin: 1, Var: 77}})
 	for i, v := range res {
 		if v != 0 {
@@ -51,7 +60,7 @@ func TestUnwrittenReadsZero(t *testing.T) {
 }
 
 func TestOverwriteVisibility(t *testing.T) {
-	sim := MustNew(smallParams, Config{})
+	sim := mustNew(smallParams, Config{})
 	v := 13
 	for round := 1; round <= 5; round++ {
 		sim.Step([]Op{{Origin: round % sim.M.N, Var: v, IsWrite: true, Value: Word(round * 11)}})
@@ -65,7 +74,7 @@ func TestOverwriteVisibility(t *testing.T) {
 // The consistency property test (E11): arbitrary interleaved read/write
 // batches must behave exactly like an ideal shared memory.
 func TestConsistencyRandomTraffic(t *testing.T) {
-	sim := MustNew(smallParams, Config{})
+	sim := mustNew(smallParams, Config{})
 	rng := rand.New(rand.NewSource(77))
 	ideal := map[int]Word{}
 	n := sim.M.N
@@ -104,7 +113,7 @@ func TestConsistencyRandomTraffic(t *testing.T) {
 // and congestion control, not the quorum rule.
 func TestConsistencyAblations(t *testing.T) {
 	for _, cfg := range []Config{{DisableCulling: true}, {DirectRouting: true}, {DisableCulling: true, DirectRouting: true}} {
-		sim := MustNew(smallParams, cfg)
+		sim := mustNew(smallParams, cfg)
 		rng := rand.New(rand.NewSource(5))
 		ideal := map[int]Word{}
 		for step := 0; step < 10; step++ {
@@ -135,7 +144,7 @@ func TestConsistencyAblations(t *testing.T) {
 }
 
 func TestStepStatsBreakdown(t *testing.T) {
-	sim := MustNew(midParams, Config{})
+	sim := mustNew(midParams, Config{})
 	rng := rand.New(rand.NewSource(2))
 	n := sim.M.N
 	ops := make([]Op, n)
@@ -174,7 +183,7 @@ func TestStepStatsBreakdown(t *testing.T) {
 }
 
 func TestEmptyStep(t *testing.T) {
-	sim := MustNew(smallParams, Config{})
+	sim := mustNew(smallParams, Config{})
 	res, st := sim.Step(nil)
 	if res != nil || st.Total() != 0 {
 		t.Fatal("empty step did something")
@@ -182,7 +191,7 @@ func TestEmptyStep(t *testing.T) {
 }
 
 func TestTooManyOpsPanics(t *testing.T) {
-	sim := MustNew(smallParams, Config{})
+	sim := mustNew(smallParams, Config{})
 	ops := make([]Op, sim.M.N+1)
 	for i := range ops {
 		ops[i] = Op{Origin: i % sim.M.N, Var: i}
@@ -198,7 +207,7 @@ func TestTooManyOpsPanics(t *testing.T) {
 // Writes must survive an unrelated flood of writes to other variables
 // (quorum intersection across different request sets).
 func TestWriteSurvivesFlood(t *testing.T) {
-	sim := MustNew(smallParams, Config{})
+	sim := mustNew(smallParams, Config{})
 	sim.Step([]Op{{Origin: 0, Var: 99, IsWrite: true, Value: 4242}})
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 5; round++ {
@@ -222,7 +231,7 @@ func TestWriteSurvivesFlood(t *testing.T) {
 // counts.
 func TestRerunEquivalence(t *testing.T) {
 	mk := func() ([]Word, int64) {
-		sim := MustNew(smallParams, Config{})
+		sim := mustNew(smallParams, Config{})
 		rng := rand.New(rand.NewSource(11))
 		var last []Word
 		for step := 0; step < 5; step++ {
@@ -248,7 +257,7 @@ func TestRerunEquivalence(t *testing.T) {
 }
 
 func BenchmarkStepFullMachine(b *testing.B) {
-	sim := MustNew(midParams, Config{})
+	sim := mustNew(midParams, Config{})
 	rng := rand.New(rand.NewSource(1))
 	n := sim.M.N
 	perm := rng.Perm(sim.S.Vars())

@@ -100,8 +100,8 @@ func runViewMatrix(t *testing.T, view faultview.Mode, torus bool, fm *fault.Map,
 		tr.execs = append(tr.execs, flattenExecs(s.Ledger().Last(), nil))
 	}
 	if v := s.FaultView(); v != nil {
-		tr.notices = v.Log()
 		img := v.Image()
+		tr.notices = img.Log
 		tr.image = &img
 	}
 	var buf bytes.Buffer
@@ -158,10 +158,10 @@ func staticEventFaults() *fault.Map {
 // link slows, another dies and later heals.
 func churnEventSchedule() *fault.Schedule {
 	return fault.NewSchedule(9).
-		At(2, fault.EvKillModule, 3*9+4).
-		At(3, fault.EvSlowLink, 1*9+6, 2*9+6, 3).
-		At(4, fault.EvKillLink, 5*9+1, 5*9+2).
-		At(6, fault.EvHealLink, 5*9+1, 5*9+2)
+		Add(fault.Event{Step: 2, Kind: fault.EvKillModule, P: 3*9 + 4}).
+		Add(fault.Event{Step: 3, Kind: fault.EvSlowLink, P: 1*9 + 6, Q: 2*9 + 6, Factor: 3}).
+		Add(fault.Event{Step: 4, Kind: fault.EvKillLink, P: 5*9 + 1, Q: 5*9 + 2}).
+		Add(fault.Event{Step: 6, Kind: fault.EvHealLink, P: 5*9 + 1, Q: 5*9 + 2})
 }
 
 // TestEventCycleSimulationIdentity is the acceptance matrix:
@@ -246,11 +246,11 @@ func TestLocalViewSimulationIdentity(t *testing.T) {
 // network stays healthy throughout.
 func moduleChurnSchedule() *fault.Schedule {
 	return fault.NewSchedule(9).
-		At(1, fault.EvKillModule, 40).
-		At(2, fault.EvKillModule, 3*9+4).
-		At(4, fault.EvReviveModule, 40).
-		At(5, fault.EvKillModule, 7*9+7).
-		At(6, fault.EvReviveModule, 3*9+4)
+		Add(fault.Event{Step: 1, Kind: fault.EvKillModule, P: 40}).
+		Add(fault.Event{Step: 2, Kind: fault.EvKillModule, P: 3*9 + 4}).
+		Add(fault.Event{Step: 4, Kind: fault.EvReviveModule, P: 40}).
+		Add(fault.Event{Step: 5, Kind: fault.EvKillModule, P: 7*9 + 7}).
+		Add(fault.Event{Step: 6, Kind: fault.EvReviveModule, P: 3*9 + 4})
 }
 
 // TestModuleFaultSimulationIdentity is the oracle matrix for module-only
@@ -292,8 +292,8 @@ func TestModuleFaultSimulationIdentity(t *testing.T) {
 		label := fmt.Sprintf("torus=%v/local/node-killed-and-revived", torus)
 		revived := func() *fault.Schedule {
 			return moduleChurnSchedule().
-				At(2, fault.EvKillNode, 5*9+2).
-				At(3, fault.EvReviveNode, 5*9+2)
+				Add(fault.Event{Step: 2, Kind: fault.EvKillNode, P: 5*9 + 2}).
+				Add(fault.Event{Step: 3, Kind: fault.EvReviveNode, P: 5*9 + 2})
 		}
 		ref := runViewMatrix(t, faultview.Local, torus, nil, revived(), true)
 		got := runViewMatrix(t, faultview.Local, torus, nil, revived(), false)

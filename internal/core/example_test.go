@@ -10,7 +10,10 @@ import (
 // ExampleSimulator_Step simulates one PRAM write step followed by a
 // read step on a 9×9 mesh.
 func ExampleSimulator_Step() {
-	sim := core.MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{})
+	sim, err := core.New(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{})
+	if err != nil {
+		panic(err)
+	}
 
 	sim.Step([]core.Op{{Origin: 0, Var: 42, IsWrite: true, Value: 7}})
 	vals, st := sim.Step([]core.Op{{Origin: 80, Var: 42}})
@@ -25,7 +28,10 @@ func ExampleSimulator_Step() {
 // ExampleSimulator_Step_batch shows a full-machine step: every
 // processor writes a distinct variable in one PRAM step.
 func ExampleSimulator_Step_batch() {
-	sim := core.MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{})
+	sim, err := core.New(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{})
+	if err != nil {
+		panic(err)
+	}
 	n := sim.Mesh().N
 
 	ops := make([]core.Op, n)

@@ -134,11 +134,11 @@ func TestStepCheckedValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := s.Now()
+			before := s.now
 			if _, _, err := s.StepChecked(tc.ops); err == nil {
 				t.Fatal("accepted")
 			}
-			if s.Now() != before {
+			if s.now != before {
 				t.Error("rejected step still charged machine time")
 			}
 		})

@@ -20,10 +20,10 @@ func TestCarriedPlacementMatchesSlotPlace(t *testing.T) {
 		sim         func() *Simulator
 		wantForeign bool
 	}{
-		{"healthy", func() *Simulator { return MustNew(smallParams, Config{}) }, false},
+		{"healthy", func() *Simulator { return mustNew(smallParams, Config{}) }, false},
 		{"eager-remap", func() *Simulator { return schedSim(t, killHostsSchedule(t, 0, 5), RepairEager) }, true},
 		{"rowa", func() *Simulator {
-			return MustNew(smallParams, Config{Policy: ReadOneWriteAllPolicy})
+			return mustNew(smallParams, Config{Policy: ReadOneWriteAllPolicy})
 		}, false},
 		{"rowa-eager-remap", func() *Simulator {
 			s, err := New(smallParams, Config{Policy: ReadOneWriteAllPolicy,

@@ -10,7 +10,7 @@ import (
 // The MV84 read-one/write-all policy must also behave as an ideal
 // shared memory (all copies are always current).
 func TestReadOneWriteAllConsistency(t *testing.T) {
-	sim := MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Policy: ReadOneWriteAllPolicy})
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Policy: ReadOneWriteAllPolicy})
 	rng := rand.New(rand.NewSource(12))
 	ideal := map[int]Word{}
 	for step := 0; step < 20; step++ {
@@ -41,7 +41,7 @@ func TestReadOneWriteAllConsistency(t *testing.T) {
 
 // Reads under MV84 route one packet per op; writes route q^k.
 func TestReadOneWriteAllPacketCounts(t *testing.T) {
-	sim := MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Policy: ReadOneWriteAllPolicy})
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Policy: ReadOneWriteAllPolicy})
 	reads := make([]Op, 20)
 	for i := range reads {
 		reads[i] = Op{Origin: i, Var: i}
@@ -69,8 +69,8 @@ func TestReadOneWriteAllPacketCounts(t *testing.T) {
 // for most variables. Compare the measured level-1 page loads.
 func TestReadOneWriteAllHotModuleLoads(t *testing.T) {
 	params := hmos.Params{Side: 27, Q: 3, D: 4, K: 2}
-	mv := MustNew(params, Config{Policy: ReadOneWriteAllPolicy})
-	paper := MustNew(params, Config{})
+	mv := mustNew(params, Config{Policy: ReadOneWriteAllPolicy})
+	paper := mustNew(params, Config{})
 
 	g := mv.S.Graphs[0]
 	hot := 3

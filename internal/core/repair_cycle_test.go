@@ -18,7 +18,7 @@ func TestRemapKillReviveKillSpare(t *testing.T) {
 	hosts := moduleHosts(probe, 0)
 	A := hosts[0]
 
-	sch1 := fault.NewSchedule(9).At(1, fault.EvKillModule, A)
+	sch1 := fault.NewSchedule(9).Add(fault.Event{Step: 1, Kind: fault.EvKillModule, P: A})
 	s1 := schedSim(t, sch1, RepairEager)
 	if _, _, err := s1.StepChecked([]Op{{Origin: 0, Var: 0, IsWrite: true, Value: 7}}); err != nil {
 		t.Fatal(err)
@@ -33,9 +33,9 @@ func TestRemapKillReviveKillSpare(t *testing.T) {
 
 	// Phase 2: full timeline. kill A @1, revive A @2, kill S @3.
 	sch2 := fault.NewSchedule(9).
-		At(1, fault.EvKillModule, A).
-		At(2, fault.EvReviveModule, A).
-		At(3, fault.EvKillModule, S)
+		Add(fault.Event{Step: 1, Kind: fault.EvKillModule, P: A}).
+		Add(fault.Event{Step: 2, Kind: fault.EvReviveModule, P: A}).
+		Add(fault.Event{Step: 3, Kind: fault.EvKillModule, P: S})
 	s2 := schedSim(t, sch2, RepairEager)
 	var res []Word
 	for step := 0; step < 5; step++ {

@@ -32,7 +32,7 @@ func killHostsSchedule(t testing.TB, v, n int) *fault.Schedule {
 	}
 	sch := fault.NewSchedule(9)
 	for i := 0; i < n; i++ {
-		sch.At(int64(i+1), fault.EvKillModule, hosts[i])
+		sch.Add(fault.Event{Step: int64(i + 1), Kind: fault.EvKillModule, P: hosts[i]})
 	}
 	return sch
 }

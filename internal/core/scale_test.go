@@ -32,9 +32,9 @@ func largeChurnSchedule(t *testing.T, s *hmos.Scheme) *fault.Schedule {
 		t.Fatalf("variable 0 has %d copies", len(hosts))
 	}
 	return fault.NewSchedule(324).
-		At(1, fault.EvKillModule, hosts[0].Proc).
-		At(2, fault.EvSlowLink, 0, 1, 3).
-		At(2, fault.EvKillModule, hosts[1].Proc)
+		Add(fault.Event{Step: 1, Kind: fault.EvKillModule, P: hosts[0].Proc}).
+		Add(fault.Event{Step: 2, Kind: fault.EvSlowLink, P: 0, Q: 1, Factor: 3}).
+		Add(fault.Event{Step: 2, Kind: fault.EvKillModule, P: hosts[1].Proc})
 }
 
 // largeWorkload writes every variable (step 0), then runs mixed steps.
@@ -107,8 +107,8 @@ func TestLargeMeshSnapshotChurnRoundtrip(t *testing.T) {
 	if err := restored.Load(bytes.NewReader(img.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if restored.Now() != sim.Now() {
-		t.Fatalf("clock %d after load, want %d", restored.Now(), sim.Now())
+	if restored.now != sim.now {
+		t.Fatalf("clock %d after load, want %d", restored.now, sim.now)
 	}
 	var again bytes.Buffer
 	if err := restored.Save(&again); err != nil {

@@ -31,18 +31,18 @@ import (
 // fixtures diff raw snapshot bytes, so any nondeterminism here is a
 // test failure.
 //
-// Version history. Version 2 (current) is the streaming page format.
-// Version 1 images — written before the slab store, as a single gob
-// value holding every processor's cells — carry no Version field (gob
-// leaves it 0) and deliver their payload through the header's legacy
-// Procs field; Load accepts both.
+// Version history. Version 2 (current) is the streaming page format,
+// and the only one Load accepts. Version 1 — a single gob value holding
+// every processor's cells, written before the slab store — is no longer
+// read: the program's one reader is pram.Mesh's in-process rollback,
+// which loads what the same build saved.
 
 // snapshotVersion is the wire format written by Save.
 const snapshotVersion = 2
 
 // snapHeader is the leading gob value of an image.
 type snapHeader struct {
-	Version int // 0 = legacy single-value image
+	Version int
 	Params  hmos.Params
 	Now     int64
 
@@ -61,18 +61,6 @@ type snapHeader struct {
 	// Foreign is 1 when a foreignImage record follows them.
 	Pages   int
 	Foreign int
-
-	// Procs is the legacy (version ≤ 1) in-header payload: per-processor
-	// slot/value/timestamp arrays. Version-2 images leave it empty.
-	Procs []procImage
-}
-
-// procImage is one processor's cells in the legacy format.
-type procImage struct {
-	Proc  int
-	Slots []int64
-	Vals  []Word
-	TSs   []int64
 }
 
 // pageImage is one level-1 page's nonzero cells: parallel arrays
@@ -200,21 +188,19 @@ func (sim *Simulator) Save(w io.Writer) error {
 }
 
 // Load restores a memory image previously written by Save into this
-// simulator — either the current streaming format or a legacy
-// version-1 single-value image. The HMOS parameters must match exactly
-// (the copy layout is parameter-dependent); the current memory content
-// is replaced. A local-fault-view simulator additionally restores the
-// gossip state (the image must come from a local-view Save); the live
-// fault map is never part of the image — events already applied stay
-// applied, and the restored beliefs are re-validated against the
-// current truth.
+// simulator. The HMOS parameters must match exactly (the copy layout
+// is parameter-dependent); the current memory content is replaced. A
+// local-fault-view simulator additionally restores the gossip state
+// (the image must come from a local-view Save); the live fault map is
+// never part of the image — events already applied stay applied, and
+// the restored beliefs are re-validated against the current truth.
 func (sim *Simulator) Load(r io.Reader) error {
 	dec := gob.NewDecoder(r)
 	var hdr snapHeader
 	if err := dec.Decode(&hdr); err != nil {
 		return fmt.Errorf("core: decoding snapshot: %w", err)
 	}
-	if hdr.Version != 0 && hdr.Version != snapshotVersion {
+	if hdr.Version != snapshotVersion {
 		return fmt.Errorf("core: unsupported snapshot version %d", hdr.Version)
 	}
 	if hdr.Params != sim.S.Params {
@@ -224,14 +210,8 @@ func (sim *Simulator) Load(r io.Reader) error {
 		return fmt.Errorf("core: snapshot remap table is ragged (%d from, %d to)", len(hdr.RemapFrom), len(hdr.RemapTo))
 	}
 	st := newSlabStore(sim.S)
-	if hdr.Version == 0 {
-		if err := loadLegacyProcs(st, hdr.Procs, sim.M.N); err != nil {
-			return err
-		}
-	} else {
-		if err := loadPages(st, dec, hdr.Pages, hdr.Foreign != 0); err != nil {
-			return err
-		}
+	if err := loadPages(st, dec, hdr.Pages, hdr.Foreign != 0); err != nil {
+		return err
 	}
 	sim.st = st
 	sim.now = hdr.Now
@@ -275,8 +255,8 @@ func (sim *Simulator) Load(r io.Reader) error {
 	return nil
 }
 
-// loadPages reads the streamed page and foreign records of a version-2
-// image into a fresh store.
+// loadPages reads the streamed page and foreign records of an image
+// into a fresh store.
 func loadPages(st *slabStore, dec *gob.Decoder, pages int, foreign bool) error {
 	nPages := st.sch.PageCount(1)
 	perPage := st.sch.PagesPer[1]
@@ -316,26 +296,6 @@ func loadPages(st *slabStore, dec *gob.Decoder, pages int, foreign bool) error {
 			return fmt.Errorf("core: snapshot foreign processor %d out of range", p)
 		}
 		st.foreignSet(int(p), fi.Slots[i], cell{val: fi.Vals[i], ts: fi.TSs[i]})
-	}
-	return nil
-}
-
-// loadLegacyProcs converts a version-1 per-processor payload into the
-// slab store.
-func loadLegacyProcs(st *slabStore, procs []procImage, n int) error {
-	for _, pi := range procs {
-		if pi.Proc < 0 || pi.Proc >= n {
-			return fmt.Errorf("core: snapshot processor %d out of range", pi.Proc)
-		}
-		if len(pi.Slots) != len(pi.Vals) || len(pi.Slots) != len(pi.TSs) {
-			return fmt.Errorf("core: snapshot processor %d has ragged slot arrays", pi.Proc)
-		}
-		for i, slot := range pi.Slots {
-			if slot < 0 || slot >= int64(st.sch.Vars())*int64(st.sch.Redundant) {
-				return fmt.Errorf("core: snapshot slot %d out of range", slot)
-			}
-			st.set(pi.Proc, slot, cell{val: pi.Vals[i], ts: pi.TSs[i]})
-		}
 	}
 	return nil
 }

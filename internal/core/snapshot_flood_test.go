@@ -26,8 +26,8 @@ func TestSnapshotMidFlood(t *testing.T) {
 	p := hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
 	mk := func() *Simulator {
 		sch := fault.NewSchedule(9).
-			At(2, fault.EvKillLink, 4*9+4, 4*9+5).
-			At(2, fault.EvKillModule, 2*9+2)
+			Add(fault.Event{Step: 2, Kind: fault.EvKillLink, P: 4*9 + 4, Q: 4*9 + 5}).
+			Add(fault.Event{Step: 2, Kind: fault.EvKillModule, P: 2*9 + 2})
 		sim, err := New(p, Config{
 			Schedule:      sch,
 			Repair:        RepairLazy,
@@ -51,9 +51,9 @@ func TestSnapshotMidFlood(t *testing.T) {
 	// apply the notices crawl outward one hop per step.
 	a := mk()
 	idle(a, 5)
-	if a.FaultView().NoticeCount() == 0 || a.FaultView().Quiet() {
+	if a.FaultView().Stats().Notices == 0 || a.FaultView().Stats().Quiet {
 		t.Fatalf("setup: want notices still spreading, got %d notices, quiet=%v",
-			a.FaultView().NoticeCount(), a.FaultView().Quiet())
+			a.FaultView().Stats().Notices, a.FaultView().Stats().Quiet)
 	}
 	var img bytes.Buffer
 	if err := a.Save(&img); err != nil {
@@ -62,7 +62,7 @@ func TestSnapshotMidFlood(t *testing.T) {
 
 	b := mk()
 	idle(b, 5)
-	for i := 0; !b.FaultView().Quiet(); i++ {
+	for i := 0; !b.FaultView().Stats().Quiet; i++ {
 		if i > 4*p.Side {
 			t.Fatal("setup: the second simulator's view never went quiet")
 		}
@@ -71,7 +71,7 @@ func TestSnapshotMidFlood(t *testing.T) {
 	if err := b.Load(bytes.NewReader(img.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if b.FaultView().Quiet() {
+	if b.FaultView().Stats().Quiet {
 		t.Fatal("the restored view must be mid-flood")
 	}
 
@@ -111,7 +111,7 @@ func TestSnapshotMidFlood(t *testing.T) {
 			t.Fatalf("step %d: gossip stats %+v, restored %+v", step, ga, gb)
 		}
 	}
-	if !a.FaultView().Quiet() {
+	if !a.FaultView().Stats().Quiet {
 		t.Fatal("the flood must have finished by the end of the run")
 	}
 	var sa, sb bytes.Buffer

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"meshpram/internal/hmos"
@@ -12,7 +11,7 @@ import (
 
 func TestSnapshotRoundtrip(t *testing.T) {
 	p := hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
-	sim := MustNew(p, Config{})
+	sim := mustNew(p, Config{})
 	rng := rand.New(rand.NewSource(4))
 
 	// Populate with a few write steps.
@@ -33,12 +32,12 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	}
 
 	// Restore into a fresh simulator and verify every written variable.
-	sim2 := MustNew(p, Config{})
+	sim2 := mustNew(p, Config{})
 	if err := sim2.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if sim2.Now() != sim.Now() {
-		t.Fatalf("clock %d, want %d", sim2.Now(), sim.Now())
+	if sim2.now != sim.now {
+		t.Fatalf("clock %d, want %d", sim2.now, sim.now)
 	}
 	for v, want := range written {
 		res, _ := sim2.Step([]Op{{Origin: 0, Var: v}})
@@ -51,13 +50,13 @@ func TestSnapshotRoundtrip(t *testing.T) {
 func TestSnapshotContinuesConsistently(t *testing.T) {
 	// Writes after a restore must still dominate pre-snapshot writes.
 	p := hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
-	sim := MustNew(p, Config{})
+	sim := mustNew(p, Config{})
 	sim.Step([]Op{{Origin: 0, Var: 7, IsWrite: true, Value: 100}})
 	var buf bytes.Buffer
 	if err := sim.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sim2 := MustNew(p, Config{})
+	sim2 := mustNew(p, Config{})
 	if err := sim2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -69,102 +68,37 @@ func TestSnapshotContinuesConsistently(t *testing.T) {
 }
 
 func TestSnapshotParamMismatch(t *testing.T) {
-	sim := MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{})
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{})
 	var buf bytes.Buffer
 	if err := sim.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	other := MustNew(hmos.Params{Side: 9, Q: 3, D: 4, K: 1}, Config{})
+	other := mustNew(hmos.Params{Side: 9, Q: 3, D: 4, K: 1}, Config{})
 	if err := other.Load(&buf); err == nil {
 		t.Fatal("mismatched params accepted")
 	}
 }
 
 func TestSnapshotGarbage(t *testing.T) {
-	sim := MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{})
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{})
 	if err := sim.Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
-// legacySnapshot is the version-1 wire format (one gob value holding
-// every processor's cells), kept here to pin backward compatibility:
-// Load must keep accepting images written before the streaming format.
-type legacySnapshot struct {
-	Params    hmos.Params
-	Now       int64
-	Procs     []procImage
-	RemapFrom []int
-	RemapTo   []int
-	Quar      []int64
-	Pending   []int
-}
-
-func TestSnapshotLegacyV1Load(t *testing.T) {
+// TestSnapshotRejectsOtherVersions pins that Load reads only the
+// current format: a header of any other version, the pre-slab
+// version 1 included, is refused before anything is restored.
+func TestSnapshotRejectsOtherVersions(t *testing.T) {
 	p := hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
-	sim := MustNew(p, Config{})
-	rng := rand.New(rand.NewSource(11))
-	written := map[int]Word{}
-	for step := 0; step < 3; step++ {
-		vars := rng.Perm(sim.S.Vars())[:20]
-		ops := make([]Op, len(vars))
-		for i, v := range vars {
-			ops[i] = Op{Origin: rng.Intn(sim.M.N), Var: v, IsWrite: true, Value: Word(v*10 + step)}
-			written[v] = ops[i].Value
+	sim := mustNew(p, Config{})
+	for _, v := range []int{0, 1, snapshotVersion + 1} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&snapHeader{Version: v, Params: p}); err != nil {
+			t.Fatal(err)
 		}
-		sim.Step(ops)
-	}
-
-	// Reconstruct the populated state in the legacy per-processor
-	// layout, exactly as the old Save emitted it: processors ascending,
-	// slots sorted within each.
-	perProc := make(map[int]map[int64]cell)
-	for pg, sl := range sim.st.slabs {
-		for r1, c := range sl {
-			if c.ts == 0 {
-				continue
-			}
-			slot := sim.S.SlotOfPageRank(pg, r1)
-			_, _, proc := sim.S.SlotPlace(slot)
-			if perProc[proc] == nil {
-				perProc[proc] = make(map[int64]cell)
-			}
-			perProc[proc][slot] = c
-		}
-	}
-	img := legacySnapshot{Params: p, Now: sim.Now()}
-	for proc := 0; proc < sim.M.N; proc++ {
-		mem := perProc[proc]
-		if len(mem) == 0 {
-			continue
-		}
-		pi := procImage{Proc: proc}
-		for slot := range mem {
-			pi.Slots = append(pi.Slots, slot)
-		}
-		sort.Slice(pi.Slots, func(i, j int) bool { return pi.Slots[i] < pi.Slots[j] })
-		for _, slot := range pi.Slots {
-			pi.Vals = append(pi.Vals, mem[slot].val)
-			pi.TSs = append(pi.TSs, mem[slot].ts)
-		}
-		img.Procs = append(img.Procs, pi)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&img); err != nil {
-		t.Fatal(err)
-	}
-
-	sim2 := MustNew(p, Config{})
-	if err := sim2.Load(&buf); err != nil {
-		t.Fatalf("loading legacy image: %v", err)
-	}
-	if sim2.Now() != sim.Now() {
-		t.Fatalf("clock %d, want %d", sim2.Now(), sim.Now())
-	}
-	for v, want := range written {
-		res, _ := sim2.Step([]Op{{Origin: 0, Var: v}})
-		if res[0] != want {
-			t.Fatalf("legacy-restored var %d = %d, want %d", v, res[0], want)
+		if err := sim.Load(&buf); err == nil {
+			t.Fatalf("version %d image accepted", v)
 		}
 	}
 }
@@ -175,7 +109,7 @@ func TestSnapshotLegacyV1Load(t *testing.T) {
 func TestSnapshotByteDeterminism(t *testing.T) {
 	p := hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
 	run := func() []byte {
-		sim := MustNew(p, Config{})
+		sim := mustNew(p, Config{})
 		rng := rand.New(rand.NewSource(7))
 		for step := 0; step < 4; step++ {
 			vars := rng.Perm(sim.S.Vars())[:25]
@@ -195,7 +129,7 @@ func TestSnapshotByteDeterminism(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identical runs produced different snapshot bytes")
 	}
-	sim := MustNew(p, Config{})
+	sim := mustNew(p, Config{})
 	if err := sim.Load(bytes.NewReader(a)); err != nil {
 		t.Fatal(err)
 	}

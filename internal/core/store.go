@@ -58,13 +58,6 @@ func (st *slabStore) allocPage(page int) {
 	}
 }
 
-// get returns the cell stored at processor p under the given slot id,
-// or the zero cell when absent. Safe for concurrent readers.
-func (st *slabStore) get(p int, slot int64) cell {
-	page, r1, home := st.sch.SlotPlace(slot)
-	return st.getPlaced(p, home != p, page, r1, slot)
-}
-
 // getPlaced is get for a caller that already placed the copy: its
 // level-1 page and rank r1, and whether p is not the copy's home (a
 // remap spare, so the cell lives in the foreign overflow).

@@ -18,7 +18,7 @@ import (
 // same variables and pages) and requires byte-equal store footprints.
 func TestStoreFootprintIndependentOfMeshSide(t *testing.T) {
 	footprint := func(side int) int64 {
-		sim := MustNew(hmos.Params{Side: side, Q: 3, D: 3, K: 2}, Config{})
+		sim := mustNew(hmos.Params{Side: side, Q: 3, D: 3, K: 2}, Config{})
 		rng := rand.New(rand.NewSource(5))
 		vars := rng.Perm(sim.S.Vars())[:40]
 		ops := make([]Op, len(vars))
@@ -40,7 +40,7 @@ func TestStoreFootprintIndependentOfMeshSide(t *testing.T) {
 // TestStoreLazyAllocation: an untouched simulator retains no slabs at
 // all, and a single write allocates exactly the one page it lands in.
 func TestStoreLazyAllocation(t *testing.T) {
-	sim := MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{})
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{})
 	count := func() int {
 		n := 0
 		for _, sl := range sim.st.slabs {
@@ -78,7 +78,7 @@ func TestStoreLazyAllocation(t *testing.T) {
 // retained bytes actually dropping to zero at the compaction point.
 func TestCompactKeepsIdentity(t *testing.T) {
 	p := hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
-	mk := func() *Simulator { return MustNew(p, Config{}) }
+	mk := func() *Simulator { return mustNew(p, Config{}) }
 	a, b := mk(), mk()
 	rng := rand.New(rand.NewSource(9))
 	for step := 0; step < 6; step++ {

@@ -27,7 +27,7 @@ func TestConsistencyAcrossSchemes(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			sim := MustNew(c.p, c.cfg)
+			sim := mustNew(c.p, c.cfg)
 			rng := rand.New(rand.NewSource(33))
 			ideal := map[int]Word{}
 			batch := sim.M.N / 4
@@ -75,7 +75,7 @@ func TestConsistencyAcrossSchemes(t *testing.T) {
 func TestTorusNeverSlower(t *testing.T) {
 	p := hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
 	run := func(torus bool) int64 {
-		sim := MustNew(p, Config{Torus: torus})
+		sim := mustNew(p, Config{Torus: torus})
 		rng := rand.New(rand.NewSource(8))
 		for step := 0; step < 5; step++ {
 			vars := rng.Perm(sim.S.Vars())[:sim.M.N/2]
@@ -110,7 +110,7 @@ func TestNewAcceptsLargeMesh(t *testing.T) {
 // The per-stage delta diagnostics must be internally consistent: stage
 // K+1 starts with at most q^k packets per origin.
 func TestDeltaDiagnostics(t *testing.T) {
-	sim := MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{})
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{})
 	ops := make([]Op, sim.M.N)
 	for i := range ops {
 		ops[i] = Op{Origin: i, Var: i}

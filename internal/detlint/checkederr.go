@@ -8,8 +8,8 @@ import (
 
 // CheckedErr flags silently discarded results of the repository's own
 // fault-aware entry points: a call whose error (StepChecked, snapshot
-// Save/Load, RepairNow, …) or lost-packet count (GreedyRouteFaultInto
-// and friends name that result "lost") is dropped — either by calling
+// Save/Load, RepairNow, …) or lost-packet count (Engine.RouteFault and
+// friends name that result "lost") is dropped — either by calling
 // in statement position or by assigning the result to the blank
 // identifier. A lost packet or failed step that nobody observes turns a
 // detectable degradation into silent data corruption, so the discard

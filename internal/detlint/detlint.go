@@ -34,6 +34,18 @@
 //   - ignoreaudit: a //detlint:ignore directive that suppresses nothing
 //     is itself a finding, so the suppression inventory cannot rot.
 //
+// One check sees the whole program at once (deadcode.go, DESIGN.md
+// §14.5):
+//
+//   - deadcode: every function and method must be reachable through
+//     non-test code from a root — a main or init function, or a
+//     package-level initializer of a main package (cmd/*, examples/*,
+//     bench/) — or implement an interface the program uses. It runs
+//     only when the load includes a main package, after the
+//     per-package analyzers and before ignoreaudit, so a test seam kept
+//     with //detlint:ignore deadcode fails ignoreaudit as soon as
+//     production code calls it.
+//
 // A finding can be suppressed with a trailing (or immediately
 // preceding) comment:
 //
@@ -47,6 +59,7 @@ import (
 	"go/ast"
 	"go/token"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -70,10 +83,16 @@ type Analyzer struct {
 	// ends in one of these elements (the repository's deterministic
 	// packages). Empty means the analyzer runs everywhere.
 	Packages []string
-	// Run performs the check. A nil Run marks a synthetic analyzer
-	// evaluated by the framework itself (ignoreaudit, which consumes
-	// the suppression-usage ledger the real analyzers leave behind).
+	// Run performs the check. A nil Run and Program marks a synthetic
+	// analyzer evaluated by the framework itself (ignoreaudit, which
+	// consumes the suppression-usage ledger the real analyzers leave
+	// behind).
 	Run func(*Pass)
+	// Program, set instead of Run, checks the whole load at once
+	// (deadcode): it gets one Pass per package, ignoring Packages, and
+	// returns the passes it covered, whose directives ignoreaudit then
+	// audits.
+	Program func([]*Pass) []*Pass
 }
 
 func (a *Analyzer) applies(pkg *Package) bool {
@@ -111,7 +130,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full analyzer suite in a stable order.
 func All() []*Analyzer {
 	return []*Analyzer{MapRange, WallClock, CheckedErr, SnapshotFields, LedgerPhase,
-		DetermTaint, GoroutineShare, ChanOrder, IgnoreAudit}
+		DetermTaint, GoroutineShare, ChanOrder, DeadCode, IgnoreAudit}
 }
 
 // DetPackages is the one canonical list of packages whose execution
@@ -141,32 +160,52 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
+	type pkgRun struct {
+		ig  ignoreIndex
+		ran map[string]bool
+	}
 	var all []Finding
-	for _, pkg := range pkgs {
-		ig, bad := collectIgnores(pkg, known)
-		all = append(all, bad...)
-		ran := map[string]bool{}
-		for _, a := range analyzers {
-			if a.Run == nil || !a.applies(pkg) {
-				continue
-			}
-			ran[a.Name] = true
-			var fs []Finding
-			a.Run(&Pass{Package: pkg, Check: a.Name, findings: &fs})
-			for _, f := range fs {
-				if !ig.suppressed(f) {
-					all = append(all, f)
-				}
+	keep := func(r pkgRun, fs []Finding) {
+		for _, f := range fs {
+			if !r.ig.suppressed(f) {
+				all = append(all, f)
 			}
 		}
+	}
+	runs := make([]pkgRun, len(pkgs))
+	for i, pkg := range pkgs {
+		ig, bad := collectIgnores(pkg, known)
+		all = append(all, bad...)
+		runs[i] = pkgRun{ig, map[string]bool{}}
 		for _, a := range analyzers {
-			if a.Name == IgnoreAudit.Name && a.applies(pkg) {
-				for _, f := range auditIgnores(ig, ran) {
-					if !ig.suppressed(f) {
-						all = append(all, f)
-					}
-				}
+			if a.Run != nil && a.applies(pkg) {
+				runs[i].ran[a.Name] = true
+				var fs []Finding
+				a.Run(&Pass{Package: pkg, Check: a.Name, findings: &fs})
+				keep(runs[i], fs)
 			}
+		}
+	}
+	// Program checks see every package at once, after the per-package
+	// analyzers and before the audit of the directives.
+	for _, a := range analyzers {
+		if a.Program == nil {
+			continue
+		}
+		passes := make([]*Pass, len(pkgs))
+		found := make([][]Finding, len(pkgs))
+		for i, pkg := range pkgs {
+			passes[i] = &Pass{Package: pkg, Check: a.Name, findings: &found[i]}
+		}
+		for _, p := range a.Program(passes) {
+			i := slices.Index(passes, p)
+			runs[i].ran[a.Name] = true
+			keep(runs[i], found[i])
+		}
+	}
+	if slices.Contains(analyzers, IgnoreAudit) {
+		for _, r := range runs {
+			keep(r, auditIgnores(r.ig, r.ran))
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {

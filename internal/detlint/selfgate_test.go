@@ -41,6 +41,31 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
+// TestDeadCodeStandsDownOnPartialLoad loads a main and the sim package
+// it imports, but not serve or pram, which call much of sim: their
+// calls are invisible, so deadcode must report nothing rather than
+// condemn the functions only they use.
+func TestDeadCodeStandsDownOnPartialLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks a main and its imports")
+	}
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*Package
+	for _, dir := range []string{"cmd/pramsim", "internal/sim"} {
+		pkg, err := loader.Load(filepath.Join(loader.ModRoot, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	for _, f := range Run(pkgs, []*Analyzer{DeadCode, IgnoreAudit}) {
+		t.Errorf("%s", f)
+	}
+}
+
 // TestBaselineEmpty keeps the committed baseline honest: it exists so
 // CI has a stable gate file, and it must stay empty — new findings are
 // fixed or suppressed with a reason, never parked.
@@ -75,7 +100,7 @@ func TestBaselineEmpty(t *testing.T) {
 // silently drop one from All().
 func TestSuiteComposition(t *testing.T) {
 	want := []string{"maprange", "wallclock", "checkederr", "snapshotfields",
-		"ledgerphase", "determtaint", "goroutineshare", "chanorder", "ignoreaudit"}
+		"ledgerphase", "determtaint", "goroutineshare", "chanorder", "deadcode", "ignoreaudit"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() has %d analyzers, want %d", len(got), len(want))

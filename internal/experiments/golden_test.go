@@ -56,6 +56,9 @@ func TestExperimentGolden(t *testing.T) {
 			if testing.Short() && (e.ID == "E1" || e.ID == "E9" || e.ID == "E15" || e.ID == "E17") {
 				t.Skip("slow experiment skipped in -short mode")
 			}
+			if raceEnabled && e.ID == "E15" {
+				t.Skip("E15 runs only in the non-race suite (see race_on_test.go)")
+			}
 			rep := &Report{ID: e.ID, Claim: e.Claim}
 			var out bytes.Buffer
 			if err := e.Run(&out, Config{Seed: 1, Report: rep}); err != nil {

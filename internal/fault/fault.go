@@ -156,10 +156,6 @@ func (f *Map) Freeze() *Map {
 	return f
 }
 
-// Frozen reports whether the map has been installed in a machine
-// (nil-safe).
-func (f *Map) Frozen() bool { return f != nil && f.frozen }
-
 // Clone returns a deep, unfrozen copy of the map (nil yields nil).
 // Clone is the copy-on-write escape hatch: to keep marking faults
 // after a map was handed to a simulator, clone it and mutate the copy.

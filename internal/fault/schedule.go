@@ -3,8 +3,8 @@ package fault
 // Dynamic fault timelines. A Schedule is a deterministic, time-indexed
 // list of Events (kill or revive a node, module or link; slow or heal a
 // link) that the simulator applies to its live fault map as the step
-// clock advances. Time is measured in core protocol steps
-// (core.Simulator.Now()): an event at step t is applied after t steps
+// clock advances. Time is measured in core protocol steps (the
+// simulator's step clock): an event at step t is applied after t steps
 // have completed, i.e. before the (t+1)-th step executes. Events at
 // step 0 are therefore in effect from the very first step, which makes
 // a step-0-only schedule equivalent to installing the same marks as a
@@ -172,22 +172,6 @@ func (s *Schedule) Add(ev Event) *Schedule {
 	s.events = append(s.events, ev)
 	s.sorted = false
 	return s
-}
-
-// At is shorthand for Add with the step given first.
-func (s *Schedule) At(step int64, kind EventKind, ids ...int) *Schedule {
-	ev := Event{Step: step, Kind: kind}
-	switch len(ids) {
-	case 1:
-		ev.P = ids[0]
-	case 2:
-		ev.P, ev.Q = ids[0], ids[1]
-	case 3:
-		ev.P, ev.Q, ev.Factor = ids[0], ids[1], ids[2]
-	default:
-		panic(fmt.Sprintf("fault: At(%s) takes 1-3 ids, got %d", kind, len(ids)))
-	}
-	return s.Add(ev)
 }
 
 func (s *Schedule) normalize() {

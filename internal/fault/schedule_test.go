@@ -8,9 +8,9 @@ import (
 func TestScheduleReplayCursor(t *testing.T) {
 	s := NewSchedule(3)
 	// Added out of time order; replay must sort stably by step.
-	s.At(5, EvKillModule, 4)
-	s.At(0, EvKillNode, 1)
-	s.At(5, EvReviveNode, 1)
+	s.Add(Event{Step: 5, Kind: EvKillModule, P: 4})
+	s.Add(Event{Step: 0, Kind: EvKillNode, P: 1})
+	s.Add(Event{Step: 5, Kind: EvReviveNode, P: 1})
 
 	evs, cur := s.EventsBefore(0, 1) // step 1 sees step-0 events only
 	if len(evs) != 1 || evs[0].Kind != EvKillNode || cur != 1 {
@@ -49,7 +49,7 @@ func TestScheduleValidation(t *testing.T) {
 
 func TestApplyWorksOnFrozenMap(t *testing.T) {
 	f := NewMap(3).KillNode(0).Freeze()
-	if !f.Frozen() {
+	if !f.frozen {
 		t.Fatal("Freeze did not mark the map")
 	}
 	func() {
@@ -74,7 +74,7 @@ func TestApplyWorksOnFrozenMap(t *testing.T) {
 func TestCloneIsDeepAndUnfrozen(t *testing.T) {
 	f := NewMap(3).KillModule(2).SlowLink(0, 1, 4).Freeze()
 	c := f.Clone()
-	if c.Frozen() {
+	if c.frozen {
 		t.Fatal("Clone must be unfrozen")
 	}
 	c.KillModule(5) // mutable again

@@ -238,17 +238,6 @@ func neighbors(side int, wrap bool, p int) []int {
 	return out
 }
 
-// Side returns the mesh side the view was built for.
-func (v *View) Side() int { return v.side }
-
-// Round returns the current gossip round.
-func (v *View) Round() int64 { return v.round }
-
-// Quiet reports whether every node the truth map considers alive knows
-// the complete notice log — the condition under which all live beliefs
-// coincide.
-func (v *View) Quiet() bool { return v.quiet }
-
 // BeliefAt returns node p's current local belief. The returned map is
 // owned by the view (and may be shared between nodes with identical
 // knowledge); callers must not mutate it.
@@ -292,9 +281,6 @@ func (v *View) KnownAt(p, idx int) bool {
 	return v.known[p][idx>>6]&(1<<(idx&63)) != 0
 }
 
-// Log returns the notice log (a copy).
-func (v *View) Log() []Notice { return append([]Notice(nil), v.log...) }
-
 // NetworkFaultSeen reports whether the view has ever held a node or
 // link fault — a dead node, dead link or slow link — in its base map or
 // in a logged notice. While it has not, every node's belief leaves
@@ -302,11 +288,6 @@ func (v *View) Log() []Notice { return append([]Notice(nil), v.log...) }
 // counts: nodes that heard only the kill may still believe it dead.
 // O(1).
 func (v *View) NetworkFaultSeen() bool { return v.netSeen }
-
-// NoticeCount returns the length of the notice log — a cheap version
-// counter for caches keyed on the log (nil-safe would be pointless:
-// callers hold a non-nil view by construction).
-func (v *View) NoticeCount() int { return len(v.log) }
 
 // Stats returns the observability counters.
 func (v *View) Stats() Stats {

@@ -78,6 +78,15 @@ func edgeNeighbor(side int, wrap bool, p, dir int) int {
 	return -1
 }
 
+// isLinkKind reports whether a notice of kind k names a link.
+func isLinkKind(k fault.EventKind) bool {
+	switch k {
+	case fault.EvKillLink, fault.EvReviveLink, fault.EvSlowLink, fault.EvHealLink:
+		return true
+	}
+	return false
+}
+
 // fingerprint hashes everything routing can observe of a belief built
 // from an empty base map: the state of each component the log names.
 func fingerprint(log []Notice, f *fault.Map) uint64 {
@@ -227,22 +236,22 @@ func (o *oracle) tickBatch(k int) {
 	for i := 0; i < k; i++ {
 		o.ref.tickFullScan(o.truth)
 	}
-	o.compare(fmt.Sprintf("TickN to round %d", o.ref.Round()))
+	o.compare(fmt.Sprintf("TickN to round %d", o.ref.round))
 }
 
 func (o *oracle) tick(k int) {
 	for i := 0; i < k; i++ {
 		o.fv.Tick(o.truth)
 		o.ref.tickFullScan(o.truth)
-		o.compare(fmt.Sprintf("round %d", o.ref.Round()))
+		o.compare(fmt.Sprintf("round %d", o.ref.round))
 	}
 }
 
 func (o *oracle) compare(at string) {
 	o.t.Helper()
 	fv, ref := o.fv, o.ref
-	if fv.Quiet() != ref.Quiet() {
-		o.t.Fatalf("%s %s: Quiet %v, full scan %v", o.label, at, fv.Quiet(), ref.Quiet())
+	if fv.quiet != ref.quiet {
+		o.t.Fatalf("%s %s: Quiet %v, full scan %v", o.label, at, fv.quiet, ref.quiet)
 	}
 	if fv.Stats() != ref.Stats() {
 		o.t.Fatalf("%s %s: Stats %+v, full scan %+v", o.label, at, fv.Stats(), ref.Stats())

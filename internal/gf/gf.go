@@ -24,7 +24,6 @@ type Field struct {
 	irred   []int // monic irreducible polynomial, coefficients irred[0..e], irred[e]=1
 	add     []int // add[a*q+b] = a+b
 	mul     []int // mul[a*q+b] = a*b
-	inv     []int // inv[a] = a^-1 (inv[0] unused)
 	neg     []int // neg[a] = -a
 }
 
@@ -63,64 +62,21 @@ func MustNew(q int) *Field {
 // Order returns q, the number of elements.
 func (f *Field) Order() int { return f.q }
 
-// Char returns the characteristic p.
-func (f *Field) Char() int { return f.p }
-
-// Degree returns e where q = p^e.
-func (f *Field) Degree() int { return f.e }
-
-// Irreducible returns a copy of the reduction polynomial used for
-// extension fields (nil semantics for prime fields: returns x).
-func (f *Field) Irreducible() []int {
-	out := make([]int, len(f.irred))
-	copy(out, f.irred)
-	return out
-}
-
 // Add returns a+b in the field.
 func (f *Field) Add(a, b int) int { return f.add[a*f.q+b] }
 
 // Sub returns a-b in the field.
 func (f *Field) Sub(a, b int) int { return f.add[a*f.q+f.neg[b]] }
 
-// Neg returns -a in the field.
-func (f *Field) Neg(a int) int { return f.neg[a] }
-
 // Mul returns a·b in the field.
 func (f *Field) Mul(a, b int) int { return f.mul[a*f.q+b] }
 
-// Inv returns a⁻¹. It panics if a == 0.
-func (f *Field) Inv(a int) int {
-	if a == 0 {
-		panic("gf: inverse of zero")
-	}
-	return f.inv[a]
-}
-
-// Div returns a/b. It panics if b == 0.
-func (f *Field) Div(a, b int) int { return f.Mul(a, f.Inv(b)) }
-
-// Exp returns a^n for n ≥ 0 (with 0^0 = 1).
-func (f *Field) Exp(a, n int) int {
-	r := 1
-	base := a
-	for n > 0 {
-		if n&1 == 1 {
-			r = f.Mul(r, base)
-		}
-		base = f.Mul(base, base)
-		n >>= 1
-	}
-	return r
-}
-
-// buildTables materializes the add/mul/neg/inv tables.
+// buildTables materializes the add/mul/neg tables.
 func (f *Field) buildTables() {
 	q, p, e := f.q, f.p, f.e
 	f.add = make([]int, q*q)
 	f.mul = make([]int, q*q)
 	f.neg = make([]int, q)
-	f.inv = make([]int, q)
 	if e == 1 {
 		for a := 0; a < q; a++ {
 			for b := 0; b < q; b++ {
@@ -138,15 +94,6 @@ func (f *Field) buildTables() {
 				f.mul[a*q+b] = polyToInt(polyMulMod(pa, pb, f.irred, p), p)
 			}
 			f.neg[a] = polyToInt(polyNeg(pa, p), p)
-		}
-	}
-	// Inverses by exhaustive search (q ≤ 512 so this is at most 512² probes).
-	for a := 1; a < q; a++ {
-		for b := 1; b < q; b++ {
-			if f.mul[a*q+b] == 1 {
-				f.inv[a] = b
-				break
-			}
 		}
 	}
 }
@@ -171,12 +118,6 @@ func primePower(n int) (p, e int, ok bool) {
 		}
 	}
 	return n, 1, true // n itself prime
-}
-
-// IsPrimePower reports whether n is a prime power (n ≥ 2).
-func IsPrimePower(n int) bool {
-	_, _, ok := primePower(n)
-	return ok
 }
 
 // --- polynomial helpers over GF(p), coefficient slices little-endian ---

@@ -388,38 +388,6 @@ func (s *Scheme) SlotPlace(slot int64) (page, r1, proc int) {
 	return s.place(int(slot/int64(s.Redundant)), int(slot%int64(s.Redundant)), path)
 }
 
-// SlotOfPageRank is the inverse of SlotPlace's (page, r1) pair: it
-// recovers the slot id of the copy at rank r1 of level-1 page `page`.
-// The page digits are decoded bottom-up into the leaf-to-root module
-// path (InputAtRank inverts RankOfInput level by level), r1 then names
-// the variable among the page's copies, and the leaf index is re-read
-// off the path's edge digits.
-func (s *Scheme) SlotOfPageRank(page, r1 int) int64 {
-	var pbuf, cbuf [8]int
-	path, children := pbuf[:], cbuf[:]
-	if s.K > len(pbuf) {
-		path = make([]int, s.K)
-		children = make([]int, s.K)
-	}
-	rest := page
-	for lev := 1; lev < s.K; lev++ {
-		children[lev] = rest % s.PagesPer[lev+1]
-		rest /= s.PagesPer[lev+1]
-	}
-	path[s.K-1] = rest
-	for lev := s.K - 1; lev >= 1; lev-- {
-		path[lev-1] = s.Graphs[lev].InputAtRank(path[lev], children[lev])
-	}
-	v := s.Graphs[0].InputAtRank(path[0], r1)
-	leaf := 0
-	cur := v
-	for i := 0; i < s.K; i++ {
-		leaf = leaf*s.Q + s.Graphs[i].EdgeIndex(cur, path[i])
-		cur = path[i]
-	}
-	return int64(v)*int64(s.Redundant) + int64(leaf)
-}
-
 // MemBytes returns the resident heap bytes of the scheme's tables —
 // all O(1) in n (the constructivity pay-off): the cached level-K
 // tessellation plus the per-level parameter slices. The shared mesh

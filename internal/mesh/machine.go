@@ -83,13 +83,6 @@ func (m *Machine) SetFaults(f *fault.Map) {
 // Faults returns the installed fault map (nil when healthy).
 func (m *Machine) Faults() *fault.Map { return m.faults }
 
-// LinkUp reports whether the edge p–q can carry packets this
-// simulation: both endpoints alive and the link not dead.
-func (m *Machine) LinkUp(p, q int) bool { return m.faults.LinkUp(p, q) }
-
-// LinkDelay returns the cycle period of the edge p–q (1 = healthy).
-func (m *Machine) LinkDelay(p, q int) int { return m.faults.LinkDelay(p, q) }
-
 // AddSteps charges n machine steps (n ≥ 0) to the step counter and,
 // when a ledger is attached, to its active phase span.
 func (m *Machine) AddSteps(n int64) {
@@ -102,9 +95,6 @@ func (m *Machine) AddSteps(n int64) {
 
 // Steps returns the total steps charged so far.
 func (m *Machine) Steps() int64 { return m.steps.Load() }
-
-// ResetSteps zeroes the step counter and returns the previous value.
-func (m *Machine) ResetSteps() int64 { return m.steps.Swap(0) }
 
 // RowOf returns the row of processor p.
 func (m *Machine) RowOf(p int) int { return p / m.Side }

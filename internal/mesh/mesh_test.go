@@ -37,12 +37,6 @@ func TestStepsAccounting(t *testing.T) {
 	if m.Steps() != 12 {
 		t.Fatalf("Steps=%d", m.Steps())
 	}
-	if prev := m.ResetSteps(); prev != 12 {
-		t.Fatalf("ResetSteps returned %d", prev)
-	}
-	if m.Steps() != 0 {
-		t.Fatal("steps not reset")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative AddSteps did not panic")
@@ -200,23 +194,6 @@ func TestSplitQNested(t *testing.T) {
 		if s.R0 < o.R0 || s.C0 < o.C0 || s.R0+s.H > o.R0+o.H || s.C0+s.W > o.C0+o.W {
 			t.Fatalf("inner %d (%v) not inside outer %d (%v)", i, s, i/9, o)
 		}
-	}
-}
-
-func TestRowColLines(t *testing.T) {
-	m := MustNew(8)
-	r := Region{R0: 2, C0: 1, H: 3, W: 4}
-	row0 := r.RowLine(m, 0)
-	if len(row0) != 4 || row0[0] != m.IDOf(2, 1) || row0[3] != m.IDOf(2, 4) {
-		t.Fatalf("row0 = %v", row0)
-	}
-	row1 := r.RowLine(m, 1) // reversed
-	if row1[0] != m.IDOf(3, 4) || row1[3] != m.IDOf(3, 1) {
-		t.Fatalf("row1 = %v", row1)
-	}
-	col2 := r.ColLine(m, 2)
-	if len(col2) != 3 || col2[0] != m.IDOf(2, 3) || col2[2] != m.IDOf(4, 3) {
-		t.Fatalf("col2 = %v", col2)
 	}
 }
 

@@ -49,28 +49,6 @@ func (r Region) ProcAtSnake(m *Machine, i int) int {
 	return m.IDOf(r.R0+row, r.C0+col)
 }
 
-// RowLine returns the processor ids of relative row j of the region, in
-// snake direction (left-to-right for even j).
-func (r Region) RowLine(m *Machine, j int) []int {
-	line := make([]int, r.W)
-	for c := 0; c < r.W; c++ {
-		line[c] = m.IDOf(r.R0+j, r.C0+c)
-	}
-	if j%2 == 1 {
-		reverse(line)
-	}
-	return line
-}
-
-// ColLine returns the processor ids of relative column c, top to bottom.
-func (r Region) ColLine(m *Machine, c int) []int {
-	line := make([]int, r.H)
-	for j := 0; j < r.H; j++ {
-		line[j] = m.IDOf(r.R0+j, r.C0+c)
-	}
-	return line
-}
-
 // SplitQ tessellates the region into `parts` congruent subregions,
 // where parts must be a power of q dividing the region exactly. The
 // split proceeds recursively, dividing the currently longer side into q
@@ -177,10 +155,4 @@ func (r Region) SubRegionAt(q, parts, idx int) Region {
 		}
 	}
 	return reg
-}
-
-func reverse(s []int) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestMeshBackendIdleStep(t *testing.T) {
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	before := mb.Steps()
 	res, err := mb.ExecStep(make([]Op, 10)) // all Kind None
 	if err != nil {
@@ -28,32 +28,19 @@ func TestMeshBackendIdleStep(t *testing.T) {
 }
 
 func TestMeshBackendUnknownKind(t *testing.T) {
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	if _, err := mb.ExecStep([]Op{{Kind: Kind(99), Addr: 1}}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
 
 func TestMeshBackendAddressValidation(t *testing.T) {
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	if _, err := mb.ExecStep([]Op{{Kind: Read, Addr: mb.Vars()}}); err == nil {
 		t.Fatal("read out of range accepted")
 	}
 	if _, err := mb.ExecStep([]Op{{Kind: Write, Addr: -1, Value: 1}}); err == nil {
 		t.Fatal("write out of range accepted")
-	}
-}
-
-func TestMeshBackendMaxWriteCombine(t *testing.T) {
-	mb := testMesh(t, MaxWrite)
-	mb.ExecStep([]Op{
-		{Kind: Write, Addr: 4, Value: 30},
-		{Kind: Write, Addr: 4, Value: 90},
-		{Kind: Write, Addr: 4, Value: 60},
-	})
-	res, _ := mb.ExecStep([]Op{{Kind: Read, Addr: 4}})
-	if res[0] != 90 {
-		t.Fatalf("max combine = %d", res[0])
 	}
 }
 
@@ -76,10 +63,10 @@ func TestMeshBackendManyDistinctSingleRound(t *testing.T) {
 		}
 		return ops
 	}
-	mb1, _ := newMesh(p, core.Config{}, nil)
+	mb1, _ := newMesh(p, core.Config{})
 	mb1.ExecStep(mkOps(false))
 	single := mb1.Steps()
-	mb2, _ := newMesh(p, core.Config{}, nil)
+	mb2, _ := newMesh(p, core.Config{})
 	mb2.ExecStep(mkOps(true))
 	double := mb2.Steps()
 	if double <= single {
@@ -87,15 +74,14 @@ func TestMeshBackendManyDistinctSingleRound(t *testing.T) {
 	}
 }
 
-// defaultConfig resolves DefaultScenario, after edit (if any), with
-// the given hooks.
-func defaultConfig(t testing.TB, edit func(*sim.Scenario), hooks ...sim.Option) sim.Config {
+// defaultConfig resolves DefaultScenario, after edit (if any).
+func defaultConfig(t testing.TB, edit func(*sim.Scenario)) sim.Config {
 	t.Helper()
 	sc := sim.DefaultScenario()
 	if edit != nil {
 		edit(&sc)
 	}
-	cfg, err := sim.FromScenario(sc, hooks...)
+	cfg, err := sim.FromScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +118,10 @@ func TestNewBackendKinds(t *testing.T) {
 }
 
 func TestNewBackendCombine(t *testing.T) {
-	// The sim.Config carries the policy as a plain func; NewBackend must
-	// hand it through to both backends. Exercised with SumWrite on the
-	// mesh — three concurrent writes combine additively.
+	// Both backends NewBackend builds resolve concurrent writes by the
+	// same rule: the lowest pid's value wins.
 	for _, kind := range []BackendKind{BackendIdeal, BackendMesh} {
-		b, err := NewBackend(kind, defaultConfig(t, nil, sim.Combine(SumWrite)))
+		b, err := NewBackend(kind, defaultConfig(t, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,8 +134,8 @@ func TestNewBackendCombine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res[0] != 34 {
-			t.Errorf("%s backend: sum combine = %d, want 34", kind, res[0])
+		if res[0] != 3 {
+			t.Errorf("%s backend: combined write = %d, want the lowest pid's 3", kind, res[0])
 		}
 	}
 }
@@ -194,7 +179,7 @@ func TestMeshBackendDegradationReports(t *testing.T) {
 
 	// A healthy mesh stays clean: LastReport non-nil but undegraded
 	// whenever a fault map is installed, nil without one.
-	clean := testMesh(t, nil)
+	clean := testMesh(t)
 	clean.ExecStep([]Op{{Kind: Read, Addr: 0}})
 	if clean.LastReport() != nil {
 		t.Error("faultless mesh produced a degradation report")
@@ -202,7 +187,7 @@ func TestMeshBackendDegradationReports(t *testing.T) {
 }
 
 func TestRunStepLimitGuard(t *testing.T) {
-	id := newIdeal(4, nil)
+	id := newIdeal(4)
 	if _, err := Run(&foreverProgram{}, id); err == nil {
 		t.Fatal("runaway program not stopped")
 	}

@@ -75,7 +75,7 @@ func TestProgramWordsFit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = Run(prog, newIdeal(mem, nil))
+			_, err = Run(prog, newIdeal(mem))
 			return err
 		}
 		if err := run(words); err != nil {

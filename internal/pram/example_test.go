@@ -22,15 +22,15 @@ func ExampleRun() {
 		fmt.Println(err)
 		return
 	}
-	id := b.(*pram.Ideal)
 	in := []pram.Word{1, 2, 3, 4, 5, 6, 7, 8}
-	steps, err := pram.Run(&pram.PrefixSum{In: in}, id)
+	steps, err := pram.Run(&pram.PrefixSum{In: in}, b)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
+	res, _ := b.ExecStep([]pram.Op{{Kind: pram.Read, Addr: 7}})
 	fmt.Println("PRAM steps:", steps)
-	fmt.Println("prefix total:", id.Mem()[7])
+	fmt.Println("prefix total:", res[0])
 	// Output:
 	// PRAM steps: 7
 	// prefix total: 36

@@ -8,10 +8,11 @@
 // variable per processor per step. The mesh backend therefore combines
 // concurrent requests at the source, Ranade-style: concurrent reads of
 // a variable are served by one representative request and fanned out,
-// concurrent writes are reduced by a combining policy before a single
-// winner is routed. A step whose read set and write set overlap is
-// split into a read round followed by a write round so that all reads
-// observe the pre-step memory (the usual CRCW convention).
+// and of concurrent writes the lowest pid's value wins (the Arbitrary
+// CRCW rule, on both backends) and is routed alone. A step whose read
+// set and write set overlap is split into a read round followed by a
+// write round so that all reads observe the pre-step memory (the usual
+// CRCW convention).
 package pram
 
 import (
@@ -57,33 +58,6 @@ type Program interface {
 	Next(t int, prev []Word) (ops []Op, done bool)
 }
 
-// CombinePolicy reduces concurrent writes to one value.
-type CombinePolicy func(vals []Word) Word
-
-// ArbitraryWrite takes the first (lowest-pid) value — the Arbitrary
-// CRCW convention.
-func ArbitraryWrite(vals []Word) Word { return vals[0] }
-
-// MaxWrite combines by maximum.
-func MaxWrite(vals []Word) Word {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// SumWrite combines by addition.
-func SumWrite(vals []Word) Word {
-	var s Word
-	for _, v := range vals {
-		s += v
-	}
-	return s
-}
-
 // Backend executes PRAM steps.
 type Backend interface {
 	// Vars returns the shared-memory size.
@@ -112,10 +86,6 @@ const (
 // backend gets the full configuration, including the fault map, and
 // the config's trace sinks are wired onto its ledger.
 func NewBackend(kind BackendKind, cfg sim.Config) (Backend, error) {
-	var combine CombinePolicy
-	if cfg.Combine != nil {
-		combine = CombinePolicy(cfg.Combine)
-	}
 	switch kind {
 	case BackendIdeal:
 		words := cfg.IdealMemory
@@ -126,7 +96,7 @@ func NewBackend(kind BackendKind, cfg sim.Config) (Backend, error) {
 			}
 			words = v
 		}
-		return newIdeal(words, combine), nil
+		return newIdeal(words), nil
 	case BackendMesh:
 		// Build through cfg.NewSimulator so the scheme built (or
 		// installed via sim.UseScheme) by sim.FromScenario is reused and the
@@ -135,10 +105,7 @@ func NewBackend(kind BackendKind, cfg sim.Config) (Backend, error) {
 		if err != nil {
 			return nil, err
 		}
-		if combine == nil {
-			combine = ArbitraryWrite
-		}
-		mb := &Mesh{Sim: s, combine: combine, m: s.Mesh()}
+		mb := &Mesh{Sim: s, m: s.Mesh()}
 		if cfg.Retry > 0 {
 			mb.SetRetryBudget(cfg.Retry)
 		}
@@ -177,18 +144,14 @@ func Run(p Program, b Backend) (pramSteps int, err error) {
 
 // Ideal is the machine being simulated: a unit-cost shared memory.
 type Ideal struct {
-	mem     []Word
-	steps   int64
-	combine CombinePolicy
+	mem   []Word
+	steps int64
 }
 
 // newIdeal creates an ideal PRAM with the given memory size. Callers
 // outside the package construct it through NewBackend(BackendIdeal, cfg).
-func newIdeal(vars int, combine CombinePolicy) *Ideal {
-	if combine == nil {
-		combine = ArbitraryWrite
-	}
-	return &Ideal{mem: make([]Word, vars), combine: combine}
+func newIdeal(vars int) *Ideal {
+	return &Ideal{mem: make([]Word, vars)}
 }
 
 // Vars implements Backend.
@@ -209,7 +172,9 @@ func (id *Ideal) ExecStep(ops []Op) ([]Word, error) {
 			res[i] = id.mem[op.Addr]
 		}
 	}
-	writes := map[int][]Word{}
+	// Of concurrent writes the lowest pid wins; memory changes only once
+	// every address has been checked.
+	writes := map[int]Word{}
 	var addrs []int
 	for _, op := range ops {
 		if op.Kind == Write {
@@ -218,27 +183,23 @@ func (id *Ideal) ExecStep(ops []Op) ([]Word, error) {
 			}
 			if _, ok := writes[op.Addr]; !ok {
 				addrs = append(addrs, op.Addr)
+				writes[op.Addr] = op.Value
 			}
-			writes[op.Addr] = append(writes[op.Addr], op.Value)
 		}
 	}
 	for _, a := range addrs {
-		id.mem[a] = id.combine(writes[a])
+		id.mem[a] = writes[a]
 	}
 	id.steps++
 	return res, nil
 }
 
-// Mem exposes the ideal memory for verification in tests and examples.
-func (id *Ideal) Mem() []Word { return id.mem }
-
 // --- Mesh backend -------------------------------------------------------
 
 // Mesh executes PRAM steps on the paper's mesh simulation.
 type Mesh struct {
-	Sim     *core.Simulator
-	combine CombinePolicy
-	m       *mesh.Machine
+	Sim *core.Simulator
+	m   *mesh.Machine
 
 	lastRep  *fault.StepReport // degradation of the most recent ExecStep
 	totalRep *fault.StepReport // accumulated degradation across the run
@@ -287,17 +248,6 @@ func (mb *Mesh) SetRetryBudget(n int) {
 // the total rollback work; steps past it execute once and report their
 // degradation honestly (RecoveryStats.Capped).
 const rollbackCapFactor = 16
-
-// SetRollbackCap overrides the run-wide rollback cap (total step
-// re-executions across all PRAM steps). Zero disables the cap, leaving
-// only the per-step budget. SetRetryBudget resets the cap to its
-// default (rollbackCapFactor × budget), so call SetRollbackCap after.
-func (mb *Mesh) SetRollbackCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	mb.rollbackCap = n
-}
 
 // Recovery returns the accumulated checkpointed-retry counters.
 func (mb *Mesh) Recovery() RecoveryStats { return mb.rec }
@@ -459,11 +409,8 @@ func (mb *Mesh) execStep(ops []Op) ([]Word, error) {
 	}
 	writeBatch := make([]core.Op, 0, len(writeAddrs))
 	for _, a := range writeAddrs {
-		vals := make([]Word, 0, len(writers[a]))
-		for _, pid := range writers[a] {
-			vals = append(vals, ops[pid].Value)
-		}
-		writeBatch = append(writeBatch, core.Op{Origin: writers[a][0] % n, Var: a, IsWrite: true, Value: mb.combine(vals)})
+		pid := writers[a][0] // the lowest pid's write wins
+		writeBatch = append(writeBatch, core.Op{Origin: pid % n, Var: a, IsWrite: true, Value: ops[pid].Value})
 	}
 
 	fanOut := func(vals []Word) {

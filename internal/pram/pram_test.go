@@ -12,20 +12,17 @@ var meshParams = hmos.Params{Side: 9, Q: 3, D: 3, K: 2} // n=81, M=117
 
 // newMesh builds a mesh backend straight from HMOS parameters and a
 // core configuration; code outside the tests goes through NewBackend.
-func newMesh(p hmos.Params, cfg core.Config, combine CombinePolicy) (*Mesh, error) {
+func newMesh(p hmos.Params, cfg core.Config) (*Mesh, error) {
 	sim, err := core.New(p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if combine == nil {
-		combine = ArbitraryWrite
-	}
-	return &Mesh{Sim: sim, combine: combine, m: sim.Mesh()}, nil
+	return &Mesh{Sim: sim, m: sim.Mesh()}, nil
 }
 
-func testMesh(t testing.TB, combine CombinePolicy) *Mesh {
+func testMesh(t testing.TB) *Mesh {
 	t.Helper()
-	mb, err := newMesh(meshParams, core.Config{}, combine)
+	mb, err := newMesh(meshParams, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +30,7 @@ func testMesh(t testing.TB, combine CombinePolicy) *Mesh {
 }
 
 func TestIdealSemantics(t *testing.T) {
-	id := newIdeal(10, nil)
+	id := newIdeal(10)
 	// Write then read in separate steps.
 	if _, err := id.ExecStep([]Op{{Kind: Write, Addr: 3, Value: 7}}); err != nil {
 		t.Fatal(err)
@@ -56,29 +53,22 @@ func TestIdealSemantics(t *testing.T) {
 	}
 }
 
+// TestIdealCombinePolicies pins the one concurrent-write rule: the
+// lowest pid's value wins (Arbitrary CRCW).
 func TestIdealCombinePolicies(t *testing.T) {
-	cases := []struct {
-		policy CombinePolicy
-		want   Word
-	}{
-		{ArbitraryWrite, 5}, {MaxWrite, 9}, {SumWrite, 21},
-	}
-	for i, c := range cases {
-		id := newIdeal(4, c.policy)
-		id.ExecStep([]Op{
-			{Kind: Write, Addr: 0, Value: 5},
-			{Kind: Write, Addr: 0, Value: 9},
-			{Kind: Write, Addr: 0, Value: 7},
-		})
-		res, _ := id.ExecStep([]Op{{Kind: Read, Addr: 0}})
-		if res[0] != c.want {
-			t.Errorf("case %d: got %d want %d", i, res[0], c.want)
-		}
+	id := newIdeal(4)
+	id.ExecStep([]Op{
+		{Kind: Write, Addr: 0, Value: 5},
+		{Kind: Write, Addr: 0, Value: 9},
+		{Kind: Write, Addr: 0, Value: 7},
+	})
+	if res, _ := id.ExecStep([]Op{{Kind: Read, Addr: 0}}); res[0] != 5 {
+		t.Errorf("got %d want the lowest pid's 5", res[0])
 	}
 }
 
 func TestIdealAddressValidation(t *testing.T) {
-	id := newIdeal(4, nil)
+	id := newIdeal(4)
 	if _, err := id.ExecStep([]Op{{Kind: Read, Addr: 4}}); err == nil {
 		t.Error("read out of range accepted")
 	}
@@ -88,7 +78,7 @@ func TestIdealAddressValidation(t *testing.T) {
 }
 
 func TestMeshBackendBasic(t *testing.T) {
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	if _, err := mb.ExecStep([]Op{{Kind: Write, Addr: 5, Value: 123}}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +92,7 @@ func TestMeshBackendBasic(t *testing.T) {
 }
 
 func TestMeshConcurrentReads(t *testing.T) {
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	mb.ExecStep([]Op{{Kind: Write, Addr: 7, Value: 55}})
 	ops := make([]Op, 20)
 	for i := range ops {
@@ -120,20 +110,20 @@ func TestMeshConcurrentReads(t *testing.T) {
 }
 
 func TestMeshConcurrentWritesCombine(t *testing.T) {
-	mb := testMesh(t, SumWrite)
+	mb := testMesh(t)
 	mb.ExecStep([]Op{
 		{Kind: Write, Addr: 2, Value: 10},
 		{Kind: Write, Addr: 2, Value: 20},
 		{Kind: Write, Addr: 2, Value: 30},
 	})
 	res, _ := mb.ExecStep([]Op{{Kind: Read, Addr: 2}})
-	if res[0] != 60 {
-		t.Fatalf("combined write = %d, want 60", res[0])
+	if res[0] != 10 {
+		t.Fatalf("combined write = %d, want the lowest pid's 10", res[0])
 	}
 }
 
 func TestMeshReadWriteOverlapSplits(t *testing.T) {
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	mb.ExecStep([]Op{{Kind: Write, Addr: 9, Value: 1}})
 	// Same step reads and writes addr 9: read must see the old value.
 	res, err := mb.ExecStep([]Op{
@@ -170,17 +160,17 @@ func TestPrefixSumIdealAndMesh(t *testing.T) {
 	}
 	want := refPrefix(in)
 
-	id := newIdeal(128, nil)
+	id := newIdeal(128)
 	if _, err := Run(&PrefixSum{In: in}, id); err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range want {
-		if id.Mem()[i] != w {
-			t.Fatalf("ideal prefix[%d]=%d want %d", i, id.Mem()[i], w)
+		if id.mem[i] != w {
+			t.Fatalf("ideal prefix[%d]=%d want %d", i, id.mem[i], w)
 		}
 	}
 
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	if _, err := Run(&PrefixSum{In: in}, mb); err != nil {
 		t.Fatal(err)
 	}
@@ -220,17 +210,17 @@ func TestListRankIdealAndMesh(t *testing.T) {
 	next[order[n-1]] = order[n-1]
 	want := refListRank(next)
 
-	id := newIdeal(2*n, nil)
+	id := newIdeal(2 * n)
 	if _, err := Run(&ListRank{Succ: next, NextBase: 0, RankBase: n}, id); err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range want {
-		if id.Mem()[n+i] != w {
-			t.Fatalf("ideal rank[%d]=%d want %d", i, id.Mem()[n+i], w)
+		if id.mem[n+i] != w {
+			t.Fatalf("ideal rank[%d]=%d want %d", i, id.mem[n+i], w)
 		}
 	}
 
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	if _, err := Run(&ListRank{Succ: next, NextBase: 0, RankBase: n}, mb); err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +257,17 @@ func TestMatVecIdealAndMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	id := newIdeal(r*c+c+r, nil)
+	id := newIdeal(r*c + c + r)
 	if _, err := Run(prog, id); err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range want {
-		if id.Mem()[r*c+c+i] != w {
-			t.Fatalf("ideal y[%d]=%d want %d", i, id.Mem()[r*c+c+i], w)
+		if id.mem[r*c+c+i] != w {
+			t.Fatalf("ideal y[%d]=%d want %d", i, id.mem[r*c+c+i], w)
 		}
 	}
 
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	prog2 := &MatVec{A: A, X: x, ABase: 0, XBase: r * c, YBase: r*c + c}
 	if _, err := Run(prog2, mb); err != nil {
 		t.Fatal(err)
@@ -298,7 +288,7 @@ func TestMatVecValidate(t *testing.T) {
 }
 
 func TestRunOpsLengthMismatch(t *testing.T) {
-	id := newIdeal(4, nil)
+	id := newIdeal(4)
 	bad := &badProgram{}
 	if _, err := Run(bad, id); err == nil {
 		t.Fatal("mismatched ops length accepted")
@@ -318,7 +308,7 @@ func BenchmarkPrefixSumMesh(b *testing.B) {
 		in[i] = Word(i)
 	}
 	for i := 0; i < b.N; i++ {
-		mb, _ := newMesh(meshParams, core.Config{}, nil)
+		mb, _ := newMesh(meshParams, core.Config{})
 		Run(&PrefixSum{In: in}, mb)
 	}
 }

@@ -14,14 +14,14 @@ func TestReduceIdealAndMesh(t *testing.T) {
 		in[i] = Word(rng.Intn(1000) - 500)
 		want += in[i]
 	}
-	id := newIdeal(64, nil)
+	id := newIdeal(64)
 	if _, err := Run(&Reduce{In: in}, id); err != nil {
 		t.Fatal(err)
 	}
-	if id.Mem()[0] != want {
-		t.Fatalf("ideal reduce = %d, want %d", id.Mem()[0], want)
+	if id.mem[0] != want {
+		t.Fatalf("ideal reduce = %d, want %d", id.mem[0], want)
 	}
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	if _, err := Run(&Reduce{In: in}, mb); err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,12 @@ func TestReduceSizes(t *testing.T) {
 			in[i] = Word(i*i - 3)
 			want += in[i]
 		}
-		id := newIdeal(64, nil)
+		id := newIdeal(64)
 		if _, err := Run(&Reduce{In: in}, id); err != nil {
 			t.Fatal(err)
 		}
-		if id.Mem()[0] != want {
-			t.Fatalf("n=%d: reduce = %d, want %d", n, id.Mem()[0], want)
+		if id.mem[0] != want {
+			t.Fatalf("n=%d: reduce = %d, want %d", n, id.mem[0], want)
 		}
 	}
 }
@@ -59,17 +59,17 @@ func TestOddEvenSortIdealAndMesh(t *testing.T) {
 	want := append([]Word(nil), in...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 
-	id := newIdeal(64, nil)
+	id := newIdeal(64)
 	if _, err := Run(&OddEvenSort{In: in}, id); err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range want {
-		if id.Mem()[i] != w {
-			t.Fatalf("ideal sort[%d] = %d, want %d", i, id.Mem()[i], w)
+		if id.mem[i] != w {
+			t.Fatalf("ideal sort[%d] = %d, want %d", i, id.mem[i], w)
 		}
 	}
 
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	if _, err := Run(&OddEvenSort{In: in}, mb); err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestOddEvenSortAdversarialInputs(t *testing.T) {
 	for ci, in := range cases {
 		want := append([]Word(nil), in...)
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		id := newIdeal(32, nil)
+		id := newIdeal(32)
 		if _, err := Run(&OddEvenSort{In: append([]Word(nil), in...)}, id); err != nil {
 			t.Fatal(err)
 		}
 		for i, w := range want {
-			if id.Mem()[i] != w {
-				t.Fatalf("case %d: sort[%d] = %d, want %d", ci, i, id.Mem()[i], w)
+			if id.mem[i] != w {
+				t.Fatalf("case %d: sort[%d] = %d, want %d", ci, i, id.mem[i], w)
 			}
 		}
 	}
@@ -111,20 +111,20 @@ func TestCompactIdealAndMesh(t *testing.T) {
 	prog := func() *Compact {
 		return &Compact{In: in, FlagBase: 0, OutBase: n, CountAddr: 2 * n}
 	}
-	id := newIdeal(32, nil)
+	id := newIdeal(32)
 	if _, err := Run(prog(), id); err != nil {
 		t.Fatal(err)
 	}
-	if id.Mem()[2*n] != Word(len(wantOut)) {
-		t.Fatalf("ideal count = %d, want %d", id.Mem()[2*n], len(wantOut))
+	if id.mem[2*n] != Word(len(wantOut)) {
+		t.Fatalf("ideal count = %d, want %d", id.mem[2*n], len(wantOut))
 	}
 	for i, w := range wantOut {
-		if id.Mem()[n+i] != w {
-			t.Fatalf("ideal out[%d] = %d, want %d", i, id.Mem()[n+i], w)
+		if id.mem[n+i] != w {
+			t.Fatalf("ideal out[%d] = %d, want %d", i, id.mem[n+i], w)
 		}
 	}
 
-	mb := testMesh(t, nil)
+	mb := testMesh(t)
 	if _, err := Run(prog(), mb); err != nil {
 		t.Fatal(err)
 	}
@@ -153,16 +153,16 @@ func TestCompactEdgeCases(t *testing.T) {
 	}
 	for ci, c := range cases {
 		n := len(c.in)
-		id := newIdeal(32, nil)
+		id := newIdeal(32)
 		if _, err := Run(&Compact{In: c.in, FlagBase: 0, OutBase: n, CountAddr: 2 * n}, id); err != nil {
 			t.Fatal(err)
 		}
-		if id.Mem()[2*n] != Word(len(c.want)) {
-			t.Fatalf("case %d: count = %d, want %d", ci, id.Mem()[2*n], len(c.want))
+		if id.mem[2*n] != Word(len(c.want)) {
+			t.Fatalf("case %d: count = %d, want %d", ci, id.mem[2*n], len(c.want))
 		}
 		for i, w := range c.want {
-			if id.Mem()[n+i] != w {
-				t.Fatalf("case %d: out[%d] = %d, want %d", ci, i, id.Mem()[n+i], w)
+			if id.mem[n+i] != w {
+				t.Fatalf("case %d: out[%d] = %d, want %d", ci, i, id.mem[n+i], w)
 			}
 		}
 	}

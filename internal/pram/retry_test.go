@@ -36,7 +36,7 @@ func isolateModule(f *fault.Map, side, p int) {
 func TestRetryRecoversLostPackets(t *testing.T) {
 	f := fault.NewMap(meshParams.Side)
 	isolateModule(f, meshParams.Side, 9)
-	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,13 +78,13 @@ func TestRetryRecoversLostPackets(t *testing.T) {
 // rollback plus eager repair cannot help, the budget runs out, and the
 // step is reported unrecoverable with the attempts accounted.
 func TestRetryExhaustsOnUnhealableLoss(t *testing.T) {
-	probe := testMesh(t, nil)
+	probe := testMesh(t)
 	hosts := moduleHostsOf(t, probe, 0)
 	f := fault.NewMap(meshParams.Side)
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,18 +114,18 @@ func TestRetryExhaustsOnUnhealableLoss(t *testing.T) {
 // third is denied any rollback — and RecoveryStats reports the capped
 // steps distinctly from budget-exhausted ones.
 func TestRollbackCapStopsLivelock(t *testing.T) {
-	probe := testMesh(t, nil)
+	probe := testMesh(t)
 	hosts := moduleHostsOf(t, probe, 0)
 	f := fault.NewMap(meshParams.Side)
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mb.SetRetryBudget(2)
-	mb.SetRollbackCap(3)
+	mb.rollbackCap = 3
 
 	for i := 0; i < 3; i++ {
 		if _, err := mb.ExecStep([]Op{{Kind: Read, Addr: 0}}); err != nil {
@@ -157,9 +157,8 @@ func TestRollbackCapStopsLivelock(t *testing.T) {
 		t.Errorf("total report %v, want 3 unrecoverable step entries", tot)
 	}
 
-	// The default cap follows the budget; an explicit override sticks
-	// until the next SetRetryBudget.
-	mb2, err := newMesh(meshParams, core.Config{Faults: fault.NewMap(meshParams.Side)}, nil)
+	// The default cap follows the budget.
+	mb2, err := newMesh(meshParams, core.Config{Faults: fault.NewMap(meshParams.Side)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,23 +166,19 @@ func TestRollbackCapStopsLivelock(t *testing.T) {
 	if mb2.rollbackCap != 2*rollbackCapFactor {
 		t.Errorf("default cap = %d, want %d", mb2.rollbackCap, 2*rollbackCapFactor)
 	}
-	mb2.SetRollbackCap(0)
-	if mb2.rollbackCap != 0 {
-		t.Error("explicit cap override ignored")
-	}
 }
 
 // TestRetryBudgetBound pins the retry budget's bound: a budget above
 // sim.MaxRetry is clamped to it, and a step that exhausts the full
 // bound charges 2^MaxRetry − 1 backoff steps — positive and unwrapped.
 func TestRetryBudgetBound(t *testing.T) {
-	probe := testMesh(t, nil)
+	probe := testMesh(t)
 	hosts := moduleHostsOf(t, probe, 0)
 	f := fault.NewMap(meshParams.Side)
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +203,13 @@ func TestRetryBudgetBound(t *testing.T) {
 // budget the wrapper must not checkpoint, retry, or touch the
 // recovery counters even when a step fails.
 func TestRetryBudgetZeroNeverSnapshots(t *testing.T) {
-	probe := testMesh(t, nil)
+	probe := testMesh(t)
 	hosts := moduleHostsOf(t, probe, 0)
 	f := fault.NewMap(meshParams.Side)
 	for _, h := range hosts[:5] {
 		f.KillModule(h)
 	}
-	mb, err := newMesh(meshParams, core.Config{Faults: f}, nil)
+	mb, err := newMesh(meshParams, core.Config{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}

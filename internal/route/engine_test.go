@@ -11,6 +11,15 @@ import (
 	"meshpram/internal/trace"
 )
 
+// totalPackets returns the packets of sp's whole subtree.
+func totalPackets(sp *trace.Span) int64 {
+	t := sp.Packets()
+	for _, c := range sp.Children() {
+		t += totalPackets(c)
+	}
+	return t
+}
+
 // An engine reused across calls must be bit-identical to a fresh one:
 // delivered contents and per-processor order, cycle counts, lost
 // accounting and ledger spans. No state may leak across calls through
@@ -111,7 +120,7 @@ func runEngine(t *testing.T, eng *Engine[item], withFaults, torus, faultPath boo
 		t.Fatal("routing left no ledger span")
 	}
 	run.observed = sp.Observed()
-	run.packets = sp.TotalPackets()
+	run.packets = totalPackets(sp)
 	run.phases = sp.PhaseTotals()
 	run.lostAttr, _ = sp.Attr("lost")
 	return run

@@ -19,6 +19,12 @@ func cloneItems(items [][]item) [][]item {
 	return out
 }
 
+// routeFault routes items over the whole of m through a fresh engine's
+// fault-aware entry point.
+func routeFault(m *mesh.Machine, items [][]item, dest func(item) int) (delivered [][]item, steps int64, lost int) {
+	return NewEngine[item](m).RouteFault(nil, m.Full(), items, dest)
+}
+
 // TestFaultRouterEmptyMapIdentity pins the rate-0 guarantee at the
 // router level: with a non-nil empty fault map, the fault-aware cycle
 // loop (forced, since an empty map would take the line solver) must
@@ -67,7 +73,7 @@ func TestFaultRouterDetour(t *testing.T) {
 	m.SetFaults(f)
 	items := make([][]item, m.N)
 	items[0] = []item{{dest: 4, id: 1}}
-	delivered, steps, lost := GreedyRouteFaultInto(nil, m, m.Full(), items, func(v item) int { return v.dest })
+	delivered, steps, lost := routeFault(m, items, func(v item) int { return v.dest })
 	if lost != 0 {
 		t.Fatalf("lost %d packets around a detourable cut", lost)
 	}
@@ -93,7 +99,7 @@ func TestFaultRouterDoubleCutDrops(t *testing.T) {
 	m.SetFaults(f)
 	items := make([][]item, m.N)
 	items[0] = []item{{dest: 4, id: 1}}
-	delivered, steps, lost := GreedyRouteFaultInto(nil, m, m.Full(), items, func(v item) int { return v.dest })
+	delivered, steps, lost := routeFault(m, items, func(v item) int { return v.dest })
 	if lost != 1 {
 		t.Errorf("lost = %d, want 1 (double cut defeats local detouring)", lost)
 	}
@@ -114,7 +120,7 @@ func TestFaultRouterDeadDestination(t *testing.T) {
 	m.SetFaults(f)
 	items := make([][]item, m.N)
 	items[0] = []item{{dest: 15, id: 1}, {dest: 5, id: 2}}
-	delivered, _, lost := GreedyRouteFaultInto(nil, m, m.Full(), items, func(v item) int { return v.dest })
+	delivered, _, lost := routeFault(m, items, func(v item) int { return v.dest })
 	if lost != 1 {
 		t.Errorf("lost = %d, want 1 (the dead-destination packet)", lost)
 	}
@@ -132,14 +138,14 @@ func TestFaultRouterSlowLink(t *testing.T) {
 		items[0] = []item{{dest: 3, id: 1}}
 		return items
 	}
-	_, base, lost0 := GreedyRouteFaultInto(nil, m, m.Full(), healthyItems(), func(v item) int { return v.dest })
+	_, base, lost0 := routeFault(m, healthyItems(), func(v item) int { return v.dest })
 	if lost0 != 0 {
 		t.Fatal("healthy run lost packets")
 	}
 	f := fault.NewMap(4)
 	f.SlowLink(1, 2, 4)
 	m.SetFaults(f)
-	delivered, slow, lost := GreedyRouteFaultInto(nil, m, m.Full(), healthyItems(), func(v item) int { return v.dest })
+	delivered, slow, lost := routeFault(m, healthyItems(), func(v item) int { return v.dest })
 	m.SetFaults(nil)
 	if lost != 0 || len(delivered[3]) != 1 {
 		t.Fatalf("slow link lost the packet (lost=%d)", lost)
@@ -163,7 +169,7 @@ func TestFaultRouterWalledIn(t *testing.T) {
 	m.SetFaults(f)
 	items := make([][]item, m.N)
 	items[0] = []item{{dest: 5, id: 1}, {dest: 10, id: 2}}
-	delivered, _, lost := GreedyRouteFaultInto(nil, m, m.Full(), items, func(v item) int { return v.dest })
+	delivered, _, lost := routeFault(m, items, func(v item) int { return v.dest })
 	if lost != 1 {
 		t.Errorf("lost = %d, want 1 (the walled-in destination)", lost)
 	}

@@ -56,7 +56,7 @@ func lineCall(eng *Engine[item], ld *trace.Ledger, c lineCase, faultPath bool, i
 		got, steps = eng.Route(nil, c.r, items, dest)
 	}
 	sp := ld.Last()
-	return got, steps, lost, [2]int64{sp.Observed(), sp.TotalPackets()}
+	return got, steps, lost, [2]int64{sp.Observed(), totalPackets(sp)}
 }
 
 // TestLineRouteIdentity pins the line-decomposed healthy path against

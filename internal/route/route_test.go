@@ -361,21 +361,6 @@ func TestRouteStagedBeatsDirectOnSkewedReceivers(t *testing.T) {
 	_ = direct
 }
 
-func TestCostAddMax(t *testing.T) {
-	a := Cost{Sort: 1, Rank: 2, Coarse: 3, Fine: 4}
-	b := Cost{Sort: 4, Rank: 1, Coarse: 5, Fine: 2}
-	c := a
-	c.Add(b)
-	if c != (Cost{5, 3, 8, 6}) {
-		t.Fatalf("Add: %+v", c)
-	}
-	d := a
-	d.Max(b)
-	if d != (Cost{4, 2, 5, 4}) {
-		t.Fatalf("Max: %+v", d)
-	}
-}
-
 func TestSortSnakeDuplicateKeysMultiset(t *testing.T) {
 	m := mesh.MustNew(4)
 	r := m.Full()

@@ -15,6 +15,29 @@ import (
 // odd-even transposition round and every row rotation, and return the
 // steps the schedule takes.
 
+// rowLine returns the processor ids of relative row j of r, in snake
+// direction (left-to-right for even j).
+func rowLine(m *mesh.Machine, r mesh.Region, j int) []int {
+	line := make([]int, r.W)
+	for c := range line {
+		line[c] = m.IDOf(r.R0+j, r.C0+c)
+	}
+	if j%2 == 1 {
+		slices.Reverse(line)
+	}
+	return line
+}
+
+// colLine returns the processor ids of relative column c of r, top to
+// bottom.
+func colLine(m *mesh.Machine, r mesh.Region, c int) []int {
+	line := make([]int, r.H)
+	for j := range line {
+		line[j] = m.IDOf(r.R0+j, r.C0+c)
+	}
+	return line
+}
+
 // elem wraps an item with its key; pad elements carry key MaxKey.
 type elem[T any] struct {
 	key uint64
@@ -115,22 +138,22 @@ func sortSnakeNet[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]
 	if r.H == 1 || r.W == 1 {
 		var line []int
 		if r.H == 1 {
-			line = r.RowLine(m, 0)
+			line = rowLine(m, r, 0)
 		} else {
-			line = r.ColLine(m, 0)
+			line = colLine(m, r, 0)
 		}
 		oetLine(blocks, line, L)
 	} else {
 		for p := 0; p < shearSortPhases(r.H); p++ {
 			for j := 0; j < r.H; j++ {
-				oetLine(blocks, r.RowLine(m, j), L)
+				oetLine(blocks, rowLine(m, r, j), L)
 			}
 			for c := 0; c < r.W; c++ {
-				oetLine(blocks, r.ColLine(m, c), L)
+				oetLine(blocks, colLine(m, r, c), L)
 			}
 		}
 		for j := 0; j < r.H; j++ {
-			oetLine(blocks, r.RowLine(m, j), L)
+			oetLine(blocks, rowLine(m, r, j), L)
 		}
 	}
 	return storeBlocks(m, r, items, blocks), L, SortCost(r, L)
@@ -222,7 +245,7 @@ func sortSnakeRotateNet[T any](m *mesh.Machine, r mesh.Region, items [][]T, key 
 	// order (odd rows descending) when snake is set, else ascending.
 	rowPass := func(snake bool) {
 		for j := 0; j < side; j++ {
-			line := r.RowLine(m, j)
+			line := rowLine(m, r, j)
 			if !snake && j%2 == 1 {
 				slices.Reverse(line)
 			}
@@ -257,7 +280,7 @@ func sortSnakeRotateNet[T any](m *mesh.Machine, r mesh.Region, items [][]T, key 
 	rowPass(false)
 	// Convert row-major to snake: odd rows descending.
 	for j := 1; j < side; j += 2 {
-		oetLine(blocks, r.RowLine(m, j), L)
+		oetLine(blocks, rowLine(m, r, j), L)
 	}
 	steps += int64(side) * int64(L)
 

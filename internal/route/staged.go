@@ -17,30 +17,6 @@ type Cost struct {
 // Total returns the summed step count.
 func (c Cost) Total() int64 { return c.Sort + c.Rank + c.Coarse + c.Fine }
 
-// Add accumulates another cost component-wise.
-func (c *Cost) Add(o Cost) {
-	c.Sort += o.Sort
-	c.Rank += o.Rank
-	c.Coarse += o.Coarse
-	c.Fine += o.Fine
-}
-
-// Max accumulates another cost component-wise by maximum (for phases
-// that run in parallel across disjoint submeshes).
-func (c *Cost) Max(o Cost) {
-	c.Sort = max64(c.Sort, o.Sort)
-	c.Rank = max64(c.Rank, o.Rank)
-	c.Coarse = max64(c.Coarse, o.Coarse)
-	c.Fine = max64(c.Fine, o.Fine)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // destPkt pairs an item with a destination processor.
 type destPkt[T any] struct {
 	val T

@@ -16,13 +16,8 @@
 //	cfg, err := sim.FromScenario(sc)
 //	backend, err := pram.NewBackend(pram.BackendMesh, cfg)
 //
-// Options carry only what JSON cannot: a trace sink, a pre-built
-// scheme and a combining function.
-//
-// sim deliberately does not import internal/pram (pram imports sim),
-// so the Config carries the combining policy as a plain
-// func([]int64) int64 — identical in underlying type to
-// pram.CombinePolicy.
+// Options carry only what JSON cannot: a trace sink and a pre-built
+// scheme.
 package sim
 
 import (
@@ -41,9 +36,6 @@ type Config struct {
 	// Core is the protocol configuration handed to core.New, including
 	// the fault map and schedule parsed from the scenario's specs.
 	Core core.Config
-	// Combine reduces concurrent writes to one value (nil = arbitrary,
-	// the lowest-pid winner). Underlying type of pram.CombinePolicy.
-	Combine func(vals []int64) int64
 	// Sinks receive every completed root span of the simulator's
 	// ledger.
 	Sinks []trace.Sink
@@ -60,13 +52,6 @@ type Config struct {
 
 // Option attaches a value a Scenario cannot serialize.
 type Option func(*Config) error
-
-// Combine sets the concurrent-write combining policy. The argument's
-// underlying type matches pram.CombinePolicy, so pram.MaxWrite and
-// friends can be passed directly.
-func Combine(fn func(vals []int64) int64) Option {
-	return func(c *Config) error { c.Combine = fn; return nil }
-}
 
 // TraceSink registers a sink receiving every completed root span of
 // the simulator's cost ledger. May be given multiple times.

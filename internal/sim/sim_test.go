@@ -44,17 +44,12 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
-// TestOptionsApply checks the three hooks: values a Scenario cannot
+// TestOptionsApply checks the two hooks: values a Scenario cannot
 // carry.
 func TestOptionsApply(t *testing.T) {
 	rec := &recordingSink{}
 	scheme, _ := mustConfig(t, nil).Scheme()
-	c := mustConfig(t, nil,
-		Combine(func(vals []int64) int64 { return vals[0] }),
-		TraceSink(rec), TraceSink(nil), UseScheme(scheme))
-	if c.Combine == nil {
-		t.Error("combine not applied")
-	}
+	c := mustConfig(t, nil, TraceSink(rec), TraceSink(nil), UseScheme(scheme))
 	if len(c.Sinks) != 1 || c.Sinks[0] != rec {
 		t.Errorf("sinks = %v, want the one non-nil sink", c.Sinks)
 	}

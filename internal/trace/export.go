@@ -18,7 +18,6 @@ type Node struct {
 	Executed int64            `json:"executed,omitempty"`
 	Packets  int64            `json:"packets,omitempty"`
 	WallNs   int64            `json:"wall_ns"`
-	Allocs   uint64           `json:"allocs,omitempty"`
 	Attrs    map[string]int64 `json:"attrs,omitempty"`
 	Children []*Node          `json:"children,omitempty"`
 }
@@ -38,7 +37,6 @@ func Export(s *Span) *Node {
 		Executed: s.Executed(),
 		Packets:  s.Packets(),
 		WallNs:   s.WallNs(),
-		Allocs:   s.Allocs(),
 	}
 	if attrs := s.Attrs(); len(attrs) > 0 {
 		n.Attrs = make(map[string]int64, len(attrs))

@@ -19,15 +19,14 @@
 //     own rounds while the parent charges the max. Observed steps never
 //     enter totals; they exist for audit and per-submesh diagnostics.
 //
-// Spans also carry packet counts, wall-clock time, optional allocation
-// deltas, and ordered integer attributes (the δ_i loads, Theorem-3 page
-// loads, …). Completed root spans are handed to pluggable sinks; the
-// ledger itself retains only the most recent root, so long simulations
-// do not accumulate trace memory.
+// Spans also carry packet counts, wall-clock time and ordered integer
+// attributes (the δ_i loads, Theorem-3 page loads, …). Completed root
+// spans are handed to pluggable sinks; the ledger itself retains only
+// the most recent root, so long simulations do not accumulate trace
+// memory.
 package trace
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -82,10 +81,8 @@ type Span struct {
 	executed atomic.Int64
 	packets  atomic.Int64
 
-	start   time.Time
-	wallNs  int64
-	allocs0 uint64
-	allocs  uint64 // End−Begin malloc count, when the ledger captures allocs
+	start  time.Time
+	wallNs int64
 
 	attrs    []Attr
 	children []*Span
@@ -237,15 +234,6 @@ func (s *Span) WallNs() int64 {
 	return s.wallNs
 }
 
-// Allocs returns the heap allocations performed between Begin and End,
-// when the ledger was created WithAllocs (0 otherwise).
-func (s *Span) Allocs() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.allocs
-}
-
 // Total returns the charged steps of the whole subtree: this span's own
 // charges plus the sum of its children's totals. For an operation that
 // charges every step through its spans, Total equals the machine
@@ -257,18 +245,6 @@ func (s *Span) Total() int64 {
 	t := s.charged.Load()
 	for _, c := range s.children {
 		t += c.Total()
-	}
-	return t
-}
-
-// TotalPackets returns the packets of the whole subtree.
-func (s *Span) TotalPackets() int64 {
-	if s == nil {
-		return 0
-	}
-	t := s.packets.Load()
-	for _, c := range s.children {
-		t += c.TotalPackets()
 	}
 	return t
 }
@@ -290,25 +266,7 @@ func (s *Span) phaseTotalsInto(out *[NumPhases]int64) {
 	}
 }
 
-// Find returns the first span of the subtree (pre-order) with the given
-// name, or nil.
-func (s *Span) Find(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	if s.name == name {
-		return s
-	}
-	for _, c := range s.children {
-		if f := c.Find(name); f != nil {
-			return f
-		}
-	}
-	return nil
-}
-
-// End closes the span: records wall time (and the allocation delta when
-// enabled), pops it from the ledger's active chain, and — if it was a
+// End closes the span: records wall time, pops it from the ledger's active chain, and — if it was a
 // root — emits it to the sinks and retains it as the ledger's last
 // completed tree.
 func (s *Span) End() {
@@ -320,9 +278,6 @@ func (s *Span) End() {
 	l := s.ledger
 	if l == nil {
 		return
-	}
-	if l.captureAllocs {
-		s.allocs = mallocCount() - s.allocs0
 	}
 	l.mu.Lock()
 	if l.active == s {
@@ -349,29 +304,14 @@ type Sink interface {
 // Ledger is the accounting spine one machine (or one standalone
 // simulator) charges through. A nil *Ledger is a valid no-op receiver.
 type Ledger struct {
-	mu            sync.Mutex
-	active        *Span
-	last          *Span
-	sinks         []Sink
-	captureAllocs bool
+	mu     sync.Mutex
+	active *Span
+	last   *Span
+	sinks  []Sink
 }
-
-// Option configures a Ledger.
-type Option func(*Ledger)
-
-// WithAllocs enables per-span heap-allocation deltas. It reads
-// runtime.MemStats at every Begin/End, which is expensive — use for
-// profiling sessions, not steady-state accounting.
-func WithAllocs() Option { return func(l *Ledger) { l.captureAllocs = true } }
 
 // New creates a ledger.
-func New(opts ...Option) *Ledger {
-	l := &Ledger{}
-	for _, o := range opts {
-		o(l)
-	}
-	return l
-}
+func New() *Ledger { return &Ledger{} }
 
 // AddSink registers a sink receiving every completed root span. It
 // works on a ledger already owned by a machine or simulator.
@@ -403,9 +343,6 @@ func (l *Ledger) begin(name string, phase Phase, par bool) *Span {
 	}
 	//detlint:ignore wallclock span wall time is a diagnostic; it never enters charged totals
 	s := &Span{name: name, phase: phase, par: par, ledger: l, start: time.Now()}
-	if l.captureAllocs {
-		s.allocs0 = mallocCount()
-	}
 	l.mu.Lock()
 	s.parent = l.active
 	if s.parent != nil {
@@ -444,10 +381,4 @@ func (l *Ledger) Last() *Span {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.last
-}
-
-func mallocCount() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
 }

@@ -39,7 +39,7 @@ type coreStepFixture struct {
 
 func runCoreFixture(t *testing.T, name string, cfg core.Config, want []coreStepFixture) {
 	t.Helper()
-	sim := core.MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, cfg)
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, cfg)
 	n := sim.Mesh().N
 	for step, w := range want {
 		vars := workload.RandomDistinct(sim.Scheme().Vars(), n, 42+int64(step))
@@ -125,7 +125,7 @@ func TestFaultFreeInvariance(t *testing.T) {
 			resSum:      2029765, meshSteps: 4795},
 	})
 
-	sim := core.MustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{Faults: fault.NewMap(9)})
+	sim := mustNew(hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, core.Config{Faults: fault.NewMap(9)})
 	vars := workload.RandomDistinct(sim.Scheme().Vars(), sim.Mesh().N, 42)
 	if _, _, err := sim.StepChecked(vars.Mixed(1000)); err != nil {
 		t.Fatal(err)
@@ -162,11 +162,11 @@ func TestScheduleStaticEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := core.MustNew(p, core.Config{Faults: f})
+	static := mustNew(p, core.Config{Faults: f})
 	sched := fault.NewSchedule(9).
-		At(0, fault.EvKillModule, 40).
-		At(0, fault.EvKillLink, 5, 6)
-	dynamic := core.MustNew(p, core.Config{Schedule: sched})
+		Add(fault.Event{Step: 0, Kind: fault.EvKillModule, P: 40}).
+		Add(fault.Event{Step: 0, Kind: fault.EvKillLink, P: 5, Q: 6})
+	dynamic := mustNew(p, core.Config{Schedule: sched})
 
 	for step := 0; step < 3; step++ {
 		vars := workload.RandomDistinct(static.Scheme().Vars(), static.Mesh().N, 42+int64(step))
