@@ -43,11 +43,14 @@ import (
 //
 // The healthy path (Route, RouteTorus) does not sweep the region at
 // all: it solves each row and column pipeline on its own (lines.go,
-// DESIGN.md §17), and Executed is the most iterations any single line
-// ran. Charged cycles, delivered contents and delivery order are
-// bit-identical to the fault path's cycle loop on a healthy machine;
-// only the executed iteration count (Executed, and the ledger's Exec
-// counter) differs, never exceeding the charged cycles. The fault path
+// DESIGN.md §17). A mesh line is solved one packet at a time in static
+// priority order, each packet taking every link at the first cycle no
+// higher-priority packet uses; a torus ring, where that order can be
+// cyclic, is stepped cycle by cycle. Charged cycles, delivered contents
+// and delivery order are bit-identical to the fault path's cycle loop
+// on a healthy machine; only the executed iteration count (Executed,
+// and the ledger's Exec counter) differs, never exceeding the charged
+// cycles. The fault path
 // (RouteFault, RouteTorusFault) runs the engine's one cycle-stepped loop
 // (DESIGN.md §11) when the network is faulted: it sweeps every charged
 // cycle, so there Executed counts sweeps and equals the charged cycles.
@@ -80,14 +83,20 @@ type Engine[T any] struct {
 
 	// Line-decomposed healthy path (lines.go); the n-entry queue and
 	// worklist tables above are not used by it.
-	rowAt  []int32    // slab offset of each region row's first packet
-	colAt  []int32    // column-line bucket bounds in colq
-	colq   []uint64   // column-line entries: entry cycle<<32 | slot
-	lq     [][]uint64 // per line position: queued entries, winner last
-	occ    []uint64   // occupied line positions
-	lnMove []uint64   // free-run scratch: (position, entry) pairs
-	dcnt   []int32    // per destination node: delivery group bounds
-	dorder []int32    // routed slots grouped by destination
+	rowAt     []int32    // slab offset of each region row's first packet
+	colAt     []int32    // column-line bucket bounds in colq
+	colq      []uint64   // column-line entries: entry cycle<<32 | slot
+	lnKeys    []uint64   // a mesh row line's sort keys (lnKey)
+	lnPk      []lnPacket // a mesh line's packets in priority order
+	dBits     []uint64   // mesh line: links taken, per diagonal; zero at rest
+	lBits     []uint64   // mesh line: cycles taken, per link; zero at rest
+	lnRuns    []uint64   // the runs this line marked: diagonal<<32 | x<<16 | y
+	lnFlushed int        // how many of lnRuns are copied into lBits
+	lq        [][]uint64 // ring position: queued entries, winner last
+	occ       []uint64   // occupied ring positions
+	lnMove    []uint64   // ring free-run scratch: (position, entry) pairs
+	dcnt      []int32    // per destination node: delivery group bounds
+	dorder    []int32    // routed slots grouped by destination
 
 	// Local-knowledge fault dissemination (nil view = global knowledge,
 	// the historical bit-identical behavior). A sweep collects
@@ -113,10 +122,11 @@ type Engine[T any] struct {
 func (e *Engine[T]) SetFaultView(v *faultview.View) { e.view = v }
 
 // Executed returns the physically executed iterations of the most
-// recent routing call: the sweeps of the cycle loop, or on the line
-// solver the most iterations any single line ran (one per contended
-// cycle, one per free run). It is ≤ the call's charged cycle count,
-// with equality wherever the engine sweeps.
+// recent routing call: the sweeps of the cycle loop; on the line solver,
+// the most free runs any one packet made on a mesh line (one, plus one
+// per wait), or the most iterations any one torus ring ran (one per
+// contended cycle, one per free run). It is ≤ the call's charged cycle
+// count, with equality wherever the engine sweeps.
 func (e *Engine[T]) Executed() int64 { return e.execs }
 
 // engArrival is one packet crossing into a new processor this cycle.
@@ -256,7 +266,9 @@ func (e *Engine[T]) cleanup() {
 func (e *Engine[T]) Release() {
 	e.val, e.dests, e.dcol, e.dist, e.dir, e.from = nil, nil, nil, nil, nil, nil
 	e.queues, e.inQ, e.active, e.scratch, e.arr = nil, nil, nil, nil, nil
-	e.rowAt, e.colAt, e.colq, e.lq, e.occ, e.lnMove, e.dcnt, e.dorder = nil, nil, nil, nil, nil, nil, nil, nil
+	e.rowAt, e.colAt, e.colq, e.dcnt, e.dorder = nil, nil, nil, nil, nil
+	e.lnKeys, e.lnPk, e.dBits, e.lBits, e.lnRuns = nil, nil, nil, nil, nil
+	e.lq, e.occ, e.lnMove = nil, nil, nil
 	e.ptry, e.pwait, e.disc, e.dropq = nil, nil, nil, nil
 }
 
@@ -279,7 +291,8 @@ func (e *Engine[T]) MemBytes() int64 {
 	sz += int64(cap(e.disc)) * int64(unsafe.Sizeof(faultview.Discovery{}))
 	sz += int64(cap(e.dropq)) * int64(unsafe.Sizeof(engDrop{}))
 	sz += int64(cap(e.rowAt)+cap(e.colAt)+cap(e.dcnt)+cap(e.dorder)) * 4
-	sz += int64(cap(e.colq)+cap(e.occ)+cap(e.lnMove)) * 8
+	sz += int64(cap(e.colq)+cap(e.lnKeys)+cap(e.dBits)+cap(e.lBits)+cap(e.lnRuns)+cap(e.occ)+cap(e.lnMove)) * 8
+	sz += int64(cap(e.lnPk)) * int64(unsafe.Sizeof(lnPacket{}))
 	sz += int64(cap(e.lq)) * 24
 	for _, q := range e.lq {
 		sz += int64(cap(q)) * 8

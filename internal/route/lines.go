@@ -2,6 +2,7 @@ package route
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -23,21 +24,27 @@ import (
 //     cycle its horizontal leg ends (cycle 0 if it starts in its
 //     destination column).
 //
-// routeLines simulates every row line, which fixes the entries of every
+// routeLines solves every row line, which fixes the entries of every
 // column line, then every column line, and finally appends the
 // deliveries in the order the cycle loop appends them: by cycle, then
 // sender, then final direction.
-// A line steps cycle by cycle only while some node on it holds two
-// packets; otherwise its packets move in lockstep and it jumps to its
-// next entry.
+//
+// On a mesh line a packet's priority key, remaining distance plus line
+// position, never changes, so a lower-priority packet never delays a
+// higher-priority one. solveLine places the packets one at a time in
+// key order, each taking every link at the first cycle no earlier
+// packet uses. A torus ring has no such order (DESIGN.md §17), so rings
+// are stepped cycle by cycle (runLine): only while some node on the
+// ring holds two packets; otherwise its packets move in lockstep and it
+// jumps to its next entry.
 
-// A packet queued on a line is one uint64: its remaining distance in the
-// top 16 bits, its complemented slot id in the next 32 and its exit
-// position on the line in the low 16. Compared as integers, entries are
-// ordered the way sweep selects — farthest remaining distance
-// first, ties to the lower slot — so each position keeps its queue
-// sorted ascending and its winner is the last entry. A hop subtracts
-// lnHop.
+// A packet queued on a torus ring (runLine) is one uint64: its
+// remaining distance in the top 16 bits, its complemented slot id in
+// the next 32 and its exit position on the ring in the low 16. Compared
+// as integers, entries are ordered the way sweep selects — farthest
+// remaining distance first, ties to the lower slot — so each position
+// keeps its queue sorted ascending and its winner is the last entry. A
+// hop subtracts lnHop.
 const (
 	lnHop = 1 << 48
 	// lnMaxSide keeps every distance (< 2·line length) and position in
@@ -82,10 +89,11 @@ func (l *engLine) node(i int) int32 { return int32(l.base + l.at(i)*l.step) }
 // line at a time and returns the charged cycles. A packet leaving a row
 // line early is delivered later on its column line, so the latest cycle
 // any line drains at is the last delivery cycle. Executed is the most
-// iterations any single line ran.
+// free runs any single packet made (solveLine), or the most
+// iterations any single ring ran (runLine).
 func (e *Engine[T]) routeLines(delivered [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool) (steps int64) {
 	e.injectLines(delivered, r, items, dest, topo, wrap)
-	if n := max(r.H, r.W); len(e.lq) < n {
+	if n := max(r.H, r.W); wrap && len(e.lq) < n {
 		e.lq = append(e.lq, make([][]uint64, n-len(e.lq))...)
 		e.occ = make([]uint64, (n+63)>>6) // all-zero at rest by invariant
 	}
@@ -93,14 +101,22 @@ func (e *Engine[T]) routeLines(delivered [][]T, r mesh.Region, items [][]T, dest
 		lo, hi := e.rowAt[row], e.rowAt[row+1]
 		for d := int8(0); d <= 1; d++ {
 			l := engLine{n: r.W, rev: d == 0, ring: wrap, base: row * r.W, step: 1, dir: d}
-			queued := 0
+			keys, queued := e.lnKeys[:0], 0
 			for slot := lo; slot < hi; slot++ {
 				if e.dir[slot] != d {
 					continue
 				}
 				x := l.at(int(e.from[slot]) - l.base)
-				e.lnPush(&l, x, lnEntry(e.dist[slot], slot, l.at(int(e.dcol[slot])-r.C0)))
-				queued++
+				if wrap {
+					e.lnPush(&l, x, lnEntry(e.dist[slot], slot, l.at(int(e.dcol[slot])-r.C0)))
+					queued++
+				} else {
+					keys = append(keys, lnKey(int(e.dist[slot])+x, slot))
+				}
+			}
+			e.lnKeys = keys
+			if len(keys) > 0 {
+				steps = max(steps, e.solveLine(&l, r, keys, 1))
 			}
 			if queued > 0 {
 				steps = max(steps, e.runLine(&l, r, nil, queued))
@@ -118,13 +134,284 @@ func (e *Engine[T]) routeLines(delivered [][]T, r mesh.Region, items [][]T, dest
 			if len(pend) == 0 {
 				continue
 			}
-			slices.Sort(pend) // entry-cycle order
 			l := engLine{n: r.H, rev: k == 0, ring: wrap, base: col, step: r.W, dir: int8(2 + k)}
-			steps = max(steps, e.runLine(&l, r, pend, 0))
+			if wrap {
+				slices.Sort(pend) // entry-cycle order
+				steps = max(steps, e.runLine(&l, r, pend, 0))
+				continue
+			}
+			// On a column line a packet's key, its remaining distance plus
+			// its position, is its exit. Each entry becomes its sort key
+			// in place, and the slot's dist field, which the solver
+			// recomputes as exit − start, keeps the entry cycle meanwhile.
+			first := int64(pend[0] >> 32)
+			for i, en := range pend {
+				slot := int32(uint32(en))
+				c := int64(en >> 32)
+				first = min(first, c)
+				e.dist[slot] = int32(c)
+				pend[i] = lnKey(l.at(e.m.RowOf(int(e.dests[slot]))-r.R0), slot)
+			}
+			steps = max(steps, e.solveLine(&l, r, pend, first+1))
 		}
 	}
 	e.deliverLines(delivered, r)
 	return steps
+}
+
+// lnKey is a packet's sort key on a mesh line: priority key (remaining
+// distance + line position, < 3·lnMaxSide) descending, then slot
+// ascending, so that ascending integer order is the order sweep
+// prefers at every node.
+func lnKey(key int, slot int32) uint64 {
+	return uint64(lnKeyMax-key)<<32 | uint64(uint32(slot))
+}
+
+const lnKeyMax = 1 << 17
+
+// solveLine routes the packets of mesh line l, one lnKey each in keys,
+// and returns the cycle its last packet left it. Row packets start
+// moving at cycle t0 = 1; a column packet's dist field holds the cycle
+// it entered at its origin row, and it first moves one cycle later, no
+// earlier than t0.
+//
+// The packets are placed one at a time in priority order. At a node,
+// sweep moves the highest-priority packet present; so a packet waits at
+// a link in exactly the cycles a higher-priority packet crosses it, and
+// crosses at the first cycle none does. Packets placed later never
+// change that. Link use is kept in two bitset views over cycles
+// relative to t0 (lnPlace). Both are all-zero between lines; lnClear
+// restores that after each line.
+func (e *Engine[T]) solveLine(l *engLine, r mesh.Region, keys []uint64, t0 int64) int64 {
+	slices.Sort(keys)
+	links := l.n - 1
+	pk := resize(e.lnPk, len(keys))
+	for i, k := range keys {
+		p := &pk[i]
+		p.slot = int32(uint32(k))
+		if l.dir <= 1 {
+			p.x = int32(l.at(int(e.from[p.slot]) - l.base))
+			p.exit = int32(l.at(int(e.dcol[p.slot]) - r.C0))
+			p.u = 0
+		} else {
+			p.x = int32(l.at(int(e.from[p.slot]) / r.W))
+			p.exit = int32(lnKeyMax - int(k>>32))
+			p.u = int32(int64(e.dist[p.slot]) + 1 - t0)
+			e.dist[p.slot] = p.exit - p.x
+		}
+	}
+	// A packet only ever reads links inside its own path and diagonals
+	// at or above the one it starts on. So each packet marks only what
+	// some packet placed after it can read; the last marks nothing.
+	lo, hi, g := int32(links), int32(0), int32(math.MaxInt32)
+	for i := len(pk) - 1; i >= 0; i-- {
+		p := &pk[i]
+		p.lo, p.hi, p.g = lo, hi, g
+		lo, hi, g = min(lo, p.x), max(hi, p.exit), min(g, p.u-p.x+int32(links)-1)
+	}
+	var drain int64
+	for i := range pk {
+		p := &pk[i]
+		last, runs := e.lnPlace(links, p)
+		c := t0 + int64(last)
+		e.lnLeave(l, r, int(p.exit)-1, lnEntry(e.dist[p.slot]-(p.exit-p.x), p.slot, int(p.exit)), c)
+		drain = max(drain, c)
+		e.execs = max(e.execs, int64(runs))
+	}
+	e.lnPk = pk
+	e.lnClear(links)
+	return drain
+}
+
+// lnClear returns both views to all-zero after a line of the given
+// number of links. A view whose marked words lie in a range no longer
+// than the hops marked into it is cleared as that range; otherwise its
+// runs are replayed, so clearing costs no more than marking did.
+func (e *Engine[T]) lnClear(links int) {
+	if len(e.lnRuns) == 0 {
+		return
+	}
+	dw := (links + 63) >> 6
+	hops, gLo, gHi := 0, math.MaxInt, 0
+	lhops, top := 0, 0 // over the runs copied into the link view
+	for i, run := range e.lnRuns {
+		g, x, y := lnRunOf(run)
+		hops += y - x
+		gLo, gHi = min(gLo, g), max(gHi, g)
+		if i < e.lnFlushed {
+			lhops, top = lhops+y-x, max(top, g+y-links)
+		}
+	}
+	diag := (gHi-gLo+1)*dw <= hops
+	link := (top>>6+1)*links <= lhops
+	if diag {
+		clear(e.dBits[gLo*dw : min((gHi+1)*dw, len(e.dBits))])
+	}
+	if link {
+		clear(e.lBits[:min((top>>6+1)*links, len(e.lBits))])
+	}
+	for i, run := range e.lnRuns {
+		flushed := i < e.lnFlushed
+		if diag && (link || !flushed) {
+			break
+		}
+		g, x, y := lnRunOf(run)
+		for wi := x >> 6; !diag && wi<<6 < y; wi++ {
+			e.dBits[g*dw+wi] = 0
+		}
+		for u := g + x - links + 1; !link && flushed && x < y; {
+			n := min(y-x, 64-u&63)
+			w := (u>>6)*links + x
+			clear(e.lBits[w : w+n])
+			x, u = x+n, u+n
+		}
+	}
+	e.lnRuns, e.lnFlushed = e.lnRuns[:0], 0
+}
+
+// lnRunOf unpacks a marked run: links x … y−1 on diagonal g.
+func lnRunOf(run uint64) (g, x, y int) {
+	return int(run >> 32), int(run >> 16 & 0xffff), int(run & 0xffff)
+}
+
+// lnPacket is one packet of a mesh line being solved: its slot, start
+// and exit positions and the relative cycle it is ready to move, and
+// the reach of the packets placed after it: the lowest start, the
+// highest exit and the lowest starting diagonal among them.
+type lnPacket struct {
+	slot, x, exit, u int32
+	lo, hi, g        int32
+}
+
+// lnPlace schedules packet p on a mesh line of the given number of
+// links: it is ready to cross link p.x at relative cycle p.u and leaves
+// the line after crossing link p.exit−1. It returns the relative cycle
+// of its last hop and how many free runs it made. The links and cycles
+// it takes inside the reach of later packets are kept in two views:
+//
+//   - dBits, per diagonal g = u − x + links − 1, a bitset over links:
+//     a packet that never waits stays on one diagonal, so its run up to
+//     the first taken link is one scan of that diagonal's words;
+//   - lBits, per link, a bitset over cycles, word w of link x at
+//     w·links + x: a blocked packet finds its next free cycle in one
+//     scan, however long it waits.
+//
+// Each free run after the first follows a wait of at least one cycle
+// and takes at least one hop, so the runs never exceed the packet's
+// last hop cycle.
+func (e *Engine[T]) lnPlace(links int, p *lnPacket) (last, runs int) {
+	dw := (links + 63) >> 6
+	x, exit, u := int(p.x), int(p.exit), int(p.u)
+	for {
+		runs++
+		g := u - x + links - 1
+		y := e.lnDiagFirst(g*dw, x, exit)
+		if a, b := max(x, int(p.lo)), min(y, int(p.hi)); a < b && g >= int(p.g) {
+			e.lnMark(g, dw, a, b)
+		}
+		u += y - x
+		if y == exit {
+			return u - 1, runs
+		}
+		x = y
+		if e.lnFlushed < len(e.lnRuns) {
+			e.lnFlush(links)
+		}
+		u = e.lnLinkFree(links, x, u+1) // link x is taken at cycle u
+	}
+}
+
+// lnDiagFirst returns the first taken link in [x, exit) on the diagonal
+// whose words start at dBits[base], or exit when there is none. Words
+// past the end of dBits are all zero.
+func (e *Engine[T]) lnDiagFirst(base, x, exit int) int {
+	for wi := x >> 6; wi<<6 < exit; wi++ {
+		if base+wi >= len(e.dBits) {
+			break
+		}
+		w := e.dBits[base+wi]
+		if wi == x>>6 {
+			w &= ^uint64(0) << (x & 63)
+		}
+		if w != 0 {
+			return min(wi<<6|bits.TrailingZeros64(w), exit)
+		}
+	}
+	return exit
+}
+
+// lnMark records that a packet crossed links x … y−1 on diagonal g (dw
+// words each), and keeps the run for the link view and for clearing.
+func (e *Engine[T]) lnMark(g, dw, x, y int) {
+	e.lnRuns = append(e.lnRuns, uint64(g)<<32|uint64(x)<<16|uint64(y))
+	base := g * dw
+	e.dBits = growZero(e.dBits, base+((y-1)>>6)+1)
+	for wi := x >> 6; wi<<6 < y; wi++ {
+		m := ^uint64(0)
+		if wi == x>>6 {
+			m <<= x & 63
+		}
+		if hi := y - wi<<6; hi < 64 {
+			m &= 1<<hi - 1
+		}
+		e.dBits[base+wi] |= m
+	}
+}
+
+// lnLinkFree returns the first relative cycle at or after u at which
+// link x is free. The caller has flushed every marked run into the link
+// view.
+func (e *Engine[T]) lnLinkFree(links, x, u int) int {
+	for w := u >> 6; ; w++ {
+		i := w*links + x
+		if i >= len(e.lBits) {
+			return max(u, w<<6)
+		}
+		free := ^e.lBits[i]
+		if w == u>>6 {
+			free &= ^uint64(0) << (u & 63)
+		}
+		if free != 0 {
+			return w<<6 | bits.TrailingZeros64(free)
+		}
+	}
+}
+
+// lnFlush copies the runs marked since the last flush into the link
+// view: a run over links x … y−1 on diagonal g took link z at relative
+// cycle g + z − links + 1. The link view is read only by lnLinkFree,
+// after a flush, so a line on which no packet ever waits never builds
+// it.
+func (e *Engine[T]) lnFlush(links int) {
+	for _, run := range e.lnRuns[e.lnFlushed:] {
+		g, x, y := lnRunOf(run)
+		u := g + x - links + 1
+		e.lBits = growZero(e.lBits, ((u+y-x-1)>>6+1)*links)
+		for x < y {
+			n := min(y-x, 64-u&63) // hops before the cycle leaves this word
+			i := (u>>6)*links + x
+			b := uint64(1) << (u & 63)
+			row := e.lBits[i : i+n]
+			for k := range row {
+				row[k] |= b
+				b <<= 1
+			}
+			x, u = x+n, u+n
+		}
+	}
+	e.lnFlushed = len(e.lnRuns)
+}
+
+// growZero returns s with length at least n. Elements past len(s) are
+// zero: they were never set, or were cleared.
+func growZero(s []uint64, n int) []uint64 {
+	switch {
+	case n <= len(s):
+		return s
+	case n <= cap(s):
+		return s[:n]
+	}
+	return append(s, make([]uint64, n-len(s))...)
 }
 
 // injectLines drains items into the slab like inject, but files packets
@@ -178,18 +465,18 @@ func (e *Engine[T]) injectLines(delivered [][]T, r mesh.Region, items [][]T, des
 	}
 }
 
-// runLine simulates line l until it drains and returns the cycle its
-// last packet left it. queued packets are already on its queues; pend
-// holds the timed entries of a column line (entry cycle<<32 | slot,
-// sorted), each joining at its origin row once its entry cycle has
-// passed. While some position holds two or more packets, each
+// runLine simulates torus ring l until it drains and returns the cycle
+// its last packet left it. queued packets are already on its queues;
+// pend holds the timed entries of a column ring (entry cycle<<32 |
+// slot, sorted), each joining at its origin row once its entry cycle
+// has passed. While some position holds two or more packets, each
 // iteration is one cycle: it moves the winner of every occupied
-// position one hop, front of the pipeline first, so a packet lands on a
-// position that has already sent this cycle; on the ring the winner
-// leaving position n−1 is held back until position 0 has sent. Once no
-// position does, one iteration runs the line up to its next entry
+// position one hop, highest position first, so a packet lands on a
+// position that has already sent this cycle; the winner leaving
+// position n−1 is held back until position 0 has sent. Once no
+// position does, one iteration runs the ring up to its next entry
 // (lnFreeRun). Executed counts iterations, so it is at most the cycle
-// the line drains at.
+// the ring drains at.
 func (e *Engine[T]) runLine(l *engLine, r mesh.Region, pend []uint64, queued int) int64 {
 	q, occ := e.lq, e.occ[:(l.n+63)>>6]
 	var c, iters int64

@@ -2,6 +2,7 @@ package route
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"meshpram/internal/mesh"
@@ -113,5 +114,53 @@ func TestTorusBeatsMeshOnLongHaul(t *testing.T) {
 	_, torusSteps := GreedyRouteTorus(m, mk(), func(v item) int { return v.dest })
 	if torusSteps >= meshSteps {
 		t.Fatalf("torus (%d) not faster than mesh (%d) on antipodal traffic", torusSteps, meshSteps)
+	}
+}
+
+// TestTorusRingPriorityCycle routes the ring counterexample of DESIGN.md
+// §17 on row 0 of a side-9 torus: four packets each for A 0→4, B 3→7
+// and C 6→1, every hop +col. At column 3 B outranks A, at 6 C outranks
+// B and at 0 A outranks C, so no order of the packets is the order sweep
+// applies at every node. Placing them one at a time by the mesh lines'
+// key (remaining distance + start column, unwrapped), each link at its
+// first free cycle, charges 11 cycles where the cycle loop charges 8.
+// The healthy torus path must match the cycle loop, which it does by
+// stepping rings cycle by cycle.
+func TestTorusRingPriorityCycle(t *testing.T) {
+	const side, copies = 9, 4
+	m := mesh.MustNew(side)
+	legs := [][2]int{{0, 4}, {3, 7}, {6, 1}} // (start, destination) column
+	items := make([][]item, m.N)
+	for i, leg := range legs {
+		for j := 0; j < copies; j++ {
+			items[leg[0]] = append(items[leg[0]], item{dest: leg[1], id: copies*i + j})
+		}
+	}
+	dest := func(v item) int { return v.dest }
+	want, wantS, lost := cycleEngine(m).RouteTorusFault(nil, cloneItems(items), dest)
+	got, gotS := NewEngine[item](m).RouteTorus(nil, items, dest)
+	if lost != 0 || gotS != wantS || !reflect.DeepEqual(got, want) {
+		t.Fatalf("torus line path charged %d cycles, cycle loop %d (lost %d); deliveries equal: %v",
+			gotS, wantS, lost, reflect.DeepEqual(got, want))
+	}
+	// The static placement: legs in key order C, B, A (every leg is 4
+	// hops, so the key is start + 4), copies in slot order.
+	taken := map[[2]int]bool{} // (link, cycle)
+	var static int
+	for i := len(legs) - 1; i >= 0; i-- {
+		for j := 0; j < copies; j++ {
+			c := 0
+			for x := legs[i][0]; x != legs[i][1]; x = (x + 1) % side {
+				c++
+				for taken[[2]int{x, c}] {
+					c++
+				}
+				taken[[2]int{x, c}] = true
+			}
+			static = max(static, c)
+		}
+	}
+	if wantS != 8 || static != 11 {
+		t.Fatalf("cycle loop charged %d cycles (want 8), static order %d (want 11): the instance no longer shows a priority cycle", wantS, static)
 	}
 }
