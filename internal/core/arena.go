@@ -6,8 +6,8 @@ package core
 // their per-processor slices regrow to capacity once and stay).
 //
 // Contract: put takes back a buffer whose entries have all been
-// truncated to length 0 by the consumer (mergeBack and the stage merge
-// loops do this as they drain), so get can hand it out as-is.
+// truncated to length 0 by the consumer (land and the forward stages'
+// merge loop do this as they drain), so get can hand it out as-is.
 type pktArena struct {
 	free [][][]int32
 	n    int

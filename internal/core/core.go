@@ -223,7 +223,7 @@ type Simulator struct {
 	//detlint:ignore snapshotfields recycled scratch buffers; content-free between steps
 	arena *pktArena // recycled per-processor packet-handle buffers
 	//detlint:ignore snapshotfields persistent router; queues empty between calls
-	eng *route.Engine[int32] // reused by every routeIn call; routes packet handles
+	eng *route.Engine[int32] // reused by every routeTiles call; routes packet handles
 	//detlint:ignore snapshotfields per-step packet table; rebuilt by every step, capacity kept
 	pk []pkt // the running step's packets, indexed by handle
 	//detlint:ignore snapshotfields per-step waypoint table; rebuilt by every step, capacity kept
@@ -751,7 +751,10 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 // s ≥ 2, within every level-s submesh (the full mesh for s = K+1),
 // packets are sorted by destination child submesh, ranked, and routed
 // to balanced positions inside the child; stage 1 delivers each packet
-// to its final processor inside its level-1 submesh.
+// to its final processor inside its level-1 submesh. Each stage sorts
+// and ranks its submeshes one by one, recording every packet's
+// intermediate as its waypoint, then routes all of them there in one
+// engine call.
 func (sim *Simulator) routeStagedForward(pkts [][]int32) {
 	s, m, ld := sim.S, sim.M, sim.ld
 	K := s.K
@@ -765,17 +768,17 @@ func (sim *Simulator) routeStagedForward(pkts [][]int32) {
 		ssp := ld.BeginPar(fmt.Sprintf("stage-%d", stage), trace.PhaseOther)
 		ssp.SetAttr("stage", int64(stage))
 		ssp.SetAttr("delta-index", int64(stage))
-		ssp.SetAttr("delta", int64(maxLoadAll(m, pkts)))
+		ssp.SetAttr("delta", int64(maxLoadAll(pkts)))
 
-		var maxSort, maxRank, maxRoute int64
+		var maxSort, maxRank int64
 		for pi := 0; pi < pageN; pi++ {
 			parent := sim.stageRegion(stage, pi)
 			if regionEmpty(m, parent, pkts) {
 				continue
 			}
-			// Sort by (child submesh, destination); the handle makes the
-			// key unique so network and fast sorts agree exactly.
-			sorted, _, sortSteps := sim.sortSnake(parent, pkts, func(h int32) uint64 {
+			// Sort by (child submesh, destination) in place; the handle
+			// makes the key unique so network and fast sorts agree exactly.
+			_, _, sortSteps := sim.sortSnake(parent, pkts, func(h int32) uint64 {
 				dest := int(sim.pk[h].dest)
 				child := parent.SubRegionIndex(m, q, childParts, dest)
 				return uint64(child)<<(sim.destBits+sim.seqBits) |
@@ -794,32 +797,21 @@ func (sim *Simulator) routeStagedForward(pkts [][]int32) {
 			clear(groupSeen)
 			for i := 0; i < parent.Size(); i++ {
 				p := parent.ProcAtSnake(m, i)
-				for _, h := range sorted[p] {
+				for _, h := range pkts[p] {
 					pk := &sim.pk[h]
 					child := parent.SubRegionIndex(m, q, childParts, int(pk.dest))
 					rank := groupSeen[child]
 					groupSeen[child] = rank + 1
 					reg := sim.childRegion(stage, pi, child)
-					pk.ts = int64(reg.ProcAtSnake(m, rank%reg.Size())) // stash intermediate in ts
+					// The balanced intermediate is where the stage delivers
+					// the packet: its waypoint.
+					sim.wp[int(h)*(K+1)+wpAt] = int32(reg.ProcAtSnake(m, rank%reg.Size()))
 				}
 			}
 			rsp.End()
-			routed, cycles := sim.routeIn(parent, stage == K+1, sorted, func(h int32) int { return int(sim.pk[h].ts) })
-			if cycles > maxRoute {
-				maxRoute = cycles
-			}
-			// Record waypoints and merge back.
-			for i := 0; i < parent.Size(); i++ {
-				p := parent.ProcAtSnake(m, i)
-				for _, h := range routed[p] {
-					sim.pk[h].ts = 0
-					sim.wp[int(h)*(K+1)+wpAt] = int32(p)
-					pkts[p] = append(pkts[p], h)
-				}
-				routed[p] = routed[p][:0]
-			}
-			sim.arena.put(routed)
 		}
+		routed, maxRoute := sim.routeTiles(stage, pkts, func(h int32) int { return int(sim.wp[int(h)*(K+1)+wpAt]) })
+		sim.land(pkts, routed)
 		// The stage's charge: each phase pays the max over parents, since
 		// all parent submeshes operate in parallel.
 		lf := ld.Begin("sort", trace.PhaseSort)
@@ -838,20 +830,9 @@ func (sim *Simulator) routeStagedForward(pkts [][]int32) {
 	ssp := ld.BeginPar("stage-1", trace.PhaseOther)
 	ssp.SetAttr("stage", 1)
 	ssp.SetAttr("delta-index", 1)
-	ssp.SetAttr("delta", int64(maxLoadAll(m, pkts)))
-	var maxRoute int64
-	for pg := 0; pg < sim.S.PageCount(1); pg++ {
-		reg := sim.S.PageRegion(1, pg)
-		if regionEmpty(m, reg, pkts) {
-			continue
-		}
-		delivered, cycles := sim.routeIn(reg, false, pkts, sim.destOf)
-		if cycles > maxRoute {
-			maxRoute = cycles
-		}
-		mergeBack(m, reg, pkts, delivered)
-		sim.arena.put(delivered)
-	}
+	ssp.SetAttr("delta", int64(maxLoadAll(pkts)))
+	delivered, maxRoute := sim.routeTiles(1, pkts, sim.destOf)
+	sim.land(pkts, delivered)
 	lf := ld.Begin("forward", trace.PhaseForward)
 	m.AddSteps(maxRoute)
 	lf.End()
@@ -861,23 +842,21 @@ func (sim *Simulator) routeStagedForward(pkts [][]int32) {
 // routeDirect is the E12 ablation: one global sorted greedy routing.
 func (sim *Simulator) routeDirect(pkts [][]int32) {
 	m, ld := sim.M, sim.ld
-	full := m.Full()
 	dsp := ld.BeginPar("direct", trace.PhaseOther)
 	dsp.SetAttr("stage", 1)
 	dsp.SetAttr("delta-index", int64(sim.S.K+1))
-	dsp.SetAttr("delta", int64(maxLoadAll(m, pkts)))
-	sorted, _, sortSteps := sim.sortSnake(full, pkts, func(h int32) uint64 {
+	dsp.SetAttr("delta", int64(maxLoadAll(pkts)))
+	_, _, sortSteps := sim.sortSnake(m.Full(), pkts, func(h int32) uint64 {
 		return uint64(sim.pk[h].dest)<<sim.seqBits | uint64(uint32(h))
 	})
 	lf := ld.Begin("sort", trace.PhaseSort)
 	m.AddSteps(sortSteps)
 	lf.End()
-	delivered, cycles := sim.routeIn(full, true, sorted, sim.destOf)
+	delivered, cycles := sim.routeTiles(sim.S.K+1, pkts, sim.destOf)
 	lf = ld.Begin("forward", trace.PhaseForward)
 	m.AddSteps(cycles)
 	lf.End()
-	mergeBack(m, full, pkts, delivered)
-	sim.arena.put(delivered)
+	sim.land(pkts, delivered)
 	dsp.End()
 }
 
@@ -937,50 +916,28 @@ func (sim *Simulator) access(pkts [][]int32) {
 
 // routeReturn retraces the waypoints in reverse: leg ℓ (0-based) routes
 // within the level-(ℓ+1) submeshes (full mesh on the last leg) from the
-// current position to the packet's waypoint entry K−ℓ (see pkt).
+// current position to the packet's waypoint entry K−ℓ (see pkt), all
+// submeshes of a leg in one engine call.
 func (sim *Simulator) routeReturn(pkts [][]int32) {
 	s, m, ld := sim.S, sim.M, sim.ld
+	K := s.K
 	if sim.cfg.DirectRouting {
 		lsp := ld.Begin("return-leg-0", trace.PhaseOther)
-		delivered, cycles := sim.routeIn(m.Full(), true, pkts, func(h int32) int { return int(sim.pk[h].origin) })
+		delivered, cycles := sim.routeTiles(K+1, pkts, func(h int32) int { return int(sim.pk[h].origin) })
 		lf := ld.Begin("return", trace.PhaseReturn)
 		m.AddSteps(cycles)
 		lf.End()
-		for p := range delivered {
-			pkts[p] = append(pkts[p], delivered[p]...)
-			delivered[p] = delivered[p][:0]
-		}
-		sim.arena.put(delivered)
+		sim.land(pkts, delivered)
 		lsp.End()
 		return
 	}
-	K := s.K
 	for leg := 0; leg <= K; leg++ {
-		pages := 1
-		if leg < K {
-			pages = s.PageCount(leg + 1)
-		}
 		lsp := ld.BeginPar(fmt.Sprintf("return-leg-%d", leg), trace.PhaseOther)
 		at := K - leg // waypoint entry this leg returns to
-		target := func(h int32) int { return int(sim.wp[int(h)*(K+1)+at]) }
-		var maxCycles int64
-		for pg := 0; pg < pages; pg++ {
-			reg := m.Full()
-			if leg < K {
-				reg = s.PageRegion(leg+1, pg)
-			}
-			if regionEmpty(m, reg, pkts) {
-				continue
-			}
-			delivered, cycles := sim.routeIn(reg, leg == K, pkts, target)
-			if cycles > maxCycles {
-				maxCycles = cycles
-			}
-			mergeBack(m, reg, pkts, delivered)
-			sim.arena.put(delivered)
-		}
+		delivered, cycles := sim.routeTiles(leg+1, pkts, func(h int32) int { return int(sim.wp[int(h)*(K+1)+at]) })
+		sim.land(pkts, delivered)
 		lf := ld.Begin("return", trace.PhaseReturn)
-		m.AddSteps(maxCycles)
+		m.AddSteps(cycles)
 		lf.End()
 		lsp.End()
 	}
@@ -1051,33 +1008,35 @@ func (sim *Simulator) selectReadOneWriteAll(ops []Op, avail [][]bool) *culling.R
 	return res
 }
 
-// routeIn routes packets within a region, using torus links when the
-// configuration enables them and the region spans the whole machine.
-// All calls go through the simulator's persistent route.Engine, so
-// queue and arrival storage is reused from step to step; the delivery
-// buffer comes from the simulator's arena; the caller must return it
-// via arena.put once its entries are drained and truncated.
-func (sim *Simulator) routeIn(r mesh.Region, fullMachine bool, items [][]int32, dest func(int32) int) ([][]int32, int64) {
-	buf := sim.arena.get()
-	torus := sim.cfg.Torus && fullMachine
-	if sim.faults != nil {
-		var delivered [][]int32
-		var cycles int64
-		var lost int
-		if torus {
-			delivered, cycles, lost = sim.eng.RouteTorusFault(buf, items, dest)
-		} else {
-			delivered, cycles, lost = sim.eng.RouteFault(buf, r, items, dest)
-		}
-		if lost > 0 && sim.rep != nil {
-			sim.rep.LostPackets += lost
-		}
-		return delivered, cycles
+// routeTiles routes packets inside every level-`level` submesh in one
+// call of the simulator's persistent route.Engine: the level's pages,
+// or for level K+1 the full machine, over torus links when the
+// configuration enables them. It honors the machine's fault map,
+// counting lost packets in the step report, and returns the slowest
+// submesh's cycles. The delivery buffer comes from the simulator's
+// arena; the caller drains it with land (or its own merge loop) and
+// returns it via arena.put.
+func (sim *Simulator) routeTiles(level int, items [][]int32, dest func(int32) int) ([][]int32, int64) {
+	tiles := route.Tiles{
+		N:    sim.stagePages(level),
+		At:   func(i int) mesh.Region { return sim.stageRegion(level, i) },
+		Wrap: sim.cfg.Torus && level == sim.S.K+1,
 	}
-	if torus {
-		return sim.eng.RouteTorus(buf, items, dest)
+	delivered, cycles, lost := sim.eng.RouteTiles(sim.arena.get(), tiles, items, dest)
+	if lost > 0 && sim.rep != nil {
+		sim.rep.LostPackets += lost
 	}
-	return sim.eng.Route(buf, r, items, dest)
+	return delivered, cycles
+}
+
+// land drains a routing call's delivery buffer into pkts, truncating
+// each drained entry, and returns the buffer to the arena.
+func (sim *Simulator) land(pkts, delivered [][]int32) {
+	for p, hs := range delivered {
+		pkts[p] = append(pkts[p], hs...)
+		delivered[p] = hs[:0]
+	}
+	sim.arena.put(delivered)
 }
 
 // destOf returns the destination processor of packet handle h.
@@ -1124,7 +1083,8 @@ func (sim *Simulator) childRegion(stage, pi, c int) mesh.Region {
 	return sim.S.PageRegion(stage-1, pi*sim.childParts(stage)+c)
 }
 
-func maxLoadAll(m *mesh.Machine, pkts [][]int32) int {
+// maxLoadAll returns the most packets any processor holds.
+func maxLoadAll(pkts [][]int32) int {
 	mx := 0
 	for p := range pkts {
 		if len(pkts[p]) > mx {
@@ -1134,6 +1094,8 @@ func maxLoadAll(m *mesh.Machine, pkts [][]int32) int {
 	return mx
 }
 
+// regionEmpty reports whether no processor of r holds a packet; a
+// forward stage neither sorts nor ranks an empty parent.
 func regionEmpty(m *mesh.Machine, r mesh.Region, pkts [][]int32) bool {
 	for row := r.R0; row < r.R0+r.H; row++ {
 		for col := r.C0; col < r.C0+r.W; col++ {
@@ -1143,16 +1105,4 @@ func regionEmpty(m *mesh.Machine, r mesh.Region, pkts [][]int32) bool {
 		}
 	}
 	return true
-}
-
-// mergeBack drains delivered packets into pkts, truncating each drained
-// entry so the delivery buffer can go straight back to the arena.
-func mergeBack(m *mesh.Machine, r mesh.Region, pkts, delivered [][]int32) {
-	for row := r.R0; row < r.R0+r.H; row++ {
-		for col := r.C0; col < r.C0+r.W; col++ {
-			p := m.IDOf(row, col)
-			pkts[p] = append(pkts[p], delivered[p]...)
-			delivered[p] = delivered[p][:0]
-		}
-	}
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"meshpram/internal/hmos"
+	"meshpram/internal/trace"
 )
 
 var smallParams = hmos.Params{Side: 9, Q: 3, D: 3, K: 2}
@@ -268,5 +270,58 @@ func BenchmarkStepFullMachine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step(ops)
+	}
+}
+
+// TestStageRoutingSpanShape pins one engine call per protocol stage and
+// return leg: a full random batch at side 81, d = 7 (K = 2), where
+// stage 1 and return leg 0 route 6,561 1×1 pages and stage 2 and return
+// leg 1 route 243 3×9 pages, has exactly one greedy span under each of
+// stages 3, 2, 1 and return legs 0, 1, 2, and no other: six per step.
+func TestStageRoutingSpanShape(t *testing.T) {
+	for _, torus := range []bool{false, true} {
+		sim := mustNew(hmos.Params{Side: 81, Q: 3, D: 7, K: 2}, Config{Torus: torus})
+		n := sim.M.N
+		rng := rand.New(rand.NewSource(7))
+		ops := make([]Op, n)
+		for pid, v := range rng.Perm(sim.Scheme().Vars())[:n] {
+			ops[pid] = Op{Origin: pid, Var: v, IsWrite: pid%2 == 0, Value: Word(pid + 1)}
+		}
+		if _, _, err := sim.StepChecked(ops); err != nil {
+			t.Fatal(err)
+		}
+		legs, greedy := 0, 0
+		var count func(string, []*trace.Span)
+		count = func(parent string, children []*trace.Span) {
+			for _, c := range children {
+				if c.Name() == "greedy" {
+					greedy++
+					if !strings.HasPrefix(parent, "stage-") && !strings.HasPrefix(parent, "return-leg-") {
+						t.Errorf("torus=%v: greedy span under %q", torus, parent)
+					}
+				}
+				count(c.Name(), c.Children())
+			}
+		}
+		step := sim.Ledger().Last()
+		count(step.Name(), step.Children())
+		for _, c := range step.Children() {
+			if !strings.HasPrefix(c.Name(), "stage-") && !strings.HasPrefix(c.Name(), "return-leg-") {
+				continue
+			}
+			legs++
+			calls := 0
+			for _, g := range c.Children() {
+				if g.Name() == "greedy" {
+					calls++
+				}
+			}
+			if calls != 1 {
+				t.Errorf("torus=%v: %s has %d greedy spans, want 1", torus, c.Name(), calls)
+			}
+		}
+		if legs != 6 || greedy != 6 {
+			t.Errorf("torus=%v: %d stages and legs, %d greedy spans; want 6 and 6", torus, legs, greedy)
+		}
 	}
 }

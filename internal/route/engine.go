@@ -51,11 +51,15 @@ import (
 // on a healthy machine; only the executed iteration count (Executed,
 // and the ledger's Exec counter) differs, never exceeding the charged
 // cycles. The fault path
-// (RouteFault, RouteTorusFault) runs the engine's one cycle-stepped loop
+// (RouteFault, RouteTiles) runs the engine's one cycle-stepped loop
 // (DESIGN.md §11) when the network is faulted: it sweeps every charged
 // cycle, so there Executed counts sweeps and equals the charged cycles.
 // A fault map that marks only dead modules blocks no link, so such
 // calls take the line solver too (linesSafe).
+//
+// RouteTiles routes a protocol stage's disjoint submeshes in one call
+// (DESIGN.md §17): tile by tile, each exactly as a call of its own,
+// under one greedy span.
 //
 // An Engine is not safe for concurrent use; give each goroutine its
 // own. The zero value is not usable — construct with NewEngine.
@@ -122,11 +126,12 @@ type Engine[T any] struct {
 func (e *Engine[T]) SetFaultView(v *faultview.View) { e.view = v }
 
 // Executed returns the physically executed iterations of the most
-// recent routing call: the sweeps of the cycle loop; on the line solver,
-// the most free runs any one packet made on a mesh line (one, plus one
-// per wait), or the most iterations any one torus ring ran (one per
-// contended cycle, one per free run). It is ≤ the call's charged cycle
-// count, with equality wherever the engine sweeps.
+// recent routing call, the most of any of its tiles: the sweeps of the
+// cycle loop; on the line solver, the most free runs any one packet
+// made on a mesh line (one, plus one per wait), or the most iterations
+// any one torus ring ran (one per contended cycle, one per free run).
+// It is ≤ the call's charged cycle count, with equality wherever the
+// engine sweeps.
 func (e *Engine[T]) Executed() int64 { return e.execs }
 
 // engArrival is one packet crossing into a new processor this cycle.
@@ -156,20 +161,44 @@ func NewEngine[T any](m *mesh.Machine) *Engine[T] {
 	return &Engine[T]{m: m}
 }
 
+// Tiles is the tiling one RouteTiles call routes in: N disjoint
+// regions, tile i being At(i), routed one after another in index
+// order. Every packet must be bound for a processor of the tile it
+// starts in. Wrap marks the tiling whose one tile is the full machine
+// with wrap-around links (the torus; see Whole).
+type Tiles struct {
+	N    int
+	At   func(i int) mesh.Region
+	Wrap bool
+}
+
+// Whole returns the tiling whose one tile is the full machine m, routed
+// over wrap-around links when wrap is set.
+func Whole(m *mesh.Machine, wrap bool) Tiles {
+	t := tile(m.Full())
+	t.Wrap = wrap
+	return t
+}
+
+// tile returns the tiling whose one tile is r.
+func tile(r mesh.Region) Tiles {
+	return Tiles{N: 1, At: func(int) mesh.Region { return r }}
+}
+
 // Route delivers every item to its destination processor inside region
 // r over plain mesh links, exactly like GreedyRoute, into dst (nil
 // allocates). It returns the delivered items per processor and the
 // cycle count.
 func (e *Engine[T]) Route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
 	//detlint:ignore checkederr a nil fault map loses no packet
-	delivered, steps, _ = e.route(dst, r, items, dest, meshTopo{e.m}, false, nil)
+	delivered, steps, _ = e.route(dst, tile(r), items, dest, nil)
 	return delivered, steps
 }
 
 // RouteTorus is Route on the full machine with wrap-around links.
 func (e *Engine[T]) RouteTorus(dst [][]T, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
 	//detlint:ignore checkederr a nil fault map loses no packet
-	delivered, steps, _ = e.route(dst, e.m.Full(), items, dest, torusTopo{e.m}, true, nil)
+	delivered, steps, _ = e.route(dst, Whole(e.m, true), items, dest, nil)
 	return delivered, steps
 }
 
@@ -197,13 +226,21 @@ func (e *Engine[T]) RouteTorus(dst [][]T, items [][]T, dest func(T) int) (delive
 // line solver instead, with the same deliveries, order, charged cycles
 // and gossip rounds.
 func (e *Engine[T]) RouteFault(dst [][]T, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return e.route(dst, r, items, dest, meshTopo{e.m}, false, e.m.Faults())
+	return e.route(dst, tile(r), items, dest, e.m.Faults())
 }
 
-// RouteTorusFault is RouteFault on the full machine with wrap-around
-// links.
-func (e *Engine[T]) RouteTorusFault(dst [][]T, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return e.route(dst, e.m.Full(), items, dest, torusTopo{e.m}, true, e.m.Faults())
+// RouteTiles is RouteFault over every tile of t in one call: the tiles
+// are disjoint, so they route in parallel on the machine, and the call
+// returns the slowest tile's cycles and the packets lost in all of
+// them. One greedy span covers the call: it observes the slowest
+// tile's cycles, counts the packets of every tile, and executes the
+// most iterations any one tile executed. Each tile is routed exactly as
+// a RouteFault call on it would route it, in index order, so under a
+// local fault view the gossip advances tile by tile as it would over
+// one call per tile; a destination outside the packet's own tile
+// panics.
+func (e *Engine[T]) RouteTiles(dst [][]T, t Tiles, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
+	return e.route(dst, t, items, dest, e.m.Faults())
 }
 
 // ForceCycleLoop makes every later routing call of e run the cycle
@@ -847,23 +884,20 @@ func (e *Engine[T]) linesSafe(r mesh.Region, f *fault.Map) bool {
 
 // route is shared by every entry point; f is the fault map the call
 // honors (nil on the healthy entry points, even on a faulted machine).
-// Where linesSafe allows, it solves the call line by line (routeLines)
-// and, under a local fault view, advances the gossip by the charged
-// cycles in one batch. Otherwise it runs the engine's one cycle-stepped
-// loop: one sweep and merge per charged cycle. With a fault map f that
-// loop detours around dead links and nodes, waits on slow links, stops
-// at the retry budget (16·(H+W) + 4·#packets cycles) or at the wedge
-// break after a full slow period of silence, and counts the packets it
-// loses; every cycle spent detouring or waiting is a charged machine
-// step. Under a local fault view it advances one gossip round per
-// cycle. With a nil map every packet takes its dimension-ordered path,
-// exactly as routeLines solves it.
-func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool, f *fault.Map) (delivered [][]T, steps int64, lost int) {
+// It routes the tiles of t one by one (routeTile) under one greedy span.
+// A 1×1 tile holds only packets already at their target, so where
+// linesSafe holds the line solver would deliver them in place and
+// charge nothing; route does that without solving. Elsewhere a 1×1
+// tile still takes the cycle loop, which can lose a packet at a dead
+// node.
+func (e *Engine[T]) route(dst [][]T, t Tiles, items [][]T, dest func(T) int, f *fault.Map) (delivered [][]T, steps int64, lost int) {
 	m := e.m
 	sp := m.Ledger().Begin("greedy", trace.PhaseForward)
+	var execs int64
 	defer func() {
+		e.execs = execs
 		sp.Observe(steps)
-		sp.Exec(e.execs)
+		sp.Exec(execs)
 		if lost > 0 {
 			sp.SetAttr("lost", int64(lost))
 		}
@@ -873,20 +907,57 @@ func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) in
 		dst = make([][]T, m.N)
 	}
 	delivered = dst
-	local := f != nil && e.view != nil
-	if e.linesSafe(r, f) {
-		steps = e.routeLines(delivered, r, items, dest, topo, wrap)
+	var topo topology = meshTopo{m}
+	if t.Wrap {
+		if t.N != 1 || t.At(0) != m.Full() {
+			panic("route: a wrap tiling has one tile, the full machine")
+		}
+		topo = torusTopo{m}
+	}
+	for i := range t.N {
+		r := t.At(i)
+		lines := e.linesSafe(r, f)
+		if lines && r.H == 1 && r.W == 1 {
+			p := m.IDOf(r.R0, r.C0)
+			for _, v := range items[p] {
+				e.target(v, dest, r)
+			}
+			delivered[p] = append(delivered[p], items[p]...)
+			items[p] = items[p][:0]
+			continue
+		}
+		tileSteps, tileLost := e.routeTile(delivered, r, items, dest, topo, t.Wrap, f, lines)
 		sp.AddPackets(int64(len(e.val)))
+		steps, lost, execs = max(steps, tileSteps), lost+tileLost, max(execs, e.execs)
+	}
+	return delivered, steps, lost
+}
+
+// routeTile routes the items of one tile r. Where linesSafe allows
+// (lines), it solves the tile line by line (routeLines) and, under a
+// local fault view, advances the gossip by the charged cycles in one
+// batch. Otherwise it runs the engine's one cycle-stepped loop: one
+// sweep and merge per charged cycle. With a fault map f that loop
+// detours around dead links and nodes, waits on slow links, stops at
+// the retry budget (16·(H+W) + 4·#packets cycles) or at the wedge break
+// after a full slow period of silence, and counts the packets it loses;
+// every cycle spent detouring or waiting is a charged machine step.
+// Under a local fault view it advances one gossip round per cycle. With
+// a nil map every packet takes its dimension-ordered path, exactly as
+// routeLines solves it.
+func (e *Engine[T]) routeTile(delivered [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool, f *fault.Map, lines bool) (steps int64, lost int) {
+	local := f != nil && e.view != nil
+	if lines {
+		steps = e.routeLines(delivered, r, items, dest, topo, wrap)
 		if local {
 			e.view.TickN(f, steps)
 		}
-		return delivered, steps, 0
+		return steps, 0
 	}
 	e.ensure(r)
 	active, lost := e.inject(delivered, r, items, dest, topo, f)
-	sp.AddPackets(int64(len(e.val)))
 	if local {
-		// Per-slot probe state for this call's slab, zeroed.
+		// Per-slot probe state for this tile's slab, zeroed.
 		n := len(e.val)
 		if cap(e.ptry) < n {
 			e.ptry = make([]int8, n)
@@ -937,5 +1008,5 @@ func (e *Engine[T]) route(dst [][]T, r mesh.Region, items [][]T, dest func(T) in
 	}
 	lost += active // budget exhausted or wedged: survivors are dropped
 	e.cleanup()
-	return delivered, steps, lost
+	return steps, lost
 }

@@ -20,6 +20,12 @@ func totalPackets(sp *trace.Span) int64 {
 	return t
 }
 
+// routeTorusFault routes items over the full machine's torus links,
+// honoring its fault map: RouteTiles on the one-tile wrap tiling.
+func routeTorusFault[T any](e *Engine[T], dst [][]T, items [][]T, dest func(T) int) ([][]T, int64, int) {
+	return e.RouteTiles(dst, Whole(e.m, true), items, dest)
+}
+
 // An engine reused across calls must be bit-identical to a fresh one:
 // delivered contents and per-processor order, cycle counts, lost
 // accounting and ledger spans. No state may leak across calls through
@@ -107,7 +113,7 @@ func runEngine(t *testing.T, eng *Engine[item], withFaults, torus, faultPath boo
 	var run engineRun
 	switch {
 	case faultPath && torus:
-		run.delivered, run.steps, run.lost = eng.RouteTorusFault(nil, work, dest)
+		run.delivered, run.steps, run.lost = routeTorusFault(eng, nil, work, dest)
 	case faultPath:
 		run.delivered, run.steps, run.lost = eng.RouteFault(nil, reg, work, dest)
 	case torus:
@@ -216,7 +222,7 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 			return e.RouteFault(nil, sub, it, dest)
 		}, func() [][]item { return scatterItems(m, sub, 300, rng) }},
 		{"torus-fault", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
-			return e.RouteTorusFault(nil, it, dest)
+			return routeTorusFault(e, nil, it, dest)
 		}, func() [][]item { return engineInstance("transpose", m, 2) }},
 		{"mesh-full-again", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
 			d, s := e.Route(nil, m.Full(), it, dest)

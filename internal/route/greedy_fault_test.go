@@ -54,7 +54,7 @@ func TestFaultRouterEmptyMapIdentity(t *testing.T) {
 	// Torus flavor.
 	items := scatterItems(m1, m1.Full(), 80, rng)
 	healthy, hSteps := GreedyRouteTorus(m1, cloneItems(items), func(v item) int { return v.dest })
-	faulty, fSteps, lost := cycleEngine(m2).RouteTorusFault(nil, cloneItems(items), func(v item) int { return v.dest })
+	faulty, fSteps, lost := routeTorusFault(cycleEngine(m2), nil, cloneItems(items), func(v item) int { return v.dest })
 	if lost != 0 || hSteps != fSteps || !reflect.DeepEqual(healthy, faulty) {
 		t.Fatalf("torus: empty-map identity broken (lost=%d, %d vs %d cycles)", lost, hSteps, fSteps)
 	}

@@ -54,7 +54,7 @@ func lineCall(eng *Engine[item], ld *trace.Ledger, c lineCase, faultPath bool, i
 	var lost int
 	switch {
 	case faultPath && c.torus:
-		got, steps, lost = eng.RouteTorusFault(nil, items, dest)
+		got, steps, lost = routeTorusFault(eng, nil, items, dest)
 	case faultPath:
 		got, steps, lost = eng.RouteFault(nil, c.r, items, dest)
 	case c.torus:

@@ -79,7 +79,7 @@ func (w *moduleWorld) route(torus bool, items [][]item) moduleCall {
 	dest := func(v item) int { return v.dest }
 	var c moduleCall
 	if torus {
-		c.delivered, c.steps, c.lost = w.eng.RouteTorusFault(nil, items, dest)
+		c.delivered, c.steps, c.lost = routeTorusFault(w.eng, nil, items, dest)
 	} else {
 		c.delivered, c.steps, c.lost = w.eng.RouteFault(nil, w.m.Full(), items, dest)
 	}

@@ -137,7 +137,7 @@ func TestTorusRingPriorityCycle(t *testing.T) {
 		}
 	}
 	dest := func(v item) int { return v.dest }
-	want, wantS, lost := cycleEngine(m).RouteTorusFault(nil, cloneItems(items), dest)
+	want, wantS, lost := routeTorusFault(cycleEngine(m), nil, cloneItems(items), dest)
 	got, gotS := NewEngine[item](m).RouteTorus(nil, items, dest)
 	if lost != 0 || gotS != wantS || !reflect.DeepEqual(got, want) {
 		t.Fatalf("torus line path charged %d cycles, cycle loop %d (lost %d); deliveries equal: %v",
