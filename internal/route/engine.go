@@ -34,28 +34,28 @@ import (
 //   - each packet caches its (direction, remaining distance): the
 //     distance decreases by one per hop and the direction is only
 //     recomputed when the packet crosses its destination column (or,
-//     after a fault detour, from scratch at the new position) — the
-//     per-cycle topology interface calls of the old router are gone.
+//     after a fault detour, at the new position, and at the destination
+//     row for a packet a detour moved off its column) — the per-cycle
+//     topology interface calls of the old router are gone.
 //
 // The engine runs on the caller's goroutine: a sweep selects each
 // node's winners in worklist order into one arrival buffer, and the
 // merge applies them in that order (DESIGN.md §10).
 //
-// The healthy path (Route, RouteTorus) does not sweep the region at
-// all: it solves each row and column pipeline on its own (lines.go,
-// DESIGN.md §17). A mesh line is solved one packet at a time in static
-// priority order, each packet taking every link at the first cycle no
-// higher-priority packet uses; a torus ring, where that order can be
-// cyclic, is stepped cycle by cycle. Charged cycles, delivered contents
-// and delivery order are bit-identical to the fault path's cycle loop
-// on a healthy machine; only the executed iteration count (Executed,
-// and the ledger's Exec counter) differs, never exceeding the charged
-// cycles. The fault path
-// (RouteFault, RouteTiles) runs the engine's one cycle-stepped loop
-// (DESIGN.md §11) when the network is faulted: it sweeps every charged
-// cycle, so there Executed counts sweeps and equals the charged cycles.
-// A fault map that marks only dead modules blocks no link, so such
-// calls take the line solver too (linesSafe).
+// The healthy mesh path (Route) does not sweep the region at all: it
+// solves each row and column pipeline on its own (lines.go, DESIGN.md
+// §17), one packet at a time in static priority order, each packet
+// taking every link at the first cycle no higher-priority packet uses.
+// Charged cycles, delivered contents and delivery order are
+// bit-identical to the cycle loop on a healthy machine; only the
+// executed iteration count (Executed, and the ledger's Exec counter)
+// differs, never exceeding the charged cycles. A fault map that marks
+// only dead modules blocks no link, so such RouteFault and RouteTiles
+// calls take the line solver too (linesSafe). The torus (RouteTorus, a
+// wrap tiling), whose rings have no static priority order, and every
+// faulted network run the engine's one cycle-stepped loop (DESIGN.md
+// §11): it sweeps every charged cycle, so there Executed counts sweeps
+// and equals the charged cycles.
 //
 // RouteTiles routes a protocol stage's disjoint submeshes in one call
 // (DESIGN.md §17): tile by tile, each exactly as a call of its own,
@@ -96,9 +96,6 @@ type Engine[T any] struct {
 	lBits     []uint64   // mesh line: cycles taken, per link; zero at rest
 	lnRuns    []uint64   // the runs this line marked: diagonal<<32 | x<<16 | y
 	lnFlushed int        // how many of lnRuns are copied into lBits
-	lq        [][]uint64 // ring position: queued entries, winner last
-	occ       []uint64   // occupied ring positions
-	lnMove    []uint64   // ring free-run scratch: (position, entry) pairs
 	dcnt      []int32    // per destination node: delivery group bounds
 	dorder    []int32    // routed slots grouped by destination
 
@@ -127,11 +124,9 @@ func (e *Engine[T]) SetFaultView(v *faultview.View) { e.view = v }
 
 // Executed returns the physically executed iterations of the most
 // recent routing call, the most of any of its tiles: the sweeps of the
-// cycle loop; on the line solver, the most free runs any one packet
-// made on a mesh line (one, plus one per wait), or the most iterations
-// any one torus ring ran (one per contended cycle, one per free run).
-// It is ≤ the call's charged cycle count, with equality wherever the
-// engine sweeps.
+// cycle loop, or on the line solver the most free runs any one packet
+// made on a mesh line (one, plus one per wait). It is ≤ the call's
+// charged cycle count, with equality wherever the engine sweeps.
 func (e *Engine[T]) Executed() int64 { return e.execs }
 
 // engArrival is one packet crossing into a new processor this cycle.
@@ -195,7 +190,9 @@ func (e *Engine[T]) Route(dst [][]T, r mesh.Region, items [][]T, dest func(T) in
 	return delivered, steps
 }
 
-// RouteTorus is Route on the full machine with wrap-around links.
+// RouteTorus is Route on the full machine with wrap-around links. It
+// runs on the cycle loop: a torus ring has no static priority order for
+// the line solver.
 func (e *Engine[T]) RouteTorus(dst [][]T, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
 	//detlint:ignore checkederr a nil fault map loses no packet
 	delivered, steps, _ = e.route(dst, Whole(e.m, true), items, dest, nil)
@@ -305,7 +302,6 @@ func (e *Engine[T]) Release() {
 	e.queues, e.inQ, e.active, e.scratch, e.arr = nil, nil, nil, nil, nil
 	e.rowAt, e.colAt, e.colq, e.dcnt, e.dorder = nil, nil, nil, nil, nil
 	e.lnKeys, e.lnPk, e.dBits, e.lBits, e.lnRuns = nil, nil, nil, nil, nil
-	e.lq, e.occ, e.lnMove = nil, nil, nil
 	e.ptry, e.pwait, e.disc, e.dropq = nil, nil, nil, nil
 }
 
@@ -328,12 +324,8 @@ func (e *Engine[T]) MemBytes() int64 {
 	sz += int64(cap(e.disc)) * int64(unsafe.Sizeof(faultview.Discovery{}))
 	sz += int64(cap(e.dropq)) * int64(unsafe.Sizeof(engDrop{}))
 	sz += int64(cap(e.rowAt)+cap(e.colAt)+cap(e.dcnt)+cap(e.dorder)) * 4
-	sz += int64(cap(e.colq)+cap(e.lnKeys)+cap(e.dBits)+cap(e.lBits)+cap(e.lnRuns)+cap(e.occ)+cap(e.lnMove)) * 8
+	sz += int64(cap(e.colq)+cap(e.lnKeys)+cap(e.dBits)+cap(e.lBits)+cap(e.lnRuns)) * 8
 	sz += int64(cap(e.lnPk)) * int64(unsafe.Sizeof(lnPacket{}))
-	sz += int64(cap(e.lq)) * 24
-	for _, q := range e.lq {
-		sz += int64(cap(q)) * 8
-	}
 	return sz
 }
 
@@ -734,8 +726,8 @@ func (e *Engine[T]) flushLocal(f *fault.Map) (dropped, waiting int) {
 
 // merge applies one cycle's arrivals in sweep order:
 // deliver packets that reached their destination, update each mover's
-// cached (dir, dist) — incrementally after a preferred hop, from
-// scratch after a detour — re-queue the rest, and rebuild the worklist
+// cached (dir, dist) — incrementally after a preferred hop, anew after
+// a detour — re-queue the rest, and rebuild the worklist
 // (prune emptied nodes, add newly occupied ones). The worklist is kept
 // sorted incrementally: pruning preserves order, and the tail of newly
 // occupied nodes is sorted on its own and merged back in, so no cycle
@@ -772,8 +764,15 @@ func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap bo
 				done++
 				continue
 			}
-			dr, _ := topo.next(to, d)
-			e.dir[slot] = int8(dr)
+			if e.dir[slot] >= 2 {
+				// A detour off the vertical leg keeps the packet moving
+				// vertically, beside the blocked column: the column-first
+				// hop would lead straight back into it.
+				e.dir[slot] = rowDirAfterCol(m, to, d, wrap)
+			} else {
+				dr, _ := topo.next(to, d)
+				e.dir[slot] = int8(dr)
+			}
 			e.dist[slot] = int32(topo.dist(to, d))
 			wl = e.enqueue(e.localOf(to, r), slot, wl)
 			continue
@@ -785,11 +784,16 @@ func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap bo
 			continue
 		}
 		e.dist[slot] = nd
+		d := int(e.dests[slot])
 		if e.dir[slot] <= 1 {
-			d := int(e.dests[slot])
 			if m.ColOf(to) == int(e.dcol[slot]) {
 				e.dir[slot] = rowDirAfterCol(m, to, d, wrap)
 			}
+		} else if m.RowOf(to) == m.RowOf(d) {
+			// Moving vertically beside its column after a detour, the
+			// packet turns onto its row at the destination row.
+			dr, _ := topo.next(to, d)
+			e.dir[slot] = int8(dr)
 		}
 		wl = e.enqueue(e.localOf(to, r), slot, wl)
 	}
@@ -867,16 +871,18 @@ func (e *Engine[T]) sortWorklist(r mesh.Region) {
 }
 
 // linesSafe reports, in O(1), whether routeLines solves a call over
-// fault map f exactly as the cycle loop would. That holds when the
-// region fits the line encoding, f has no dead node, dead link or slow
-// link, and a local view in use has never held one: then no injection
-// is refused, no belief or link blocks a hop, and no probe or detour
+// tile r of a tiling with or without wrap links under fault map f
+// exactly as the cycle loop would. That holds when the tiling has no
+// wrap links (a torus ring has no static priority order), the region
+// fits the line encoding, f has no dead node, dead link or slow link,
+// and a local view in use has never held one: then no injection is
+// refused, no belief or link blocks a hop, and no probe or detour
 // fires, so both deliver the same packets in the same order after the
 // same cycles. (The loop's retry budget, 16·(H+W) + 4·#packets
 // cycles, is far above what a healthy network needs: no route of the
 // identity matrices reaches it.)
-func (e *Engine[T]) linesSafe(r mesh.Region, f *fault.Map) bool {
-	if e.cycleLoop || max(r.H, r.W) > lnMaxSide || !f.NetworkHealthy() {
+func (e *Engine[T]) linesSafe(r mesh.Region, wrap bool, f *fault.Map) bool {
+	if e.cycleLoop || wrap || max(r.H, r.W) > lnMaxSide || !f.NetworkHealthy() {
 		return false
 	}
 	return f == nil || e.view == nil || !e.view.NetworkFaultSeen()
@@ -916,7 +922,7 @@ func (e *Engine[T]) route(dst [][]T, t Tiles, items [][]T, dest func(T) int, f *
 	}
 	for i := range t.N {
 		r := t.At(i)
-		lines := e.linesSafe(r, f)
+		lines := e.linesSafe(r, t.Wrap, f)
 		if lines && r.H == 1 && r.W == 1 {
 			p := m.IDOf(r.R0, r.C0)
 			for _, v := range items[p] {
@@ -948,7 +954,7 @@ func (e *Engine[T]) route(dst [][]T, t Tiles, items [][]T, dest func(T) int, f *
 func (e *Engine[T]) routeTile(delivered [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool, f *fault.Map, lines bool) (steps int64, lost int) {
 	local := f != nil && e.view != nil
 	if lines {
-		steps = e.routeLines(delivered, r, items, dest, topo, wrap)
+		steps = e.routeLines(delivered, r, items, dest)
 		if local {
 			e.view.TickN(f, steps)
 		}

@@ -103,8 +103,9 @@ func GreedyRoute[T any](m *mesh.Machine, r mesh.Region, items [][]T, dest func(T
 }
 
 // GreedyRouteTorus is GreedyRoute on the full machine with wrap-around
-// links (the torus extension; experiment E16). The region is always the
-// whole mesh — wrap paths cannot be confined to a submesh.
+// links (the torus extension; experiment E16), stepped cycle by cycle
+// on the engine's cycle loop. The region is always the whole mesh —
+// wrap paths cannot be confined to a submesh.
 func GreedyRouteTorus[T any](m *mesh.Machine, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
 	return NewEngine[T](m).RouteTorus(nil, items, dest)
 }

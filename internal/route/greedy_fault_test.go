@@ -177,3 +177,105 @@ func TestFaultRouterWalledIn(t *testing.T) {
 		t.Errorf("reachable packet not delivered")
 	}
 }
+
+// TestFaultRouterDeadVerticalLink kills the one link (4,4)–(5,4) of an
+// otherwise healthy side-9 machine and routes one packet per case
+// across it. A packet detoured sideways off its vertical leg keeps
+// moving vertically beside the dead link's column and turns onto its
+// row at the destination row; turning straight back into that column
+// would ping-pong it there until the retry budget drops it.
+func TestFaultRouterDeadVerticalLink(t *testing.T) {
+	const side = 9
+	m := mesh.MustNew(side)
+	at := m.IDOf
+	dest := func(v item) int { return v.dest }
+	for _, tc := range []struct {
+		name            string
+		torus           bool
+		from, to        int
+		healthy, detour int64
+	}{
+		{"mesh column", false, at(0, 4), at(8, 4), 8, 10},
+		{"mesh turn into the column", false, at(0, 0), at(8, 4), 12, 14},
+		{"torus column", true, at(2, 4), at(6, 4), 4, 6},
+	} {
+		items := func() [][]item {
+			items := make([][]item, m.N)
+			items[tc.from] = []item{{dest: tc.to, id: 1}}
+			return items
+		}
+		run := func() ([][]item, int64, int) {
+			if tc.torus {
+				return routeTorusFault(NewEngine[item](m), nil, items(), dest)
+			}
+			return routeFault(m, items(), dest)
+		}
+		m.SetFaults(nil)
+		_, healthy, _ := run()
+		m.SetFaults(fault.NewMap(side).KillLink(at(4, 4), at(5, 4)))
+		delivered, steps, lost := run()
+		if lost != 0 || len(delivered[tc.to]) != 1 {
+			t.Errorf("%s: lost %d, delivered %d packets", tc.name, lost, len(delivered[tc.to]))
+		}
+		if healthy != tc.healthy || steps != tc.detour {
+			t.Errorf("%s: %d cycles around the dead link, %d healthy; want %d and %d",
+				tc.name, steps, healthy, tc.detour, tc.healthy)
+		}
+	}
+}
+
+// FuzzOneDeadLink kills one link inside a random region of at least 2×2
+// on a side-27 mesh, or anywhere on the side-27 torus, and routes 1–4
+// packets per node of the region, each bound for a random node of it,
+// on the fault path. One dead link never splits such a region, so no
+// packet may be lost.
+func FuzzOneDeadLink(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(8), uint8(8), uint16(40), true, false, uint8(0), int64(1))
+	f.Add(uint8(3), uint8(5), uint8(0), uint8(20), uint16(7), false, false, uint8(3), int64(2))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint16(300), true, true, uint8(1), int64(3))
+	f.Fuzz(func(t *testing.T, r0, c0, h, w uint8, at uint16, vertical, torus bool, load uint8, seed int64) {
+		const side = 27
+		m := mesh.MustNew(side)
+		r := m.Full()
+		if !torus {
+			r.H, r.W = 2+int(h)%(side-1), 2+int(w)%(side-1)
+			r.R0, r.C0 = int(r0)%(side-r.H+1), int(c0)%(side-r.W+1)
+		}
+		// The dead link runs from a node of the region one hop +row or
+		// +col; on the torus that hop may wrap.
+		hr, hc := r.H, r.W
+		if !torus {
+			if vertical {
+				hr--
+			} else {
+				hc--
+			}
+		}
+		row, col := r.R0+int(at)%hr, r.C0+int(at)/hr%hc
+		p, q := m.IDOf(row, col), m.IDOf(row, (col+1)%side)
+		if vertical {
+			q = m.IDOf((row+1)%side, col)
+		}
+		m.SetFaults(fault.NewMap(side).KillLink(p, q))
+		rng := rand.New(rand.NewSource(seed))
+		items := make([][]item, m.N)
+		for row := r.R0; row < r.R0+r.H; row++ {
+			for col := r.C0; col < r.C0+r.W; col++ {
+				for j := 0; j <= int(load)%4; j++ {
+					d := m.IDOf(r.R0+rng.Intn(r.H), r.C0+rng.Intn(r.W))
+					items[m.IDOf(row, col)] = append(items[m.IDOf(row, col)], item{dest: d})
+				}
+			}
+		}
+		dest := func(v item) int { return v.dest }
+		var lost int
+		if torus {
+			_, _, lost = routeTorusFault(NewEngine[item](m), nil, items, dest)
+		} else {
+			_, _, lost = NewEngine[item](m).RouteFault(nil, r, items, dest)
+		}
+		if lost != 0 {
+			t.Fatalf("region %v, torus %v, dead link %d–%d: lost %d packets", r, torus, p, q, lost)
+		}
+	})
+}

@@ -13,11 +13,10 @@ import (
 
 // lineCase is one routing call of the line-path identity matrix.
 type lineCase struct {
-	name  string
-	r     mesh.Region
-	torus bool
-	load  int  // items per node of the region
-	hot   bool // every item is bound for the region's column W/3
+	name string
+	r    mesh.Region
+	load int  // items per node of the region
+	hot  bool // every item is bound for the region's column W/3
 }
 
 // lineItems puts c.load items on every node of c.r, each bound for a
@@ -52,14 +51,9 @@ func lineCall(eng *Engine[item], ld *trace.Ledger, c lineCase, faultPath bool, i
 	var got [][]item
 	var steps int64
 	var lost int
-	switch {
-	case faultPath && c.torus:
-		got, steps, lost = routeTorusFault(eng, nil, items, dest)
-	case faultPath:
+	if faultPath {
 		got, steps, lost = eng.RouteFault(nil, c.r, items, dest)
-	case c.torus:
-		got, steps = eng.RouteTorus(nil, items, dest)
-	default:
+	} else {
 		got, steps = eng.Route(nil, c.r, items, dest)
 	}
 	sp := ld.Last()
@@ -70,9 +64,9 @@ func lineCall(eng *Engine[item], ld *trace.Ledger, c lineCase, faultPath bool, i
 // the cycle-stepped reference, the fault path forced onto the cycle
 // loop on the same healthy machine: delivered contents, per-processor order, charged cycles and
 // the ledger span must match on the full machine and on offset
-// non-square regions, at about 1, 4 and 9 packets per node, on the mesh
-// and the torus (side 2 makes a two-node ring), and the reference loses
-// no packet. Hot-exit cases send every packet of a row to one column, so
+// non-square regions, at about 1, 4 and 9 packets per node, and the
+// reference loses no packet. The torus runs on the cycle loop itself,
+// so it has no rows here. Hot-exit cases send every packet of a row to one column, so
 // packets wait hundreds of cycles at one link and their waits cross the
 // 64-cycle words of the per-link view; on side 200 the regions' lines
 // are longer than 128 positions, so a diagonal spans three words. One
@@ -88,27 +82,25 @@ func TestLineRouteIdentity(t *testing.T) {
 		var cases []lineCase
 		if side <= 81 {
 			for _, load := range []int{1, 4, 9} {
-				cases = append(cases,
-					lineCase{"full", m.Full(), false, load, false},
-					lineCase{"torus", m.Full(), true, load, false})
+				cases = append(cases, lineCase{"full", m.Full(), load, false})
 				if side >= 27 {
 					cases = append(cases,
-						lineCase{"3x9@(3,9)", mesh.Region{R0: 3, C0: 9, H: 3, W: 9}, false, load, false},
-						lineCase{"9x27@(0,0)", mesh.Region{R0: 0, C0: 0, H: 9, W: 27}, false, load, false},
-						lineCase{"17x4@(5,2)", mesh.Region{R0: 5, C0: 2, H: 17, W: 4}, false, load, false})
+						lineCase{"3x9@(3,9)", mesh.Region{R0: 3, C0: 9, H: 3, W: 9}, load, false},
+						lineCase{"9x27@(0,0)", mesh.Region{R0: 0, C0: 0, H: 9, W: 27}, load, false},
+						lineCase{"17x4@(5,2)", mesh.Region{R0: 5, C0: 2, H: 17, W: 4}, load, false})
 				}
 			}
 		}
 		switch side {
 		case 81:
 			cases = append(cases,
-				lineCase{"hot 9x81@(4,0)", mesh.Region{R0: 4, C0: 0, H: 9, W: 81}, false, 4, true},
-				lineCase{"hot 81x81", m.Full(), false, 1, true})
+				lineCase{"hot 9x81@(4,0)", mesh.Region{R0: 4, C0: 0, H: 9, W: 81}, 4, true},
+				lineCase{"hot 81x81", m.Full(), 1, true})
 		case 200:
 			cases = append(cases,
-				lineCase{"3x200@(7,0)", mesh.Region{R0: 7, C0: 0, H: 3, W: 200}, false, 4, false},
-				lineCase{"200x3@(0,190)", mesh.Region{R0: 0, C0: 190, H: 200, W: 3}, false, 4, false},
-				lineCase{"hot 2x180@(50,11)", mesh.Region{R0: 50, C0: 11, H: 2, W: 180}, false, 3, true})
+				lineCase{"3x200@(7,0)", mesh.Region{R0: 7, C0: 0, H: 3, W: 200}, 4, false},
+				lineCase{"200x3@(0,190)", mesh.Region{R0: 0, C0: 190, H: 200, W: 3}, 4, false},
+				lineCase{"hot 2x180@(50,11)", mesh.Region{R0: 50, C0: 11, H: 2, W: 180}, 3, true})
 		}
 		rng := rand.New(rand.NewSource(int64(side)))
 		for _, c := range cases {
@@ -156,7 +148,7 @@ func FuzzLineRoute(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		eng := NewEngine[item](m)
 		for call := 0; call < 2; call++ {
-			c := lineCase{"fuzz", r, false, 1 + int(load)%6 + call, false}
+			c := lineCase{"fuzz", r, 1 + int(load)%6 + call, false}
 			items := lineItems(m, c, rng)
 			wantD, wantS, _, wantSpan := lineCall(cycleEngine(m), ld, c, true, cloneItems(items))
 			gotD, gotS, _, gotSpan := lineCall(eng, ld, c, false, items)
@@ -170,7 +162,8 @@ func FuzzLineRoute(f *testing.F) {
 
 // TestLineRouteMemRelease checks that the line path counts its buffers
 // in MemBytes, that mesh routing leaves the per-node queue tables of the
-// sweep path and the ring buffers unallocated, and that Release returns
+// sweep path unallocated, that torus routing, which runs on the cycle
+// loop, leaves the line buffers unallocated, and that Release returns
 // the engine to its just-built footprint.
 func TestLineRouteMemRelease(t *testing.T) {
 	m := mesh.MustNew(27)
@@ -178,9 +171,12 @@ func TestLineRouteMemRelease(t *testing.T) {
 	built := eng.MemBytes()
 	items := lineItems(m, lineCase{r: m.Full(), load: 4}, rand.New(rand.NewSource(5)))
 	eng.Route(nil, m.Full(), items, func(v item) int { return v.dest })
-	lines := int64(cap(eng.rowAt)+cap(eng.colAt)+cap(eng.dcnt)+cap(eng.dorder))*4 +
-		int64(cap(eng.colq)+cap(eng.lnKeys)+cap(eng.dBits)+cap(eng.lBits)+cap(eng.lnRuns))*8 +
-		int64(cap(eng.lnPk))*int64(unsafe.Sizeof(lnPacket{}))
+	lineBytes := func() int64 {
+		return int64(cap(eng.rowAt)+cap(eng.colAt)+cap(eng.dcnt)+cap(eng.dorder))*4 +
+			int64(cap(eng.colq)+cap(eng.lnKeys)+cap(eng.dBits)+cap(eng.lBits)+cap(eng.lnRuns))*8 +
+			int64(cap(eng.lnPk))*int64(unsafe.Sizeof(lnPacket{}))
+	}
+	lines := lineBytes()
 	if cap(eng.dBits) == 0 || cap(eng.lBits) == 0 || cap(eng.lnKeys) == 0 || cap(eng.lnPk) == 0 || cap(eng.lnRuns) == 0 ||
 		eng.MemBytes() < built+lines {
 		t.Fatalf("MemBytes %d after routing, just built %d, line buffers alone %d (diagonal bits %d, link bits %d, sort keys %d, packets %d, runs %d)",
@@ -190,17 +186,17 @@ func TestLineRouteMemRelease(t *testing.T) {
 		t.Fatalf("line path grew the sweep tables: queues %d, inQ %d, worklist %d",
 			cap(eng.queues), cap(eng.inQ), cap(eng.active))
 	}
-	if cap(eng.lq) != 0 || cap(eng.occ) != 0 || cap(eng.lnMove) != 0 {
-		t.Fatalf("mesh routing grew the ring buffers: lq %d, occ %d, lnMove %d",
-			cap(eng.lq), cap(eng.occ), cap(eng.lnMove))
-	}
 	eng.Release()
 	if got := eng.MemBytes(); got != built {
 		t.Fatalf("MemBytes %d after Release, just built %d", got, built)
 	}
 	eng.RouteTorus(nil, lineItems(m, lineCase{r: m.Full(), load: 4}, rand.New(rand.NewSource(6))), func(v item) int { return v.dest })
-	if cap(eng.lq) == 0 || cap(eng.occ) == 0 {
-		t.Fatalf("torus routing left the ring buffers unallocated: lq %d, occ %d", cap(eng.lq), cap(eng.occ))
+	if lines := lineBytes(); lines != 0 {
+		t.Fatalf("torus routing allocated %d bytes of line buffers", lines)
+	}
+	if cap(eng.queues) == 0 || eng.MemBytes() <= built {
+		t.Fatalf("torus routing did not run the cycle loop: queues %d, MemBytes %d, just built %d",
+			cap(eng.queues), eng.MemBytes(), built)
 	}
 	eng.Release()
 	if got := eng.MemBytes(); got != built {

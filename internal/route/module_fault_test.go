@@ -94,8 +94,9 @@ func (w *moduleWorld) route(torus bool, items [][]item) moduleCall {
 // forced, on {mesh, torus} × {global, local view}. Deliveries and their
 // order, charged cycles, losses, the span's observed cycles and
 // packets, and the view's notice log, image and stats must match after
-// every call. The forced loop executes one sweep per charged cycle; the
-// line path may execute fewer.
+// every call. The forced loop executes one sweep per charged cycle. On
+// the mesh the line path must be taken and execute fewer; the torus
+// must stay on the cycle loop, executing one sweep per charged cycle.
 func TestModuleFaultLineIdentity(t *testing.T) {
 	const side = 16
 	for _, torus := range []bool{false, true} {
@@ -115,8 +116,8 @@ func TestModuleFaultLineIdentity(t *testing.T) {
 				want := ref.route(torus, cloneItems(items))
 				have := got.route(torus, items)
 				at := fmt.Sprintf("%s/call=%d-%s", label, call, kind)
-				if !got.eng.linesSafe(got.m.Full(), got.truth) {
-					t.Fatalf("%s: module-only world not on the line path", at)
+				if lines := got.eng.linesSafe(got.m.Full(), torus, got.truth); lines == torus {
+					t.Fatalf("%s: on the line path %v, want %v", at, lines, !torus)
 				}
 				if want.steps != have.steps || want.lost != have.lost ||
 					want.observed != have.observed || want.packets != have.packets {
@@ -133,8 +134,8 @@ func TestModuleFaultLineIdentity(t *testing.T) {
 				if want.exec != want.steps {
 					t.Fatalf("%s: forced loop executed %d of %d charged cycles", at, want.exec, want.steps)
 				}
-				if have.exec > have.steps {
-					t.Fatalf("%s: line path executed %d > %d charged cycles", at, have.exec, have.steps)
+				if have.exec > have.steps || torus && have.exec != have.steps {
+					t.Fatalf("%s: executed %d of %d charged cycles", at, have.exec, have.steps)
 				}
 				fewer = fewer || have.exec < have.steps
 				if local {
@@ -146,16 +147,16 @@ func TestModuleFaultLineIdentity(t *testing.T) {
 					}
 				}
 			}
-			if !fewer {
+			if !torus && !fewer {
 				t.Errorf("%s: the line path never executed fewer iterations than it charged", label)
 			}
 		}
 	}
 }
 
-// TestLinesSafeGuard pins the guard's table: only a network with no
-// dead node, dead link or slow link — and no local view that ever held
-// one — takes the line path from the fault entry points.
+// TestLinesSafeGuard pins the guard's table: only a mesh tiling, on a
+// network with no dead node, dead link or slow link — and no local view
+// that ever held one — takes the line path from the fault entry points.
 func TestLinesSafeGuard(t *testing.T) {
 	const side = 9
 	m := mesh.MustNew(side)
@@ -184,31 +185,33 @@ func TestLinesSafeGuard(t *testing.T) {
 		f      *fault.Map
 		v      *faultview.View
 		forced bool
+		wrap   bool
 		want   bool
 	}{
-		{"nil map", nil, nil, false, true},
-		{"empty map", fault.NewMap(side), nil, false, true},
-		{"dead modules", fault.NewMap(side).KillModule(3).KillModule(40), nil, false, true},
-		{"dead node", fault.NewMap(side).KillNode(3), nil, false, false},
-		{"dead link", fault.NewMap(side).KillLink(3, 4), nil, false, false},
-		{"slow link", fault.NewMap(side).SlowLink(3, 4, 2), nil, false, false},
-		{"node killed and revived, global view", revived, nil, false, true},
-		{"node killed and revived, local view", revived, view(nil, kill, revive), false, false},
-		{"module notices, local view", fault.NewMap(side).KillModule(40), view(nil, modKill), false, true},
-		{"slow link in the view's base", fault.NewMap(side), view(fault.NewMap(side).SlowLink(3, 4, 2)), false, false},
-		{"nil map ignores the view", nil, view(nil, kill, revive), false, true},
-		{"forced cycle loop", nil, nil, true, false},
+		{"nil map", nil, nil, false, false, true},
+		{"empty map", fault.NewMap(side), nil, false, false, true},
+		{"dead modules", fault.NewMap(side).KillModule(3).KillModule(40), nil, false, false, true},
+		{"dead node", fault.NewMap(side).KillNode(3), nil, false, false, false},
+		{"dead link", fault.NewMap(side).KillLink(3, 4), nil, false, false, false},
+		{"slow link", fault.NewMap(side).SlowLink(3, 4, 2), nil, false, false, false},
+		{"node killed and revived, global view", revived, nil, false, false, true},
+		{"node killed and revived, local view", revived, view(nil, kill, revive), false, false, false},
+		{"module notices, local view", fault.NewMap(side).KillModule(40), view(nil, modKill), false, false, true},
+		{"slow link in the view's base", fault.NewMap(side), view(fault.NewMap(side).SlowLink(3, 4, 2)), false, false, false},
+		{"nil map ignores the view", nil, view(nil, kill, revive), false, false, true},
+		{"forced cycle loop", nil, nil, true, false, false},
+		{"wrap tiling", nil, nil, false, true, false},
 	} {
 		e := NewEngine[item](m)
 		e.SetFaultView(tc.v)
 		if tc.forced {
 			e.ForceCycleLoop()
 		}
-		if got := e.linesSafe(full, tc.f); got != tc.want {
+		if got := e.linesSafe(full, tc.wrap, tc.f); got != tc.want {
 			t.Errorf("%s: linesSafe = %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	if NewEngine[item](m).linesSafe(mesh.Region{H: 1, W: lnMaxSide + 1}, nil) {
+	if NewEngine[item](m).linesSafe(mesh.Region{H: 1, W: lnMaxSide + 1}, false, nil) {
 		t.Error("a region wider than the line encoding took the line path")
 	}
 }

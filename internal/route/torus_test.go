@@ -124,8 +124,9 @@ func TestTorusBeatsMeshOnLongHaul(t *testing.T) {
 // applies at every node. Placing them one at a time by the mesh lines'
 // key (remaining distance + start column, unwrapped), each link at its
 // first free cycle, charges 11 cycles where the cycle loop charges 8.
-// The healthy torus path must match the cycle loop, which it does by
-// stepping rings cycle by cycle.
+// That is why the line solver refuses wrap tilings (linesSafe) and the
+// torus runs on the cycle loop: the healthy torus entry point must
+// match the forced loop.
 func TestTorusRingPriorityCycle(t *testing.T) {
 	const side, copies = 9, 4
 	m := mesh.MustNew(side)
