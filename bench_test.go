@@ -141,13 +141,14 @@ func BenchmarkCulling729(b *testing.B) {
 func BenchmarkGreedyRouter(b *testing.B) {
 	m := mesh.MustNew(32)
 	perm := rand.New(rand.NewSource(1)).Perm(m.N)
+	eng := route.NewEngine[int](m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		items := make([][]int, m.N)
 		for p := 0; p < m.N; p++ {
 			items[p] = append(items[p], perm[p])
 		}
-		route.GreedyRoute(m, m.Full(), items, func(d int) int { return d })
+		eng.Route(nil, route.Whole(m, false), items, func(d int) int { return d })
 	}
 }
 

@@ -142,7 +142,7 @@ func (pl *pipeline) step(ops []Op, vars int, copyAt func(v, j int) (proc int, sl
 	lf := ld.Begin("sort", trace.PhaseSort)
 	m.AddSteps(sortSteps)
 	lf.End()
-	delivered, cycles := pl.eng.Route(pl.fwd, full, sorted, func(p pkt) int { return p.dest })
+	delivered, cycles := pl.eng.Route(pl.fwd, route.Tile(full), sorted, func(p pkt) int { return p.dest })
 	lf = ld.Begin("forward", trace.PhaseForward)
 	m.AddSteps(cycles)
 	lf.End()
@@ -170,7 +170,7 @@ func (pl *pipeline) step(ops []Op, vars int, copyAt func(v, j int) (proc int, sl
 	m.AddSteps(int64(maxPer))
 	lf.End()
 
-	home, back := pl.eng.Route(pl.ret, full, delivered, func(p pkt) int { return p.origin })
+	home, back := pl.eng.Route(pl.ret, route.Tile(full), delivered, func(p pkt) int { return p.origin })
 	lf = ld.Begin("return", trace.PhaseReturn)
 	m.AddSteps(back)
 	lf.End()

@@ -223,15 +223,11 @@ type Simulator struct {
 	//detlint:ignore snapshotfields recycled scratch buffers; content-free between steps
 	arena *pktArena // recycled per-processor packet-handle buffers
 	//detlint:ignore snapshotfields persistent router; queues empty between calls
-	eng *route.Engine[int32] // reused by every routeTiles call; routes packet handles
+	eng *route.Engine[int32] // the one router: every routeTiles call and repair scrub; routes handles
 	//detlint:ignore snapshotfields per-step packet table; rebuilt by every step, capacity kept
 	pk []pkt // the running step's packets, indexed by handle
 	//detlint:ignore snapshotfields per-step waypoint table; rebuilt by every step, capacity kept
 	wp []int32 // recorded waypoints, K+1 per handle (see pkt)
-	//detlint:ignore snapshotfields persistent router for repair scrubs; queues empty between calls
-	reng *route.Engine[rpkt]
-	//detlint:ignore snapshotfields recycled scrub delivery buffer; truncated between scrubs
-	rbuf [][]rpkt
 
 	// st is the simulated shared memory: per-page cell slabs plus the
 	// sorted foreign overflow for remap-relocated cells (store.go).
@@ -264,8 +260,8 @@ type Simulator struct {
 	destBits, seqBits uint // packet sort-key field widths (see NewWithScheme)
 
 	// Local fault knowledge (FaultView == faultview.Local only; nil in
-	// global mode). view is the gossip state shared by both routing
-	// engines; notified holds module deaths whose notice has not yet
+	// global mode). view is the gossip state the routing engine
+	// consults; notified holds module deaths whose notice has not yet
 	// reached the scrub coordinator. Both travel in snapshots (Local
 	// images append a second gob value; see snapshot.go).
 	view     *faultview.View
@@ -294,7 +290,7 @@ func New(p hmos.Params, cfg Config) (*Simulator, error) {
 // scheme. Schemes are immutable after hmos.New and expensive to build
 // (GF tables, BIBD graphs, tessellations), so warm pools construct one
 // per parameter set and reuse it across simulators; the simulator gets
-// its own mesh machine, ledger and engines, so no mutable state is
+// its own mesh machine, ledger and engine, so no mutable state is
 // shared between simulators built over one scheme.
 func NewWithScheme(s *hmos.Scheme, cfg Config) (*Simulator, error) {
 	p := s.Params
@@ -359,9 +355,9 @@ func NewWithScheme(s *hmos.Scheme, cfg Config) (*Simulator, error) {
 	if cfg.FaultView == faultview.Local && live != nil {
 		// Beliefs boot knowing the static fault map (cfg.Faults); only
 		// schedule events must be witnessed and disseminated. The view is
-		// shared by the protocol and repair engines — they never route
-		// concurrently, and gossip rounds advance with whichever is
-		// running, so propagation latency tracks total routing cycles.
+		// consulted by every routing call, protocol and repair alike, and
+		// gossip rounds advance with each, so propagation latency tracks
+		// total routing cycles.
 		sim.view = faultview.New(p.Side, cfg.Torus, cfg.Faults, cfg.FaultViewSeed)
 		sim.eng.SetFaultView(sim.view)
 	}
@@ -1022,7 +1018,7 @@ func (sim *Simulator) routeTiles(level int, items [][]int32, dest func(int32) in
 		At:   func(i int) mesh.Region { return sim.stageRegion(level, i) },
 		Wrap: sim.cfg.Torus && level == sim.S.K+1,
 	}
-	delivered, cycles, lost := sim.eng.RouteTiles(sim.arena.get(), tiles, items, dest)
+	delivered, cycles, lost := sim.eng.RouteFault(sim.arena.get(), tiles, items, dest)
 	if lost > 0 && sim.rep != nil {
 		sim.rep.LostPackets += lost
 	}

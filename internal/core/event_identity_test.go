@@ -10,7 +10,6 @@ import (
 	"meshpram/internal/fault"
 	"meshpram/internal/faultview"
 	"meshpram/internal/hmos"
-	"meshpram/internal/route"
 	"meshpram/internal/trace"
 )
 
@@ -19,24 +18,12 @@ import (
 // step by step, the same read results, the same StepStats, the same
 // ledger spans (but for executed iterations), the same fault reports
 // and gossip state and — after the run — the same snapshot bytes as the
-// same configuration with every routing engine forced onto its
-// cycle-stepped loop. This is the end-to-end half of the bit-identity
+// same configuration with its routing engine, which routes the
+// protocol and the repair scrubs, forced onto its cycle-stepped loop.
+// A forced simulator is the reference side of the identity matrices.
+// This is the end-to-end half of the bit-identity
 // contract (the packet-level half lives in
 // internal/route/event_identity_test.go).
-
-// forceCycleLoop puts every routing engine of s on the cycle loop: the
-// protocol engine, and the repair scrub's engine, built here the way
-// the first scrub would build it. A forced simulator is the reference
-// side of the identity matrices.
-func forceCycleLoop(s *Simulator) {
-	s.eng.ForceCycleLoop()
-	s.reng = route.NewEngine[rpkt](s.M)
-	s.rbuf = make([][]rpkt, s.M.N)
-	if s.view != nil {
-		s.reng.SetFaultView(s.view)
-	}
-	s.reng.ForceCycleLoop()
-}
 
 // eventMatrixTrace is everything observable from one simulation run.
 type eventMatrixTrace struct {
@@ -74,7 +61,7 @@ func runViewMatrix(t *testing.T, view faultview.Mode, torus bool, fm *fault.Map,
 		t.Fatal(err)
 	}
 	if cycleLoop {
-		forceCycleLoop(s)
+		s.eng.ForceCycleLoop()
 	}
 	nv := s.Scheme().Vars()
 	rng := rand.New(rand.NewSource(99))
@@ -352,7 +339,7 @@ func TestEventCycleSimulationIdentityE1(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cycleLoop {
-			forceCycleLoop(s)
+			s.eng.ForceCycleLoop()
 		}
 		n, nv := s.M.N, s.Scheme().Vars()
 		rng := rand.New(rand.NewSource(81))

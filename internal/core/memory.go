@@ -3,7 +3,7 @@ package core
 import "unsafe"
 
 // Memory accounting and compaction. A long-lived simulator retains
-// recycled buffers (the packet arena, the routing engines' slabs and
+// recycled buffers (the packet arena, the routing engine's slabs and
 // queues) sized by its high-water traffic; Compact drops them all, and
 // MemReport breaks the resident footprint down by layer so experiments
 // can attribute bytes/node to the scheme, the store, the fault sets
@@ -17,7 +17,7 @@ type MemReport struct {
 	Store     int64 // shared-memory cells: page slabs + foreign overflow
 	FaultSets int64 // fault map bitsets, quarantine, remap/pending/hostIdx
 	ViewLog   int64 // gossip state of the local fault view
-	Routing   int64 // routing engines, packet/waypoint tables, handle arena
+	Routing   int64 // routing engine, packet/waypoint tables, handle arena
 }
 
 // Total sums every layer.
@@ -50,13 +50,6 @@ func (sim *Simulator) MemReport() MemReport {
 	}
 	r.Routing = sim.eng.MemBytes() + sim.arena.memBytes()
 	r.Routing += int64(cap(sim.pk))*int64(unsafe.Sizeof(pkt{})) + int64(cap(sim.wp))*4
-	if sim.reng != nil {
-		r.Routing += sim.reng.MemBytes()
-	}
-	for _, b := range sim.rbuf {
-		r.Routing += int64(cap(b)) * int64(unsafe.Sizeof(rpkt{}))
-	}
-	r.Routing += int64(cap(sim.rbuf)) * 24
 	return r
 }
 
@@ -74,7 +67,7 @@ func (a *pktArena) memBytes() int64 {
 
 // Compact drops every recycled buffer the simulator retains — the
 // packet and waypoint tables, the packet arena's free list, the
-// protocol engine's slabs and queues, and the repair engine outright — returning the simulator to a
+// routing engine's slabs and queues — returning the simulator to a
 // compact quiescent state. Everything regrows lazily on the next step,
 // so Compact is safe between steps and changes no observable behavior;
 // call it before checkpointing or measuring resident memory.
@@ -82,6 +75,4 @@ func (sim *Simulator) Compact() {
 	sim.pk, sim.wp = nil, nil
 	sim.arena.free = nil
 	sim.eng.Release()
-	sim.reng = nil
-	sim.rbuf = nil
 }

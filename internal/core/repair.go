@@ -431,7 +431,8 @@ func (sim *Simulator) repairQuarantined(sp *trace.Span) error {
 	slots := make([]int64, 0, sim.quarCount())
 	sim.quar.ForEach(func(i int) { slots = append(slots, int64(i)) })
 
-	items := make([][]rpkt, m.N)
+	items := sim.arena.get()
+	var table []rpkt // the scrub's repair packets, indexed by the handles items carries
 	procs := make([]int32, s.Redundant)
 	ranks := make([]int32, s.Redundant)
 	pages := make([]int32, s.K*s.Redundant)
@@ -439,7 +440,6 @@ func (sim *Simulator) repairQuarantined(sp *trace.Span) error {
 	curVar, canRepair, srcProc := -1, false, -1
 	var bestVal Word
 	var bestTs int64
-	npkts := 0
 	for _, slot := range slots {
 		v := int(slot / red)
 		if v != curVar {
@@ -473,41 +473,34 @@ func (sim *Simulator) repairQuarantined(sp *trace.Span) error {
 		if sim.faults.ModuleDead(dst) {
 			continue // no spare was available; stays quarantined
 		}
-		items[srcProc] = append(items[srcProc], rpkt{dest: dst, slot: slot, val: bestVal, ts: bestTs})
-		npkts++
+		items[srcProc] = append(items[srcProc], int32(len(table)))
+		table = append(table, rpkt{dest: dst, slot: slot, val: bestVal, ts: bestTs})
 	}
-	if npkts == 0 {
+	if len(table) == 0 {
+		sim.arena.put(items)
 		return nil
 	}
-	sp.AddPackets(int64(npkts))
-	if sim.reng == nil {
-		sim.reng = route.NewEngine[rpkt](m)
-		sim.rbuf = make([][]rpkt, m.N)
-		if sim.view != nil {
-			// Repair traffic routes on the same local knowledge as the
-			// protocol: scrub packets detour on beliefs and keep gossip
-			// rounds advancing while they travel.
-			sim.reng.SetFaultView(sim.view)
-		}
-	}
-	delivered, cycles, lost := sim.reng.RouteFault(
-		sim.rbuf, m.Full(), items, func(p rpkt) int { return p.dest })
+	sp.AddPackets(int64(len(table)))
+	// Repair traffic routes on the protocol's engine, so under a local
+	// fault view scrub packets detour on the same beliefs and keep gossip
+	// rounds advancing while they travel. The scrub routes on the mesh
+	// links even on a torus.
+	delivered, cycles, lost := sim.eng.RouteFault(
+		sim.arena.get(), route.Whole(m, false), items, func(h int32) int { return table[h].dest })
+	sim.arena.put(items) // the call drained it
 	sim.rstats.Lost += lost
 	maxWrites := 0
-	for p := range delivered {
-		if len(delivered[p]) == 0 {
-			continue
-		}
-		for _, pk := range delivered[p] {
+	for p, hs := range delivered {
+		for _, h := range hs {
+			pk := table[h]
 			sim.st.set(p, pk.slot, cell{val: pk.val, ts: pk.ts})
 			sim.quar.Set(int(pk.slot), false)
 			sim.rstats.Repaired++
 		}
-		if len(delivered[p]) > maxWrites {
-			maxWrites = len(delivered[p])
-		}
-		delivered[p] = delivered[p][:0] // keep the scrub buffer reusable
+		maxWrites = max(maxWrites, len(hs))
+		delivered[p] = hs[:0]
 	}
+	sim.arena.put(delivered)
 	charge := cycles + int64(maxWrites)
 	m.AddSteps(charge)
 	sim.rstats.Steps += charge

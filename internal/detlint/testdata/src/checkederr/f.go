@@ -22,7 +22,7 @@ func blankError(sim *core.Simulator, ops []core.Op) []core.Word {
 }
 
 func blankLost(m *mesh.Machine, items [][]int) int64 {
-	_, steps, _ := route.NewEngine[int](m).RouteFault(nil, m.Full(), items, func(x int) int { return x }) // want checkederr
+	_, steps, _ := route.NewEngine[int](m).RouteFault(nil, route.Whole(m, false), items, func(x int) int { return x }) // want checkederr
 	return steps
 }
 

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"meshpram/internal/core"
-	"meshpram/internal/faultview"
 	"meshpram/internal/sim"
 	"meshpram/internal/stats"
 	"meshpram/internal/trace"
-	"meshpram/internal/workload"
 )
 
 // gossipRates is the GOSSIP sweep: per-step module death probability of
@@ -43,12 +40,12 @@ func RunGossip(w io.Writer, cfg Config) error {
 		sc.FaultSchedule = churnSpec(rate, repairAfter, steps, cfg.Seed)
 		sc.Repair = "eager"
 		sc.FaultView = "global"
-		glob, err := runGossipCell(sc, steps)
+		glob, err := runChurnCell(sc, sc.Seed, steps)
 		if err != nil {
 			return err
 		}
 		sc.FaultView = "local"
-		loc, err := runGossipCell(sc, steps)
+		loc, err := runChurnCell(sc, sc.Seed, steps)
 		if err != nil {
 			return err
 		}
@@ -89,49 +86,4 @@ func RunGossip(w io.Writer, cfg Config) error {
 	fmt.Fprintln(w, "  in charged steps — the real price is the window of degraded majorities")
 	fmt.Fprintln(w, "  (extra lost packets / unrecoverable reads) while notices are in flight.")
 	return nil
-}
-
-// gossipCell is one measured (schedule, knowledge model) run.
-type gossipCell struct {
-	steps         int64
-	lost          int
-	unrecoverable int
-	repair        core.RepairStats
-	view          faultview.Stats
-	tree          *trace.Node
-}
-
-// runGossipCell plays `steps` full-machine mixed batches against the
-// scenario's fault schedule under its repair policy and fault-knowledge
-// model, summing the measurements. The scenario seed seeds both the
-// workload and the local view's witness tie-breaks.
-func runGossipCell(sc sim.Scenario, steps int) (gossipCell, error) {
-	c, err := sim.FromScenario(sc)
-	if err != nil {
-		return gossipCell{}, err
-	}
-	s, err := c.NewSimulator()
-	if err != nil {
-		return gossipCell{}, err
-	}
-	var cell gossipCell
-	n := s.Mesh().N
-	for r := 0; r < steps; r++ {
-		vars := workload.RandomDistinct(s.Scheme().Vars(), n, sc.Seed+int64(r))
-		_, st, err := s.StepChecked(vars.Mixed(1000))
-		if err != nil {
-			return gossipCell{}, err
-		}
-		cell.steps += st.Total()
-		if rep := s.LastReport(); rep != nil {
-			cell.lost += rep.LostPackets
-			cell.unrecoverable += len(rep.Unrecoverable)
-		}
-	}
-	cell.repair = s.RepairStats()
-	if v := s.FaultView(); v != nil {
-		cell.view = v.Stats()
-	}
-	cell.tree = trace.Export(s.Ledger().Last())
-	return cell, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"meshpram/internal/core"
+	"meshpram/internal/faultview"
 	"meshpram/internal/sim"
 	"meshpram/internal/stats"
 	"meshpram/internal/trace"
@@ -46,12 +47,12 @@ func RunRecover(w io.Writer, cfg Config) error {
 		sc.Side, sc.D = side, d
 		sc.FaultSchedule = churnSpec(rate, repairAfter, steps, cfg.Seed)
 		sc.Repair = "eager"
-		eager, err := runRecoverCell(sc, cfg, steps)
+		eager, err := runChurnCell(sc, cfg.Seed, steps)
 		if err != nil {
 			return err
 		}
 		sc.Repair = "off"
-		off, err := runRecoverCell(sc, cfg, steps)
+		off, err := runChurnCell(sc, cfg.Seed, steps)
 		if err != nil {
 			return err
 		}
@@ -80,14 +81,6 @@ func RunRecover(w io.Writer, cfg Config) error {
 	return nil
 }
 
-// recoverCell is one measured (schedule, policy) run.
-type recoverCell struct {
-	steps         int64
-	unrecoverable int
-	repair        core.RepairStats
-	tree          *trace.Node
-}
-
 // churnSpec is the fault-schedule spec of a seeded module-churn
 // timeline: deaths at the given per-step rate through step `until`,
 // each revived `repair` steps later.
@@ -96,32 +89,48 @@ func churnSpec(rate float64, repair, until int, seed int64) string {
 		strconv.FormatFloat(rate, 'g', -1, 64), repair, until, seed)
 }
 
-// runRecoverCell plays `steps` full-machine mixed batches against the
-// scenario's fault schedule under its repair policy and sums the
-// measurements.
-func runRecoverCell(sc sim.Scenario, cfg Config, steps int) (recoverCell, error) {
+// churnCell is one measured churn run of RECOVER or GOSSIP: one
+// (schedule, repair policy, fault-knowledge model) cell.
+type churnCell struct {
+	steps         int64
+	lost          int
+	unrecoverable int
+	repair        core.RepairStats
+	view          faultview.Stats
+	tree          *trace.Node
+}
+
+// runChurnCell plays `steps` full-machine mixed batches against the
+// scenario's fault schedule under its repair policy and fault-knowledge
+// model and sums the measurements. Batch r draws its variables with
+// workload seed seed+r.
+func runChurnCell(sc sim.Scenario, seed int64, steps int) (churnCell, error) {
 	c, err := sim.FromScenario(sc)
 	if err != nil {
-		return recoverCell{}, err
+		return churnCell{}, err
 	}
 	s, err := c.NewSimulator()
 	if err != nil {
-		return recoverCell{}, err
+		return churnCell{}, err
 	}
-	var cell recoverCell
+	var cell churnCell
 	n := s.Mesh().N
 	for r := 0; r < steps; r++ {
-		vars := workload.RandomDistinct(s.Scheme().Vars(), n, cfg.Seed+int64(r))
+		vars := workload.RandomDistinct(s.Scheme().Vars(), n, seed+int64(r))
 		_, st, err := s.StepChecked(vars.Mixed(1000))
 		if err != nil {
-			return recoverCell{}, err
+			return churnCell{}, err
 		}
 		cell.steps += st.Total()
 		if rep := s.LastReport(); rep != nil {
+			cell.lost += rep.LostPackets
 			cell.unrecoverable += len(rep.Unrecoverable)
 		}
 	}
 	cell.repair = s.RepairStats()
+	if v := s.FaultView(); v != nil {
+		cell.view = v.Stats()
+	}
 	cell.tree = trace.Export(s.Ledger().Last())
 	return cell, nil
 }

@@ -63,7 +63,7 @@ func measureRoute(kind string, side, iters int, seed int64) routeCell {
 	dst := make([][]int, m.N)
 	ident := func(d int) int { return d }
 	eng := route.NewEngine[int](m)
-	full := m.Full()
+	full := route.Whole(m, false)
 	var cell routeCell
 	var ms0, ms1 runtime.MemStats
 	for it := -1; it < iters; it++ {

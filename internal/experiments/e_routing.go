@@ -112,7 +112,7 @@ func RunE6(w io.Writer, cfg Config) error {
 			rng := rand.New(rand.NewSource(cfg.Seed))
 			return makeSubmeshBounded(m, parts, q, delta, hot, rng)
 		}
-		_, greedyOnly := route.GreedyRoute(m, m.Full(), mk(), func(p rpkt) int { return p.dest })
+		_, greedyOnly := route.NewEngine[rpkt](m).Route(nil, route.Whole(m, false), mk(), func(p rpkt) int { return p.dest })
 		_, dc := route.RouteL1L2(m, m.Full(), mk(), func(p rpkt) int { return p.dest })
 		_, sc := route.RouteStaged(m, m.Full(), q, parts, mk(), func(p rpkt) int { return p.dest })
 		dRoute := dc.Coarse + dc.Fine

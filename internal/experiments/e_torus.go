@@ -52,9 +52,10 @@ func RunE16(w io.Writer, cfg Config) error {
 		}},
 	}
 	id := func(d int) int { return d }
+	eng := route.NewEngine[int](m)
 	for _, pat := range patterns {
-		_, meshCycles := route.GreedyRoute(m, m.Full(), pat.mk(), id)
-		_, torusCycles := route.GreedyRouteTorus(m, pat.mk(), id)
+		_, meshCycles := eng.Route(nil, route.Whole(m, false), pat.mk(), id)
+		_, torusCycles := eng.Route(nil, route.Whole(m, true), pat.mk(), id)
 		tb.Add(pat.name, meshCycles, torusCycles, float64(torusCycles)/float64(meshCycles))
 	}
 	tb.Render(w)

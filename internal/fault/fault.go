@@ -41,17 +41,6 @@ import (
 	"meshpram/internal/bitset"
 )
 
-// linkKey identifies an undirected mesh edge by its endpoint ids,
-// normalized so a < b.
-type linkKey struct{ a, b int }
-
-func mkLink(p, q int) linkKey {
-	if p > q {
-		p, q = q, p
-	}
-	return linkKey{p, q}
-}
-
 // Map is a static fault map over a side×side mesh. The zero value of
 // every query method on a nil receiver reports a healthy component, so
 // fault-free paths never need nil checks.

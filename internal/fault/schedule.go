@@ -252,7 +252,7 @@ func (c Churn) Build(side int) *Schedule {
 	n := side * side
 	nodeUp := make([]int64, n)   // next step at which the node is live again
 	moduleUp := make([]int64, n) // (value ≤ t means live at step t)
-	linkUp := map[linkKey]int64{}
+	linkUp := make([]int64, 2*n) // by edgeBit
 	kill := func(t int64, kind EventKind, p, q int) {
 		ev := Event{Step: t, Kind: kind, P: p, Q: q}
 		s.Add(ev)
@@ -274,12 +274,14 @@ func (c Churn) Build(side int) *Schedule {
 				nodeUp[p] = deadUntil
 			}
 		}
-		eachEdge(side, func(p, q int) {
-			if c.LinkRate > 0 && linkUp[mkLink(p, q)] <= t && rng.Float64() < c.LinkRate {
-				kill(t, EvKillLink, p, q)
-				linkUp[mkLink(p, q)] = deadUntil
-			}
-		})
+		if c.LinkRate > 0 {
+			eachEdge(side, func(p, q int) {
+				if b := edgeBit(side, p, q); linkUp[b] <= t && rng.Float64() < c.LinkRate {
+					kill(t, EvKillLink, p, q)
+					linkUp[b] = deadUntil
+				}
+			})
+		}
 		for p := 0; p < n; p++ {
 			if c.ModuleRate > 0 && moduleUp[p] <= t && rng.Float64() < c.ModuleRate {
 				kill(t, EvKillModule, p, 0)

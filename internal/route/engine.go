@@ -11,13 +11,19 @@ import (
 	"meshpram/internal/trace"
 )
 
-// Engine is a persistent, allocation-lean greedy router. It simulates
-// the same cycle-accurate dimension-ordered routing as GreedyRoute —
-// bit-identically: delivered contents, per-processor delivery order,
-// cycle counts and ledger spans all match the historical per-call
-// router — but keeps every buffer it needs across Route calls, so a
-// hot loop (a protocol stage per PRAM step, a baseline batch, a repair
-// scrub) routes without rebuilding queue or arrival storage.
+// Engine is the persistent, allocation-lean greedy router: cycle-accurate
+// dimension-ordered (column-first) routing, in which every directed link
+// carries at most one packet per cycle, chosen by farthest remaining
+// distance first (ties by injection order), over unbounded
+// store-and-forward buffers. It keeps every buffer it needs across
+// calls, so a hot loop (a protocol stage per PRAM step, a baseline
+// batch, a repair scrub) routes without rebuilding queue or arrival
+// storage.
+//
+// It has two routing calls, both over a tiling (Tiles) of disjoint
+// submeshes routed in parallel and charged at the slowest one: Route on
+// a healthy network, and RouteFault, which honors the machine's fault
+// map and reports the packets it loses.
 //
 // Layout and algorithm:
 //
@@ -35,31 +41,25 @@ import (
 //     distance decreases by one per hop and the direction is only
 //     recomputed when the packet crosses its destination column (or,
 //     after a fault detour, at the new position, and at the destination
-//     row for a packet a detour moved off its column) — the per-cycle
-//     topology interface calls of the old router are gone.
+//     row for a packet a detour moved off its column).
 //
 // The engine runs on the caller's goroutine: a sweep selects each
 // node's winners in worklist order into one arrival buffer, and the
 // merge applies them in that order (DESIGN.md §10).
 //
-// The healthy mesh path (Route) does not sweep the region at all: it
-// solves each row and column pipeline on its own (lines.go, DESIGN.md
-// §17), one packet at a time in static priority order, each packet
-// taking every link at the first cycle no higher-priority packet uses.
-// Charged cycles, delivered contents and delivery order are
-// bit-identical to the cycle loop on a healthy machine; only the
-// executed iteration count (Executed, and the ledger's Exec counter)
-// differs, never exceeding the charged cycles. A fault map that marks
-// only dead modules blocks no link, so such RouteFault and RouteTiles
-// calls take the line solver too (linesSafe). The torus (RouteTorus, a
-// wrap tiling), whose rings have no static priority order, and every
-// faulted network run the engine's one cycle-stepped loop (DESIGN.md
-// §11): it sweeps every charged cycle, so there Executed counts sweeps
-// and equals the charged cycles.
-//
-// RouteTiles routes a protocol stage's disjoint submeshes in one call
-// (DESIGN.md §17): tile by tile, each exactly as a call of its own,
-// under one greedy span.
+// A healthy mesh tile does not sweep the region at all: it solves each
+// row and column pipeline on its own (lines.go, DESIGN.md §17), one
+// packet at a time in static priority order, each packet taking every
+// link at the first cycle no higher-priority packet uses. Charged
+// cycles, delivered contents and delivery order are bit-identical to
+// the cycle loop on a healthy machine; only the executed iteration
+// count (Executed, and the ledger's Exec counter) differs, never
+// exceeding the charged cycles. A fault map that marks only dead
+// modules blocks no link, so such RouteFault calls take the line solver
+// too (linesSafe). The torus (a wrap tiling), whose rings have no
+// static priority order, and every faulted network run the engine's one
+// cycle-stepped loop (DESIGN.md §11): it sweeps every charged cycle, so
+// there Executed counts sweeps and equals the charged cycles.
 //
 // An Engine is not safe for concurrent use; give each goroutine its
 // own. The zero value is not usable — construct with NewEngine.
@@ -118,8 +118,7 @@ type Engine[T any] struct {
 // of the machine's global fault map, with stale-view detours, bounded
 // rediscovery probes and propagation-latency losses. Nil restores the
 // global (omniscient) behavior, as does a machine without a fault map.
-// The view is shared between engines of one simulator and advances one
-// gossip round per charged fault-routing cycle.
+// The view advances one gossip round per charged fault-routing cycle.
 func (e *Engine[T]) SetFaultView(v *faultview.View) { e.view = v }
 
 // Executed returns the physically executed iterations of the most
@@ -156,11 +155,11 @@ func NewEngine[T any](m *mesh.Machine) *Engine[T] {
 	return &Engine[T]{m: m}
 }
 
-// Tiles is the tiling one RouteTiles call routes in: N disjoint
-// regions, tile i being At(i), routed one after another in index
-// order. Every packet must be bound for a processor of the tile it
-// starts in. Wrap marks the tiling whose one tile is the full machine
-// with wrap-around links (the torus; see Whole).
+// Tiles is the tiling one routing call routes in: N disjoint regions,
+// tile i being At(i), routed one after another in index order. Every
+// packet must be bound for a processor of the tile it starts in. Wrap
+// marks the tiling whose one tile is the full machine with wrap-around
+// links (the torus; see Whole).
 type Tiles struct {
 	N    int
 	At   func(i int) mesh.Region
@@ -170,32 +169,28 @@ type Tiles struct {
 // Whole returns the tiling whose one tile is the full machine m, routed
 // over wrap-around links when wrap is set.
 func Whole(m *mesh.Machine, wrap bool) Tiles {
-	t := tile(m.Full())
+	t := Tile(m.Full())
 	t.Wrap = wrap
 	return t
 }
 
-// tile returns the tiling whose one tile is r.
-func tile(r mesh.Region) Tiles {
+// Tile returns the tiling whose one tile is r.
+func Tile(r mesh.Region) Tiles {
 	return Tiles{N: 1, At: func(int) mesh.Region { return r }}
 }
 
-// Route delivers every item to its destination processor inside region
-// r over plain mesh links, exactly like GreedyRoute, into dst (nil
-// allocates). It returns the delivered items per processor and the
-// cycle count.
-func (e *Engine[T]) Route(dst [][]T, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
+// Route delivers every item of the tiles of t to its destination
+// processor over healthy links, into dst (nil allocates), ignoring any
+// fault map the machine carries. The tiles are disjoint, so they route
+// in parallel on the machine: Route returns the delivered items per
+// processor and the slowest tile's cycle count. One greedy span covers
+// the call: it observes the slowest tile's cycles, counts the packets of
+// every tile, and executes the most iterations any one tile executed.
+// Each tile is routed exactly as a call on Tile(r) would route it, in
+// index order; a destination outside the packet's own tile panics.
+func (e *Engine[T]) Route(dst [][]T, t Tiles, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
 	//detlint:ignore checkederr a nil fault map loses no packet
-	delivered, steps, _ = e.route(dst, tile(r), items, dest, nil)
-	return delivered, steps
-}
-
-// RouteTorus is Route on the full machine with wrap-around links. It
-// runs on the cycle loop: a torus ring has no static priority order for
-// the line solver.
-func (e *Engine[T]) RouteTorus(dst [][]T, items [][]T, dest func(T) int) (delivered [][]T, steps int64) {
-	//detlint:ignore checkederr a nil fault map loses no packet
-	delivered, steps, _ = e.route(dst, Whole(e.m, true), items, dest, nil)
+	delivered, steps, _ = e.route(dst, t, items, dest, nil)
 	return delivered, steps
 }
 
@@ -205,7 +200,7 @@ func (e *Engine[T]) RouteTorus(dst [][]T, items [][]T, dest func(T) int) (delive
 //   - a packet whose preferred dimension-ordered link is dead (or leads
 //     to a dead node) detours: the remaining directions are tried in
 //     order of resulting distance to the destination (ties by direction
-//     index), staying inside the region (wrap links on the torus), with
+//     index), staying inside the tile (wrap links on the torus), with
 //     backtrack demotion;
 //   - a slow link with factor f carries one packet only on cycles
 //     divisible by f;
@@ -216,27 +211,15 @@ func (e *Engine[T]) RouteTorus(dst [][]T, items [][]T, dest func(T) int) (delive
 //
 // Every cycle spent detouring or waiting is a charged machine step, so
 // fault-induced slowdown lands in the ledger exactly like healthy
-// routing cost. With a nil (or empty) fault map the decisions are
-// bit-identical to Route. When the machine's network has no fault —
-// its fault map, if any, marks only dead modules, and a local view has
-// never held a node or link fault — the call is solved by the healthy
-// line solver instead, with the same deliveries, order, charged cycles
-// and gossip rounds.
-func (e *Engine[T]) RouteFault(dst [][]T, r mesh.Region, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
-	return e.route(dst, tile(r), items, dest, e.m.Faults())
-}
-
-// RouteTiles is RouteFault over every tile of t in one call: the tiles
-// are disjoint, so they route in parallel on the machine, and the call
-// returns the slowest tile's cycles and the packets lost in all of
-// them. One greedy span covers the call: it observes the slowest
-// tile's cycles, counts the packets of every tile, and executes the
-// most iterations any one tile executed. Each tile is routed exactly as
-// a RouteFault call on it would route it, in index order, so under a
-// local fault view the gossip advances tile by tile as it would over
-// one call per tile; a destination outside the packet's own tile
-// panics.
-func (e *Engine[T]) RouteTiles(dst [][]T, t Tiles, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
+// routing cost. lost counts the packets lost in all tiles. With a nil
+// (or empty) fault map the decisions are bit-identical to Route. When
+// the machine's network has no fault — its fault map, if any, marks
+// only dead modules, and a local view has never held a node or link
+// fault — a tile is solved by the healthy line solver instead, with the
+// same deliveries, order, charged cycles and gossip rounds. Under a
+// local fault view the gossip advances tile by tile, as it would over
+// one call per tile.
+func (e *Engine[T]) RouteFault(dst [][]T, t Tiles, items [][]T, dest func(T) int) (delivered [][]T, steps int64, lost int) {
 	return e.route(dst, t, items, dest, e.m.Faults())
 }
 
@@ -339,41 +322,10 @@ func (e *Engine[T]) absOf(lp int, r mesh.Region) int {
 	return e.m.IDOf(r.R0+lp/r.W, r.C0+lp%r.W)
 }
 
-// stepTo returns the neighbor one hop in direction dir (0=-col, 1=+col,
-// 2=-row, 3=+row), wrapping on the torus. The caller guarantees the hop
-// stays inside the region (preferred dimension-ordered hops always do).
-func (e *Engine[T]) stepTo(p, dir int, wrap bool) int {
-	m := e.m
-	if !wrap {
-		switch dir {
-		case 0:
-			return p - 1
-		case 1:
-			return p + 1
-		case 2:
-			return p - m.Side
-		default:
-			return p + m.Side
-		}
-	}
-	s := m.Side
-	row, col := m.RowOf(p), m.ColOf(p)
-	switch dir {
-	case 0:
-		col = (col - 1 + s) % s
-	case 1:
-		col = (col + 1) % s
-	case 2:
-		row = (row - 1 + s) % s
-	default:
-		row = (row + 1) % s
-	}
-	return m.IDOf(row, col)
-}
-
-// stepBounded is stepTo with region bounds: ok=false when the hop
-// leaves the region (wrap allowed on the torus, where the region is the
-// full machine). It is the engine port of the fault router's neighborOf.
+// stepBounded returns the neighbor one hop in direction dir (0=-col,
+// 1=+col, 2=-row, 3=+row), wrapping on the torus, where the region is
+// the full machine; ok=false when the hop leaves region r. Preferred
+// dimension-ordered hops never leave it.
 func (e *Engine[T]) stepBounded(p, dir int, r mesh.Region, wrap bool) (int, bool) {
 	m := e.m
 	row, col := m.RowOf(p), m.ColOf(p)
@@ -397,23 +349,6 @@ func (e *Engine[T]) stepBounded(p, dir int, r mesh.Region, wrap bool) (int, bool
 	return m.IDOf(row, col), true
 }
 
-// rowDirAfterCol returns the cached direction for a packet that just
-// reached its destination column: the row direction topo.next would
-// choose at p.
-func rowDirAfterCol(m *mesh.Machine, p, dest int, wrap bool) int8 {
-	if !wrap {
-		if m.RowOf(p) > m.RowOf(dest) {
-			return 2
-		}
-		return 3
-	}
-	step, _ := torusTopo{m}.axis(m.RowOf(p), m.RowOf(dest), m.Side)
-	if step < 0 {
-		return 2
-	}
-	return 3
-}
-
 // enqueue appends slot to node lp's queue, adding lp to the worklist
 // being built when it was not occupied.
 func (e *Engine[T]) enqueue(lp int, slot int32, wl []int32) []int32 {
@@ -427,11 +362,11 @@ func (e *Engine[T]) enqueue(lp int, slot int32, wl []int32) []int32 {
 
 // inject drains items into the slab and queues. Packets already at
 // their destination are delivered immediately; with a fault map f
-// (fault path only — the healthy path passes nil even on a faulted
-// machine, like GreedyRoute always did), packets to dead nodes are
-// lost at injection. Returns the number of routed (queued) packets,
-// which is also the slab length, and the injection losses.
-func (e *Engine[T]) inject(delivered [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, f *fault.Map) (active, lost int) {
+// (RouteFault only — Route passes nil even on a faulted machine),
+// packets to dead nodes are lost at injection. Returns the number of
+// routed (queued) packets, which is also the slab length, and the
+// injection losses.
+func (e *Engine[T]) inject(delivered [][]T, r mesh.Region, items [][]T, dest func(T) int, wrap bool, f *fault.Map) (active, lost int) {
 	m := e.m
 	wl := e.active
 	for row := r.R0; row < r.R0+r.H; row++ {
@@ -459,7 +394,7 @@ func (e *Engine[T]) inject(delivered [][]T, r mesh.Region, items [][]T, dest fun
 					continue
 				}
 				slot := int32(len(e.val))
-				e.push(v, p, d, topo, -1)
+				e.push(v, p, d, wrap, -1)
 				wl = e.enqueue(e.localOf(p, r), slot, wl)
 				active++
 			}
@@ -481,15 +416,15 @@ func (e *Engine[T]) target(v T, dest func(T) int, r mesh.Region) int {
 
 // push appends a packet at p bound for d to the slab, with the given
 // from field, and returns its cached direction.
-func (e *Engine[T]) push(v T, p, d int, topo topology, from int32) int8 {
-	dr, _ := topo.next(p, d)
+func (e *Engine[T]) push(v T, p, d int, wrap bool, from int32) int8 {
+	dr := nextDir(e.m, p, d, wrap)
 	e.val = append(e.val, v)
 	e.dests = append(e.dests, int32(d))
 	e.dcol = append(e.dcol, int32(e.m.ColOf(d)))
-	e.dist = append(e.dist, int32(topo.dist(p, d)))
-	e.dir = append(e.dir, int8(dr))
+	e.dist = append(e.dist, int32(hopDist(e.m, p, d, wrap)))
+	e.dir = append(e.dir, dr)
 	e.from = append(e.from, from)
-	return int8(dr)
+	return dr
 }
 
 // sweep runs one cycle's selection over the sorted worklist into
@@ -499,7 +434,7 @@ func (e *Engine[T]) push(v T, p, d int, topo topology, from int32) int8 {
 // f a packet whose preferred link is unusable detours; with a nil map
 // every packet takes its preferred hop. Returns the number of hops
 // chosen.
-func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap bool, f *fault.Map, cycle int64) int {
+func (e *Engine[T]) sweep(r mesh.Region, wrap bool, f *fault.Map, cycle int64) int {
 	arr := e.arr[:0]
 	local := f != nil && e.view != nil
 	if local {
@@ -521,15 +456,15 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap bool, f *fault.Map,
 		for qi, slot := range q {
 			d := int(e.dir[slot])
 			if local {
-				d = e.localDir(slot, p, r, topo, wrap, cycle, f)
+				d = e.localDir(slot, p, r, wrap, cycle, f)
 				if d == -1 {
 					continue // waiting, blocked, or freshly dropped
 				}
 			} else if f != nil {
 				// Preferred healthy hop first (bit-identical when up),
 				// then a detour.
-				if !usableLink(f, p, e.stepTo(p, d, wrap), cycle) {
-					d = e.detour(slot, p, r, topo, wrap, cycle, f)
+				if to, _ := e.stepBounded(p, d, r, wrap); !usableLink(f, p, to, cycle) {
+					d = e.detour(slot, p, r, wrap, cycle, f)
 					if d == -1 {
 						continue // blocked this cycle; wait
 					}
@@ -575,7 +510,7 @@ func (e *Engine[T]) sweep(r mesh.Region, topo topology, wrap bool, f *fault.Map,
 // lower direction. The hop that undoes the previous move is a last
 // resort — otherwise a packet blocked broadside ping-pongs between two
 // nodes until the budget kills it. Returns -1 when no link is usable.
-func (e *Engine[T]) detour(slot int32, p int, r mesh.Region, topo topology, wrap bool, cycle int64, f *fault.Map) int {
+func (e *Engine[T]) detour(slot int32, p int, r mesh.Region, wrap bool, cycle int64, f *fault.Map) int {
 	d, back := -1, -1
 	var bd int32
 	for cand := 0; cand < 4; cand++ {
@@ -587,7 +522,7 @@ func (e *Engine[T]) detour(slot int32, p int, r mesh.Region, topo topology, wrap
 			back = cand
 			continue
 		}
-		dd := int32(topo.dist(to, int(e.dests[slot])))
+		dd := int32(hopDist(e.m, to, int(e.dests[slot]), wrap))
 		if d == -1 || dd < bd {
 			d, bd = cand, dd
 		}
@@ -617,7 +552,7 @@ func usableLink(f *fault.Map, p, to int, cycle int64) bool {
 // engProbeBudget failed probes it is dropped (charged lost). Returns
 // the chosen direction, or -1 when the packet does not move this
 // cycle.
-func (e *Engine[T]) localDir(slot int32, p int, r mesh.Region, topo topology, wrap bool, cycle int64, f *fault.Map) int {
+func (e *Engine[T]) localDir(slot int32, p int, r mesh.Region, wrap bool, cycle int64, f *fault.Map) int {
 	if e.pwait[slot] > cycle {
 		e.wcnt++
 		return -1 // backing off until the next probe window
@@ -625,10 +560,10 @@ func (e *Engine[T]) localDir(slot int32, p int, r mesh.Region, topo topology, wr
 	bel := e.view.BeliefAt(p)
 	d := int(e.dir[slot])
 	probe := false
-	if !usableLink(bel, p, e.stepTo(p, d, wrap), cycle) {
+	if to, _ := e.stepBounded(p, d, r, wrap); !usableLink(bel, p, to, cycle) {
 		// Stale-view detour: the global candidate scan, but against the
 		// local belief.
-		nd := e.detour(slot, p, r, topo, wrap, cycle, bel)
+		nd := e.detour(slot, p, r, wrap, cycle, bel)
 		if nd == -1 {
 			// Nothing believed usable: probe the preferred link anyway —
 			// the bounded rediscovery that corrects stale-dead beliefs.
@@ -733,7 +668,7 @@ func (e *Engine[T]) flushLocal(f *fault.Map) (dropped, waiting int) {
 // occupied nodes is sorted on its own and merged back in, so no cycle
 // ever sorts the whole worklist. Returns the number of packets
 // delivered this cycle.
-func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap bool, f *fault.Map) int {
+func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, wrap bool, f *fault.Map) int {
 	m := e.m
 	local := f != nil && e.view != nil
 	done := 0
@@ -770,10 +705,9 @@ func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap bo
 				// hop would lead straight back into it.
 				e.dir[slot] = rowDirAfterCol(m, to, d, wrap)
 			} else {
-				dr, _ := topo.next(to, d)
-				e.dir[slot] = int8(dr)
+				e.dir[slot] = nextDir(m, to, d, wrap)
 			}
-			e.dist[slot] = int32(topo.dist(to, d))
+			e.dist[slot] = int32(hopDist(m, to, d, wrap))
 			wl = e.enqueue(e.localOf(to, r), slot, wl)
 			continue
 		}
@@ -792,8 +726,7 @@ func (e *Engine[T]) merge(delivered [][]T, r mesh.Region, topo topology, wrap bo
 		} else if m.RowOf(to) == m.RowOf(d) {
 			// Moving vertically beside its column after a detour, the
 			// packet turns onto its row at the destination row.
-			dr, _ := topo.next(to, d)
-			e.dir[slot] = int8(dr)
+			e.dir[slot] = nextDir(m, to, d, wrap)
 		}
 		wl = e.enqueue(e.localOf(to, r), slot, wl)
 	}
@@ -888,8 +821,8 @@ func (e *Engine[T]) linesSafe(r mesh.Region, wrap bool, f *fault.Map) bool {
 	return f == nil || e.view == nil || !e.view.NetworkFaultSeen()
 }
 
-// route is shared by every entry point; f is the fault map the call
-// honors (nil on the healthy entry points, even on a faulted machine).
+// route is shared by Route and RouteFault; f is the fault map the call
+// honors (nil for Route, even on a faulted machine).
 // It routes the tiles of t one by one (routeTile) under one greedy span.
 // A 1×1 tile holds only packets already at their target, so where
 // linesSafe holds the line solver would deliver them in place and
@@ -913,12 +846,8 @@ func (e *Engine[T]) route(dst [][]T, t Tiles, items [][]T, dest func(T) int, f *
 		dst = make([][]T, m.N)
 	}
 	delivered = dst
-	var topo topology = meshTopo{m}
-	if t.Wrap {
-		if t.N != 1 || t.At(0) != m.Full() {
-			panic("route: a wrap tiling has one tile, the full machine")
-		}
-		topo = torusTopo{m}
+	if t.Wrap && (t.N != 1 || t.At(0) != m.Full()) {
+		panic("route: a wrap tiling has one tile, the full machine")
 	}
 	for i := range t.N {
 		r := t.At(i)
@@ -932,7 +861,7 @@ func (e *Engine[T]) route(dst [][]T, t Tiles, items [][]T, dest func(T) int, f *
 			items[p] = items[p][:0]
 			continue
 		}
-		tileSteps, tileLost := e.routeTile(delivered, r, items, dest, topo, t.Wrap, f, lines)
+		tileSteps, tileLost := e.routeTile(delivered, r, items, dest, t.Wrap, f, lines)
 		sp.AddPackets(int64(len(e.val)))
 		steps, lost, execs = max(steps, tileSteps), lost+tileLost, max(execs, e.execs)
 	}
@@ -951,7 +880,7 @@ func (e *Engine[T]) route(dst [][]T, t Tiles, items [][]T, dest func(T) int, f *
 // Under a local fault view it advances one gossip round per cycle. With
 // a nil map every packet takes its dimension-ordered path, exactly as
 // routeLines solves it.
-func (e *Engine[T]) routeTile(delivered [][]T, r mesh.Region, items [][]T, dest func(T) int, topo topology, wrap bool, f *fault.Map, lines bool) (steps int64, lost int) {
+func (e *Engine[T]) routeTile(delivered [][]T, r mesh.Region, items [][]T, dest func(T) int, wrap bool, f *fault.Map, lines bool) (steps int64, lost int) {
 	local := f != nil && e.view != nil
 	if lines {
 		steps = e.routeLines(delivered, r, items, dest)
@@ -961,7 +890,7 @@ func (e *Engine[T]) routeTile(delivered [][]T, r mesh.Region, items [][]T, dest 
 		return steps, 0
 	}
 	e.ensure(r)
-	active, lost := e.inject(delivered, r, items, dest, topo, f)
+	active, lost := e.inject(delivered, r, items, dest, wrap, f)
 	if local {
 		// Per-slot probe state for this tile's slab, zeroed.
 		n := len(e.val)
@@ -984,7 +913,7 @@ func (e *Engine[T]) routeTile(delivered [][]T, r mesh.Region, items [][]T, dest 
 	for active > 0 && steps < budget {
 		steps++
 		e.execs++
-		if e.sweep(r, topo, wrap, f, steps) == 0 {
+		if e.sweep(r, wrap, f, steps) == 0 {
 			// Nothing moved. With slow links a packet may be waiting for
 			// its cycle; after a full slow period of silence the network
 			// is provably wedged and the survivors are lost.
@@ -1005,7 +934,7 @@ func (e *Engine[T]) routeTile(delivered [][]T, r mesh.Region, items [][]T, dest 
 			continue
 		}
 		idle = 0
-		active -= e.merge(delivered, r, topo, wrap, f)
+		active -= e.merge(delivered, r, wrap, f)
 		if local {
 			dropped, _ := e.flushLocal(f)
 			lost += dropped

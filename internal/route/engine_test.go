@@ -21,9 +21,9 @@ func totalPackets(sp *trace.Span) int64 {
 }
 
 // routeTorusFault routes items over the full machine's torus links,
-// honoring its fault map: RouteTiles on the one-tile wrap tiling.
+// honoring its fault map: RouteFault on the one-tile wrap tiling.
 func routeTorusFault[T any](e *Engine[T], dst [][]T, items [][]T, dest func(T) int) ([][]T, int64, int) {
-	return e.RouteTiles(dst, Whole(e.m, true), items, dest)
+	return e.RouteFault(dst, Whole(e.m, true), items, dest)
 }
 
 // An engine reused across calls must be bit-identical to a fresh one:
@@ -115,11 +115,11 @@ func runEngine(t *testing.T, eng *Engine[item], withFaults, torus, faultPath boo
 	case faultPath && torus:
 		run.delivered, run.steps, run.lost = routeTorusFault(eng, nil, work, dest)
 	case faultPath:
-		run.delivered, run.steps, run.lost = eng.RouteFault(nil, reg, work, dest)
+		run.delivered, run.steps, run.lost = eng.RouteFault(nil, Tile(reg), work, dest)
 	case torus:
-		run.delivered, run.steps = eng.RouteTorus(nil, work, dest)
+		run.delivered, run.steps = eng.Route(nil, Whole(m, true), work, dest)
 	default:
-		run.delivered, run.steps = eng.Route(nil, reg, work, dest)
+		run.delivered, run.steps = eng.Route(nil, Tile(reg), work, dest)
 	}
 	sp := ld.Last()
 	if sp == nil {
@@ -153,7 +153,8 @@ func requireIdentical(t *testing.T, label string, a, b engineRun) {
 // TestEngineParallelBitIdentity sweeps instance kinds × topology ×
 // fault path and demands that one engine, reused across the whole
 // matrix (healthy and faulted calls, full mesh and subregion), matches
-// a fresh engine on every call.
+// a fresh engine on every call. It tests engine reuse on one goroutine;
+// the engine has no parallel path.
 func TestEngineParallelBitIdentity(t *testing.T) {
 	shared := NewEngine[item](mesh.MustNew(16))
 	full := func(m *mesh.Machine) mesh.Region { return m.Full() }
@@ -215,17 +216,17 @@ func TestEngineReuseMatchesFresh(t *testing.T) {
 		items func() [][]item
 	}{
 		{"mesh-full", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
-			d, s := e.Route(nil, m.Full(), it, dest)
+			d, s := e.Route(nil, Whole(m, false), it, dest)
 			return d, s, 0
 		}, func() [][]item { return engineInstance("random", m, 1) }},
 		{"fault-sub", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
-			return e.RouteFault(nil, sub, it, dest)
+			return e.RouteFault(nil, Tile(sub), it, dest)
 		}, func() [][]item { return scatterItems(m, sub, 300, rng) }},
 		{"torus-fault", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
 			return routeTorusFault(e, nil, it, dest)
 		}, func() [][]item { return engineInstance("transpose", m, 2) }},
 		{"mesh-full-again", func(e *Engine[item], it [][]item) ([][]item, int64, int) {
-			d, s := e.Route(nil, m.Full(), it, dest)
+			d, s := e.Route(nil, Whole(m, false), it, dest)
 			return d, s, 0
 		}, func() [][]item { return engineInstance("hotspot", m, 3) }},
 	}
@@ -251,8 +252,8 @@ func TestEngineReleaseKeepsIdentity(t *testing.T) {
 	dest := func(v item) int { return v.dest }
 	for round := 0; round < 3; round++ {
 		items := engineInstance("random", m, int64(10+round))
-		wantD, wantS, wantL := NewEngine[item](m).RouteFault(nil, m.Full(), cloneItems(items), dest)
-		gotD, gotS, gotL := shared.RouteFault(nil, m.Full(), items, dest)
+		wantD, wantS, wantL := NewEngine[item](m).RouteFault(nil, Whole(m, false), cloneItems(items), dest)
+		gotD, gotS, gotL := shared.RouteFault(nil, Whole(m, false), items, dest)
 		if wantS != gotS || wantL != gotL || !reflect.DeepEqual(wantD, gotD) {
 			t.Fatalf("round %d: released engine diverged from fresh (cycles %d vs %d, lost %d vs %d)",
 				round, gotS, wantS, gotL, wantL)

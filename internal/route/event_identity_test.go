@@ -109,7 +109,7 @@ func TestEventExecutedBounded(t *testing.T) {
 				}
 			}
 			eng := NewEngine[int](m)
-			_, steps := eng.Route(nil, m.Full(), items, func(d int) int { return d })
+			_, steps := eng.Route(nil, Whole(m, false), items, func(d int) int { return d })
 			if exec := eng.Executed(); exec > steps || exec <= 0 {
 				t.Errorf("%s-%d: executed %d outside (0, charged=%d]", kind, side, exec, steps)
 			}

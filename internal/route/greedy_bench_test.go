@@ -54,7 +54,7 @@ func benchGreedyRoute(b *testing.B, side int, kind string) {
 	dst := make([][]int, m.N)
 	ident := func(d int) int { return d }
 	eng := route.NewEngine[int](m)
-	full := m.Full()
+	full := route.Whole(m, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var steps int64

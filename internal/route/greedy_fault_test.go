@@ -19,10 +19,16 @@ func cloneItems(items [][]item) [][]item {
 	return out
 }
 
+// greedyRoute routes items inside region r through a fresh engine's
+// healthy entry point.
+func greedyRoute[T any](m *mesh.Machine, r mesh.Region, items [][]T, dest func(T) int) ([][]T, int64) {
+	return NewEngine[T](m).Route(nil, Tile(r), items, dest)
+}
+
 // routeFault routes items over the whole of m through a fresh engine's
 // fault-aware entry point.
 func routeFault(m *mesh.Machine, items [][]item, dest func(item) int) (delivered [][]item, steps int64, lost int) {
-	return NewEngine[item](m).RouteFault(nil, m.Full(), items, dest)
+	return NewEngine[item](m).RouteFault(nil, Whole(m, false), items, dest)
 }
 
 // TestFaultRouterEmptyMapIdentity pins the rate-0 guarantee at the
@@ -38,8 +44,8 @@ func TestFaultRouterEmptyMapIdentity(t *testing.T) {
 	for _, r := range []mesh.Region{m1.Full(), {R0: 1, C0: 1, H: 4, W: 3}} {
 		for trial := 0; trial < 8; trial++ {
 			items := scatterItems(m1, r, 60, rng)
-			healthy, hSteps := GreedyRoute(m1, r, cloneItems(items), func(v item) int { return v.dest })
-			faulty, fSteps, lost := cycleEngine(m2).RouteFault(nil, r, cloneItems(items), func(v item) int { return v.dest })
+			healthy, hSteps := greedyRoute(m1, r, cloneItems(items), func(v item) int { return v.dest })
+			faulty, fSteps, lost := cycleEngine(m2).RouteFault(nil, Tile(r), cloneItems(items), func(v item) int { return v.dest })
 			if lost != 0 {
 				t.Fatalf("region %v: empty map lost %d packets", r, lost)
 			}
@@ -53,7 +59,7 @@ func TestFaultRouterEmptyMapIdentity(t *testing.T) {
 	}
 	// Torus flavor.
 	items := scatterItems(m1, m1.Full(), 80, rng)
-	healthy, hSteps := GreedyRouteTorus(m1, cloneItems(items), func(v item) int { return v.dest })
+	healthy, hSteps := NewEngine[item](m1).Route(nil, Whole(m1, true), cloneItems(items), func(v item) int { return v.dest })
 	faulty, fSteps, lost := routeTorusFault(cycleEngine(m2), nil, cloneItems(items), func(v item) int { return v.dest })
 	if lost != 0 || hSteps != fSteps || !reflect.DeepEqual(healthy, faulty) {
 		t.Fatalf("torus: empty-map identity broken (lost=%d, %d vs %d cycles)", lost, hSteps, fSteps)
@@ -272,7 +278,7 @@ func FuzzOneDeadLink(f *testing.F) {
 		if torus {
 			_, _, lost = routeTorusFault(NewEngine[item](m), nil, items, dest)
 		} else {
-			_, _, lost = NewEngine[item](m).RouteFault(nil, r, items, dest)
+			_, _, lost = NewEngine[item](m).RouteFault(nil, Tile(r), items, dest)
 		}
 		if lost != 0 {
 			t.Fatalf("region %v, torus %v, dead link %d–%d: lost %d packets", r, torus, p, q, lost)

@@ -395,7 +395,7 @@ func (e *Engine[T]) injectLines(delivered [][]T, r mesh.Region, items [][]T, des
 					delivered[p] = append(delivered[p], v)
 					continue
 				}
-				dr := e.push(v, p, d, meshTopo{m}, int32(row*r.W+col))
+				dr := e.push(v, p, d, false, int32(row*r.W+col))
 				if m.RowOf(d) != m.RowOf(p) {
 					vd := dr
 					if dr <= 1 {

@@ -52,9 +52,9 @@ func lineCall(eng *Engine[item], ld *trace.Ledger, c lineCase, faultPath bool, i
 	var steps int64
 	var lost int
 	if faultPath {
-		got, steps, lost = eng.RouteFault(nil, c.r, items, dest)
+		got, steps, lost = eng.RouteFault(nil, Tile(c.r), items, dest)
 	} else {
-		got, steps = eng.Route(nil, c.r, items, dest)
+		got, steps = eng.Route(nil, Tile(c.r), items, dest)
 	}
 	sp := ld.Last()
 	return got, steps, lost, [2]int64{sp.Observed(), totalPackets(sp)}
@@ -170,7 +170,7 @@ func TestLineRouteMemRelease(t *testing.T) {
 	eng := NewEngine[item](m)
 	built := eng.MemBytes()
 	items := lineItems(m, lineCase{r: m.Full(), load: 4}, rand.New(rand.NewSource(5)))
-	eng.Route(nil, m.Full(), items, func(v item) int { return v.dest })
+	eng.Route(nil, Whole(m, false), items, func(v item) int { return v.dest })
 	lineBytes := func() int64 {
 		return int64(cap(eng.rowAt)+cap(eng.colAt)+cap(eng.dcnt)+cap(eng.dorder))*4 +
 			int64(cap(eng.colq)+cap(eng.lnKeys)+cap(eng.dBits)+cap(eng.lBits)+cap(eng.lnRuns))*8 +
@@ -190,7 +190,7 @@ func TestLineRouteMemRelease(t *testing.T) {
 	if got := eng.MemBytes(); got != built {
 		t.Fatalf("MemBytes %d after Release, just built %d", got, built)
 	}
-	eng.RouteTorus(nil, lineItems(m, lineCase{r: m.Full(), load: 4}, rand.New(rand.NewSource(6))), func(v item) int { return v.dest })
+	eng.Route(nil, Whole(m, true), lineItems(m, lineCase{r: m.Full(), load: 4}, rand.New(rand.NewSource(6))), func(v item) int { return v.dest })
 	if lines := lineBytes(); lines != 0 {
 		t.Fatalf("torus routing allocated %d bytes of line buffers", lines)
 	}

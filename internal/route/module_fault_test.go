@@ -81,7 +81,7 @@ func (w *moduleWorld) route(torus bool, items [][]item) moduleCall {
 	if torus {
 		c.delivered, c.steps, c.lost = routeTorusFault(w.eng, nil, items, dest)
 	} else {
-		c.delivered, c.steps, c.lost = w.eng.RouteFault(nil, w.m.Full(), items, dest)
+		c.delivered, c.steps, c.lost = w.eng.RouteFault(nil, Whole(w.m, false), items, dest)
 	}
 	sp := w.ld.Last()
 	c.observed, c.packets, c.exec = sp.Observed(), totalPackets(sp), sp.Executed()

@@ -111,7 +111,7 @@ func RotateSortCost(r mesh.Region, L int) int64 {
 // processor, so it is this uniform instance.
 func rowRotation(w, L int, shifts []int) int64 {
 	m := mesh.MustNew(w)
-	row := mesh.Region{H: 1, W: w}
+	row := Tile(mesh.Region{H: 1, W: w})
 	// Row 0 holds processors 0…w−1, the only ones the routing touches.
 	items := make([][]int32, w)
 	delivered := make([][]int32, w)

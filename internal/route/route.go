@@ -5,6 +5,12 @@
 // whose superiority under bounded submesh congestion is the engine of
 // the access protocol.
 //
+// Greedy routing is one persistent Engine with two calls, both over a
+// tiling (Tiles) of disjoint submeshes that route in parallel and are
+// charged at the slowest one: Route on a healthy network, and
+// RouteFault, which honors the machine's fault map and reports the
+// packets it loses.
+//
 // Every algorithm is a pure function over per-processor item slices
 // (indexed by absolute processor id) confined to a mesh.Region. It
 // returns the number of machine steps the operation takes under the

@@ -54,7 +54,7 @@ func TestRouteStagedSinglePart(t *testing.T) {
 	}
 }
 
-// Property: GreedyRoute delivers every packet exactly once, regardless
+// Property: the greedy router delivers every packet exactly once, regardless
 // of load distribution.
 func TestQuickGreedyRouteConservation(t *testing.T) {
 	m := mesh.MustNew(6)
@@ -70,7 +70,7 @@ func TestQuickGreedyRouteConservation(t *testing.T) {
 			items[src] = append(items[src], item{dest: dst, id: i})
 			want[dst]++
 		}
-		delivered, _ := GreedyRoute(m, r, items, func(v item) int { return v.dest })
+		delivered, _ := greedyRoute(m, r, items, func(v item) int { return v.dest })
 		got := 0
 		for p := range delivered {
 			for _, v := range delivered[p] {
@@ -104,8 +104,8 @@ func TestGreedyRouteDeterministic(t *testing.T) {
 		return items
 	}
 	_ = rng
-	d1, s1 := GreedyRoute(m, m.Full(), mk(), func(v item) int { return v.dest })
-	d2, s2 := GreedyRoute(m, m.Full(), mk(), func(v item) int { return v.dest })
+	d1, s1 := greedyRoute(m, m.Full(), mk(), func(v item) int { return v.dest })
+	d2, s2 := greedyRoute(m, m.Full(), mk(), func(v item) int { return v.dest })
 	if s1 != s2 {
 		t.Fatalf("steps %d vs %d", s1, s2)
 	}
@@ -131,7 +131,7 @@ func TestGreedyRoutePermutationEfficiency(t *testing.T) {
 		for p := 0; p < m.N; p++ {
 			items[p] = append(items[p], item{dest: perm[p], id: p})
 		}
-		_, steps := GreedyRoute(m, m.Full(), items, func(v item) int { return v.dest })
+		_, steps := greedyRoute(m, m.Full(), items, func(v item) int { return v.dest })
 		// Greedy on random permutations is known to finish in
 		// 2·side + o(side) with overwhelming probability; allow 4×.
 		if steps > int64(4*2*m.Side) {

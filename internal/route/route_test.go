@@ -186,7 +186,7 @@ func TestGreedyRouteDeliversPermutation(t *testing.T) {
 			maxDist = d
 		}
 	}
-	delivered, steps := GreedyRoute(m, r, items, func(v item) int { return v.dest })
+	delivered, steps := greedyRoute(m, r, items, func(v item) int { return v.dest })
 	for p := 0; p < m.N; p++ {
 		if len(delivered[p]) != 1 {
 			t.Fatalf("proc %d received %d packets", p, len(delivered[p]))
@@ -210,7 +210,7 @@ func TestGreedyRouteAllToOne(t *testing.T) {
 	for p := 0; p < m.N; p++ {
 		items[p] = append(items[p], item{dest: 0, id: p})
 	}
-	delivered, steps := GreedyRoute(m, r, items, func(v item) int { return v.dest })
+	delivered, steps := greedyRoute(m, r, items, func(v item) int { return v.dest })
 	if len(delivered[0]) != m.N {
 		t.Fatalf("received %d packets at hotspot, want %d", len(delivered[0]), m.N)
 	}
@@ -225,13 +225,13 @@ func TestGreedyRouteEmptyAndSelf(t *testing.T) {
 	m := mesh.MustNew(4)
 	r := m.Full()
 	items := make([][]item, m.N)
-	delivered, steps := GreedyRoute(m, r, items, func(v item) int { return v.dest })
+	delivered, steps := greedyRoute(m, r, items, func(v item) int { return v.dest })
 	if steps != 0 {
 		t.Fatalf("empty routing took %d steps", steps)
 	}
 	// Self-delivery is free.
 	items[5] = append(items[5], item{dest: 5})
-	delivered, steps = GreedyRoute(m, r, items, func(v item) int { return v.dest })
+	delivered, steps = greedyRoute(m, r, items, func(v item) int { return v.dest })
 	if steps != 0 || len(delivered[5]) != 1 {
 		t.Fatalf("self delivery: steps=%d delivered=%d", steps, len(delivered[5]))
 	}
@@ -246,7 +246,7 @@ func TestGreedyRouteStaysInsideRegion(t *testing.T) {
 	r := mesh.Region{R0: 2, C0: 2, H: 3, W: 3}
 	items := make([][]item, m.N)
 	items[m.IDOf(2, 2)] = append(items[m.IDOf(2, 2)], item{dest: m.IDOf(4, 4)})
-	delivered, _ := GreedyRoute(m, r, items, func(v item) int { return v.dest })
+	delivered, _ := greedyRoute(m, r, items, func(v item) int { return v.dest })
 	if len(delivered[m.IDOf(4, 4)]) != 1 {
 		t.Fatal("in-region packet not delivered")
 	}
@@ -257,7 +257,7 @@ func TestGreedyRouteStaysInsideRegion(t *testing.T) {
 			t.Fatal("out-of-region destination did not panic")
 		}
 	}()
-	GreedyRoute(m, r, items2, func(v item) int { return v.dest })
+	greedyRoute(m, r, items2, func(v item) int { return v.dest })
 }
 
 func TestRouteL1L2Delivers(t *testing.T) {
@@ -351,7 +351,7 @@ func TestRouteStagedBeatsDirectOnSkewedReceivers(t *testing.T) {
 		}
 		return items
 	}
-	_, direct := GreedyRoute(m, r, mk(), func(v item) int { return v.dest })
+	_, direct := greedyRoute(m, r, mk(), func(v item) int { return v.dest })
 	_, staged := RouteStaged(m, r, 2, 16, mk(), func(v item) int { return v.dest })
 	// Not a strict theorem at this size; assert the staged fine phase is
 	// small relative to its total, i.e. congestion was confined.
@@ -413,7 +413,7 @@ func BenchmarkGreedyRoutePermutation(b *testing.B) {
 		for p := 0; p < m.N; p++ {
 			items[p] = append(items[p], item{dest: perm[p]})
 		}
-		GreedyRoute(m, r, items, func(v item) int { return v.dest })
+		greedyRoute(m, r, items, func(v item) int { return v.dest })
 	}
 }
 

@@ -225,7 +225,7 @@ func sortSnakeRotateNet[T any](m *mesh.Machine, r mesh.Region, items [][]T, key 
 						pkts[src] = append(pkts[src], rotPkt[T]{e, dst})
 					}
 				}
-				_, cost := eng.Route(dlv, line, pkts, func(p rotPkt[T]) int { return p.d })
+				_, cost := eng.Route(dlv, Tile(line), pkts, func(p rotPkt[T]) int { return p.d })
 				maxCost = max(maxCost, cost)
 				for c := 0; c < w; c++ {
 					p := m.IDOf(row, r.C0+c0+c)

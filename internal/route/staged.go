@@ -52,7 +52,7 @@ func RouteL1L2[T any](m *mesh.Machine, r mesh.Region, items [][]T, dest func(T) 
 	})
 	sorted, _, sortSteps := SortSnake(m, r, wrapped, func(p destPkt[T]) uint64 { return uint64(p.d) })
 	cost.Sort = sortSteps
-	routed, routeSteps := GreedyRoute(m, r, sorted, func(p destPkt[T]) int { return p.d })
+	routed, routeSteps := NewEngine[destPkt[T]](m).Route(nil, Tile(r), sorted, func(p destPkt[T]) int { return p.d })
 	cost.Fine = routeSteps
 
 	delivered = make([][]T, m.N)
@@ -114,24 +114,20 @@ func RouteStaged[T any](m *mesh.Machine, r mesh.Region, q, parts int, items [][]
 	rankSp.End()
 
 	// Coarse phase: route to balanced intermediate positions.
-	coarse, coarseSteps := GreedyRoute(m, r, sorted, func(p stagedPkt[T]) int { return p.inter })
+	eng := NewEngine[stagedPkt[T]](m)
+	coarse, coarseSteps := eng.Route(nil, Tile(r), sorted, func(p stagedPkt[T]) int { return p.inter })
 	cost.Coarse = coarseSteps
 
-	// Fine phase: within each submesh, in parallel; charge the maximum.
+	// Fine phase: within each submesh, in parallel; charge the slowest.
+	tiles := Tiles{N: len(subs), At: func(i int) mesh.Region { return subs[i] }}
+	fine, fineSteps := eng.Route(nil, tiles, coarse, func(p stagedPkt[T]) int { return p.d })
+	cost.Fine = fineSteps
 	delivered = make([][]T, m.N)
-	var maxFine int64
-	for _, sub := range subs {
-		fine, fineSteps := GreedyRoute(m, sub, coarse, func(p stagedPkt[T]) int { return p.d })
-		if fineSteps > maxFine {
-			maxFine = fineSteps
+	forRegion(m, r, func(p int) {
+		for _, pk := range fine[p] {
+			delivered[p] = append(delivered[p], pk.val)
 		}
-		forRegion(m, sub, func(p int) {
-			for _, pk := range fine[p] {
-				delivered[p] = append(delivered[p], pk.val)
-			}
-		})
-	}
-	cost.Fine = maxFine
+	})
 	return delivered, cost
 }
 

@@ -13,11 +13,11 @@ import (
 	"meshpram/internal/trace"
 )
 
-// RouteTiles routes a protocol stage's disjoint submeshes in one call.
-// These tests pin it against the two references it replaces or must
-// agree with: one RouteFault call per tile in index order (Route and
-// RouteTorus on a machine without a fault map), and the same tiled call
-// on an engine forced onto the cycle loop.
+// Route and RouteFault route a protocol stage's disjoint submeshes in
+// one call. These tests pin a tiled call against the references it must
+// agree with: one call per tile in index order through the same entry
+// point, the same tiled call on an engine forced onto the cycle loop,
+// and, for Route on a healthy machine, the tiled RouteFault call.
 
 // pageTiles is the tiling of a scheme's level-`level` pages in index
 // order, as core routes a stage or return leg.
@@ -104,31 +104,29 @@ type tileRun struct {
 	observed, execs int64
 }
 
-// route routes items over the tiling, in one RouteTiles call or, with
-// each, in one call per tile; the calls run under a wrapping span so
-// that their greedy spans can be read back.
-func (w *tileWorld) route(tiles Tiles, items [][]item, each bool) tileRun {
+// route routes items over the tiling through Route when healthy is set
+// and RouteFault otherwise, in one call or, with each, in one call per
+// tile; the calls run under a wrapping span so that their greedy spans
+// can be read back.
+func (w *tileWorld) route(tiles Tiles, items [][]item, healthy, each bool) tileRun {
 	dest := func(v item) int { return v.dest }
+	call := func(dst [][]item, t Tiles) ([][]item, int64, int) {
+		if healthy {
+			d, s := w.eng.Route(dst, t, items, dest)
+			return d, s, 0
+		}
+		return w.eng.RouteFault(dst, t, items, dest)
+	}
 	var run tileRun
 	root := w.ld.Begin("call", trace.PhaseOther)
-	switch {
-	case !each:
-		run.delivered, run.steps, run.lost = w.eng.RouteTiles(nil, tiles, items, dest)
-	default:
+	if !each {
+		run.delivered, run.steps, run.lost = call(nil, tiles)
+	} else {
 		run.delivered = make([][]item, w.m.N)
 		for i := range tiles.N {
-			var steps int64
-			var lost int
-			switch {
-			case w.f == nil && tiles.Wrap:
-				_, steps = w.eng.RouteTorus(run.delivered, items, dest)
-			case w.f == nil:
-				_, steps = w.eng.Route(run.delivered, tiles.At(i), items, dest)
-			case tiles.Wrap:
-				_, steps, lost = routeTorusFault(w.eng, run.delivered, items, dest)
-			default:
-				_, steps, lost = w.eng.RouteFault(run.delivered, tiles.At(i), items, dest)
-			}
+			t := Tile(tiles.At(i))
+			t.Wrap = tiles.Wrap
+			_, steps, lost := call(run.delivered, t)
 			run.steps, run.lost = max(run.steps, steps), run.lost+lost
 		}
 	}
@@ -142,17 +140,19 @@ func (w *tileWorld) route(tiles Tiles, items [][]item, each bool) tileRun {
 	return run
 }
 
-// TestRouteTilesIdentity routes seeded workloads through RouteTiles and
-// through both references, on the pages of a side-27 and a side-81
-// scheme (whose level-1 pages are 1×1), a side-9 tiling into 1×1 tiles,
-// the torus's one full tile, a module-only fault map under the local
-// view with module deaths between calls, a dead-link map, and a
-// dead-node map on 1×1 tiles. Deliveries and their per-processor
-// order, charged cycles, packets and lost packets must match; so must
-// the local view's gossip image and stats after every call. The tiled
-// call opens one greedy span, which observes its cycles and, on a
-// healthy network, counts every packet not already home; the forced
-// loop executes exactly its charged cycles.
+// TestRouteTilesIdentity routes seeded workloads over a tiling in one
+// call and through the references, on the pages of a side-27 and a
+// side-81 scheme (whose level-1 pages are 1×1), a side-9 tiling into 1×1
+// tiles, the torus's one full tile, a module-only fault map under the
+// local view with module deaths between calls, a dead-link map, and a
+// dead-node map on 1×1 tiles. The healthy-entry rows route through Route
+// on a machine without a fault map and are also checked against the
+// tiled RouteFault call; the others route through RouteFault.
+// Deliveries and their per-processor order, charged cycles, packets and
+// lost packets must match; so must the local view's gossip image and
+// stats after every call. The tiled call opens one greedy span, which
+// observes its cycles and, on a healthy network, counts every packet not
+// already home; the forced loop executes exactly its charged cycles.
 func TestRouteTilesIdentity(t *testing.T) {
 	s27, err := hmos.New(hmos.Params{Side: 27, Q: 3, D: 5, K: 2})
 	if err != nil {
@@ -176,29 +176,40 @@ func TestRouteTilesIdentity(t *testing.T) {
 	}
 	nodeMap := fault.NewMap(9).KillNode(10).KillNode(40).KillNode(41)
 	for _, tc := range []struct {
-		name  string
-		side  int
-		tiles Tiles
-		f     *fault.Map
-		local bool
-		load  int
+		name    string
+		side    int
+		tiles   Tiles
+		f       *fault.Map
+		local   bool
+		load    int
+		healthy bool // route through Route, not RouteFault
 	}{
-		{"side27/level1", 27, pageTiles(s27, 1), nil, false, 3},
-		{"side27/level2", 27, pageTiles(s27, 2), nil, false, 3},
-		{"side81/level1", 81, pageTiles(s81, 1), nil, false, 2},
-		{"side81/level2", 81, pageTiles(s81, 2), nil, false, 2},
-		{"side9/1x1", 9, splitTiles(t, m9, 81), nil, false, 3},
-		{"side27/torus", 27, Whole(mesh.MustNew(27), true), nil, false, 2},
-		{"side27/level2/modules/local", 27, pageTiles(s27, 2), moduleMap, true, 3},
-		{"side27/torus/modules/local", 27, Whole(mesh.MustNew(27), true), moduleMap, true, 2},
-		{"side27/level2/dead-links", 27, pageTiles(s27, 2), linkMap, false, 3},
-		{"side27/full/dead-links", 27, Whole(mesh.MustNew(27), false), linkMap, false, 2},
-		{"side9/1x1/dead-nodes", 9, splitTiles(t, m9, 81), nodeMap, false, 3},
-		{"side9/1x1/dead-nodes/local", 9, splitTiles(t, m9, 81), nodeMap, true, 3},
+		{"side27/level1", 27, pageTiles(s27, 1), nil, false, 3, false},
+		{"side27/level2", 27, pageTiles(s27, 2), nil, false, 3, false},
+		{"side81/level1", 81, pageTiles(s81, 1), nil, false, 2, false},
+		{"side81/level2", 81, pageTiles(s81, 2), nil, false, 2, false},
+		{"side9/1x1", 9, splitTiles(t, m9, 81), nil, false, 3, false},
+		{"side27/torus", 27, Whole(mesh.MustNew(27), true), nil, false, 2, false},
+		{"healthy/side27/level1", 27, pageTiles(s27, 1), nil, false, 3, true},
+		{"healthy/side27/level2", 27, pageTiles(s27, 2), nil, false, 3, true},
+		{"healthy/side81/level2", 81, pageTiles(s81, 2), nil, false, 2, true},
+		{"healthy/side9/3x3", 9, splitTiles(t, m9, 9), nil, false, 3, true},
+		{"healthy/side9/1x1", 9, splitTiles(t, m9, 81), nil, false, 3, true},
+		{"healthy/side27/torus", 27, Whole(mesh.MustNew(27), true), nil, false, 2, true},
+		{"side27/level2/modules/local", 27, pageTiles(s27, 2), moduleMap, true, 3, false},
+		{"side27/torus/modules/local", 27, Whole(mesh.MustNew(27), true), moduleMap, true, 2, false},
+		{"side27/level2/dead-links", 27, pageTiles(s27, 2), linkMap, false, 3, false},
+		{"side27/full/dead-links", 27, Whole(mesh.MustNew(27), false), linkMap, false, 2, false},
+		{"side9/1x1/dead-nodes", 9, splitTiles(t, m9, 81), nodeMap, false, 3, false},
+		{"side9/1x1/dead-nodes/local", 9, splitTiles(t, m9, 81), nodeMap, true, 3, false},
 	} {
 		tiled := newTileWorld(tc.side, tc.f, tc.tiles.Wrap, tc.local, false)
 		each := newTileWorld(tc.side, tc.f, tc.tiles.Wrap, tc.local, false)
 		forced := newTileWorld(tc.side, tc.f, tc.tiles.Wrap, tc.local, true)
+		var viaFault *tileWorld // the tiled RouteFault call on the same healthy machine
+		if tc.healthy {
+			viaFault = newTileWorld(tc.side, nil, tc.tiles.Wrap, false, false)
+		}
 		lost := 0
 		for call := range 3 {
 			at := fmt.Sprintf("%s/call=%d", tc.name, call)
@@ -216,13 +227,20 @@ func TestRouteTilesIdentity(t *testing.T) {
 					}
 				}
 			}
-			ref := each.route(tc.tiles, cloneItems(items), true)
-			loop := forced.route(tc.tiles, cloneItems(items), false)
-			got := tiled.route(tc.tiles, items, false)
-			for _, c := range []struct {
+			loop := forced.route(tc.tiles, cloneItems(items), tc.healthy, false)
+			type ref struct {
 				name string
 				run  tileRun
-			}{{"per-tile calls", ref}, {"forced cycle loop", loop}} {
+			}
+			refs := []ref{
+				{"per-tile calls", each.route(tc.tiles, cloneItems(items), tc.healthy, true)},
+				{"forced cycle loop", loop},
+			}
+			if viaFault != nil {
+				refs = append(refs, ref{"tiled RouteFault call", viaFault.route(tc.tiles, cloneItems(items), false, false)})
+			}
+			got := tiled.route(tc.tiles, items, tc.healthy, false)
+			for _, c := range refs {
 				if got.steps != c.run.steps || got.lost != c.run.lost || got.packets != c.run.packets {
 					t.Fatalf("%s: cycles %d, lost %d, packets %d; %s: %d, %d, %d",
 						at, got.steps, got.lost, got.packets, c.name, c.run.steps, c.run.lost, c.run.packets)
@@ -259,23 +277,30 @@ func TestRouteTilesIdentity(t *testing.T) {
 }
 
 // TestRouteTilesForeignDestinationPanics pins the per-tile target
-// check: a packet bound for another tile panics even though its
-// destination lies inside the union of the tiles, on 3×3 tiles and on
-// the 1×1 tiles that skip the line solver.
+// check of both entry points: a packet bound for another tile panics
+// even though its destination lies inside the union of the tiles, on
+// 3×3 tiles and on the 1×1 tiles that skip the line solver.
 func TestRouteTilesForeignDestinationPanics(t *testing.T) {
 	m := mesh.MustNew(9)
+	dest := func(v item) int { return v.dest }
 	for _, parts := range []int{9, 81} {
-		tiles := splitTiles(t, m, parts)
-		items := make([][]item, m.N)
-		p := tiles.At(0).ProcAtSnake(m, 0)
-		items[p] = append(items[p], item{dest: tiles.At(1).ProcAtSnake(m, 0)})
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%d tiles: a packet bound for another tile did not panic", parts)
+		for _, healthy := range []bool{true, false} {
+			tiles := splitTiles(t, m, parts)
+			items := make([][]item, m.N)
+			p := tiles.At(0).ProcAtSnake(m, 0)
+			items[p] = append(items[p], item{dest: tiles.At(1).ProcAtSnake(m, 0)})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%d tiles, healthy entry %v: a packet bound for another tile did not panic", parts, healthy)
+					}
+				}()
+				if healthy {
+					NewEngine[item](m).Route(nil, tiles, items, dest)
+				} else {
+					NewEngine[item](m).RouteFault(nil, tiles, items, dest)
 				}
 			}()
-			NewEngine[item](m).RouteTiles(nil, tiles, items, func(v item) int { return v.dest })
-		}()
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 func TestTorusDist(t *testing.T) {
 	m := mesh.MustNew(8)
-	topo := torusTopo{m}
 	cases := []struct {
 		a, b, want int
 	}{
@@ -23,31 +22,32 @@ func TestTorusDist(t *testing.T) {
 	}
 	cases[5].want = 6
 	for _, c := range cases {
-		if got := topo.dist(c.a, c.b); got != c.want {
+		if got := hopDist(m, c.a, c.b, true); got != c.want {
 			t.Errorf("torus dist(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
 		}
 		// Torus distance never exceeds mesh distance.
-		if topo.dist(c.a, c.b) > m.Dist(c.a, c.b) {
+		if hopDist(m, c.a, c.b, true) > hopDist(m, c.a, c.b, false) {
 			t.Errorf("torus dist exceeds mesh dist for (%d,%d)", c.a, c.b)
 		}
 	}
 }
 
-// Following next() hops from any source must reach the destination in
-// exactly dist() steps.
+// Following nextDir hops on the torus from any source must reach the
+// destination in exactly hopDist steps.
 func TestTorusNextConvergesAlongShortestPath(t *testing.T) {
 	m := mesh.MustNew(6)
-	topo := torusTopo{m}
+	e := NewEngine[int](m)
+	dist := func(p, q int) int { return hopDist(m, p, q, true) }
 	for a := 0; a < m.N; a++ {
 		for b := 0; b < m.N; b++ {
 			p := a
 			steps := 0
 			for p != b {
-				_, to := topo.next(p, b)
-				if m.Dist(p, to) != 1 && !isWrapNeighbor(m, p, to) {
+				to, ok := e.stepBounded(p, int(nextDir(m, p, b, true)), m.Full(), true)
+				if !ok || m.Dist(p, to) != 1 && !isWrapNeighbor(m, p, to) {
 					t.Fatalf("next(%d,%d) jumped from %d to non-neighbor %d", a, b, p, to)
 				}
-				if topo.dist(to, b) != topo.dist(p, b)-1 {
+				if dist(to, b) != dist(p, b)-1 {
 					t.Fatalf("next(%d→%d) at %d did not reduce distance", a, b, p)
 				}
 				p = to
@@ -56,8 +56,8 @@ func TestTorusNextConvergesAlongShortestPath(t *testing.T) {
 					t.Fatalf("path %d→%d did not converge", a, b)
 				}
 			}
-			if steps != topo.dist(a, b) {
-				t.Fatalf("path %d→%d took %d hops, dist says %d", a, b, steps, topo.dist(a, b))
+			if steps != dist(a, b) {
+				t.Fatalf("path %d→%d took %d hops, dist says %d", a, b, steps, dist(a, b))
 			}
 		}
 	}
@@ -84,7 +84,7 @@ func TestGreedyRouteTorusDelivers(t *testing.T) {
 			want[d]++
 		}
 	}
-	delivered, steps := GreedyRouteTorus(m, items, func(v item) int { return v.dest })
+	delivered, steps := NewEngine[item](m).Route(nil, Whole(m, true), items, func(v item) int { return v.dest })
 	for p := 0; p < m.N; p++ {
 		if len(delivered[p]) != want[p] {
 			t.Fatalf("proc %d received %d, want %d", p, len(delivered[p]), want[p])
@@ -110,8 +110,8 @@ func TestTorusBeatsMeshOnLongHaul(t *testing.T) {
 		}
 		return items
 	}
-	_, meshSteps := GreedyRoute(m, m.Full(), mk(), func(v item) int { return v.dest })
-	_, torusSteps := GreedyRouteTorus(m, mk(), func(v item) int { return v.dest })
+	_, meshSteps := greedyRoute(m, m.Full(), mk(), func(v item) int { return v.dest })
+	_, torusSteps := NewEngine[item](m).Route(nil, Whole(m, true), mk(), func(v item) int { return v.dest })
 	if torusSteps >= meshSteps {
 		t.Fatalf("torus (%d) not faster than mesh (%d) on antipodal traffic", torusSteps, meshSteps)
 	}
@@ -139,7 +139,7 @@ func TestTorusRingPriorityCycle(t *testing.T) {
 	}
 	dest := func(v item) int { return v.dest }
 	want, wantS, lost := routeTorusFault(cycleEngine(m), nil, cloneItems(items), dest)
-	got, gotS := NewEngine[item](m).RouteTorus(nil, items, dest)
+	got, gotS := NewEngine[item](m).Route(nil, Whole(m, true), items, dest)
 	if lost != 0 || gotS != wantS || !reflect.DeepEqual(got, want) {
 		t.Fatalf("torus line path charged %d cycles, cycle loop %d (lost %d); deliveries equal: %v",
 			gotS, wantS, lost, reflect.DeepEqual(got, want))
