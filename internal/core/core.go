@@ -224,6 +224,8 @@ type Simulator struct {
 	arena *pktArena // recycled per-processor packet-handle buffers
 	//detlint:ignore snapshotfields persistent router; queues empty between calls
 	eng *route.Engine[int32] // the one router: every routeTiles call and repair scrub; routes handles
+	//detlint:ignore snapshotfields scratch buffers; dropped at the end of every step
+	sorter route.SortBuf[int32] // the snake sorts of the running step
 	//detlint:ignore snapshotfields per-step packet table; rebuilt by every step, capacity kept
 	pk []pkt // the running step's packets, indexed by handle
 	//detlint:ignore snapshotfields per-step waypoint table; rebuilt by every step, capacity kept
@@ -484,6 +486,9 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 	defer func() {
 		sim.lastRep = sim.rep
 		sim.rep = nil
+		// Up to 244 sorts of a step share the sort buffers; an idle
+		// simulator keeps none (half a megabyte at side 81).
+		sim.sorter = route.SortBuf[int32]{}
 	}()
 
 	if len(ops) == 0 {
@@ -1041,9 +1046,9 @@ func (sim *Simulator) destOf(h int32) int { return int(sim.pk[h].dest) }
 // sortSnake sorts the region and charges the configured sorting network.
 func (sim *Simulator) sortSnake(r mesh.Region, items [][]int32, key func(int32) uint64) ([][]int32, int, int64) {
 	if sim.cfg.Sort == route.RotateSort {
-		return route.SortSnakeRotate(sim.M, r, items, key)
+		return sim.sorter.SortSnakeRotate(sim.M, r, items, key)
 	}
-	return route.SortSnake(sim.M, r, items, key)
+	return sim.sorter.SortSnake(sim.M, r, items, key)
 }
 
 // stagePages returns the number of level-s submeshes (1 for s = K+1).

@@ -483,10 +483,10 @@ func (sim *Simulator) repairQuarantined(sp *trace.Span) error {
 	sp.AddPackets(int64(len(table)))
 	// Repair traffic routes on the protocol's engine, so under a local
 	// fault view scrub packets detour on the same beliefs and keep gossip
-	// rounds advancing while they travel. The scrub routes on the mesh
-	// links even on a torus.
+	// rounds advancing while they travel. On a torus the scrub uses the
+	// wrap links, as stage K+1 and the last return leg do.
 	delivered, cycles, lost := sim.eng.RouteFault(
-		sim.arena.get(), route.Whole(m, false), items, func(h int32) int { return table[h].dest })
+		sim.arena.get(), route.Whole(m, sim.cfg.Torus), items, func(h int32) int { return table[h].dest })
 	sim.arena.put(items) // the call drained it
 	sim.rstats.Lost += lost
 	maxWrites := 0

@@ -50,13 +50,14 @@ import (
 // A healthy mesh tile does not sweep the region at all: it solves each
 // row and column pipeline on its own (lines.go, DESIGN.md §17), one
 // packet at a time in static priority order, each packet taking every
-// link at the first cycle no higher-priority packet uses. Charged
-// cycles, delivered contents and delivery order are bit-identical to
-// the cycle loop on a healthy machine; only the executed iteration
-// count (Executed, and the ledger's Exec counter) differs, never
-// exceeding the charged cycles. A fault map that marks only dead
-// modules blocks no link, so such RouteFault calls take the line solver
-// too (linesSafe). The torus (a wrap tiling), whose rings have no
+// link at the first cycle no higher-priority packet uses. One bitset
+// per link over cycles answers that: a bit test-and-set per hop, a
+// word scan per wait. Charged cycles, delivered contents and delivery
+// order are bit-identical to the cycle loop on a healthy machine; only
+// the executed iteration count (Executed, and the ledger's Exec
+// counter) differs, never exceeding the charged cycles. A fault map
+// that marks only dead modules blocks no link, so such RouteFault calls
+// take the line solver too (linesSafe). The torus (a wrap tiling), whose rings have no
 // static priority order, and every faulted network run the engine's one
 // cycle-stepped loop (DESIGN.md §11): it sweeps every charged cycle, so
 // there Executed counts sweeps and equals the charged cycles.
@@ -87,17 +88,14 @@ type Engine[T any] struct {
 
 	// Line-decomposed healthy path (lines.go); the n-entry queue and
 	// worklist tables above are not used by it.
-	rowAt     []int32    // slab offset of each region row's first packet
-	colAt     []int32    // column-line bucket bounds in colq
-	colq      []uint64   // column-line entries: entry cycle<<32 | slot
-	lnKeys    []uint64   // a mesh row line's sort keys (lnKey)
-	lnPk      []lnPacket // a mesh line's packets in priority order
-	dBits     []uint64   // mesh line: links taken, per diagonal; zero at rest
-	lBits     []uint64   // mesh line: cycles taken, per link; zero at rest
-	lnRuns    []uint64   // the runs this line marked: diagonal<<32 | x<<16 | y
-	lnFlushed int        // how many of lnRuns are copied into lBits
-	dcnt      []int32    // per destination node: delivery group bounds
-	dorder    []int32    // routed slots grouped by destination
+	rowAt  []int32    // slab offset of each region row's first packet
+	colAt  []int32    // column-line bucket bounds in colq
+	colq   []uint64   // column-line entries: entry cycle<<32 | slot
+	lnKeys []uint64   // a mesh row line's sort keys (lnKey)
+	lnPk   []lnPacket // a mesh line's packets in priority order
+	lBits  []uint64   // mesh line: cycles taken, per link; zero at rest
+	dcnt   []int32    // per destination node: delivery group bounds
+	dorder []int32    // routed slots grouped by destination
 
 	// Local-knowledge fault dissemination (nil view = global knowledge,
 	// the historical bit-identical behavior). A sweep collects
@@ -284,7 +282,7 @@ func (e *Engine[T]) Release() {
 	e.val, e.dests, e.dcol, e.dist, e.dir, e.from = nil, nil, nil, nil, nil, nil
 	e.queues, e.inQ, e.active, e.scratch, e.arr = nil, nil, nil, nil, nil
 	e.rowAt, e.colAt, e.colq, e.dcnt, e.dorder = nil, nil, nil, nil, nil
-	e.lnKeys, e.lnPk, e.dBits, e.lBits, e.lnRuns = nil, nil, nil, nil, nil
+	e.lnKeys, e.lnPk, e.lBits = nil, nil, nil
 	e.ptry, e.pwait, e.disc, e.dropq = nil, nil, nil, nil
 }
 
@@ -307,7 +305,7 @@ func (e *Engine[T]) MemBytes() int64 {
 	sz += int64(cap(e.disc)) * int64(unsafe.Sizeof(faultview.Discovery{}))
 	sz += int64(cap(e.dropq)) * int64(unsafe.Sizeof(engDrop{}))
 	sz += int64(cap(e.rowAt)+cap(e.colAt)+cap(e.dcnt)+cap(e.dorder)) * 4
-	sz += int64(cap(e.colq)+cap(e.lnKeys)+cap(e.dBits)+cap(e.lBits)+cap(e.lnRuns)) * 8
+	sz += int64(cap(e.colq)+cap(e.lnKeys)+cap(e.lBits)) * 8
 	sz += int64(cap(e.lnPk)) * int64(unsafe.Sizeof(lnPacket{}))
 	return sz
 }

@@ -49,12 +49,16 @@ func makeRouteInstance(kind string, m *mesh.Machine, seed int64) [][]int {
 // delivery buffers truncated and reused.
 func benchGreedyRoute(b *testing.B, side int, kind string) {
 	m := mesh.MustNew(side)
-	dests := makeRouteInstance(kind, m, 1)
+	benchRoute(b, m, route.Whole(m, false), makeRouteInstance(kind, m, 1), fmt.Sprintf("%s-%d", kind, side))
+}
+
+// benchRoute routes the instance dests over tiling t once per
+// iteration on one engine.
+func benchRoute(b *testing.B, m *mesh.Machine, t route.Tiles, dests [][]int, label string) {
 	items := make([][]int, m.N)
 	dst := make([][]int, m.N)
 	ident := func(d int) int { return d }
 	eng := route.NewEngine[int](m)
-	full := route.Whole(m, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var steps int64
@@ -62,7 +66,7 @@ func benchGreedyRoute(b *testing.B, side int, kind string) {
 		for p := range items {
 			items[p] = append(items[p][:0], dests[p]...)
 		}
-		_, steps = eng.Route(dst, full, items, ident)
+		_, steps = eng.Route(dst, t, items, ident)
 		for p := range dst {
 			dst[p] = dst[p][:0]
 		}
@@ -72,7 +76,7 @@ func benchGreedyRoute(b *testing.B, side int, kind string) {
 	// them — executed iterations are bounded by charged cycles on every
 	// workload.
 	if exec := eng.Executed(); exec > steps {
-		b.Fatalf("%s-%d: executed %d > charged %d cycles", kind, side, exec, steps)
+		b.Fatalf("%s: executed %d > charged %d cycles", label, exec, steps)
 	}
 }
 
@@ -87,3 +91,29 @@ func benchSides(b *testing.B, kind string) {
 func BenchmarkGreedyRouteDense(b *testing.B)     { benchSides(b, "dense") }
 func BenchmarkGreedyRouteTranspose(b *testing.B) { benchSides(b, "transpose") }
 func BenchmarkGreedyRouteSparse(b *testing.B)    { benchSides(b, "sparse") }
+
+// BenchmarkGreedyRouteCrowded3x9 routes the 243 3×9 level-2 pages of a
+// side-81, d = 7 machine in one tiled call at the load of protocol
+// stage 2: every processor sends 4 packets to uniform random nodes of
+// its own page. These lines are short and crowded, so a packet waits at
+// almost every link.
+func BenchmarkGreedyRouteCrowded3x9(b *testing.B) {
+	m := mesh.MustNew(81)
+	pages := route.Tiles{N: 243, At: func(i int) mesh.Region {
+		return mesh.Region{R0: i / 9 * 3, C0: i % 9 * 9, H: 3, W: 9}
+	}}
+	rng := rand.New(rand.NewSource(1))
+	dests := make([][]int, m.N)
+	for i := 0; i < pages.N; i++ {
+		r := pages.At(i)
+		for row := r.R0; row < r.R0+r.H; row++ {
+			for col := r.C0; col < r.C0+r.W; col++ {
+				p := m.IDOf(row, col)
+				for j := 0; j < 4; j++ {
+					dests[p] = append(dests[p], m.IDOf(r.R0+rng.Intn(r.H), r.C0+rng.Intn(r.W)))
+				}
+			}
+		}
+	}
+	benchRoute(b, m, pages, dests, "crowded3x9")
+}

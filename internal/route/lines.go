@@ -2,7 +2,6 @@ package route
 
 import (
 	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -32,12 +31,13 @@ import (
 // position, never changes, so a lower-priority packet never delays a
 // higher-priority one. solveLine places the packets one at a time in
 // key order, each taking every link at the first cycle no earlier
-// packet uses. A torus ring has no such order (DESIGN.md §17), so the
-// torus runs on the cycle loop (linesSafe).
+// packet uses. One bitset, lBits, records which link of the line is
+// taken at which cycle: a packet tests and sets one bit per hop and
+// skips a wait with one word scan. A torus ring has no such order
+// (DESIGN.md §17), so the torus runs on the cycle loop (linesSafe).
 
 // lnMaxSide keeps every line position and priority key in the bit
-// fields of lnKey and the marked runs; larger regions route with cycle
-// sweeps.
+// fields of lnKey; larger regions route with cycle sweeps.
 const lnMaxSide = 1 << 15
 
 // engLine is one pipeline of n nodes along a region row or column. Line
@@ -137,9 +137,10 @@ const lnKeyMax = 1 << 17
 // sweep moves the highest-priority packet present; so a packet waits at
 // a link in exactly the cycles a higher-priority packet crosses it, and
 // crosses at the first cycle none does. Packets placed later never
-// change that. Link use is kept in two bitset views over cycles
-// relative to t0 (lnPlace). Both are all-zero between lines; lnClear
-// restores that after each line.
+// change that. Link use is kept in lBits, per link a bitset over cycles
+// relative to t0 (lnPlace). It is all-zero between lines: after a line,
+// the words up to the latest cycle marked on it are cleared as one
+// range.
 func (e *Engine[T]) solveLine(l *engLine, r mesh.Region, keys []uint64, t0 int64) int64 {
 	slices.Sort(keys)
 	links := l.n - 1
@@ -158,167 +159,63 @@ func (e *Engine[T]) solveLine(l *engLine, r mesh.Region, keys []uint64, t0 int64
 			e.dist[p.slot] = p.exit - p.x
 		}
 	}
-	// A packet only ever reads links inside its own path and diagonals
-	// at or above the one it starts on. So each packet marks only what
-	// some packet placed after it can read; the last marks nothing.
-	lo, hi, g := int32(links), int32(0), int32(math.MaxInt32)
-	for i := len(pk) - 1; i >= 0; i-- {
-		p := &pk[i]
-		p.lo, p.hi, p.g = lo, hi, g
-		lo, hi, g = min(lo, p.x), max(hi, p.exit), min(g, p.u-p.x+int32(links)-1)
-	}
-	var drain int64
+	top := 0 // the latest hop cycle marked on the line
 	for i := range pk {
 		p := &pk[i]
 		last, runs := e.lnPlace(links, p)
-		c := t0 + int64(last)
-		e.lnLeave(l, r, int(p.exit)-1, p.slot, e.dist[p.slot]-(p.exit-p.x), c)
-		drain = max(drain, c)
+		e.lnLeave(l, r, int(p.exit)-1, p.slot, e.dist[p.slot]-(p.exit-p.x), t0+int64(last))
+		top = max(top, last)
 		e.execs = max(e.execs, int64(runs))
 	}
 	e.lnPk = pk
-	e.lnClear(links)
-	return drain
-}
-
-// lnClear returns both views to all-zero after a line of the given
-// number of links. A view whose marked words lie in a range no longer
-// than the hops marked into it is cleared as that range; otherwise its
-// runs are replayed, so clearing costs no more than marking did.
-func (e *Engine[T]) lnClear(links int) {
-	if len(e.lnRuns) == 0 {
-		return
-	}
-	dw := (links + 63) >> 6
-	hops, gLo, gHi := 0, math.MaxInt, 0
-	lhops, top := 0, 0 // over the runs copied into the link view
-	for i, run := range e.lnRuns {
-		g, x, y := lnRunOf(run)
-		hops += y - x
-		gLo, gHi = min(gLo, g), max(gHi, g)
-		if i < e.lnFlushed {
-			lhops, top = lhops+y-x, max(top, g+y-links)
-		}
-	}
-	diag := (gHi-gLo+1)*dw <= hops
-	link := (top>>6+1)*links <= lhops
-	if diag {
-		clear(e.dBits[gLo*dw : min((gHi+1)*dw, len(e.dBits))])
-	}
-	if link {
-		clear(e.lBits[:min((top>>6+1)*links, len(e.lBits))])
-	}
-	for i, run := range e.lnRuns {
-		flushed := i < e.lnFlushed
-		if diag && (link || !flushed) {
-			break
-		}
-		g, x, y := lnRunOf(run)
-		for wi := x >> 6; !diag && wi<<6 < y; wi++ {
-			e.dBits[g*dw+wi] = 0
-		}
-		for u := g + x - links + 1; !link && flushed && x < y; {
-			n := min(y-x, 64-u&63)
-			w := (u>>6)*links + x
-			clear(e.lBits[w : w+n])
-			x, u = x+n, u+n
-		}
-	}
-	e.lnRuns, e.lnFlushed = e.lnRuns[:0], 0
-}
-
-// lnRunOf unpacks a marked run: links x … y−1 on diagonal g.
-func lnRunOf(run uint64) (g, x, y int) {
-	return int(run >> 32), int(run >> 16 & 0xffff), int(run & 0xffff)
+	clear(e.lBits[:(top>>6+1)*links])
+	return t0 + int64(top)
 }
 
 // lnPacket is one packet of a mesh line being solved: its slot, start
-// and exit positions and the relative cycle it is ready to move, and
-// the reach of the packets placed after it: the lowest start, the
-// highest exit and the lowest starting diagonal among them.
+// and exit positions and the relative cycle it is ready to move.
 type lnPacket struct {
 	slot, x, exit, u int32
-	lo, hi, g        int32
 }
 
 // lnPlace schedules packet p on a mesh line of the given number of
 // links: it is ready to cross link p.x at relative cycle p.u and leaves
 // the line after crossing link p.exit−1. It returns the relative cycle
-// of its last hop and how many free runs it made. The links and cycles
-// it takes inside the reach of later packets are kept in two views:
-//
-//   - dBits, per diagonal g = u − x + links − 1, a bitset over links:
-//     a packet that never waits stays on one diagonal, so its run up to
-//     the first taken link is one scan of that diagonal's words;
-//   - lBits, per link, a bitset over cycles, word w of link x at
-//     w·links + x: a blocked packet finds its next free cycle in one
-//     scan, however long it waits.
+// of its last hop and how many free runs it made. Link use lives in
+// lBits, per link a bitset over cycles, word w of link x at
+// w·links + x. A hop tests link x at cycle u and takes it if it is free,
+// so a run of hops walks adjacent words; a taken link counts a new run
+// and sends the packet to the link's next free cycle in one word scan,
+// however long it waits.
 //
 // Each free run after the first follows a wait of at least one cycle
 // and takes at least one hop, so the runs never exceed the packet's
 // last hop cycle.
 func (e *Engine[T]) lnPlace(links int, p *lnPacket) (last, runs int) {
-	dw := (links + 63) >> 6
 	x, exit, u := int(p.x), int(p.exit), int(p.u)
-	for {
-		runs++
-		g := u - x + links - 1
-		y := e.lnDiagFirst(g*dw, x, exit)
-		if a, b := max(x, int(p.lo)), min(y, int(p.hi)); a < b && g >= int(p.g) {
-			e.lnMark(g, dw, a, b)
+	for runs = 1; ; runs++ {
+		// A run ends at link exit−1 by cycle u+exit−x−1 at the latest.
+		if n := ((u+exit-x-1)>>6 + 1) * links; n > len(e.lBits) {
+			e.lBits = growZero(e.lBits, n)
 		}
-		u += y - x
-		if y == exit {
-			return u - 1, runs
+		bs := e.lBits
+		i, b := (u>>6)*links+x, uint64(1)<<(u&63)
+		for bs[i]&b == 0 {
+			bs[i] |= b
+			if x++; x == exit {
+				return u, runs
+			}
+			u, i, b = u+1, i+1, b<<1
+			if b == 0 { // the next cycle starts a new word
+				i, b = i+links, 1
+			}
 		}
-		x = y
-		if e.lnFlushed < len(e.lnRuns) {
-			e.lnFlush(links)
-		}
-		u = e.lnLinkFree(links, x, u+1) // link x is taken at cycle u
-	}
-}
-
-// lnDiagFirst returns the first taken link in [x, exit) on the diagonal
-// whose words start at dBits[base], or exit when there is none. Words
-// past the end of dBits are all zero.
-func (e *Engine[T]) lnDiagFirst(base, x, exit int) int {
-	for wi := x >> 6; wi<<6 < exit; wi++ {
-		if base+wi >= len(e.dBits) {
-			break
-		}
-		w := e.dBits[base+wi]
-		if wi == x>>6 {
-			w &= ^uint64(0) << (x & 63)
-		}
-		if w != 0 {
-			return min(wi<<6|bits.TrailingZeros64(w), exit)
-		}
-	}
-	return exit
-}
-
-// lnMark records that a packet crossed links x … y−1 on diagonal g (dw
-// words each), and keeps the run for the link view and for clearing.
-func (e *Engine[T]) lnMark(g, dw, x, y int) {
-	e.lnRuns = append(e.lnRuns, uint64(g)<<32|uint64(x)<<16|uint64(y))
-	base := g * dw
-	e.dBits = growZero(e.dBits, base+((y-1)>>6)+1)
-	for wi := x >> 6; wi<<6 < y; wi++ {
-		m := ^uint64(0)
-		if wi == x>>6 {
-			m <<= x & 63
-		}
-		if hi := y - wi<<6; hi < 64 {
-			m &= 1<<hi - 1
-		}
-		e.dBits[base+wi] |= m
+		u = e.lnLinkFree(links, x, u+1)
 	}
 }
 
 // lnLinkFree returns the first relative cycle at or after u at which
-// link x is free. The caller has flushed every marked run into the link
-// view.
+// link x is free.
 func (e *Engine[T]) lnLinkFree(links, x, u int) int {
 	for w := u >> 6; ; w++ {
 		i := w*links + x
@@ -333,31 +230,6 @@ func (e *Engine[T]) lnLinkFree(links, x, u int) int {
 			return w<<6 | bits.TrailingZeros64(free)
 		}
 	}
-}
-
-// lnFlush copies the runs marked since the last flush into the link
-// view: a run over links x … y−1 on diagonal g took link z at relative
-// cycle g + z − links + 1. The link view is read only by lnLinkFree,
-// after a flush, so a line on which no packet ever waits never builds
-// it.
-func (e *Engine[T]) lnFlush(links int) {
-	for _, run := range e.lnRuns[e.lnFlushed:] {
-		g, x, y := lnRunOf(run)
-		u := g + x - links + 1
-		e.lBits = growZero(e.lBits, ((u+y-x-1)>>6+1)*links)
-		for x < y {
-			n := min(y-x, 64-u&63) // hops before the cycle leaves this word
-			i := (u>>6)*links + x
-			b := uint64(1) << (u & 63)
-			row := e.lBits[i : i+n]
-			for k := range row {
-				row[k] |= b
-				b <<= 1
-			}
-			x, u = x+n, u+n
-		}
-	}
-	e.lnFlushed = len(e.lnRuns)
 }
 
 // growZero returns s with length at least n. Elements past len(s) are

@@ -68,11 +68,11 @@ func lineCall(eng *Engine[item], ld *trace.Ledger, c lineCase, faultPath bool, i
 // reference loses no packet. The torus runs on the cycle loop itself,
 // so it has no rows here. Hot-exit cases send every packet of a row to one column, so
 // packets wait hundreds of cycles at one link and their waits cross the
-// 64-cycle words of the per-link view; on side 200 the regions' lines
-// are longer than 128 positions, so a diagonal spans three words. One
-// engine per side serves every line-path call, so buffers sized by a
-// larger region are reused by smaller ones and the other way round.
-// Executed never exceeds charged.
+// 64-cycle words of the link view; on side 200 the regions' lines are
+// longer than 128 positions. One engine per side serves every line-path
+// call, so buffers sized by a larger region are reused by smaller ones
+// and the other way round. Executed never exceeds charged, and every
+// call leaves the link view all-zero (linkViewAtRest).
 func TestLineRouteIdentity(t *testing.T) {
 	for _, side := range []int{2, 9, 27, 81, 200} {
 		m := mesh.MustNew(side)
@@ -123,6 +123,9 @@ func TestLineRouteIdentity(t *testing.T) {
 			if exec := evt.Executed(); exec > gotS || (gotS > 0 && exec <= 0) {
 				t.Errorf("%s: executed %d outside (0, charged=%d]", label, exec, gotS)
 			}
+			if err := linkViewAtRest(evt); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
 		}
 	}
 }
@@ -130,9 +133,10 @@ func TestLineRouteIdentity(t *testing.T) {
 // FuzzLineRoute compares the mesh line solver with the cycle loop on a
 // random region of a side-160 machine (widths and heights up to 160, so
 // lines of more than 128 positions occur), load and seed: deliveries,
-// their order, charged cycles and the span must match. A second call on
-// the same engine, one packet per node more, checks that the first left
-// every buffer at rest.
+// their order, charged cycles and the span must match, and each call
+// must leave the link view all-zero. A second call on the same engine,
+// one packet per node more, checks that the first left every buffer at
+// rest.
 func FuzzLineRoute(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint16(1), uint16(149), uint8(3), int64(1))
 	f.Add(uint16(3), uint16(5), uint16(150), uint16(2), uint8(2), int64(2))
@@ -156,15 +160,32 @@ func FuzzLineRoute(f *testing.F) {
 				t.Fatalf("%v load %d call %d: line solver %d cycles, span %v; cycle loop %d cycles, span %v; deliveries equal: %v",
 					r, c.load, call, gotS, gotSpan, wantS, wantSpan, reflect.DeepEqual(gotD, wantD))
 			}
+			if err := linkViewAtRest(eng); err != nil {
+				t.Fatalf("%v load %d call %d: %v", r, c.load, call, err)
+			}
 		}
 	})
 }
 
+// linkViewAtRest reports the first set word of the engine's link view,
+// up to its capacity: between routing calls every word must be zero, or
+// a later line reads a link as taken at a cycle no packet of its own
+// crossed it.
+func linkViewAtRest(eng *Engine[item]) error {
+	for i, w := range eng.lBits[:cap(eng.lBits)] {
+		if w != 0 {
+			return fmt.Errorf("link view word %d of %d (len %d) is %#x after the call", i, cap(eng.lBits), len(eng.lBits), w)
+		}
+	}
+	return nil
+}
+
 // TestLineRouteMemRelease checks that the line path counts its buffers
 // in MemBytes, that mesh routing leaves the per-node queue tables of the
-// sweep path unallocated, that torus routing, which runs on the cycle
-// loop, leaves the line buffers unallocated, and that Release returns
-// the engine to its just-built footprint.
+// sweep path unallocated, that the link view is at rest after the call,
+// that torus routing, which runs on the cycle loop, leaves the line
+// buffers unallocated, and that Release returns the engine to its
+// just-built footprint.
 func TestLineRouteMemRelease(t *testing.T) {
 	m := mesh.MustNew(27)
 	eng := NewEngine[item](m)
@@ -173,14 +194,16 @@ func TestLineRouteMemRelease(t *testing.T) {
 	eng.Route(nil, Whole(m, false), items, func(v item) int { return v.dest })
 	lineBytes := func() int64 {
 		return int64(cap(eng.rowAt)+cap(eng.colAt)+cap(eng.dcnt)+cap(eng.dorder))*4 +
-			int64(cap(eng.colq)+cap(eng.lnKeys)+cap(eng.dBits)+cap(eng.lBits)+cap(eng.lnRuns))*8 +
+			int64(cap(eng.colq)+cap(eng.lnKeys)+cap(eng.lBits))*8 +
 			int64(cap(eng.lnPk))*int64(unsafe.Sizeof(lnPacket{}))
 	}
 	lines := lineBytes()
-	if cap(eng.dBits) == 0 || cap(eng.lBits) == 0 || cap(eng.lnKeys) == 0 || cap(eng.lnPk) == 0 || cap(eng.lnRuns) == 0 ||
-		eng.MemBytes() < built+lines {
-		t.Fatalf("MemBytes %d after routing, just built %d, line buffers alone %d (diagonal bits %d, link bits %d, sort keys %d, packets %d, runs %d)",
-			eng.MemBytes(), built, lines, cap(eng.dBits), cap(eng.lBits), cap(eng.lnKeys), cap(eng.lnPk), cap(eng.lnRuns))
+	if cap(eng.lBits) == 0 || cap(eng.lnKeys) == 0 || cap(eng.lnPk) == 0 || eng.MemBytes() < built+lines {
+		t.Fatalf("MemBytes %d after routing, just built %d, line buffers alone %d (link bits %d, sort keys %d, packets %d)",
+			eng.MemBytes(), built, lines, cap(eng.lBits), cap(eng.lnKeys), cap(eng.lnPk))
+	}
+	if err := linkViewAtRest(eng); err != nil {
+		t.Fatal(err)
 	}
 	if cap(eng.queues) != 0 || cap(eng.inQ) != 0 || cap(eng.active) != 0 {
 		t.Fatalf("line path grew the sweep tables: queues %d, inQ %d, worklist %d",

@@ -69,10 +69,15 @@ func isqrt(n int) int {
 // (= RotateSortCost(r, blockLen)). It falls back to SortSnake when
 // CanRotateSort(r) is false.
 func SortSnakeRotate[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
+	return new(SortBuf[T]).SortSnakeRotate(m, r, items, key)
+}
+
+// SortSnakeRotate is SortSnakeRotate on the buffer's storage.
+func (b *SortBuf[T]) SortSnakeRotate(m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
 	if !CanRotateSort(r) {
-		return SortSnake(m, r, items, key)
+		return b.SortSnake(m, r, items, key)
 	}
-	return sortSnake(m, r, items, key, "rotatesort", RotateSortCost)
+	return b.sortSnake(m, r, items, key, "rotatesort", RotateSortCost)
 }
 
 // RotateSortCost returns the step count SortSnakeRotate charges on

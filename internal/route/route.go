@@ -112,14 +112,29 @@ func SortCost(r mesh.Region, L int) int64 {
 // at the end. The round-by-round network is kept in the tests as the
 // reference SortSnake is checked against.
 func SortSnake[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
-	return sortSnake(m, r, items, key, "sortsnake", SortCost)
+	return new(SortBuf[T]).SortSnake(m, r, items, key)
+}
+
+// SortBuf keeps a snake sort's collection buffers, the items and their
+// sort records, across calls, so a caller that sorts many regions in a
+// row allocates them once. Its SortSnake and SortSnakeRotate methods
+// sort exactly as the package functions do. The zero value is ready to
+// use; a SortBuf is not safe for concurrent use.
+type SortBuf[T any] struct {
+	vals  []T
+	order []keyIdx
+}
+
+// SortSnake is SortSnake on the buffer's storage.
+func (b *SortBuf[T]) SortSnake(m *mesh.Machine, r mesh.Region, items [][]T, key Key[T]) (out [][]T, blockLen int, steps int64) {
+	return b.sortSnake(m, r, items, key, "sortsnake", SortCost)
 }
 
 // sortSnake is the one snake sort behind SortSnake and SortSnakeRotate:
 // it deals the items of the region, globally sorted by (key, input
 // index), into snake-ordered blocks of the maximum initial load L and
 // charges cost(r, L) under a sort span of the given name.
-func sortSnake[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T], name string, cost func(mesh.Region, int) int64) (out [][]T, blockLen int, steps int64) {
+func (b *SortBuf[T]) sortSnake(m *mesh.Machine, r mesh.Region, items [][]T, key Key[T], name string, cost func(mesh.Region, int) int64) (out [][]T, blockLen int, steps int64) {
 	sp := m.Ledger().Begin(name, trace.PhaseSort)
 	defer func() {
 		sp.Observe(steps)
@@ -130,8 +145,7 @@ func sortSnake[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T], n
 		return items, 0, 0
 	}
 	total := totalLoad(m, r, items)
-	vals := make([]T, 0, total)
-	order := make([]keyIdx, 0, total)
+	vals, order := slices.Grow(b.vals[:0], total), slices.Grow(b.order[:0], total)
 	for row := r.R0; row < r.R0+r.H; row++ {
 		for col := r.C0; col < r.C0+r.W; col++ {
 			p := m.IDOf(row, col)
@@ -157,6 +171,8 @@ func sortSnake[T any](m *mesh.Machine, r mesh.Region, items [][]T, key Key[T], n
 		p := r.ProcAtSnake(m, rank/L)
 		out[p] = append(out[p], vals[e.idx])
 	}
+	clear(vals) // the buffer holds no item past the call
+	b.vals, b.order = vals[:0], order[:0]
 	return out, L, cost(r, L)
 }
 

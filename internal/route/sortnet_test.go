@@ -3,6 +3,7 @@ package route
 import (
 	"cmp"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -396,6 +397,51 @@ func TestSnakeSortsMatchNetworks(t *testing.T) {
 					}
 					requireBlocked(t, m, r, a, la)
 					requireBlocked(t, m, r, b, lb)
+				}
+			}
+		}
+	}
+}
+
+// TestSortBufReuse sorts a run of regions of different sizes, loads and
+// key patterns through one SortBuf, as core does within a step, and
+// checks every call against a fresh one-shot sort: the same layout,
+// block length and steps. Between calls the buffer holds no item.
+func TestSortBufReuse(t *testing.T) {
+	m := mesh.MustNew(27)
+	rng := rand.New(rand.NewSource(3))
+	var buf SortBuf[item]
+	key := func(v item) uint64 { return v.key }
+	for i, c := range []struct {
+		r    mesh.Region
+		load int
+		key  func(i int) uint64
+	}{
+		{m.Full(), 4, func(i int) uint64 { return uint64(rng.Intn(1 << 20)) }},
+		{mesh.Region{R0: 3, C0: 9, H: 3, W: 9}, 2, adversarialKeys[2].key},
+		{mesh.Region{R0: 0, C0: 0, H: 9, W: 9}, 5, adversarialKeys[4].key},
+		{m.Full(), 1, adversarialKeys[1].key},
+	} {
+		for _, rotate := range []bool{false, true} {
+			items := unevenItems(m, c.load, rng, c.key)
+			for p := range items {
+				if !c.r.Contains(m, p) {
+					items[p] = nil
+				}
+			}
+			wantSort, gotSort := SortSnake[item], buf.SortSnake
+			if rotate {
+				wantSort, gotSort = SortSnakeRotate[item], buf.SortSnakeRotate
+			}
+			want, wantL, wantS := wantSort(m, c.r, cloneItems(items), key)
+			got, gotL, gotS := gotSort(m, c.r, items, key)
+			if gotL != wantL || gotS != wantS || !reflect.DeepEqual(got, want) {
+				t.Fatalf("call %d (%v, rotate %v): reused buffer gave L %d, %d steps; fresh L %d, %d steps; layouts equal %v",
+					i, c.r, rotate, gotL, gotS, wantL, wantS, reflect.DeepEqual(got, want))
+			}
+			for j, v := range buf.vals[:cap(buf.vals)] {
+				if v != (item{}) {
+					t.Fatalf("call %d: buffer keeps item %v at %d", i, v, j)
 				}
 			}
 		}
