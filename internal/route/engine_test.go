@@ -150,11 +150,12 @@ func requireIdentical(t *testing.T, label string, a, b engineRun) {
 	}
 }
 
-// TestEngineReuseBitIdentity sweeps instance kinds × topology ×
+// TestEngineParallelBitIdentity sweeps instance kinds × topology ×
 // fault path and demands that one engine, reused across the whole
 // matrix (healthy and faulted calls, full mesh and subregion), matches
-// a fresh engine on every call.
-func TestEngineReuseBitIdentity(t *testing.T) {
+// a fresh engine on every call. It tests engine reuse on one goroutine;
+// the engine has no parallel path.
+func TestEngineParallelBitIdentity(t *testing.T) {
 	shared := NewEngine[item](mesh.MustNew(16))
 	full := func(m *mesh.Machine) mesh.Region { return m.Full() }
 	sub := func(m *mesh.Machine) mesh.Region { return mesh.Region{R0: 1, C0: 2, H: 12, W: 13} }
