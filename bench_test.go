@@ -132,7 +132,7 @@ func BenchmarkCulling729(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		culling.Run(s, m, reqs)
+		culling.Place(s, m, reqs).Select(culling.Culled, nil)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"meshpram/internal/bitset"
 	"meshpram/internal/culling"
@@ -51,29 +50,15 @@ type Op struct {
 	Value   Word // value to write (ignored for reads)
 }
 
-// AccessPolicy selects how many copies an operation must reach.
-type AccessPolicy int
-
-const (
-	// MajorityPolicy is the paper's scheme: culling selects a minimal
-	// hierarchical target set per operation; timestamps arbitrate.
-	MajorityPolicy AccessPolicy = iota
-	// ReadOneWriteAllPolicy is the Mehlhorn–Vishkin [MV84] discipline:
-	// a read touches a single copy, a write updates all q^k copies.
-	// Reads are cheap but a write step degenerates to Θ(c·n) when the
-	// adversary concentrates the copies — the weakness the majority
-	// approach removes (experiment E13).
-	ReadOneWriteAllPolicy
-)
-
 // Config selects simulator variants; the zero value is the paper's
 // scheme.
 type Config struct {
-	// Policy selects the copy-access discipline (default Majority).
-	Policy AccessPolicy
-	// DisableCulling selects minimal target sets without congestion
-	// control (ablation E2/E12).
-	DisableCulling bool
+	// Access selects the copy-access discipline (internal/culling): the
+	// paper's culled majority (default), unculled majority (ablation
+	// E2/E12) or read-one/write-all [MV84] (E13). culling.Hardened is
+	// not configured but toggled per retry (SetHardened); it replaces
+	// every discipline but read-one/write-all, which keeps its copies.
+	Access culling.Discipline
 	// DirectRouting bypasses the staged protocol and routes every copy
 	// packet in one global (l1,l2)-routing (ablation E12).
 	DirectRouting bool
@@ -320,6 +305,11 @@ func NewWithScheme(s *hmos.Scheme, cfg Config) (*Simulator, error) {
 	if cfg.Faults != nil && cfg.Faults.Side() != p.Side {
 		return nil, fmt.Errorf("core: fault map side %d does not match mesh side %d", cfg.Faults.Side(), p.Side)
 	}
+	switch cfg.Access {
+	case culling.Culled, culling.Unculled, culling.ReadOneWriteAll:
+	default: // hardened selection is the per-retry toggle, SetHardened
+		return nil, fmt.Errorf("core: invalid access discipline %d", cfg.Access)
+	}
 	if cfg.Repair < RepairOff || cfg.Repair > RepairLazy {
 		return nil, fmt.Errorf("core: invalid repair policy %d", cfg.Repair)
 	}
@@ -511,6 +501,15 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 		return nil, nil, err
 	}
 
+	// One placement walk per op feeds the selection and, under faults,
+	// the availability masks, which need it first; a healthy step walks
+	// inside the culling span.
+	reqs := make([]culling.Request, len(ops))
+	for i, op := range ops {
+		reqs[i] = culling.Request{Origin: op.Origin, Var: op.Var, Write: op.IsWrite}
+	}
+	var pl *culling.Placement
+
 	// Availability masks: which copies of each op are on live modules.
 	// A copy relocated by repair counts as live at its spare; a
 	// quarantined copy (data lost, not yet rebuilt) counts as dead even
@@ -519,13 +518,13 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 	// report them unservable.
 	var avail [][]bool
 	if f != nil {
+		pl = culling.Place(s, m, reqs)
 		qk := s.Redundant
 		flat := make([]bool, len(ops)*qk)
 		avail = make([][]bool, len(ops))
 		for i := range avail {
 			avail[i] = flat[i*qk : (i+1)*qk : (i+1)*qk]
 		}
-		procs := make([]int32, qk)
 		buildAvail := func() (bool, error) {
 			degraded := false
 			sim.rep.DeadOrigins = 0
@@ -537,9 +536,8 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 					degraded = true
 					continue
 				}
-				s.PlaceTree(op.Var, procs, nil, nil, 0)
-				for leaf := range mask {
-					host, err := sim.resolveProc(int(procs[leaf]))
+				for leaf, home := range pl.Homes(i) {
+					host, err := sim.resolveProc(int(home))
 					if err != nil {
 						return false, err
 					}
@@ -553,7 +551,8 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 			return degraded, nil
 		}
 		// Lazy repair: the first step that touches a degraded variable
-		// triggers the scrub, then re-reads the healed world.
+		// triggers the scrub, then re-reads the healed world from the same
+		// placement.
 		degraded, err := buildAvail()
 		if err != nil {
 			return nil, nil, err
@@ -570,21 +569,14 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 
 	// 1. Copy selection.
 	csp := ld.Begin("culling", trace.PhaseCulling)
-	reqs := make([]culling.Request, len(ops))
-	for i, op := range ops {
-		reqs[i] = culling.Request{Origin: op.Origin, Var: op.Var}
+	if pl == nil {
+		pl = culling.Place(s, m, reqs)
 	}
-	var sel *culling.Result
-	switch {
-	case sim.cfg.Policy == ReadOneWriteAllPolicy:
-		sel = sim.selectReadOneWriteAll(ops, avail)
-	case sim.hardened:
-		sel = culling.SelectHardenedAvail(s, m, reqs, avail)
-	case sim.cfg.DisableCulling:
-		sel = culling.SelectWithoutCullingAvail(s, m, reqs, avail)
-	default:
-		sel = culling.RunAvail(s, m, reqs, avail)
+	access := sim.cfg.Access
+	if sim.hardened && access != culling.ReadOneWriteAll {
+		access = culling.Hardened
 	}
+	sel := pl.Select(access, avail)
 	m.AddSteps(sel.Steps)
 	for i := 1; i <= K; i++ {
 		mx, bd := sel.MaxLoad(i)
@@ -693,51 +685,17 @@ func (sim *Simulator) StepChecked(ops []Op) ([]Word, *StepStats, error) {
 	combine.End()
 
 	// 7. Degradation verdict per op (faulty configurations only). An op
-	// is unrecoverable when its live copies held no target set at
-	// selection time, or the copies that completed the round trip no
-	// longer certify the access: under the majority rule the returned
-	// leaves must still access the root of T_v; under ROWA a read needs
-	// any returned copy but a write must have updated every selected
-	// copy (a partial ROWA write would silently break later reads). The
-	// round-trip criterion is conservative — a write whose packet
+	// is unrecoverable when its live copies held no acceptable set at
+	// selection time (it routed nothing), or the copies that completed
+	// the round trip no longer certify the access (Result.Certifies).
+	// The round-trip criterion is conservative — a write whose packet
 	// updated its copy but was lost on the way home counts as failed.
 	if f != nil {
-		bad := make(map[int]bool, len(sel.Unservable))
-		for _, r := range sel.Unservable {
-			bad[r] = true
-		}
 		for i := range ops {
-			if bad[i] {
-				continue
-			}
-			ok := false
-			if mask := retMask[i]; mask != nil {
-				if sim.cfg.Policy == ReadOneWriteAllPolicy {
-					if ops[i].IsWrite {
-						got := 0
-						for _, on := range mask {
-							if on {
-								got++
-							}
-						}
-						ok = got == len(sel.Selected[i])
-					} else {
-						ok = true
-					}
-				} else {
-					ok = s.AccessedRoot(mask)
-				}
-			}
-			if !ok {
-				bad[i] = true
-			}
-		}
-		for i := range ops {
-			if bad[i] {
+			if !sel.Certifies(i, retMask[i]) {
 				sim.rep.Unrecoverable = append(sim.rep.Unrecoverable, i)
 			}
 		}
-		sort.Ints(sim.rep.Unrecoverable)
 		if sim.rep.Degraded() {
 			step.SetAttr("dead-origins", int64(sim.rep.DeadOrigins))
 			step.SetAttr("lost-packets", int64(sim.rep.LostPackets))
@@ -942,71 +900,6 @@ func (sim *Simulator) routeReturn(pkts [][]int32) {
 		lf.End()
 		lsp.End()
 	}
-}
-
-// selectReadOneWriteAll implements the [MV84] discipline: writes select
-// every copy, reads select the single copy indexed by Var mod q^k (a
-// fixed load-spreading choice). No culling runs, so no congestion
-// control applies — that is the point of the comparison. With an avail
-// mask (faults), reads take the first live copy scanning from the fixed
-// index and writes select the live copies; an op with no live copy is
-// reported Unservable. A read served by any live copy is correct only
-// because ROWA writes update every copy — a fact that itself breaks
-// once a write skips dead copies, which is why ROWA writes that lose
-// any copy are marked unrecoverable downstream.
-func (sim *Simulator) selectReadOneWriteAll(ops []Op, avail [][]bool) *culling.Result {
-	s := sim.S
-	res := &culling.Result{
-		Selected: make([][]culling.SelectedCopy, len(ops)),
-		PageLoad: make([][]int, s.K+1),
-		Bound:    make([]int, s.K+1),
-	}
-	for i := 1; i <= s.K; i++ {
-		res.PageLoad[i] = make([]int, s.PageCount(i))
-	}
-	qk := s.Redundant
-	procs := make([]int32, qk)
-	ranks := make([]int32, qk)
-	pages := make([]int32, s.K*qk)
-	for i, op := range ops {
-		s.PlaceTree(op.Var, procs, ranks, pages, qk)
-		live := func(leaf int) bool {
-			return avail == nil || avail[i] == nil || avail[i][leaf]
-		}
-		record := func(leaf int) {
-			res.Selected[i] = append(res.Selected[i], culling.SelectedCopy{
-				Leaf: leaf, Proc: int(procs[leaf]), Page: pages[leaf], Rank: ranks[leaf]})
-			for lvl := 1; lvl <= s.K; lvl++ {
-				res.PageLoad[lvl][pages[(lvl-1)*qk+leaf]]++
-			}
-		}
-		if op.IsWrite {
-			any := false
-			for leaf := 0; leaf < qk; leaf++ {
-				if live(leaf) {
-					record(leaf)
-					any = true
-				}
-			}
-			if !any {
-				res.Unservable = append(res.Unservable, i)
-			}
-		} else {
-			found := false
-			for j := 0; j < qk; j++ {
-				leaf := (op.Var + j) % qk
-				if live(leaf) {
-					record(leaf)
-					found = true
-					break
-				}
-			}
-			if !found {
-				res.Unservable = append(res.Unservable, i)
-			}
-		}
-	}
-	return res
 }
 
 // routeTiles routes packets inside every level-`level` submesh in one

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"meshpram/internal/culling"
 	"meshpram/internal/hmos"
 	"meshpram/internal/trace"
 )
@@ -114,7 +115,7 @@ func TestConsistencyRandomTraffic(t *testing.T) {
 // Consistency must hold in the ablation modes too: they change routing
 // and congestion control, not the quorum rule.
 func TestConsistencyAblations(t *testing.T) {
-	for _, cfg := range []Config{{DisableCulling: true}, {DirectRouting: true}, {DisableCulling: true, DirectRouting: true}} {
+	for _, cfg := range []Config{{Access: culling.Unculled}, {DirectRouting: true}, {Access: culling.Unculled, DirectRouting: true}} {
 		sim := mustNew(smallParams, cfg)
 		rng := rand.New(rand.NewSource(5))
 		ideal := map[int]Word{}

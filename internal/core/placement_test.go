@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"meshpram/internal/culling"
 )
 
 // TestCarriedPlacementMatchesSlotPlace: every packet carries its copy's
@@ -23,10 +25,10 @@ func TestCarriedPlacementMatchesSlotPlace(t *testing.T) {
 		{"healthy", func() *Simulator { return mustNew(smallParams, Config{}) }, false},
 		{"eager-remap", func() *Simulator { return schedSim(t, killHostsSchedule(t, 0, 5), RepairEager) }, true},
 		{"rowa", func() *Simulator {
-			return mustNew(smallParams, Config{Policy: ReadOneWriteAllPolicy})
+			return mustNew(smallParams, Config{Access: culling.ReadOneWriteAll})
 		}, false},
 		{"rowa-eager-remap", func() *Simulator {
-			s, err := New(smallParams, Config{Policy: ReadOneWriteAllPolicy,
+			s, err := New(smallParams, Config{Access: culling.ReadOneWriteAll,
 				Schedule: killHostsSchedule(t, 0, 5), Repair: RepairEager})
 			if err != nil {
 				t.Fatal(err)

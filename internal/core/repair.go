@@ -122,9 +122,10 @@ func (sim *Simulator) RepairStats() RepairStats { return sim.rstats }
 // (static map or schedule). Fault-free simulators pay no repair logic.
 func (sim *Simulator) FaultAware() bool { return sim.faults != nil }
 
-// SetHardened toggles hardened copy selection: level-0 (all-Extensive)
-// target sets instead of cost-minimal ones, so the access survives
-// isolated packet loss on the round trip. The retry path in
+// SetHardened toggles hardened copy selection (culling.Hardened):
+// level-0 (all-Extensive) target sets instead of cost-minimal ones, so
+// the access survives isolated packet loss on the round trip. A
+// read-one/write-all simulator keeps its own copies. The retry path in
 // internal/pram turns this on for the re-execution after a rollback.
 func (sim *Simulator) SetHardened(on bool) { sim.hardened = on }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"meshpram/internal/culling"
 	"meshpram/internal/hmos"
 	"meshpram/internal/route"
 )
@@ -22,7 +23,7 @@ func TestConsistencyAcrossSchemes(t *testing.T) {
 		{"k1", hmos.Params{Side: 27, Q: 3, D: 5, K: 1}, Config{}},
 		{"torus", hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Torus: true}},
 		{"rotatesort", hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Sort: route.RotateSort}},
-		{"torus-mv84", hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Torus: true, Policy: ReadOneWriteAllPolicy}},
+		{"torus-mv84", hmos.Params{Side: 9, Q: 3, D: 3, K: 2}, Config{Torus: true, Access: culling.ReadOneWriteAll}},
 	}
 	for _, c := range cases {
 		c := c
@@ -58,7 +59,7 @@ func TestConsistencyAcrossSchemes(t *testing.T) {
 					}
 				}
 				// Theorem 3 must hold whenever culling ran.
-				if c.cfg.Policy == MajorityPolicy && !c.cfg.DisableCulling {
+				if c.cfg.Access == culling.Culled {
 					for lvl := 1; lvl <= sim.S.K; lvl++ {
 						if st.PageLoadMax[lvl] > st.PageLoadBound[lvl] {
 							t.Fatalf("level %d: load %d > bound %d", lvl, st.PageLoadMax[lvl], st.PageLoadBound[lvl])

@@ -1,15 +1,24 @@
-// Package culling implements the CULLING copy-selection procedure of
-// §3.2: k iterations that progressively shrink, for every requested
-// variable v, an initial minimal level-0 target set C_v^0 down to a
-// plain (level-k) target set C_v, while capping the number of selected
-// copies that fall into any level-i page at 2q^k·n^{1−1/2^i} marked
-// copies — which yields the Theorem 3 invariant that no level-i page is
-// addressed by more than 4q^k·n^{1−1/2^i} copies of ∪C_v^i.
+// Package culling is the one home of copy selection: which copies of
+// each requested variable a PRAM step accesses. Place walks every
+// request's copy tree once (hmos.PlaceTree) into flat per-copy tables;
+// Placement.Select then picks copies under one of four disciplines and
+// returns a Result that carries the page loads, the charged cost and
+// the verdict rule for the copies that come back.
 //
-// The procedure is executed by the n mesh processors via sorting and
-// ranking of the ≤ n·q^k copy descriptors; its step cost is
-// O(k·q^k·√n) (equation (2)), charged here as k iterations of one
-// snake sort with block length q^k plus one prefix-sum pass.
+// The paper's discipline is CULLING (§3.2): k iterations that
+// progressively shrink, for every requested variable v, an initial
+// minimal level-0 target set C_v^0 down to a plain (level-k) target set
+// C_v, while capping the number of selected copies that fall into any
+// level-i page at 2q^k·n^{1−1/2^i} marked copies — which yields the
+// Theorem 3 invariant that no level-i page is addressed by more than
+// 4q^k·n^{1−1/2^i} copies of ∪C_v^i. The procedure is executed by the n
+// mesh processors via sorting and ranking of the ≤ n·q^k copy
+// descriptors; its step cost is O(k·q^k·√n) (equation (2)), charged
+// here as k iterations of one snake sort with block length q^k plus one
+// prefix-sum pass. The other disciplines are local choices that charge
+// nothing: minimal plain target sets without congestion control (the
+// E2/E12 ablation), minimal level-0 target sets (the retry path), and
+// the Mehlhorn–Vishkin read-one/write-all rule [MV84] (E13).
 package culling
 
 import (
@@ -22,14 +31,43 @@ import (
 	"meshpram/internal/route"
 )
 
+// Discipline selects which copies an access reaches. The zero value is
+// the paper's.
+type Discipline int
+
+const (
+	// Culled selects a minimal plain target set per request by CULLING,
+	// bounding every level-i page load by Theorem 3.
+	Culled Discipline = iota
+	// Unculled selects a minimal plain target set per request without
+	// congestion control: the ablation baseline of E2/E12.
+	Unculled
+	// Hardened selects a minimal level-0 target set per request:
+	// extensive quorums at every tree level, so the returned copies
+	// keep certifying root access even when isolated packets are lost
+	// on the round trip. The pram retry layer re-executes a rolled-back
+	// step with it; its extra cost is the larger packet count, which
+	// the routing phases charge.
+	Hardened
+	// ReadOneWriteAll is the [MV84] discipline: a write selects every
+	// live copy, a read the first live copy scanning from leaf Var mod
+	// q^k (a fixed load-spreading choice). No congestion control runs —
+	// that is the point of the comparison (E13). A read served by any
+	// live copy is correct only because writes update every copy, which
+	// is why a write that loses any copy fails certification.
+	ReadOneWriteAll
+)
+
 // Request is one PRAM memory request: the mesh processor Origin wants
-// to access variable Var.
+// to access variable Var, writing it when Write is set. Only
+// ReadOneWriteAll tells reads from writes.
 type Request struct {
 	Origin int
 	Var    int
+	Write  bool
 }
 
-// SelectedCopy is a copy chosen by culling for the access protocol.
+// SelectedCopy is a copy chosen for the access protocol.
 type SelectedCopy struct {
 	Leaf int   // leaf index in T_v
 	Proc int   // destination processor (the copy's unresolved home)
@@ -37,27 +75,34 @@ type SelectedCopy struct {
 	Rank int32 // the copy's rank r1 among the page's p_1 copies
 }
 
-// Result carries the culling output and diagnostics.
+// Result carries the selection and its diagnostics.
 type Result struct {
-	// Selected[r] lists the copies of request r to access (a minimal
-	// plain target set, C_v of the paper). nil for unservable requests
-	// (see Unservable).
+	// Selected[r] lists the copies of request r to access (for Culled,
+	// a minimal plain target set, C_v of the paper). nil for unservable
+	// requests (see Unservable).
 	Selected [][]SelectedCopy
 
 	// PageLoad[i] (1 ≤ i ≤ K) maps level-i page index → number of
-	// copies of ∪_v C_v^i in that page after iteration i.
+	// selected copies in that page: for Culled, the copies of ∪_v C_v^i
+	// after iteration i; for the other disciplines, the final selection.
 	PageLoad [][]int
 
 	// Bound[i] = ⌈4·q^k·n^{1−1/2^i}⌉, the Theorem 3 bound at level i.
 	Bound []int
 
-	// Steps is the charged mesh step cost (equation (2) shape).
+	// Steps is the charged mesh step cost (equation (2) shape; zero for
+	// every discipline but Culled).
 	Steps int64
 
-	// Unservable lists requests whose available copies (see RunAvail)
-	// contain no plain target set: under the majority rule their
-	// variable is unrecoverable and no packets are produced for them.
+	// Unservable lists requests whose available copies hold no set the
+	// discipline accepts — under the majority rule no plain target set,
+	// under ReadOneWriteAll no live copy. Their variable is
+	// unrecoverable and no packets are produced for them.
 	Unservable []int
+
+	s    *hmos.Scheme
+	disc Discipline
+	reqs []Request
 }
 
 // MaxLoad returns the maximum level-i page load and its bound.
@@ -70,66 +115,165 @@ func (r *Result) MaxLoad(i int) (load, bound int) {
 	return load, r.Bound[i]
 }
 
-// Run executes CULLING for the given request set. Variables must be
-// distinct across requests (the PRAM step semantics of the paper; use
-// combining upstream for concurrent access). It panics on duplicate
-// variables or out-of-range requests.
-func Run(s *hmos.Scheme, m *mesh.Machine, reqs []Request) *Result {
-	return RunAvail(s, m, reqs, nil)
+// Certifies reports whether the copies of request i that completed the
+// round trip still certify its access. returned masks the leaves that
+// came back (nil when none did). Under the majority disciplines the
+// returned leaves must access the root of T_v; under ReadOneWriteAll a
+// read needs any returned copy, but a write must have updated every
+// selected copy (a partial write would silently break later reads).
+func (r *Result) Certifies(i int, returned []bool) bool {
+	if returned == nil {
+		return false
+	}
+	if r.disc != ReadOneWriteAll {
+		return r.s.AccessedRoot(returned)
+	}
+	got := 0
+	for _, on := range returned {
+		if on {
+			got++
+		}
+	}
+	if r.reqs[i].Write {
+		return got == len(r.Selected[i])
+	}
+	return got > 0
 }
 
-// RunAvail is Run restricted to the available copies of each request:
-// avail[r] masks request r's live leaves (a nil avail, or a nil mask
-// for a request, means all q^k copies are available, making RunAvail
-// with nil avail bit-identical to Run). Requests whose live leaves no
-// longer contain a minimal level-0 target set fall back to a minimal
-// plain target set among the live leaves — they skip the per-level
-// shrink (their set is already minimal) but still count toward page
-// loads and the congestion marking. Requests with no plain target set
-// at all are reported in Result.Unservable with a nil selection.
-//
-// Every per-copy table — leaf masks, marks, processors, ranks, page
-// indexes — is one flat slice indexed r·q^k + leaf, allocated once per
-// call, so a call makes O(K) allocations however many requests it has.
-func RunAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool) *Result {
-	n := m.N
+// Placement holds one request batch's flat per-copy tables. Entry
+// r·q^k + leaf describes request r's copy at that leaf of its copy
+// tree. Every table is allocated once per batch, so placing and
+// selecting make O(K) allocations however many requests there are.
+type Placement struct {
+	s     *hmos.Scheme
+	m     *mesh.Machine
+	reqs  []Request
+	qk    int
+	masks []bool  // the request's current selection
+	procs []int32 // processor storing the copy (its unresolved home)
+	ranks []int32 // the copy's rank r1 in its level-1 page
+	pages []int32 // level-i page index at offset (i−1)·len(masks)
+	full  []bool  // all-live mask for requests without one
+	cost  []int64 // SelectTargetSet scratch
+}
+
+// Place places every copy of every request with one walk of its copy
+// tree, recording its processor, its level-1 rank and its page index at
+// every level. Variables must be distinct across requests (the PRAM
+// step semantics of the paper; use combining upstream for concurrent
+// access). It panics on duplicate variables or out-of-range requests.
+func Place(s *hmos.Scheme, m *mesh.Machine, reqs []Request) *Placement {
+	validate(s, m.N, reqs)
 	qk := s.Redundant
-	validate(s, n, reqs)
-	b := locate(s, reqs, avail)
-	res := newResult(s, n, len(reqs))
+	size := len(reqs) * qk
+	p := &Placement{
+		s:     s,
+		m:     m,
+		reqs:  reqs,
+		qk:    qk,
+		masks: make([]bool, size),
+		procs: make([]int32, size),
+		ranks: make([]int32, size),
+		pages: make([]int32, s.K*size),
+		full:  make([]bool, qk),
+		cost:  make([]int64, s.TargetSetScratch()),
+	}
+	for leaf := range p.full {
+		p.full[leaf] = true
+	}
+	for r, rq := range reqs {
+		lo := r * qk
+		s.PlaceTree(rq.Var, p.procs[lo:lo+qk], p.ranks[lo:lo+qk], p.pages[lo:], size)
+	}
+	return p
+}
+
+// Homes returns the home processor of each of request r's q^k copies,
+// indexed by leaf (before any remap). The slice aliases the placement.
+func (p *Placement) Homes(r int) []int32 {
+	return p.procs[r*p.qk : (r+1)*p.qk]
+}
+
+// Select picks every request's copies under discipline d among the
+// available ones: avail[r] masks request r's live leaves, and a nil
+// avail, or a nil mask for a request, means all q^k copies are live.
+// Under the majority disciplines a request whose live leaves hold no
+// target set of the discipline's level falls back to a minimal plain
+// target set among them (culling then skips its per-level shrink, its
+// set being minimal already, but still counts it toward page loads and
+// the congestion marking). Requests with no acceptable set at all are
+// reported in Result.Unservable with a nil selection. A placement may
+// be selected from more than once.
+func (p *Placement) Select(d Discipline, avail [][]bool) *Result {
+	s := p.s
+	res := &Result{
+		Selected: make([][]SelectedCopy, len(p.reqs)),
+		PageLoad: make([][]int, s.K+1),
+		Bound:    make([]int, s.K+1),
+		s:        s,
+		disc:     d,
+		reqs:     p.reqs,
+	}
+	for i := 1; i <= s.K; i++ {
+		res.Bound[i] = capAtLevel(4, s.Redundant, p.m.N, i)
+	}
+	switch d {
+	case Culled:
+		p.cull(res, avail)
+	case Unculled:
+		p.local(res, avail, s.K)
+	case Hardened:
+		p.local(res, avail, 0)
+	case ReadOneWriteAll:
+		p.readOneWriteAll(res, avail)
+	default:
+		panic(fmt.Sprintf("culling: unknown discipline %d", d))
+	}
+	if d != Culled {
+		for i := 1; i <= s.K; i++ {
+			res.PageLoad[i] = p.loads(i)
+		}
+	}
+	p.collect(res)
+	return res
+}
+
+// cull runs CULLING over the available leaves.
+func (p *Placement) cull(res *Result, avail [][]bool) {
+	s, n, qk := p.s, p.m.N, p.qk
 
 	// C^0: minimal level-0 target sets over the available leaves.
 	// frozen[r]: the request's live leaves hold no level-0 set, only a
 	// plain one — its mask is already minimal and skips the shrink.
-	frozen := make([]bool, len(reqs))
-	for r := range reqs {
-		mask := b.masks[r*qk : (r+1)*qk]
-		av := b.availOf(avail, r)
-		if s.SelectTargetSet(0, av, nil, b.cost, mask) {
+	frozen := make([]bool, len(p.reqs))
+	for r := range p.reqs {
+		mask := p.masks[r*qk : (r+1)*qk]
+		av := p.availOf(avail, r)
+		if s.SelectTargetSet(0, av, nil, p.cost, mask) {
 			continue
 		}
 		frozen[r] = true
-		if !s.SelectTargetSet(s.K, av, nil, b.cost, mask) {
+		if !s.SelectTargetSet(s.K, av, nil, p.cost, mask) {
 			res.Unservable = append(res.Unservable, r) // empty mask: contributes nothing
 		}
 	}
 
-	marked := make([]bool, len(b.masks))
+	marked := make([]bool, len(p.masks))
 	seen := make([]int, s.PageCount(1)) // level-1 pages are the most numerous
-	full := m.Full()
+	full := p.m.Full()
 	for i := 1; i <= s.K; i++ {
 		// Mark the first 2q^k·n^{1−1/2^i} copies of every level-i page.
-		markFirst(b.masks, b.pagesAt(i), capAtLevel(2, qk, n, i), seen[:s.PageCount(i)], marked)
+		markFirst(p.masks, p.pagesAt(i), capAtLevel(2, qk, n, i), seen[:s.PageCount(i)], marked)
 
 		// Shrink each request's mask to a minimal level-i target set,
 		// preferring marked copies (the M_v^i / S_v^i split). Frozen
 		// requests are already minimal plain sets and keep their mask.
-		for r := range reqs {
+		for r := range p.reqs {
 			if frozen[r] {
 				continue
 			}
-			mask := b.masks[r*qk : (r+1)*qk]
-			if !s.SelectTargetSet(i, mask, marked[r*qk:(r+1)*qk], b.cost, mask) {
+			mask := p.masks[r*qk : (r+1)*qk]
+			if !s.SelectTargetSet(i, mask, marked[r*qk:(r+1)*qk], p.cost, mask) {
 				// Cannot happen: the mask is a minimal level-(i-1)
 				// target set, which always contains a level-i set.
 				panic(fmt.Sprintf("culling: request %d lost its target set at level %d", r, i))
@@ -137,69 +281,54 @@ func RunAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool) *
 		}
 
 		// Record loads of ∪C^i per level-i page.
-		res.PageLoad[i] = b.loads(i, s.PageCount(i))
+		res.PageLoad[i] = p.loads(i)
 
 		// Charge the iteration: sort + rank + O(q^k) local extraction.
 		res.Steps += route.SortCost(full, qk)
 		res.Steps += 3*int64(full.W-1) + int64(full.H-1)
 		res.Steps += int64(qk)
 	}
-	b.collect(res)
-	return res
 }
 
-// SelectWithoutCulling returns, for each request, a minimal plain
-// target set chosen without congestion control — the ablation baseline
-// for experiments E2/E12. Its step cost is zero (purely local choice).
-func SelectWithoutCulling(s *hmos.Scheme, m *mesh.Machine, reqs []Request) *Result {
-	return SelectWithoutCullingAvail(s, m, reqs, nil)
-}
-
-// SelectWithoutCullingAvail is SelectWithoutCulling restricted to the
-// available copies (see RunAvail for the avail convention and the
-// Unservable reporting).
-func SelectWithoutCullingAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool) *Result {
-	return selectLocal(s, m, reqs, avail, s.K)
-}
-
-// SelectHardenedAvail selects, for each request, a minimal *level-0*
-// target set among the available copies: extensive quorums at every
-// tree level, so the returned copy set keeps certifying root access
-// even when isolated packets are lost on the round trip. This is the
-// recovery path's selection — the pram retry layer re-executes a
-// rolled-back step with it after an eager repair. Requests whose live
-// leaves hold no level-0 set fall back to a minimal plain set (the
-// same degraded fallback as RunAvail); requests with no plain set are
-// Unservable. Like SelectWithoutCulling the choice is purely local and
-// charges zero steps — the extra cost of a hardened step is its larger
-// packet count, which the routing phases charge naturally.
-func SelectHardenedAvail(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool) *Result {
-	return selectLocal(s, m, reqs, avail, 0)
-}
-
-// selectLocal picks, per request and without congestion control, a
-// minimal level-`level` target set among the available leaves, falling
-// back to a minimal plain set; requests with neither are Unservable.
-// Page loads count the final selection at every level.
-func selectLocal(s *hmos.Scheme, m *mesh.Machine, reqs []Request, avail [][]bool, level int) *Result {
-	qk := s.Redundant
-	b := locate(s, reqs, avail)
-	res := newResult(s, m.N, len(reqs))
-	for r := range reqs {
-		mask := b.masks[r*qk : (r+1)*qk]
-		av := b.availOf(avail, r)
-		if s.SelectTargetSet(level, av, nil, b.cost, mask) {
+// local picks, per request and without congestion control, a minimal
+// level-`level` target set among the available leaves, falling back to
+// a minimal plain set; requests with neither are Unservable.
+func (p *Placement) local(res *Result, avail [][]bool, level int) {
+	s, qk := p.s, p.qk
+	for r := range p.reqs {
+		mask := p.masks[r*qk : (r+1)*qk]
+		av := p.availOf(avail, r)
+		if s.SelectTargetSet(level, av, nil, p.cost, mask) {
 			continue
 		}
-		if level == s.K || !s.SelectTargetSet(s.K, av, nil, b.cost, mask) {
+		if level == s.K || !s.SelectTargetSet(s.K, av, nil, p.cost, mask) {
 			res.Unservable = append(res.Unservable, r)
 		}
 	}
-	for i := 1; i <= s.K; i++ {
-		res.PageLoad[i] = b.loads(i, s.PageCount(i))
+}
+
+// readOneWriteAll selects every live copy of a write and the first live
+// copy of a read, scanning from leaf Var mod q^k; a request with no
+// live copy is Unservable.
+func (p *Placement) readOneWriteAll(res *Result, avail [][]bool) {
+	qk := p.qk
+	for r, rq := range p.reqs {
+		mask := p.masks[r*qk : (r+1)*qk]
+		av := p.availOf(avail, r)
+		clear(mask)
+		found := false
+		for j := range qk {
+			if leaf := (rq.Var + j) % qk; av[leaf] {
+				mask[leaf], found = true, true
+				if !rq.Write {
+					break
+				}
+			}
+		}
+		if !found {
+			res.Unservable = append(res.Unservable, r)
+		}
 	}
-	b.collect(res)
-	return res
 }
 
 // markFirst marks the first limit selected copies of every page, in
@@ -244,63 +373,26 @@ func validate(s *hmos.Scheme, n int, reqs []Request) {
 	}
 }
 
-// batch holds one call's flat per-copy tables. Entry r·q^k + leaf
-// describes request r's copy at that leaf of its copy tree.
-type batch struct {
-	qk    int
-	masks []bool  // the request's current selection
-	procs []int32 // processor storing the copy
-	ranks []int32 // the copy's rank r1 in its level-1 page
-	pages []int32 // level-i page index at offset (i−1)·len(masks)
-	full  []bool  // all-live mask for requests without one
-	cost  []int64 // SelectTargetSet scratch
-}
-
-// locate places every copy of every request with one walk of its copy
-// tree, recording its processor, its level-1 rank and its page index at
-// every level.
-func locate(s *hmos.Scheme, reqs []Request, avail [][]bool) *batch {
-	qk := s.Redundant
-	size := len(reqs) * qk
-	b := &batch{
-		qk:    qk,
-		masks: make([]bool, size),
-		procs: make([]int32, size),
-		ranks: make([]int32, size),
-		pages: make([]int32, s.K*size),
-		full:  make([]bool, qk),
-		cost:  make([]int64, s.TargetSetScratch()),
-	}
-	for leaf := range b.full {
-		b.full[leaf] = true
-	}
-	for r, rq := range reqs {
-		lo := r * qk
-		s.PlaceTree(rq.Var, b.procs[lo:lo+qk], b.ranks[lo:lo+qk], b.pages[lo:], size)
-	}
-	return b
-}
-
 // availOf returns request r's availability mask (all live when the
 // caller supplied none).
-func (b *batch) availOf(avail [][]bool, r int) []bool {
+func (p *Placement) availOf(avail [][]bool, r int) []bool {
 	if avail != nil && avail[r] != nil {
 		return avail[r]
 	}
-	return b.full
+	return p.full
 }
 
 // pagesAt returns the level-i page index of every copy.
-func (b *batch) pagesAt(i int) []int32 {
-	size := len(b.masks)
-	return b.pages[(i-1)*size : i*size]
+func (p *Placement) pagesAt(i int) []int32 {
+	size := len(p.masks)
+	return p.pages[(i-1)*size : i*size]
 }
 
 // loads counts the selected copies per level-i page.
-func (b *batch) loads(i, pageCount int) []int {
-	loads := make([]int, pageCount)
-	pages := b.pagesAt(i)
-	for idx, on := range b.masks {
+func (p *Placement) loads(i int) []int {
+	loads := make([]int, p.s.PageCount(i))
+	pages := p.pagesAt(i)
+	for idx, on := range p.masks {
 		if on {
 			loads[pages[idx]]++
 		}
@@ -310,9 +402,9 @@ func (b *batch) loads(i, pageCount int) []int {
 
 // collect turns the final masks into Result.Selected, every request's
 // copies a window of one flat slice (nil for an empty selection).
-func (b *batch) collect(res *Result) {
+func (p *Placement) collect(res *Result) {
 	total := 0
-	for _, on := range b.masks {
+	for _, on := range p.masks {
 		if on {
 			total++
 		}
@@ -320,30 +412,16 @@ func (b *batch) collect(res *Result) {
 	flat := make([]SelectedCopy, 0, total)
 	for r := range res.Selected {
 		start := len(flat)
-		for leaf, on := range b.masks[r*b.qk : (r+1)*b.qk] {
+		for leaf, on := range p.masks[r*p.qk : (r+1)*p.qk] {
 			if on {
-				idx := r*b.qk + leaf
-				flat = append(flat, SelectedCopy{Leaf: leaf, Proc: int(b.procs[idx]), Page: b.pages[idx], Rank: b.ranks[idx]})
+				idx := r*p.qk + leaf
+				flat = append(flat, SelectedCopy{Leaf: leaf, Proc: int(p.procs[idx]), Page: p.pages[idx], Rank: p.ranks[idx]})
 			}
 		}
 		if len(flat) > start {
 			res.Selected[r] = flat[start:len(flat):len(flat)]
 		}
 	}
-}
-
-// newResult allocates a Result for count requests with the Theorem 3
-// bounds filled in.
-func newResult(s *hmos.Scheme, n, count int) *Result {
-	res := &Result{
-		Selected: make([][]SelectedCopy, count),
-		PageLoad: make([][]int, s.K+1),
-		Bound:    make([]int, s.K+1),
-	}
-	for i := 1; i <= s.K; i++ {
-		res.Bound[i] = capAtLevel(4, s.Redundant, n, i)
-	}
-	return res
 }
 
 // capAtLevel returns ⌈c·q^k·n^{1−1/2^i}⌉.

@@ -3,6 +3,7 @@ package culling
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"meshpram/internal/hmos"
@@ -14,8 +15,8 @@ func TestCullingDeterministic(t *testing.T) {
 	s, m := scheme(t, hmos.Params{Side: 27, Q: 3, D: 4, K: 2})
 	rng := rand.New(rand.NewSource(6))
 	reqs := randomRequests(s, m.N, 400, rng)
-	a := Run(s, m, reqs)
-	b := Run(s, m, append([]Request(nil), reqs...))
+	a := run(s, m, reqs)
+	b := run(s, m, append([]Request(nil), reqs...))
 	if a.Steps != b.Steps {
 		t.Fatalf("steps differ: %d vs %d", a.Steps, b.Steps)
 	}
@@ -31,7 +32,7 @@ func TestCullingPartialBatches(t *testing.T) {
 	for _, count := range []int{1, 2, 17, 100, 729} {
 		rng := rand.New(rand.NewSource(int64(count)))
 		reqs := randomRequests(s, m.N, count, rng)
-		res := Run(s, m, reqs)
+		res := run(s, m, reqs)
 		if len(res.Selected) != count {
 			t.Fatalf("count %d: %d selections", count, len(res.Selected))
 		}
@@ -57,7 +58,7 @@ func TestCullingK3ModuleHot(t *testing.T) {
 	for r := 0; r < count; r++ {
 		reqs[r] = Request{Origin: r, Var: g.InputAtRank(0, r)}
 	}
-	res := Run(s, m, reqs)
+	res := run(s, m, reqs)
 	for i := 1; i <= 3; i++ {
 		load, bound := res.MaxLoad(i)
 		if load > bound {
@@ -80,7 +81,7 @@ func TestCullingOtherFieldOrders(t *testing.T) {
 		s, m := scheme(t, p)
 		rng := rand.New(rand.NewSource(2))
 		reqs := randomRequests(s, m.N, m.N/2, rng)
-		res := Run(s, m, reqs)
+		res := run(s, m, reqs)
 		for r, sel := range res.Selected {
 			mask := make([]bool, s.Redundant)
 			for _, c := range sel {
@@ -93,5 +94,46 @@ func TestCullingOtherFieldOrders(t *testing.T) {
 				t.Fatalf("q=%d request %d: size %d", p.Q, r, len(sel))
 			}
 		}
+	}
+}
+
+// Certifies is the step verdict: nothing returned never certifies;
+// under the majority disciplines the returned leaves must access the
+// root; under read-one/write-all a read needs its one copy back and a
+// write every copy it selected.
+func TestCertifies(t *testing.T) {
+	s, m := scheme(t, hmos.Params{Side: 9, Q: 3, D: 3, K: 2})
+	reqs := []Request{{Origin: 0, Var: 3}, {Origin: 1, Var: 8, Write: true}}
+	pl := Place(s, m, reqs)
+	for _, d := range []Discipline{Culled, Unculled, Hardened, ReadOneWriteAll} {
+		res := pl.Select(d, nil)
+		for r := range reqs {
+			full := make([]bool, s.Redundant)
+			for _, c := range res.Selected[r] {
+				full[c.Leaf] = true
+			}
+			short := slices.Clone(full)
+			short[res.Selected[r][0].Leaf] = false
+			if res.Certifies(r, nil) {
+				t.Errorf("discipline %d request %d: certified with nothing returned", d, r)
+			}
+			if !res.Certifies(r, full) {
+				t.Errorf("discipline %d request %d: its whole selection does not certify", d, r)
+			}
+			want := s.AccessedRoot(short)
+			if d == ReadOneWriteAll {
+				want = false // the read lost its only copy, the write one of all
+			}
+			if got := res.Certifies(r, short); got != want {
+				t.Errorf("discipline %d request %d: one copy short certifies %v, want %v", d, r, got, want)
+			}
+		}
+	}
+	// A read-one/write-all read is certified by any returned copy.
+	res := pl.Select(ReadOneWriteAll, nil)
+	other := make([]bool, s.Redundant)
+	other[(res.Selected[0][0].Leaf+1)%s.Redundant] = true
+	if !res.Certifies(0, other) {
+		t.Error("read-one/write-all read not certified by a returned copy")
 	}
 }

@@ -30,11 +30,16 @@ func randomRequests(s *hmos.Scheme, n int, count int, rng *rand.Rand) []Request 
 	return reqs
 }
 
+// run places the batch and selects by the paper's discipline.
+func run(s *hmos.Scheme, m *mesh.Machine, reqs []Request) *Result {
+	return Place(s, m, reqs).Select(Culled, nil)
+}
+
 func TestRunProducesTargetSets(t *testing.T) {
 	s, m := scheme(t, hmos.Params{Side: 9, Q: 3, D: 3, K: 2})
 	rng := rand.New(rand.NewSource(1))
 	reqs := randomRequests(s, m.N, m.N, rng)
-	res := Run(s, m, reqs)
+	res := run(s, m, reqs)
 	if len(res.Selected) != len(reqs) {
 		t.Fatalf("selected %d, want %d", len(res.Selected), len(reqs))
 	}
@@ -85,7 +90,7 @@ func TestTheorem3Bound(t *testing.T) {
 			"dense":  denseRequests(s, m.N),
 		}
 		for name, reqs := range sets {
-			res := Run(s, m, reqs)
+			res := run(s, m, reqs)
 			for i := 1; i <= s.K; i++ {
 				load, bound := res.MaxLoad(i)
 				if load > bound {
@@ -121,20 +126,20 @@ func TestRunValidation(t *testing.T) {
 				t.Errorf("%s did not panic", name)
 			}
 		}()
-		Run(s, m, reqs)
+		run(s, m, reqs)
 	}
-	mustPanic("duplicate var", []Request{{0, 5}, {1, 5}})
-	mustPanic("bad var", []Request{{0, s.Vars()}})
-	mustPanic("bad origin", []Request{{-1, 0}})
+	mustPanic("duplicate var", []Request{{Origin: 0, Var: 5}, {Origin: 1, Var: 5}})
+	mustPanic("bad var", []Request{{Origin: 0, Var: s.Vars()}})
+	mustPanic("bad origin", []Request{{Origin: -1, Var: 0}})
 }
 
 func TestEmptyAndSingleton(t *testing.T) {
 	s, m := scheme(t, hmos.Params{Side: 9, Q: 3, D: 3, K: 2})
-	res := Run(s, m, nil)
+	res := run(s, m, nil)
 	if len(res.Selected) != 0 {
 		t.Fatal("nonempty selection for empty request set")
 	}
-	res = Run(s, m, []Request{{Origin: 3, Var: 7}})
+	res = run(s, m, []Request{{Origin: 3, Var: 7}})
 	if len(res.Selected) != 1 {
 		t.Fatal("singleton selection missing")
 	}
@@ -151,7 +156,7 @@ func TestSelectedLeavesDistinct(t *testing.T) {
 	s, m := scheme(t, hmos.Params{Side: 27, Q: 3, D: 4, K: 2})
 	rng := rand.New(rand.NewSource(3))
 	reqs := randomRequests(s, m.N, 300, rng)
-	res := Run(s, m, reqs)
+	res := run(s, m, reqs)
 	for r, sel := range res.Selected {
 		seen := map[int]bool{}
 		for _, c := range sel {
@@ -172,7 +177,7 @@ func TestSelectWithoutCulling(t *testing.T) {
 	s, m := scheme(t, hmos.Params{Side: 9, Q: 3, D: 3, K: 2})
 	rng := rand.New(rand.NewSource(8))
 	reqs := randomRequests(s, m.N, m.N, rng)
-	res := SelectWithoutCulling(s, m, reqs)
+	res := Place(s, m, reqs).Select(Unculled, nil)
 	if res.Steps != 0 {
 		t.Fatal("baseline charged steps")
 	}
@@ -196,8 +201,8 @@ func TestCostShape(t *testing.T) {
 	reqs2 := randomRequests(s2, m.N, 500, rng)
 	reqs3 := make([]Request, len(reqs2))
 	copy(reqs3, reqs2)
-	c2 := Run(s2, m, reqs2).Steps
-	c3 := Run(s3, m, reqs3).Steps
+	c2 := run(s2, m, reqs2).Steps
+	c3 := run(s3, m, reqs3).Steps
 	if c3 <= c2 {
 		t.Fatalf("k=3 culling (%d) not more expensive than k=2 (%d)", c3, c2)
 	}
@@ -215,27 +220,27 @@ func BenchmarkCullingFullMachine(b *testing.B) {
 	reqs := randomRequests(s, m.N, m.N, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(s, m, reqs)
+		run(s, m, reqs)
 	}
 }
 
-// TestRunAllocsIndependentOfBatch pins RunAvail's allocation count to
-// O(K): a 10-request call and a full 729-request call at side 27 make
-// the same number of allocations, because every per-copy table is one
-// flat slice per call.
+// TestRunAllocsIndependentOfBatch pins the allocation count of placing
+// and culling a batch to O(K): a 10-request batch and a full
+// 729-request batch at side 27 make the same number of allocations,
+// because every per-copy table is one flat slice per batch.
 func TestRunAllocsIndependentOfBatch(t *testing.T) {
 	s, m := scheme(t, hmos.Params{Side: 27, Q: 3, D: 5, K: 2})
 	rng := rand.New(rand.NewSource(6))
 	full := randomRequests(s, m.N, m.N, rng)
 	small := full[:10]
 	allocs := func(reqs []Request) float64 {
-		return testing.AllocsPerRun(5, func() { RunAvail(s, m, reqs, nil) })
+		return testing.AllocsPerRun(5, func() { Place(s, m, reqs).Select(Culled, nil) })
 	}
 	a, b := allocs(small), allocs(full)
 	if a != b {
-		t.Fatalf("RunAvail allocates %v objects for 10 requests but %v for %d", a, b, len(full))
+		t.Fatalf("culling allocates %v objects for 10 requests but %v for %d", a, b, len(full))
 	}
-	t.Logf("RunAvail: %v allocations per call at K=%d", a, s.K)
+	t.Logf("culling: %v allocations per batch at K=%d", a, s.K)
 }
 
 // TestMarkFirstMatchesSortedOrder pins the congestion marking against

@@ -61,12 +61,13 @@ func encodeResult(res *Result) []byte {
 }
 
 // TestResultGolden pins culling.Result for seeded full batches at sides
-// 27 and 81, with and without availability masks, for all three
-// selection procedures. The golden was generated before the flat-buffer
-// rewrite of RunAvail and the target-set DP, so it proves the rewrite
-// selected exactly the same copies at exactly the same cost.
+// 27 and 81, with and without availability masks, for every discipline.
+// The majority lines were generated before the flat-buffer rewrite of
+// culling and the target-set DP, so they prove the rewrite selected
+// exactly the same copies at exactly the same cost. The
+// read-one/write-all lines (even requests write) follow them.
 func TestResultGolden(t *testing.T) {
-	var out bytes.Buffer
+	var out, rowa bytes.Buffer
 	for _, p := range []hmos.Params{{Side: 27, Q: 3, D: 5, K: 2}, {Side: 81, Q: 3, D: 7, K: 2}} {
 		s, m := scheme(t, p)
 		for _, seed := range []int64{1, 2} {
@@ -75,17 +76,21 @@ func TestResultGolden(t *testing.T) {
 			vars := rand.New(rand.NewSource(seed)).Perm(s.Vars())[:m.N]
 			reqs := make([]Request, len(vars))
 			for i, v := range vars {
-				reqs[i] = Request{Origin: i, Var: v}
+				reqs[i] = Request{Origin: i, Var: v, Write: i%2 == 0}
 			}
 			avail := goldenAvail(len(reqs), s.Redundant, rand.New(rand.NewSource(seed)))
+			pl := Place(s, m, reqs)
 			runs := []struct {
+				w    *bytes.Buffer
 				name string
 				res  *Result
 			}{
-				{"run", RunAvail(s, m, reqs, nil)},
-				{"run-avail", RunAvail(s, m, reqs, avail)},
-				{"noculling-avail", SelectWithoutCullingAvail(s, m, reqs, avail)},
-				{"hardened-avail", SelectHardenedAvail(s, m, reqs, avail)},
+				{&out, "run", pl.Select(Culled, nil)},
+				{&out, "run-avail", pl.Select(Culled, avail)},
+				{&out, "noculling-avail", pl.Select(Unculled, avail)},
+				{&out, "hardened-avail", pl.Select(Hardened, avail)},
+				{&rowa, "rowa", pl.Select(ReadOneWriteAll, nil)},
+				{&rowa, "rowa-avail", pl.Select(ReadOneWriteAll, avail)},
 			}
 			for _, run := range runs {
 				enc := encodeResult(run.res)
@@ -93,16 +98,17 @@ func TestResultGolden(t *testing.T) {
 				for _, sel := range run.res.Selected {
 					selected += len(sel)
 				}
-				fmt.Fprintf(&out, "side=%d seed=%d %s: steps=%d selected=%d unservable=%d",
+				fmt.Fprintf(run.w, "side=%d seed=%d %s: steps=%d selected=%d unservable=%d",
 					p.Side, seed, run.name, run.res.Steps, selected, len(run.res.Unservable))
 				for i := 1; i <= s.K; i++ {
 					mx, bd := run.res.MaxLoad(i)
-					fmt.Fprintf(&out, " maxload%d=%d/%d", i, mx, bd)
+					fmt.Fprintf(run.w, " maxload%d=%d/%d", i, mx, bd)
 				}
-				fmt.Fprintf(&out, " bytes=%d sha256=%x\n", len(enc), sha256.Sum256(enc))
+				fmt.Fprintf(run.w, " bytes=%d sha256=%x\n", len(enc), sha256.Sum256(enc))
 			}
 		}
 	}
+	out.Write(rowa.Bytes())
 	path := filepath.Join("testdata", "result.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

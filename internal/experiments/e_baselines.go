@@ -7,6 +7,7 @@ import (
 
 	"meshpram/internal/baseline"
 	"meshpram/internal/core"
+	"meshpram/internal/culling"
 	"meshpram/internal/hmos"
 	"meshpram/internal/stats"
 	"meshpram/internal/trace"
@@ -190,9 +191,9 @@ func RunE12(w io.Writer, cfg Config) error {
 		cfg  core.Config
 	}{
 		{"paper (culling + staged)", core.Config{}},
-		{"no culling", core.Config{DisableCulling: true}},
+		{"no culling", core.Config{Access: culling.Unculled}},
 		{"direct routing", core.Config{DirectRouting: true}},
-		{"no culling + direct", core.Config{DisableCulling: true, DirectRouting: true}},
+		{"no culling + direct", core.Config{Access: culling.Unculled, DirectRouting: true}},
 	}
 	var tb stats.Table
 	tb.Add("variant", "workload", "culling", "sort", "forward", "return", "access", "total")
@@ -212,7 +213,7 @@ func RunE12(w io.Writer, cfg Config) error {
 			_, st := sim.Step(wl.vars.Reads())
 			tb.Add(v.name, wl.name, st.Culling, st.Sort, st.Forward, st.Return, st.Access, st.Total())
 		}
-		if v.cfg.DirectRouting && !v.cfg.DisableCulling {
+		if v.cfg.DirectRouting && v.cfg.Access == culling.Culled {
 			cfg.Report.AddTrace("core-direct", trace.Export(sim.Ledger().Last()))
 		}
 	}

@@ -43,8 +43,9 @@ func RunE2(w io.Writer, cfg Config) error {
 			for i, v := range vars {
 				reqs[i] = culling.Request{Origin: i % m.N, Var: v}
 			}
-			culled := culling.Run(s, m, reqs)
-			raw := culling.SelectWithoutCulling(s, m, reqs)
+			pl := culling.Place(s, m, reqs)
+			culled := pl.Select(culling.Culled, nil)
+			raw := pl.Select(culling.Unculled, nil)
 			for i := 1; i <= p.K; i++ {
 				load, bound := culled.MaxLoad(i)
 				rawLoad, _ := raw.MaxLoad(i)
@@ -93,7 +94,7 @@ func RunE7(w io.Writer, cfg Config) error {
 		for i, v := range vars {
 			reqs[i] = culling.Request{Origin: i % m.N, Var: v}
 		}
-		res := culling.Run(s, m, reqs)
+		res := culling.Place(s, m, reqs).Select(culling.Culled, nil)
 		shape := float64(p.K) * float64(s.Redundant) * sqrtf(float64(m.N))
 		tb.Add(m.N, p.Q, p.K, res.Steps, int64(shape), float64(res.Steps)/shape)
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"meshpram/internal/core"
+	"meshpram/internal/culling"
 	"meshpram/internal/hmos"
 	"meshpram/internal/stats"
 	"meshpram/internal/workload"
@@ -27,7 +28,7 @@ func RunE13(w io.Writer, cfg Config) error {
 	}
 	variants := []variant{
 		{"majority (paper)", core.Config{}},
-		{"read-1/write-all (MV84)", core.Config{Policy: core.ReadOneWriteAllPolicy}},
+		{"read-1/write-all (MV84)", core.Config{Access: culling.ReadOneWriteAll}},
 	}
 	for _, v := range variants {
 		sim, err := core.New(p, v.cfg)

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"meshpram/internal/core"
+	"meshpram/internal/culling"
 	"meshpram/internal/fault"
 	"meshpram/internal/faultview"
 	"meshpram/internal/hmos"
@@ -222,7 +223,7 @@ func (sc Scenario) resolve() (Config, error) {
 	c := Config{Params: sc.Params(), IdealMemory: sc.IdealMemory, Retry: sc.Retry}
 	cc := &c.Core
 	var err error
-	if cc.Policy, err = parsePolicy(sc.Policy); err != nil {
+	if cc.Access, err = parseAccess(sc.Policy, sc.DisableCulling); err != nil {
 		return Config{}, &fieldError{Field: "policy", Err: err}
 	}
 	if cc.Sort, err = parseSortAlgo(sc.Sort); err != nil {
@@ -250,7 +251,6 @@ func (sc Scenario) resolve() (Config, error) {
 		return Config{}, &fieldError{Field: "fault_schedule", Err: err}
 	}
 	cc.Torus = sc.Torus
-	cc.DisableCulling = sc.DisableCulling
 	cc.DirectRouting = sc.DirectRouting
 	// The local view's witness tie-breaks reuse the scenario seed, so
 	// one Scenario pins the whole timeline.
@@ -383,14 +383,19 @@ func (sc Scenario) Params() hmos.Params {
 	return hmos.Params{Side: sc.Side, Q: sc.Q, D: sc.D, K: sc.K}
 }
 
-func parsePolicy(s string) (core.AccessPolicy, error) {
-	switch s {
+// parseAccess maps the policy and disable_culling fields to one copy
+// access discipline; rowa takes precedence over disable_culling.
+func parseAccess(policy string, disableCulling bool) (culling.Discipline, error) {
+	switch policy {
 	case "", "majority":
-		return core.MajorityPolicy, nil
+		if disableCulling {
+			return culling.Unculled, nil
+		}
+		return culling.Culled, nil
 	case "rowa":
-		return core.ReadOneWriteAllPolicy, nil
+		return culling.ReadOneWriteAll, nil
 	}
-	return 0, fmt.Errorf("unknown access policy %q (want majority or rowa)", s)
+	return 0, fmt.Errorf("unknown access policy %q (want majority or rowa)", policy)
 }
 
 func parseSortAlgo(s string) (route.SortAlgo, error) {

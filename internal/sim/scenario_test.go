@@ -11,6 +11,7 @@ import (
 
 	"meshpram/internal/bibd"
 	"meshpram/internal/core"
+	"meshpram/internal/culling"
 	"meshpram/internal/faultview"
 	"meshpram/internal/route"
 )
@@ -246,10 +247,10 @@ func TestFromScenarioBridges(t *testing.T) {
 		{"d", func(s *Scenario) { s.Side, s.D = 27, 4 }, func(c Config) bool { return c.Params.D == 4 }},
 		{"k", func(s *Scenario) { s.D, s.K = 4, 1 }, func(c Config) bool { return c.Params.K == 1 }},
 		{"seed", func(s *Scenario) { s.Seed = 42 }, func(c Config) bool { return c.Core.FaultViewSeed == 42 }},
-		{"policy", func(s *Scenario) { s.Policy = "rowa" }, func(c Config) bool { return c.Core.Policy == core.ReadOneWriteAllPolicy }},
+		{"policy", func(s *Scenario) { s.Policy = "rowa" }, func(c Config) bool { return c.Core.Access == culling.ReadOneWriteAll }},
 		{"torus", func(s *Scenario) { s.Torus = true }, func(c Config) bool { return c.Core.Torus }},
 		{"sort", func(s *Scenario) { s.Sort = "rotate" }, func(c Config) bool { return c.Core.Sort == route.RotateSort }},
-		{"disable_culling", func(s *Scenario) { s.DisableCulling = true }, func(c Config) bool { return c.Core.DisableCulling }},
+		{"disable_culling", func(s *Scenario) { s.DisableCulling = true }, func(c Config) bool { return c.Core.Access == culling.Unculled }},
 		{"direct_routing", func(s *Scenario) { s.DirectRouting = true }, func(c Config) bool { return c.Core.DirectRouting }},
 		{"faults", func(s *Scenario) { s.Faults = "node:5" }, func(c Config) bool { return c.Core.Faults.NodeDead(5) }},
 		{"fault_schedule", func(s *Scenario) { s.FaultSchedule = "@3 module:40" }, func(c Config) bool { return c.Core.Schedule.Len() == 1 }},
@@ -346,5 +347,30 @@ func TestSchemeVars(t *testing.T) {
 func TestProgramsSorted(t *testing.T) {
 	if !sort.StringsAreSorted(Programs) {
 		t.Errorf("Programs not sorted: %v", Programs)
+	}
+}
+
+// The policy and disable_culling fields map to one access discipline,
+// read-one/write-all taking precedence over disable_culling.
+func TestParseAccessPrecedence(t *testing.T) {
+	for _, c := range []struct {
+		policy  string
+		disable bool
+		want    culling.Discipline
+	}{
+		{"majority", false, culling.Culled},
+		{"majority", true, culling.Unculled},
+		{"rowa", false, culling.ReadOneWriteAll},
+		{"rowa", true, culling.ReadOneWriteAll},
+	} {
+		sc := DefaultScenario()
+		sc.Policy, sc.DisableCulling = c.policy, c.disable
+		cfg, err := FromScenario(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Core.Access != c.want {
+			t.Errorf("policy %q disable_culling %v: discipline %d, want %d", c.policy, c.disable, cfg.Core.Access, c.want)
+		}
 	}
 }

@@ -6,9 +6,12 @@
 // it, parses every enum and fault spec once, builds the HMOS scheme
 // and returns a Config. Backends consume the Config through
 // pram.NewBackend; code that drives the core simulator directly calls
-// Config.NewSimulator. The CLIs, the HTTP service, the experiments and
-// the benchmark all construct through FromScenario, so every machine
-// knob has exactly one spelling: its Scenario field.
+// Config.NewSimulator. The CLIs, the HTTP service and the benchmark
+// construct through FromScenario, so every knob they expose has exactly
+// one spelling: its Scenario field. So do the experiments that run
+// whole scenarios; the ones that compare protocol variants side by side
+// (e_baselines, e_hashing, e_mpc, e_policy, e_scale, e_slowdown,
+// e_sortalgo, e_torus) call core.New with a core.Config directly.
 //
 //	sc := sim.DefaultScenario()
 //	sc.Side, sc.D = 27, 5

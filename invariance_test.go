@@ -6,6 +6,7 @@ import (
 
 	"meshpram/internal/baseline"
 	"meshpram/internal/core"
+	"meshpram/internal/culling"
 	"meshpram/internal/fault"
 	"meshpram/internal/hmos"
 	"meshpram/internal/mpc"
@@ -204,7 +205,7 @@ func TestInvarianceCoreDirect(t *testing.T) {
 }
 
 func TestInvarianceCoreNoCulling(t *testing.T) {
-	runCoreFixture(t, "noculling", core.Config{DisableCulling: true}, []coreStepFixture{
+	runCoreFixture(t, "noculling", core.Config{Access: culling.Unculled}, []coreStepFixture{
 		{culling: 0, sort: 423, rank: 38, forward: 29, access: 16, ret: 29,
 			total: 535, stageForward: []int64{0, 0, 38, 452}, delta: []int{12, 12, 9, 4},
 			resSum: 1322407, meshSteps: 535},
@@ -215,10 +216,10 @@ func TestInvarianceCoreNoCulling(t *testing.T) {
 }
 
 func TestInvarianceCoreReadOneWriteAll(t *testing.T) {
-	runCoreFixture(t, "rowa", core.Config{Policy: core.ReadOneWriteAllPolicy}, []coreStepFixture{
+	runCoreFixture(t, "rowa", core.Config{Access: culling.ReadOneWriteAll}, []coreStepFixture{
 		{packets: 409, culling: 0, sort: 915, rank: 38, forward: 42, access: 20, ret: 30,
 			total: 1045, stageForward: []int64{0, 0, 34, 961}, delta: []int{11, 11, 8, 9},
-			pageLoadBound: []int{0, 0, 0},
+			pageLoadBound: []int{0, 324, 972},
 			resSum:        1322407, meshSteps: 1045},
 		{culling: 0, sort: 912, rank: 38, forward: 31, access: 18, ret: 26,
 			total: 1025, stageForward: []int64{0, 0, 30, 951}, delta: []int{9, 9, 7, 9},
